@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .errors import BracketFailure, NoSuchD
+from .errors import BracketFailure, NoConvergence, NoSuchD
 from .grids import Grid, Profile
 from .model import Kernel, ModelParams
 from .quadrature import DEFAULT_N_PER_UNIT, CumulativeKernel
@@ -47,6 +46,30 @@ class BumpBounds:
         return float(np.max(self.u_plus.values - self.u_minus.values))
 
 
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by bisection, stepping and stopping exactly as
+    ``scipy.optimize.bisect`` with its default rtol, so results are bit-equal."""
+    fa, fb = float(f(a)), float(f(b))
+    if fa * fb > 0.0:
+        raise BracketFailure(
+            f"f({a:.6g}) = {fa:.3g} and f({b:.6g}) = {fb:.3g} do not bracket a root")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    rtol = 4.0 * np.finfo(float).eps
+    dm = b - a
+    for _ in range(200):
+        dm *= 0.5
+        xm = a + dm
+        fm = float(f(xm))
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise NoConvergence("bisection did not converge in 200 steps")
+
+
 def solve_delta(kernel: Kernel, level: float, tol: float = 1e-12,
                 W: CumulativeKernel | None = None, a: float | None = None,
                 horizon: float = DEFAULT_HORIZON) -> float:
@@ -66,7 +89,7 @@ def solve_delta(kernel: Kernel, level: float, tol: float = 1e-12,
         raise BracketFailure(
             f"level {level} is not below the kernel mass W(2a) = {top:.6g}"
         )
-    return float(bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=tol / 4.0, maxiter=200))
+    return _bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=tol / 4.0)
 
 
 def u_plus_value(W: CumulativeKernel, delta_plus: float, x):
@@ -90,8 +113,8 @@ def find_d(kernel: Kernel, delta_plus: float, h: float, tol: float = 1e-12,
         raise NoSuchD(
             f"u_plus never falls to h={h} on ({delta_plus:.6g}, {a:.6g}]"
         )
-    return float(bisect(lambda x: u_plus_value(W, delta_plus, x) - h,
-                        delta_plus, a, xtol=tol / 4.0, maxiter=200))
+    return _bisect(lambda x: u_plus_value(W, delta_plus, x) - h,
+                   delta_plus, a, xtol=tol / 4.0)
 
 
 def build_bounds(kernel: Kernel, params: ModelParams, n: int,

@@ -30,7 +30,8 @@ from .assumptions import check_assumptions
 from .bounds import build_bounds
 from .dynamics import SimConfig, instability_experiment
 from .errors import (ConfigError, InfeasibleModel, NeurofieldError,
-                     NotDifferentiable, StageDependencyError)
+                     NotDifferentiable, PerturbationTooLarge,
+                     StageDependencyError)
 from .fixedpoint import (OperatorContext, compute_epsilon, extend_bump,
                          make_extension_grid, monotone_iterate,
                          solve_third_fixed_point)
@@ -238,10 +239,15 @@ def run_dynamics(cfg: dict, ctx_big, u_tilde, v_principal, lam):
                     scheme=dsec.get("scheme", "rk4"))
     delta = dsec.get("delta", 1e-3)
     eps_ball = dsec.get("epsilon_ball")
+    source = "dynamics.epsilon_ball"
     if eps_ball is None:
         eps_ball = 0.05 * u_tilde.sup_norm()
-    result = instability_experiment(ctx_big, u_tilde, v_principal, delta,
-                                    eps_ball, sim, lambda_max=lam)
+        source = "the default 0.05 * sup|u_tilde|"
+    try:
+        result = instability_experiment(ctx_big, u_tilde, v_principal, delta,
+                                        eps_ball, sim, lambda_max=lam)
+    except PerturbationTooLarge as exc:
+        raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc
     result["epsilon_ball"] = eps_ball
     result["delta"] = delta
     return result

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoEscape, NonFinite
+from .errors import NoEscape, NonFinite, PerturbationTooLarge
 from .fixedpoint import OperatorContext
 from .grids import Profile
 
@@ -20,7 +20,6 @@ class SimConfig:
     dt: float = 0.01
     t_end: float = 60.0
     scheme: str = RK4
-    record_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -29,15 +28,12 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == RK4 and self.dt > 0.1:
             raise ValueError("rk4 default accuracy budget requires dt <= 0.1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray = field(repr=False)
     deviation_sup: np.ndarray = field(repr=False)
-    snapshots: tuple[Profile, ...] = ()
 
 
 def _rhs(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
@@ -63,29 +59,28 @@ def step(ctx: OperatorContext, u: Profile, cfg: SimConfig) -> Profile:
 
 
 def simulate(ctx: OperatorContext, u0: Profile, u_ref: Profile, cfg: SimConfig,
-             keep_snapshots: bool = False) -> Trajectory:
-    """Integrate to t_end, recording the sup deviation from u_ref.
+             stop_at: float | None = None) -> Trajectory:
+    """Integrate to t_end, recording the sup deviation from u_ref after every step.
 
-    Raises NonFinite (carrying the partial trajectory) if the state overflows.
+    With ``stop_at``, integration ends early at the first recorded deviation
+    >= stop_at.  Raises NonFinite (carrying the partial trajectory) as soon as
+    a step overflows.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = u0.values.copy()
     ref = u_ref.values
     times = [0.0]
     devs = [float(np.max(np.abs(u - ref)))]
-    snaps = [Profile(ctx.grid, u.copy())] if keep_snapshots else []
     for i in range(1, n_steps + 1):
+        if stop_at is not None and devs[-1] >= stop_at:
+            break
         u = step_values(ctx, u, cfg)
-        if i % cfg.record_every == 0 or i == n_steps:
-            if not np.all(np.isfinite(u)):
-                partial = Trajectory(np.asarray(times), np.asarray(devs), tuple(snaps))
-                raise NonFinite(f"state became non-finite at t={i * cfg.dt:.6g}",
-                                trajectory=partial)
-            times.append(i * cfg.dt)
-            devs.append(float(np.max(np.abs(u - ref))))
-            if keep_snapshots:
-                snaps.append(Profile(ctx.grid, u.copy()))
-    return Trajectory(np.asarray(times), np.asarray(devs), tuple(snaps))
+        if not np.all(np.isfinite(u)):
+            raise NonFinite(f"state became non-finite at t={i * cfg.dt:.6g}",
+                            trajectory=Trajectory(np.asarray(times), np.asarray(devs)))
+        times.append(i * cfg.dt)
+        devs.append(float(np.max(np.abs(u - ref))))
+    return Trajectory(np.asarray(times), np.asarray(devs))
 
 
 def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
@@ -96,15 +91,20 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
 
     The growth rate is fitted on the window where the deviation lies in
     [2 delta, 10 delta], clear of both the transient and the nonlinear
-    saturation regime.
+    saturation regime.  Integration stops at the first sample outside the
+    epsilon ball, which gives the escape time; as epsilon_ball > 10 delta,
+    that sample lies above the fit window.
     """
     if delta >= epsilon_ball / 10.0:
-        raise ValueError("need delta < epsilon_ball / 10 for a clean linear window")
+        raise PerturbationTooLarge(
+            f"delta = {delta:.6g} is not below epsilon_ball / 10 = "
+            f"{epsilon_ball / 10.0:.6g} (epsilon_ball = {epsilon_ball:.6g}), "
+            "so no linear growth window fits inside the ball")
     vmax = float(np.max(np.abs(v_principal.values)))
     if abs(vmax - 1.0) > 1e-8:
         raise ValueError("principal direction must have sup-norm 1")
     u0 = Profile(ctx.grid, u_tilde.values + delta * v_principal.values)
-    traj = simulate(ctx, u0, u_tilde, cfg)
+    traj = simulate(ctx, u0, u_tilde, cfg, stop_at=epsilon_ball)
 
     window = (traj.deviation_sup >= 2.0 * delta) & (traj.deviation_sup <= 10.0 * delta)
     growth_rate = None

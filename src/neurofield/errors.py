@@ -67,6 +67,11 @@ class NonFinite(NeurofieldError):
         self.trajectory = trajectory
 
 
+class PerturbationTooLarge(NeurofieldError, ValueError):
+    """The escape experiment's delta is not below epsilon_ball / 10, leaving no
+    linear growth window inside the epsilon ball."""
+
+
 class NoEscape(NeurofieldError):
     """Perturbed trajectory never left the epsilon ball despite a positive growth margin."""
 

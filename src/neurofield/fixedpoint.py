@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .bounds import BumpBounds
 from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
@@ -18,6 +17,22 @@ from .model import Firing, Kernel, ModelParams
 #: above this node count the translation-invariant Nystrom sum is evaluated by
 #: FFT convolution instead of a dense matrix (identical up to rounding)
 DENSE_NODE_LIMIT = 4096
+
+
+def fast_fft_len(m: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= m (scipy.fft.next_fast_len(m, True))."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power of two lifting p35 to at least m
+            quotient = -(-m // p35)
+            candidate = p35 << max(quotient - 1, 0).bit_length()
+            best = min(best, candidate)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class OperatorContext:
@@ -42,7 +57,8 @@ class OperatorContext:
         self.weights = quadrature_weights(grid, rule)
         self._nodes = grid.nodes()
         self._dense: np.ndarray | None = None
-        self._kern_line: np.ndarray | None = None
+        self._kern_spectrum: np.ndarray | None = None
+        self._fft_len = 0
 
     @property
     def nodes(self) -> np.ndarray:
@@ -63,10 +79,15 @@ class OperatorContext:
         n = self.grid.n
         if self.grid.n_nodes <= DENSE_NODE_LIMIT:
             return self.kernel_matrix() @ s
-        if self._kern_line is None:
+        # linear convolution of s (n + 1 values) with the kernel line on lags
+        # -n..n (2n + 1 values) has 3n + 1 terms; the rfft length is the one
+        # scipy.signal.fftconvolve picks, which makes the result bit-equal to it
+        if self._kern_spectrum is None:
             lags = np.arange(-n, n + 1) * self.grid.dx
-            self._kern_line = np.asarray(self.kernel(lags))
-        full = fftconvolve(s, self._kern_line)
+            self._fft_len = fast_fft_len(3 * n + 1)
+            self._kern_spectrum = np.fft.rfft(np.asarray(self.kernel(lags)), self._fft_len)
+        full = np.fft.irfft(np.fft.rfft(s, self._fft_len) * self._kern_spectrum,
+                            self._fft_len)
         return full[n:2 * n + 1]
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:

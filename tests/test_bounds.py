@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
                       W_exp)
-from neurofield.bounds import (BumpBounds, build_bounds, find_d, solve_delta,
+from neurofield.bounds import (DEFAULT_HORIZON, BumpBounds, _bisect,
+                               build_bounds, find_d, solve_delta, u_plus_value,
                                verify_heaviside_stationarity)
 from neurofield.errors import BracketFailure, NoSuchD
 from neurofield.grids import Grid, Profile
@@ -41,6 +42,30 @@ def test_solve_delta_bracket_failure():
         solve_delta(ExponentialKernel(), 1.5)
     with pytest.raises(BracketFailure):
         solve_delta(ExponentialKernel(), -0.1)
+
+
+@pytest.mark.parametrize("kernel, params", [
+    (ExponentialKernel(), ModelParams(0.1, 0.2)),
+    (GaussianKernel(), ModelParams(0.1, 0.2)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+])
+def test_bisection_bit_equal_to_scipy(kernel, params):
+    from scipy.optimize import bisect
+    W = CumulativeKernel(kernel)
+    a = kernel.positive_radius(DEFAULT_HORIZON)
+    xtol = 1e-12 / 4.0
+    for level in (params.h, params.h + params.tau):
+        expected = bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=xtol, maxiter=200)
+        assert solve_delta(kernel, level, W=W, a=a) == expected
+    delta_plus = solve_delta(kernel, params.h + params.tau, W=W, a=a)
+    expected = bisect(lambda x: u_plus_value(W, delta_plus, x) - params.h,
+                      delta_plus, a, xtol=xtol, maxiter=200)
+    assert find_d(kernel, delta_plus, params.h, W=W, a=a) == expected
+
+
+def test_bisection_rejects_non_bracketing_interval():
+    with pytest.raises(BracketFailure):
+        _bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
 
 def test_find_d_closed_form():

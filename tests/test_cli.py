@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neurofield
 from neurofield.cli import main
 
 BASE_CFG = {
@@ -95,6 +100,13 @@ def test_certify_full_pipeline(tmp_path):
                  "certificate.json", "dynamics.json", "trajectory.csv",
                  "u_star.csv", "u_tilde.csv", "principal.csv", "spectrum.csv"):
         assert (out / name).exists()
+    # the trajectory ends at the first sample outside the epsilon ball
+    eps = report["dynamics"]["epsilon_ball"]
+    rows = [[float(v) for v in r.split(",")]
+            for r in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert rows[-1][0] == report["dynamics"]["escape_time"]
+    assert rows[-1][1] >= eps
+    assert all(dev < eps for _, dev in rows[:-1])
 
 
 def test_certify_deterministic(tmp_path):
@@ -104,6 +116,27 @@ def test_certify_deterministic(tmp_path):
     assert run(["certify", "--config", cfg, "--out", out2, "--quiet"]) == 0
     for name in ("u_star.csv", "u_tilde.csv", "trajectory.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_certify_delta_too_large_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"dynamics": {"delta": 0.01, "epsilon_ball": 0.05}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out",
+                "--quiet"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "dynamics.delta" in err
+    assert "epsilon_ball = 0.05" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(neurofield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, neurofield.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_nonsmooth_firing_exit_1(tmp_path):

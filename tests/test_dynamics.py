@@ -3,7 +3,7 @@ import pytest
 
 from neurofield.dynamics import (EXP_EULER, RK4, SimConfig,
                                  instability_experiment, simulate, step)
-from neurofield.errors import NoEscape
+from neurofield.errors import NoEscape, NonFinite
 from neurofield.fixedpoint import OperatorContext
 from neurofield.grids import Profile
 from neurofield.spectral import build_linearization, spectral_radius
@@ -92,6 +92,27 @@ def test_growth_rate_matches_spectrum(setup):
     assert out["escape_time"] <= 2.0 * out["predicted_escape"]
 
 
+def test_experiment_stops_at_escape(setup):
+    ctx, u, vec = setup["ctx"], setup["u"], setup["vec"]
+    cfg = SimConfig(dt=0.01, t_end=5.0)
+    delta, eps = 1e-3, 0.05
+    out = instability_experiment(ctx, u, vec, delta=delta, epsilon_ball=eps,
+                                 cfg=cfg, lambda_max=setup["lam"])
+    traj = out["trajectory"]
+    assert traj.deviation_sup[-1] >= eps
+    assert np.all(traj.deviation_sup[:-1] < eps)
+    # the run to t_end agrees up to the escape sample and yields the same fit
+    full = simulate(ctx, Profile(ctx.grid, u.values + delta * vec.values), u, cfg)
+    assert len(full.times) > len(traj.times)
+    assert np.array_equal(full.times[:len(traj.times)], traj.times)
+    assert np.array_equal(full.deviation_sup[:len(traj.times)], traj.deviation_sup)
+    window = (full.deviation_sup >= 2.0 * delta) & (full.deviation_sup <= 10.0 * delta)
+    growth = float(np.polyfit(full.times[window],
+                              np.log(full.deviation_sup[window]), 1)[0])
+    assert out["growth_rate"] == growth
+    assert out["escape_time"] == full.times[np.argmax(full.deviation_sup >= eps)]
+
+
 def test_escape_time_shifts_with_delta(setup):
     cfg = SimConfig(dt=0.01, t_end=5.0)
     kwargs = dict(epsilon_ball=0.05, cfg=cfg, lambda_max=setup["lam"])
@@ -120,6 +141,32 @@ def test_experiment_input_validation(setup):
     with pytest.raises(ValueError):
         instability_experiment(setup["ctx"], setup["u"], bad_dir,
                                delta=1e-3, epsilon_ball=0.05, cfg=cfg)
+
+
+class _ExpFiring:
+    """Unbounded firing rate: u_t = -u + Tu blows up in finite time."""
+
+    def __call__(self, u):
+        return np.exp(u)
+
+
+def test_overflow_raises_non_finite_with_partial_trajectory(setup):
+    ctx = setup["ctx"]
+    blowup = OperatorContext(ctx.kernel, _ExpFiring(), ctx.params, ctx.grid)
+    g = ctx.grid
+    zero = Profile(g, np.zeros(g.n_nodes))
+    u0 = Profile(g, np.full(g.n_nodes, 3.0))
+    cfg = SimConfig(dt=0.01, t_end=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite) as info:
+            simulate(blowup, u0, zero, cfg)
+    partial = info.value.trajectory
+    assert 2 <= len(partial.times) < 101
+    assert np.array_equal(partial.times, np.arange(len(partial.times)) * cfg.dt)
+    assert np.all(np.isfinite(partial.deviation_sup))
+    # the first sample is the initial state; the recorded part was growing
+    assert partial.deviation_sup[0] == 3.0
+    assert np.all(np.diff(partial.deviation_sup) > 0.0)
 
 
 def test_saturated_constant_decays_monotonically(setup):

@@ -6,14 +6,16 @@ import pytest
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds
 from neurofield.errors import GridMisaligned, ShiftOutOfRange
-from neurofield.fixedpoint import (OperatorContext, apply_T, apply_T_hat,
-                                   compute_epsilon, embed_offset, extend_bump,
+from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
+                                   apply_T_hat, compute_epsilon, embed_offset,
+                                   extend_bump, fast_fft_len,
                                    make_extension_grid, monotone_iterate,
                                    solve_third_fixed_point,
                                    stationary_residual, tail_extension,
                                    verify_translation_family)
 from neurofield.grids import Grid, Profile
-from neurofield.model import (ExponentialKernel, ModelParams, RatioFiring)
+from neurofield.model import (ExponentialKernel, GaussianKernel,
+                              MexicanHatKernel, ModelParams, RatioFiring)
 
 
 def test_apply_T_zero_and_saturated(ref_ctx):
@@ -57,17 +59,32 @@ def test_operator_context_validation(ref_model):
 
 
 def test_fft_path_matches_dense(ref_model):
-    # same operator through the dense matrix and the FFT convolution
-    kernel, firing, params = ref_model
-    g = Grid(-3.0, 3.0, 600)
-    ctx = OperatorContext(kernel, firing, params, g)
+    # above DENSE_NODE_LIMIT apply_weighted takes the FFT branch; scipy's
+    # fftconvolve is the bit-exact oracle and a chunked direct sum the dense one
+    from scipy.signal import fftconvolve
+    _, firing, params = ref_model
+    g = Grid(-30.0, 30.0, 6000)
+    assert g.n_nodes > DENSE_NODE_LIMIT
     rng = np.random.default_rng(3)
     s = rng.normal(size=g.n_nodes)
-    dense = ctx.kernel_matrix() @ s
     lags = np.arange(-g.n, g.n + 1) * g.dx
-    from scipy.signal import fftconvolve
-    fft = fftconvolve(s, kernel(lags))[g.n:2 * g.n + 1]
-    assert np.max(np.abs(dense - fft)) < 1e-12
+    x = g.nodes()
+    for kernel in (ExponentialKernel(), GaussianKernel(),
+                   MexicanHatKernel(3.0, 2.0, 1.0, 1.0)):
+        ctx = OperatorContext(kernel, firing, params, g)
+        fft = ctx.apply_weighted(s)
+        assert np.array_equal(fft, fftconvolve(s, kernel(lags))[g.n:2 * g.n + 1])
+        # the second call reuses the cached kernel spectrum
+        assert np.array_equal(ctx.apply_weighted(s), fft)
+        direct = np.concatenate([kernel(x[i:i + 500, None] - x[None, :]) @ s
+                                 for i in range(0, len(x), 500)])
+        assert np.max(np.abs(fft - direct)) < 1e-12
+
+
+def test_fast_fft_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    for m in list(range(1, 3000)) + [38587, 154327, 1_000_001]:
+        assert fast_fft_len(m) == next_fast_len(m, True), m
 
 
 def test_epsilon_positive_and_stable(ref_epsilon, ref_model, ref_bounds):
