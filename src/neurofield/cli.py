@@ -1,8 +1,9 @@
 """Batch command-line front end: check, bounds, solve, spectrum, simulate, certify.
 
-Stages cache their artifacts in the output directory as JSON + CSV, keyed by a
-hash of the config sections they depend on.  Exit codes: 0 pass, 2 model
-infeasible or certificate failure, 1 usage or internal error.
+One ``Run`` per invocation computes each pipeline stage at most once; the
+commands write its results as JSON + CSV artifacts stamped with a hash of the
+config sections they depend on.  Exit codes: 0 pass, 2 model infeasible or
+certificate failure, 1 usage or internal error.
 """
 
 from __future__ import annotations
@@ -20,20 +21,22 @@ import hashlib
 import json
 import sys
 import tempfile
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from jsonschema import ValidationError, validate
 
 from . import __version__
-from .assumptions import check_assumptions
-from .bounds import build_bounds
+from .assumptions import AssumptionReport, check_assumptions
+from .bounds import BumpBounds, build_bounds
 from .dynamics import SimConfig, instability_experiment
-from .errors import (ConfigError, InfeasibleModel, NeurofieldError,
-                     NotDifferentiable, PerturbationTooLarge,
+from .errors import (ConfigError, GridTooLarge, InfeasibleModel, NeurofieldError,
+                     NoEscape, NotDifferentiable, PerturbationTooLarge,
                      StageDependencyError)
-from .fixedpoint import (OperatorContext, compute_epsilon, extend_bump,
-                         make_extension_grid, monotone_iterate,
+from .fixedpoint import (DENSE_NODE_LIMIT, FixedPointResult, OperatorContext,
+                         compute_epsilon, extend_bump, make_extension_grid,
                          solve_third_fixed_point)
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
@@ -111,11 +114,6 @@ def build_objects(cfg: dict, base: Path):
     return kernel, firing, params
 
 
-def section_hash(cfg: dict, stage: str) -> str:
-    payload = {s: cfg.get(s, {}) for s in _STAGE_SECTIONS[stage]}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # artifact io
 # ---------------------------------------------------------------------------
@@ -152,85 +150,117 @@ def read_profile_csv(path: Path) -> Profile:
     return Profile(grid, data[:, 1])
 
 
-def _load_stage_json(out: Path, name: str, cfg: dict, stage: str) -> dict:
-    path = out / name
-    if not path.exists():
-        raise StageDependencyError(
-            f"missing artifact {name}: run the '{stage}' stage first")
-    payload = json.loads(path.read_text())
-    if payload.get("config_hash") != section_hash(cfg, stage):
-        raise StageDependencyError(
-            f"cached {name} was produced with a different config; rerun '{stage}'")
-    return payload
-
-
 # ---------------------------------------------------------------------------
-# pipeline stages (pure computation, shared by the commands and certify)
+# the pipeline of one invocation
 # ---------------------------------------------------------------------------
 
-def _grid_n(cfg: dict, d: float) -> int:
-    gsec = cfg.get("grid", {})
-    if "n" in gsec:
-        n = int(gsec["n"])
-    else:
-        n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
-    return n + (n % 2)
+class Solved(NamedTuple):
+    ctx: OperatorContext
+    ctx_big: OperatorContext
+    fp: FixedPointResult
+    u_tilde: Profile
 
 
-def run_check(cfg: dict, base: Path):
-    kernel, firing, params = build_objects(cfg, base)
-    return check_assumptions(kernel, firing, params)
+class Spectrum(NamedTuple):
+    lam: float
+    v: Profile
+    eigs: np.ndarray
+    cert: dict
 
 
-def run_bounds(cfg: dict, base: Path):
-    kernel, firing, params = build_objects(cfg, base)
-    probe = build_bounds(kernel, params, 2)
-    n = _grid_n(cfg, probe.d)
-    return kernel, firing, params, build_bounds(kernel, params, n)
+class Run:
+    """Config, model objects and stage results of one invocation.
 
+    Each stage (``check``, ``bounds``, ``solve``, ``spectrum``) is computed on
+    first use and kept, so ``certify`` computes every stage once and a single
+    command computes only the stages it needs.
+    """
 
-def run_solve(cfg: dict, base: Path):
-    kernel, firing, params, bb = run_bounds(cfg, base)
-    if firing.p <= 1.0:
-        raise NotDifferentiable(
-            "the fixed-point solve linearizes the firing rate; it requires a "
-            f"continuously differentiable rate (p > 1), got p={firing.p}")
-    ssec = cfg.get("solver", {})
-    ctx = OperatorContext(kernel, firing, params, bb.grid)
-    eps = compute_epsilon(ctx, bb)
-    fp = solve_third_fixed_point(
-        ctx, bb,
-        tol=ssec.get("newton_tol", 1e-10),
-        max_iter=ssec.get("max_iter", 60),
-        degeneracy_threshold=ssec.get("degeneracy_threshold", 1e-2),
-        epsilon=eps)
-    big = make_extension_grid(kernel, bb.grid,
-                              L_override=cfg.get("grid", {}).get("L_override"))
-    u_tilde = extend_bump(ctx, fp.u_star, big)
-    ctx_big = OperatorContext(kernel, firing, params, big)
-    return ctx, ctx_big, bb, fp, u_tilde
+    def __init__(self, cfg: dict, base: Path):
+        self.cfg = cfg
+        self.base = base
 
+    def section(self, name: str) -> dict:
+        return self.cfg.get(name, {})
 
-def run_spectrum(cfg: dict, ctx, ctx_big, fp, u_tilde):
-    psec = cfg.get("spectral", {})
-    top_k = psec.get("top_k", 5)
-    power_tol = psec.get("power_tol", 1e-13)
-    lin = build_linearization(ctx, fp.u_star)
-    lin_big = build_linearization(ctx_big, u_tilde)
-    if lin_big.support.size == 0:
-        zero = Profile(ctx_big.grid, np.zeros(ctx_big.grid.n_nodes))
-        cert = instability_certificate(0.0, zero, np.inf, 0.0, 0.0, np.inf)
-        return lin, lin_big, 0.0, zero, np.zeros(0), cert
-    lam, v = spectral_radius(lin_big, tol=power_tol)
-    eigs = lin.eigenvalues()
-    dense_top = float(eigs[0])
-    trans = translation_mode_check(ctx, fp.u_star, lin)
-    equiv_dev, _ = spectra_equivalence_check(lin, lin_big, top_k)
-    mu = ctx.firing.holder_exponent
-    slope, _ = remainder_exponent_fit(ctx_big, u_tilde, v, np.logspace(-4, -2, 9))
-    cert = instability_certificate(lam, v, trans, slope, mu, equiv_dev,
-                                   power_vs_dense=abs(lam - dense_top))
-    return lin, lin_big, lam, v, eigs, cert
+    def computed(self, stage: str) -> bool:
+        """Whether this run already holds the result of ``stage``."""
+        return stage in vars(self)
+
+    def config_hash(self, stage: str) -> str:
+        """Hash of the config sections ``stage`` depends on; a tabulated
+        kernel contributes the bytes of its CSV, not just its path."""
+        payload = {s: self.cfg.get(s, {}) for s in _STAGE_SECTIONS[stage]}
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+        if self.cfg["kernel"]["type"] == "tabulated":
+            digest.update((self.base / self.cfg["kernel"]["csv"]).read_bytes())
+        return digest.hexdigest()[:16]
+
+    @cached_property
+    def model(self):
+        return build_objects(self.cfg, self.base)
+
+    @cached_property
+    def check(self) -> AssumptionReport:
+        return check_assumptions(*self.model)
+
+    @cached_property
+    def bounds(self) -> BumpBounds:
+        kernel, _, params = self.model
+        gsec = self.section("grid")
+        if "n" in gsec:
+            n = int(gsec["n"])
+        else:
+            # d does not depend on n, so the smallest grid gives it cheaply
+            d = build_bounds(kernel, params, 2).d
+            n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
+        return build_bounds(kernel, params, n + (n % 2))
+
+    @cached_property
+    def solve(self) -> Solved:
+        kernel, firing, params = self.model
+        bb = self.bounds
+        if firing.p <= 1.0:
+            raise NotDifferentiable(
+                "the fixed-point solve linearizes the firing rate; it requires a "
+                f"continuously differentiable rate (p > 1), got p={firing.p}")
+        if bb.grid.n_nodes > DENSE_NODE_LIMIT:
+            raise GridTooLarge(
+                f"grid.n = {bb.grid.n} gives {bb.grid.n_nodes} nodes on [-d, d], "
+                f"above the {DENSE_NODE_LIMIT}-node limit of the dense Newton solve")
+        ssec = self.section("solver")
+        ctx = OperatorContext(kernel, firing, params, bb.grid)
+        eps = compute_epsilon(ctx, bb)
+        fp = solve_third_fixed_point(
+            ctx, bb,
+            tol=ssec.get("newton_tol", 1e-10),
+            max_iter=ssec.get("max_iter", 60),
+            degeneracy_threshold=ssec.get("degeneracy_threshold", 1e-2),
+            epsilon=eps)
+        big = make_extension_grid(kernel, bb.grid,
+                                  L_override=self.section("grid").get("L_override"))
+        u_tilde = extend_bump(ctx, fp.u_star, big)
+        ctx_big = OperatorContext(kernel, firing, params, big)
+        return Solved(ctx, ctx_big, fp, u_tilde)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        ctx, ctx_big, fp, u_tilde = self.solve
+        psec = self.section("spectral")
+        lin = build_linearization(ctx, fp.u_star)
+        lin_big = build_linearization(ctx_big, u_tilde)
+        if lin_big.support.size == 0:
+            zero = Profile(ctx_big.grid, np.zeros(ctx_big.grid.n_nodes))
+            cert = instability_certificate(0.0, zero, np.inf, 0.0, 0.0, np.inf)
+            return Spectrum(0.0, zero, np.zeros(0), cert)
+        lam, v = spectral_radius(lin_big, tol=psec.get("power_tol", 1e-13))
+        eigs = lin.eigenvalues()
+        trans = translation_mode_check(ctx, fp.u_star, lin)
+        equiv_dev, _ = spectra_equivalence_check(lin, lin_big, psec.get("top_k", 5))
+        slope, _ = remainder_exponent_fit(ctx_big, u_tilde, v, np.logspace(-4, -2, 9))
+        cert = instability_certificate(lam, v, trans, slope, ctx.firing.holder_exponent,
+                                       equiv_dev, power_vs_dense=abs(lam - float(eigs[0])))
+        return Spectrum(lam, v, eigs, cert)
 
 
 def run_dynamics(cfg: dict, ctx_big, u_tilde, v_principal, lam):
@@ -253,120 +283,136 @@ def run_dynamics(cfg: dict, ctx_big, u_tilde, v_principal, lam):
     return result
 
 
+def _load_stage_json(out: Path, name: str, run: Run, stage: str) -> dict:
+    path = out / name
+    if not path.exists():
+        raise StageDependencyError(
+            f"missing artifact {name}: run the '{stage}' stage first")
+    payload = json.loads(path.read_text())
+    if payload.get("config_hash") != run.config_hash(stage):
+        raise StageDependencyError(
+            f"cached {name} was produced with a different config; rerun '{stage}'")
+    return payload
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its own artifacts and returns (exit code, payload)
 # ---------------------------------------------------------------------------
 
-def cmd_check(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -> int:
+def cmd_check(run: Run, out: Path, precision: int, quiet: bool):
     try:
-        report = run_check(cfg, base)
+        report = run.check
     except InfeasibleModel as exc:
+        payload = None
         if exc.report is not None:
             payload = exc.report.to_dict()
-            payload["config_hash"] = section_hash(cfg, "check")
+            payload["config_hash"] = run.config_hash("check")
             write_json(out / "report.json", payload)
         if not quiet:
             print(f"infeasible: {exc}")
-        return 2
+        return 2, payload
     payload = report.to_dict()
-    payload["config_hash"] = section_hash(cfg, "check")
+    payload["config_hash"] = run.config_hash("check")
     write_json(out / "report.json", payload)
     if not quiet:
         print(f"assumptions: {report.verdict}")
-    return 0 if report.verdict == "pass" else 2
+    return (0 if report.verdict == "pass" else 2), payload
 
 
-def cmd_bounds(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -> int:
-    _, _, params, bb = run_bounds(cfg, base)
+def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):
+    _, _, params = run.model
+    bb = run.bounds
     write_csv(out / "profiles.csv", ["x", "u_minus", "u_plus"],
               [bb.grid.nodes(), bb.u_minus.values, bb.u_plus.values], precision)
-    write_json(out / "bounds.json", {
-        "config_hash": section_hash(cfg, "bounds"),
+    payload = {
+        "config_hash": run.config_hash("bounds"),
         "delta_minus": bb.delta_minus, "delta_plus": bb.delta_plus, "d": bb.d,
         "h": params.h, "tau": params.tau, "n": bb.grid.n,
         "tolerance": 1e-12,
-    })
+    }
+    write_json(out / "bounds.json", payload)
     if not quiet:
         print(f"delta_minus={bb.delta_minus:.9g} delta_plus={bb.delta_plus:.9g} "
               f"d={bb.d:.9g}")
-    return 0
+    return 0, payload
 
 
-def cmd_solve(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -> int:
-    ctx, ctx_big, bb, fp, u_tilde = run_solve(cfg, base)
+def cmd_solve(run: Run, out: Path, precision: int, quiet: bool):
+    ctx, ctx_big, fp, u_tilde = run.solve
     write_csv(out / "u_star.csv", ["x", "value"],
               [ctx.grid.nodes(), fp.u_star.values], precision)
     write_csv(out / "u_tilde.csv", ["x", "value"],
               [ctx_big.grid.nodes(), u_tilde.values], precision)
     payload = fp.to_dict()
     payload.update({
-        "config_hash": section_hash(cfg, "solve"),
+        "config_hash": run.config_hash("solve"),
         "L": ctx_big.grid.hi,
-        "newton_tol": cfg.get("solver", {}).get("newton_tol", 1e-10),
+        "newton_tol": run.section("solver").get("newton_tol", 1e-10),
     })
     write_json(out / "fixedpoint.json", payload)
     if not quiet:
         print(f"residual_sup={fp.residual_sup:.3e} separations="
               f"({fp.dist_to_u_minus:.3e}, {fp.dist_to_u_plus:.3e})")
-    return 0
+    return 0, payload
 
 
-def cmd_spectrum(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -> int:
-    ctx, ctx_big, bb, fp, u_tilde = run_solve(cfg, base)
-    lin, lin_big, lam, v, eigs, cert = run_spectrum(cfg, ctx, ctx_big, fp, u_tilde)
+def cmd_spectrum(run: Run, out: Path, precision: int, quiet: bool):
+    ctx_big = run.solve.ctx_big
+    lam, v, eigs, cert = run.spectrum
     write_csv(out / "spectrum.csv", ["index", "eigenvalue_real", "eigenvalue_imag"],
               [np.arange(len(eigs), dtype=float), eigs, np.zeros(len(eigs))],
               precision)
     write_csv(out / "principal.csv", ["x", "value"],
               [ctx_big.grid.nodes(), v.values], precision)
-    cert = dict(cert)
-    cert["config_hash"] = section_hash(cfg, "spectrum")
-    write_json(out / "certificate.json", cert)
+    payload = dict(cert, config_hash=run.config_hash("spectrum"))
+    write_json(out / "certificate.json", payload)
     if not quiet:
-        print(f"spectral_radius={lam:.9g} certificate={cert['verdict']}")
-    return 0 if cert["verdict"] == "pass" else 2
+        print(f"spectral_radius={lam:.9g} certificate={payload['verdict']}")
+    return (0 if payload["verdict"] == "pass" else 2), payload
 
 
-def cmd_simulate(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -> int:
-    cert = _load_stage_json(out, "certificate.json", cfg, "spectrum")
-    _load_stage_json(out, "fixedpoint.json", cfg, "solve")
-    u_tilde = read_profile_csv(out / "u_tilde.csv")
-    v = read_profile_csv(out / "principal.csv")
-    kernel, firing, params = build_objects(cfg, base)
-    ctx_big = OperatorContext(kernel, firing, params, u_tilde.grid)
-    result = run_dynamics(cfg, ctx_big, u_tilde, v, cert["spectral_radius"])
+def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
+    """The escape experiment.  Inside certify the run already holds the bump
+    and the principal vector; a standalone simulate reads them from the
+    artifacts of earlier solve and spectrum commands, refusing missing or
+    stale ones."""
+    if run.computed("spectrum"):
+        ctx_big, u_tilde = run.solve.ctx_big, run.solve.u_tilde
+        lam, v = run.spectrum.lam, run.spectrum.v
+    else:
+        lam = _load_stage_json(out, "certificate.json", run, "spectrum")["spectral_radius"]
+        _load_stage_json(out, "fixedpoint.json", run, "solve")
+        u_tilde = read_profile_csv(out / "u_tilde.csv")
+        v = read_profile_csv(out / "principal.csv")
+        ctx_big = OperatorContext(*run.model, u_tilde.grid)
+    result = run_dynamics(run.cfg, ctx_big, u_tilde, v, lam)
     traj = result["trajectory"]
     write_csv(out / "trajectory.csv", ["t", "deviation_sup"],
               [traj.times, traj.deviation_sup], precision)
-    write_json(out / "dynamics.json", {
-        "config_hash": section_hash(cfg, "simulate"),
+    payload = {
+        "config_hash": run.config_hash("simulate"),
         "growth_rate": result["growth_rate"],
         "escape_time": result["escape_time"],
         "predicted_escape": result["predicted_escape"],
         "epsilon_ball": result["epsilon_ball"],
         "delta": result["delta"],
-    })
+    }
+    write_json(out / "dynamics.json", payload)
     if not quiet:
         print(f"growth_rate={result['growth_rate']} escape_time={result['escape_time']}")
-    return 0
+    return 0, payload
 
 
-def cmd_certify(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -> int:
-    rc = cmd_check(cfg, base, out, precision, quiet=True)
+def cmd_certify(run: Run, out: Path, precision: int, quiet: bool):
+    rc, report = cmd_check(run, out, precision, True)
     if rc != 0:
         if not quiet:
             print("certify: model infeasible")
-        return rc
-    report = json.loads((out / "report.json").read_text())
-    cmd_bounds(cfg, base, out, precision, quiet=True)
-    cmd_solve(cfg, base, out, precision, quiet=True)
-    cmd_spectrum(cfg, base, out, precision, quiet=True)
-    cmd_simulate(cfg, base, out, precision, quiet=True)
-
-    bounds = json.loads((out / "bounds.json").read_text())
-    fixedpoint = json.loads((out / "fixedpoint.json").read_text())
-    certificate = json.loads((out / "certificate.json").read_text())
-    dyn = json.loads((out / "dynamics.json").read_text())
+        return rc, None
+    _, bounds = cmd_bounds(run, out, precision, True)
+    _, fixedpoint = cmd_solve(run, out, precision, True)
+    _, certificate = cmd_spectrum(run, out, precision, True)
+    _, dyn = cmd_simulate(run, out, precision, True)
 
     newton_tol = fixedpoint["newton_tol"]
     bump_ok = (report["verdict"] == "pass"
@@ -379,7 +425,7 @@ def cmd_certify(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -
     instability_ok = (certificate["verdict"] == "pass"
                  and dyn["escape_time"] is not None and growth_ok)
     run_report = {
-        "config_hash": section_hash(cfg, "simulate"),
+        "config_hash": run.config_hash("simulate"),
         "assumptions": report,
         "bounds": bounds,
         "fixedpoint": fixedpoint,
@@ -395,7 +441,7 @@ def cmd_certify(cfg: dict, base: Path, out: Path, precision: int, quiet: bool) -
     if not quiet:
         print(f"stationary bump: {'pass' if bump_ok else 'fail'}; "
               f"instability: {'pass' if instability_ok else 'fail'}")
-    return 0 if ok else 2
+    return (0 if ok else 2), run_report
 
 
 _COMMANDS = {
@@ -433,13 +479,18 @@ def main(argv=None) -> int:
         osec = cfg.get("output", {})
         out = Path(args.out) if args.out else base / osec.get("directory", "out")
         precision = osec.get("precision", 17)
-        return _COMMANDS[args.command](cfg, base, out, precision, args.quiet)
+        rc, _ = _COMMANDS[args.command](Run(cfg, base), out, precision, args.quiet)
+        return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except StageDependencyError as exc:
         print(f"stage dependency: {exc}", file=sys.stderr)
         return 1
+    except NoEscape as exc:
+        # the dynamic half of the certificate failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NeurofieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
