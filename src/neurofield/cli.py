@@ -239,8 +239,8 @@ class Run:
             epsilon=eps)
         big = make_extension_grid(kernel, bb.grid,
                                   L_override=self.section("grid").get("L_override"))
-        u_tilde = extend_bump(ctx, fp.u_star, big)
         ctx_big = OperatorContext(kernel, firing, params, big)
+        u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
         return Solved(ctx, ctx_big, fp, u_tilde)
 
     @cached_property

@@ -328,19 +328,15 @@ def embed_offset(small: Grid, big: Grid, tol: float = 1e-9) -> int:
     return k
 
 
-def extend_bump(ctx: OperatorContext, u_star: Profile, big_grid: Grid) -> Profile:
-    """Whole-line bump: convolve the kernel with f(u_star - h) over [-d, d]."""
-    embed_offset(ctx.grid, big_grid)  # alignment check only
-    gain = ctx.firing(u_star.values - ctx.params.h)
-    wv = ctx.weights * gain
-    src = ctx.nodes
-    tgt = big_grid.nodes()
-    out = np.empty(len(tgt))
-    chunk = max(1, 16_000_000 // len(src))
-    for start in range(0, len(tgt), chunk):
-        block = tgt[start:start + chunk, None] - src[None, :]
-        out[start:start + chunk] = np.asarray(ctx.kernel(block)) @ wv
-    return Profile(big_grid, out)
+def extend_bump(ctx: OperatorContext, u_star: Profile,
+                ctx_big: OperatorContext) -> Profile:
+    """Whole-line bump on the grid of ctx_big: the kernel convolved with
+    f(u_star - h) over [-d, d], i.e. T on ctx_big applied to a source that is
+    zero outside the embedded [-d, d] nodes."""
+    k = embed_offset(ctx.grid, ctx_big.grid)
+    src = np.zeros(ctx_big.grid.n_nodes)
+    src[k:k + ctx.grid.n_nodes] = ctx.weights * ctx.firing(u_star.values - ctx.params.h)
+    return Profile(ctx_big.grid, ctx_big.apply_weighted(src))
 
 
 def stationary_residual(ctx_big: OperatorContext, u: Profile) -> float:

@@ -69,14 +69,14 @@ def ref_big_grid(ref_model, ref_bounds):
 
 
 @pytest.fixture(scope="session")
-def ref_u_tilde(ref_ctx, ref_fp, ref_big_grid):
-    return extend_bump(ref_ctx, ref_fp.u_star, ref_big_grid)
-
-
-@pytest.fixture(scope="session")
 def ref_ctx_big(ref_model, ref_big_grid):
     kernel, firing, params = ref_model
     return OperatorContext(kernel, firing, params, ref_big_grid)
+
+
+@pytest.fixture(scope="session")
+def ref_u_tilde(ref_ctx, ref_fp, ref_ctx_big):
+    return extend_bump(ref_ctx, ref_fp.u_star, ref_ctx_big)
 
 
 @pytest.fixture(scope="session")
@@ -101,8 +101,8 @@ def coarse_setup(ref_model):
     bb = build_bounds(kernel, params, 200)
     ctx = OperatorContext(kernel, firing, params, bb.grid)
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
-    big = make_extension_grid(kernel, bb.grid)
-    u_tilde = extend_bump(ctx, fp.u_star, big)
-    ctx_big = OperatorContext(kernel, firing, params, big)
+    ctx_big = OperatorContext(kernel, firing, params,
+                              make_extension_grid(kernel, bb.grid))
+    u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
     return {"bb": bb, "ctx": ctx, "fp": fp, "ctx_big": ctx_big,
             "u_tilde": u_tilde}

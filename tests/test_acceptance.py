@@ -89,10 +89,9 @@ def test_criterion_04_translation_eigenvalue(ref_lin_big):
         bb = build_bounds(kernel, params, n)
         ctx = OperatorContext(kernel, firing, params, bb.grid)
         fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
-        big = make_extension_grid(kernel, bb.grid)
-        u_tilde = extend_bump(ctx, fp.u_star, big)
-        lin = build_linearization(
-            OperatorContext(kernel, firing, params, big), u_tilde)
+        ctx_big = OperatorContext(kernel, firing, params,
+                                  make_extension_grid(kernel, bb.grid))
+        lin = build_linearization(ctx_big, extend_bump(ctx, fp.u_star, ctx_big))
         ev = lin.eigenvalues()
         return float(ev[np.argmin(np.abs(ev - 1.0))])
 

@@ -16,6 +16,7 @@ from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring)
+from neurofield.quadrature import apply_integral_operator
 
 
 def test_apply_T_zero_and_saturated(ref_ctx):
@@ -199,9 +200,22 @@ def test_extend_bump_properties(ref_ctx, ref_fp, ref_big_grid, ref_u_tilde,
     assert stationary_residual(ref_ctx_big, ref_u_tilde) < 1e-10
 
 
-def test_extend_bump_alignment_guard(ref_ctx, ref_fp):
+def test_extend_bump_matches_direct_sum(ref_ctx, ref_fp, ref_ctx_big, ref_u_tilde,
+                                        coarse_setup):
+    # the reference big grid takes the FFT branch, the coarse one the dense branch
+    c = coarse_setup
+    assert c["ctx_big"].grid.n_nodes <= DENSE_NODE_LIMIT < ref_ctx_big.grid.n_nodes
+    for ctx, fp, ctx_big, u_tilde in ((ref_ctx, ref_fp, ref_ctx_big, ref_u_tilde),
+                                      (c["ctx"], c["fp"], c["ctx_big"], c["u_tilde"])):
+        gain = Profile(ctx.grid, ctx.firing(fp.u_star.values - ctx.params.h))
+        direct = apply_integral_operator(ctx.kernel, gain, ctx_big.grid)
+        assert np.max(np.abs(u_tilde.values - direct.values)) < 1e-12
+
+
+def test_extend_bump_alignment_guard(ref_model, ref_ctx, ref_fp):
+    misaligned = OperatorContext(*ref_model, Grid(-30.0, 30.0, 1000))
     with pytest.raises(GridMisaligned):
-        extend_bump(ref_ctx, ref_fp.u_star, Grid(-30.0, 30.0, 1000))
+        extend_bump(ref_ctx, ref_fp.u_star, misaligned)
 
 
 def test_make_extension_grid_override(ref_model, ref_bounds):
