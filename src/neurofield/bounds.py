@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, NoConvergence, NoSuchD
-from .grids import Grid, Profile
+from .grids import Grid, Profile, quadrature_weights
 from .model import Kernel, ModelParams
-from .quadrature import DEFAULT_N_PER_UNIT, CumulativeKernel
+from .quadrature import (DEFAULT_N_PER_UNIT, CumulativeKernel,
+                         indicator_convolution)
 
 #: default probe horizon bounding the search for the positivity radius a
 DEFAULT_HORIZON = 40.0
@@ -92,11 +93,6 @@ def solve_delta(kernel: Kernel, level: float, tol: float = 1e-12,
     return _bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=tol / 4.0)
 
 
-def u_plus_value(W: CumulativeKernel, delta_plus: float, x):
-    """The upper bounding profile W(x + delta_plus) - W(x - delta_plus)."""
-    return W(np.asarray(x, dtype=float) + delta_plus) - W(np.asarray(x, dtype=float) - delta_plus)
-
-
 def find_d(kernel: Kernel, delta_plus: float, h: float, tol: float = 1e-12,
            W: CumulativeKernel | None = None, a: float | None = None,
            horizon: float = DEFAULT_HORIZON) -> float:
@@ -109,11 +105,11 @@ def find_d(kernel: Kernel, delta_plus: float, h: float, tol: float = 1e-12,
         W = CumulativeKernel(kernel)
     if a is None:
         a = kernel.positive_radius(horizon)
-    if u_plus_value(W, delta_plus, a) > h:
+    if indicator_convolution(W, delta_plus, a) > h:
         raise NoSuchD(
             f"u_plus never falls to h={h} on ({delta_plus:.6g}, {a:.6g}]"
         )
-    return _bisect(lambda x: u_plus_value(W, delta_plus, x) - h,
+    return _bisect(lambda x: indicator_convolution(W, delta_plus, x) - h,
                    delta_plus, a, xtol=tol / 4.0)
 
 
@@ -133,8 +129,8 @@ def build_bounds(kernel: Kernel, params: ModelParams, n: int,
     d = find_d(kernel, delta_plus, params.h, tol=tol, W=W, a=a)
     grid = Grid(-d, d, n)
     xs = grid.nodes()
-    u_minus = Profile(grid, W(xs + delta_minus) - W(xs - delta_minus))
-    u_plus = Profile(grid, W(xs + delta_plus) - W(xs - delta_plus))
+    u_minus = Profile(grid, indicator_convolution(W, delta_minus, xs))
+    u_plus = Profile(grid, indicator_convolution(W, delta_plus, xs))
     return BumpBounds(delta_minus, delta_plus, d, u_minus, u_plus)
 
 
@@ -162,7 +158,7 @@ def verify_heaviside_stationarity(kernel: Kernel, bb: BumpBounds, probe: Grid,
 
     for label, delta, level in (("u_minus", bb.delta_minus, h),
                                 ("u_plus", bb.delta_plus, h_plus_tau)):
-        u = W(np.abs(xs) + delta) - W(np.abs(xs) - delta)
+        u = indicator_convolution(W, delta, np.abs(xs))
         core = np.abs(xs) <= delta
         outside = np.abs(xs) > delta + dx
         inner_margin = np.min(u[core] - level) if core.any() else np.inf
@@ -181,15 +177,13 @@ def verify_heaviside_stationarity(kernel: Kernel, bb: BumpBounds, probe: Grid,
     # with the indicator firing rate on the bounds grid.  The indicator edge
     # falls mid-cell, so the quadrature error budget is O(dx).
     ys = bb.grid.nodes()
-    dy = bb.grid.dx
-    wts = np.full(len(ys), dy)
-    wts[0] = wts[-1] = dy / 2.0
-    omega_max = float(np.max(kernel(ys[:, None] - ys[None, :])))
-    quad_err = 4.0 * omega_max * dy + 1e-12
+    wts = quadrature_weights(bb.grid)
+    K = kernel(ys[:, None] - ys[None, :])
+    quad_err = 4.0 * float(np.max(K)) * bb.grid.dx + 1e-12
     for label, u, delta, level in (("u_minus", bb.u_minus.values, bb.delta_minus, h),
                                    ("u_plus", bb.u_plus.values, bb.delta_plus, h_plus_tau)):
         g = (u - level > 0.0).astype(float)
-        Tu = kernel(ys[:, None] - ys[None, :]) @ (wts * g)
+        Tu = K @ (wts * g)
         resid = float(np.max(np.abs(Tu - u)))
         record(f"{label}_heaviside_fixed_point", resid <= quad_err, quad_err - resid)
 

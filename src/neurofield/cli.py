@@ -302,21 +302,16 @@ def _load_stage_json(out: Path, name: str, run: Run, stage: str) -> dict:
 def cmd_check(run: Run, out: Path, precision: int, quiet: bool):
     try:
         report = run.check
+        message = f"assumptions: {report.verdict}"
     except InfeasibleModel as exc:
-        payload = None
-        if exc.report is not None:
-            payload = exc.report.to_dict()
-            payload["config_hash"] = run.config_hash("check")
-            write_json(out / "report.json", payload)
-        if not quiet:
-            print(f"infeasible: {exc}")
-        return 2, payload
-    payload = report.to_dict()
-    payload["config_hash"] = run.config_hash("check")
-    write_json(out / "report.json", payload)
+        report, message = exc.report, f"infeasible: {exc}"
+    payload = None
+    if report is not None:
+        payload = dict(report.to_dict(), config_hash=run.config_hash("check"))
+        write_json(out / "report.json", payload)
     if not quiet:
-        print(f"assumptions: {report.verdict}")
-    return (0 if report.verdict == "pass" else 2), payload
+        print(message)
+    return (0 if payload is not None and payload["verdict"] == "pass" else 2), payload
 
 
 def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):

@@ -53,11 +53,6 @@ def step_values(ctx: OperatorContext, u: np.ndarray, cfg: SimConfig) -> np.ndarr
     return decay * u + (1.0 - decay) * ctx.apply_T_values(u)
 
 
-def step(ctx: OperatorContext, u: Profile, cfg: SimConfig) -> Profile:
-    """One time step of u_t = -u + Tu on the context grid."""
-    return Profile(ctx.grid, step_values(ctx, u.values, cfg))
-
-
 def simulate(ctx: OperatorContext, u0: Profile, u_ref: Profile, cfg: SimConfig,
              stop_at: float | None = None) -> Trajectory:
     """Integrate to t_end, recording the sup deviation from u_ref after every step.

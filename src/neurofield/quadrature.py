@@ -59,26 +59,12 @@ class CumulativeKernel:
         return float(out[0]) if scalar else out
 
 
-def cumulative_kernel_integral(kernel: Kernel, b: float, n: int = DEFAULT_N_PER_UNIT) -> float:
-    """W(b) = integral of omega over [0, b] by composite per-cell Simpson with n cells."""
-    if b < 0.0:
-        raise ValueError(f"need b >= 0, got b={b}")
-    if b == 0.0:
-        return 0.0
-    edges = np.linspace(0.0, b, n + 1)
-    lo, hi = edges[:-1], edges[1:]
-    cells = (kernel(lo) + 4.0 * kernel(0.5 * (lo + hi)) + kernel(hi)) * ((b / n) / 6.0)
-    return float(np.sum(cells))
-
-
-def indicator_convolution(kernel: Kernel, delta: float, x, W: CumulativeKernel | None = None,
-                          n_per_unit: int = DEFAULT_N_PER_UNIT):
+def indicator_convolution(W: CumulativeKernel, delta: float, x):
     """u_delta(x) = integral of omega(x - y) over [-delta, delta] = W(x+delta) - W(x-delta)."""
     if delta <= 0.0:
         raise ValueError(f"need delta > 0, got delta={delta}")
-    if W is None:
-        W = CumulativeKernel(kernel, n_per_unit=n_per_unit)
-    return W(np.asarray(x, dtype=float) + delta) - W(np.asarray(x, dtype=float) - delta)
+    x = np.asarray(x, dtype=float)
+    return W(x + delta) - W(x - delta)
 
 
 def apply_integral_operator(kernel: Kernel, weight: Profile, targets: Grid,

@@ -3,8 +3,6 @@ eigenpair, translation-mode certificate, and the nonlinear remainder exponent.""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import GridMisaligned, PowerIterationStall
@@ -41,13 +39,6 @@ class Linearization:
         """Full matrix; only for moderate grids."""
         K = self.ctx.kernel_matrix()
         return K * (self.weights * self.gains)[None, :]
-
-    def core(self) -> np.ndarray:
-        """Support submatrix carrying the whole nonzero spectrum."""
-        idx = self.support
-        x = self.ctx.nodes[idx]
-        K = np.asarray(self.ctx.kernel(x[:, None] - x[None, :]))
-        return K * (self.weights[idx] * self.gains[idx])[None, :]
 
     def eigenvalues(self) -> np.ndarray:
         """All nonzero-support eigenvalues, descending.  Real by symmetrizability."""
@@ -172,27 +163,6 @@ def remainder_exponent_fit(ctx_big: OperatorContext, u_tilde: Profile,
         norms[i] = np.max(np.abs(rem))
     slope = float(np.polyfit(np.log(amplitudes), np.log(norms), 1)[0])
     return slope, norms
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    spectral_radius: float
-    principal_vector: Profile = field(repr=False)
-    translation_residual: float
-    top_eigenvalues: tuple[float, ...]
-    positivity_ok: bool
-    instability_margin: float
-    remainder_exponent: float
-
-    def to_dict(self) -> dict:
-        return {
-            "spectral_radius": self.spectral_radius,
-            "translation_residual": self.translation_residual,
-            "top_eigenvalues": list(self.top_eigenvalues),
-            "positivity_ok": self.positivity_ok,
-            "instability_margin": self.instability_margin,
-            "remainder_exponent": self.remainder_exponent,
-        }
 
 
 def instability_certificate(spectral_radius_value: float,

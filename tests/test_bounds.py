@@ -6,13 +6,13 @@ import pytest
 from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
                       W_exp)
 from neurofield.bounds import (DEFAULT_HORIZON, BumpBounds, _bisect,
-                               build_bounds, find_d, solve_delta, u_plus_value,
+                               build_bounds, find_d, solve_delta,
                                verify_heaviside_stationarity)
 from neurofield.errors import BracketFailure, NoSuchD
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams)
-from neurofield.quadrature import CumulativeKernel
+from neurofield.quadrature import CumulativeKernel, indicator_convolution
 
 
 def test_solve_delta_closed_forms():
@@ -58,7 +58,7 @@ def test_bisection_bit_equal_to_scipy(kernel, params):
         expected = bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=xtol, maxiter=200)
         assert solve_delta(kernel, level, W=W, a=a) == expected
     delta_plus = solve_delta(kernel, params.h + params.tau, W=W, a=a)
-    expected = bisect(lambda x: u_plus_value(W, delta_plus, x) - params.h,
+    expected = bisect(lambda x: indicator_convolution(W, delta_plus, x) - params.h,
                       delta_plus, a, xtol=xtol, maxiter=200)
     assert find_d(kernel, delta_plus, params.h, W=W, a=a) == expected
 

@@ -1,13 +1,19 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import neurofield
+from neurofield import cli
 from neurofield.cli import main
+from neurofield.fixedpoint import DENSE_NODE_LIMIT, OperatorContext
+from neurofield.model import GaussianKernel
 
 BASE_CFG = {
     "kernel": {"type": "exponential"},
@@ -172,3 +178,87 @@ def test_grid_n_override(tmp_path):
                 "--quiet"]) == 0
     payload = json.loads((out / "bounds.json").read_text())
     assert payload["n"] == 100
+
+
+def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
+    calls = {}
+    for name in ("build_bounds", "compute_epsilon", "solve_third_fixed_point",
+                 "extend_bump", "read_profile_csv"):
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    cfg = write_cfg(tmp_path)
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert calls == {"build_bounds": 1, "compute_epsilon": 1,
+                     "solve_third_fixed_point": 1, "extend_bump": 1}
+
+
+def test_stage_commands_match_certify(tmp_path):
+    # the standalone simulate reads u_tilde and the principal vector back from
+    # CSV; certify passes them in memory; both must write the same bytes
+    cfg = write_cfg(tmp_path)
+    staged, certified = tmp_path / "staged", tmp_path / "certified"
+    for command in ("check", "bounds", "solve", "spectrum", "simulate"):
+        assert run([command, "--config", cfg, "--out", staged, "--quiet"]) == 0
+    assert run(["certify", "--config", cfg, "--out", certified, "--quiet"]) == 0
+    names = sorted(p.name for p in staged.iterdir())
+    assert len(names) == 11
+    for name in names:
+        assert (staged / name).read_bytes() == (certified / name).read_bytes(), name
+
+
+def test_certify_no_escape_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"dynamics": {"t_end": 0.1}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: deviation never reached")
+
+
+def test_grid_above_dense_limit_exit_1(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense kernel matrix requested")
+    monkeypatch.setattr(OperatorContext, "kernel_matrix", refuse)
+    cfg = write_cfg(tmp_path)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out",
+                "--grid-n", "4200", "--quiet"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "grid.n = 4200" in err and str(DENSE_NODE_LIMIT) in err
+
+
+@pytest.mark.filterwarnings("ignore::neurofield.errors.OutOfTableWarning")
+def test_simulate_rejects_edited_kernel_csv(tmp_path, capsys):
+    x = np.linspace(-12.0, 12.0, 2401)
+    table = np.column_stack([x, GaussianKernel()(x)])
+    np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
+                               "dynamics": {"epsilon_ball": 0.05}})
+    out = tmp_path / "out"
+    for command in ("solve", "spectrum", "simulate"):
+        assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    # same path, new content: the cached u_tilde and principal vector are stale
+    table[:, 1] *= 1.2
+    np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
+    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert "stage dependency" in capsys.readouterr().err
+
+
+def test_config_hash_of_analytic_kernels_covers_sections_only(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run(["check", "--config", cfg, "--out", out, "--quiet"]) == 0
+    sections = {s: BASE_CFG[s] for s in ("kernel", "firing", "model")}
+    expected = hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()[:16]
+    assert json.loads((out / "report.json").read_text())["config_hash"] == expected
+
+
+def test_tracer_span_names_are_bound_in_cli():
+    # the benchmark tracer wraps these neurofield.cli globals by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [name for name in tracer.CLI_SPANS if not callable(getattr(cli, name, None))]
+    assert missing == []

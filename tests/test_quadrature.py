@@ -7,30 +7,26 @@ from conftest import DELTA_PLUS_EXACT, D_EXACT, W_exp
 from neurofield.grids import Grid, Profile, sample
 from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.quadrature import (CumulativeKernel, apply_integral_operator,
-                                   cumulative_kernel_integral,
                                    indicator_convolution)
 
 
 def test_cumulative_zero_at_origin():
-    assert cumulative_kernel_integral(ExponentialKernel(), 0.0) == 0.0
+    assert CumulativeKernel(ExponentialKernel())(0.0) == 0.0
 
 
 def test_cumulative_exponential_oracle():
     # W(b) = (1 - e^-b)/2, so W(2 * 0.111572...) = 0.1
     b = 2.0 * 0.111572
-    got = cumulative_kernel_integral(ExponentialKernel(), b, n=4096)
+    got = CumulativeKernel(ExponentialKernel())(b)
     assert got == pytest.approx(W_exp(b), abs=1e-10)
     assert got == pytest.approx(0.1, abs=1e-6)
 
 
 def test_cumulative_gaussian_total_mass():
-    got = cumulative_kernel_integral(GaussianKernel(), 12.0, n=8192)
-    assert got == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-8)
-
-
-def test_cumulative_rejects_negative_b():
-    with pytest.raises(ValueError):
-        cumulative_kernel_integral(ExponentialKernel(), -1.0)
+    # the query lies beyond the initial table, which must grow to reach it
+    W = CumulativeKernel(GaussianKernel(), n_per_unit=8192)
+    assert W.b_max < 12.0
+    assert W(12.0) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-8)
 
 
 def test_cumulative_table_matches_oracle_everywhere():
@@ -47,27 +43,27 @@ def test_cumulative_table_odd_extension():
 def test_indicator_convolution_symmetric():
     W = CumulativeKernel(GaussianKernel())
     xs = np.linspace(0.0, 3.0, 50)
-    left = indicator_convolution(GaussianKernel(), 0.7, -xs, W=W)
-    right = indicator_convolution(GaussianKernel(), 0.7, xs, W=W)
+    left = indicator_convolution(W, 0.7, -xs)
+    right = indicator_convolution(W, 0.7, xs)
     assert np.max(np.abs(left - right)) < 1e-14
 
 
 def test_indicator_convolution_exponential_oracles():
     delta = DELTA_PLUS_EXACT
-    k = ExponentialKernel()
+    W = CumulativeKernel(ExponentialKernel())
     # u_delta(0) = 1 - e^-delta = 1 - sqrt(0.4)
-    assert indicator_convolution(k, delta, 0.0) == pytest.approx(
+    assert indicator_convolution(W, delta, 0.0) == pytest.approx(
         1.0 - math.sqrt(0.4), abs=1e-10)
     # u_delta(x) = e^-x sinh(delta) for x >= delta; at x = d it equals h = 0.1
-    assert indicator_convolution(k, delta, D_EXACT) == pytest.approx(0.1, abs=1e-6)
+    assert indicator_convolution(W, delta, D_EXACT) == pytest.approx(0.1, abs=1e-6)
     x = 2.0
-    assert indicator_convolution(k, delta, x) == pytest.approx(
+    assert indicator_convolution(W, delta, x) == pytest.approx(
         math.exp(-x) * math.sinh(delta), abs=1e-10)
 
 
 def test_indicator_convolution_rejects_nonpositive_delta():
     with pytest.raises(ValueError):
-        indicator_convolution(ExponentialKernel(), 0.0, 1.0)
+        indicator_convolution(CumulativeKernel(ExponentialKernel()), 0.0, 1.0)
 
 
 def test_operator_zero_weight():
