@@ -180,9 +180,6 @@ class Run:
         self.cfg = cfg
         self.base = base
 
-    def section(self, name: str) -> dict:
-        return self.cfg.get(name, {})
-
     def computed(self, stage: str) -> bool:
         """Whether this run already holds the result of ``stage``."""
         return stage in vars(self)
@@ -207,7 +204,7 @@ class Run:
     @cached_property
     def bounds(self) -> BumpBounds:
         kernel, _, params = self.model
-        gsec = self.section("grid")
+        gsec = self.cfg.get("grid", {})
         if "n" in gsec:
             n = int(gsec["n"])
         else:
@@ -228,7 +225,7 @@ class Run:
             raise GridTooLarge(
                 f"grid.n = {bb.grid.n} gives {bb.grid.n_nodes} nodes on [-d, d], "
                 f"above the {DENSE_NODE_LIMIT}-node limit of the dense Newton solve")
-        ssec = self.section("solver")
+        ssec = self.cfg.get("solver", {})
         ctx = OperatorContext(kernel, firing, params, bb.grid)
         eps = compute_epsilon(ctx, bb)
         fp = solve_third_fixed_point(
@@ -238,7 +235,7 @@ class Run:
             degeneracy_threshold=ssec.get("degeneracy_threshold", 1e-2),
             epsilon=eps)
         big = make_extension_grid(kernel, bb.grid,
-                                  L_override=self.section("grid").get("L_override"))
+                                  L_override=self.cfg.get("grid", {}).get("L_override"))
         ctx_big = OperatorContext(kernel, firing, params, big)
         u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
         return Solved(ctx, ctx_big, fp, u_tilde)
@@ -246,7 +243,7 @@ class Run:
     @cached_property
     def spectrum(self) -> Spectrum:
         ctx, ctx_big, fp, u_tilde = self.solve
-        psec = self.section("spectral")
+        psec = self.cfg.get("spectral", {})
         lin = build_linearization(ctx, fp.u_star)
         lin_big = build_linearization(ctx_big, u_tilde)
         if lin_big.support.size == 0:
@@ -342,7 +339,7 @@ def cmd_solve(run: Run, out: Path, precision: int, quiet: bool):
     payload.update({
         "config_hash": run.config_hash("solve"),
         "L": ctx_big.grid.hi,
-        "newton_tol": run.section("solver").get("newton_tol", 1e-10),
+        "newton_tol": run.cfg.get("solver", {}).get("newton_tol", 1e-10),
     })
     write_json(out / "fixedpoint.json", payload)
     if not quiet:
