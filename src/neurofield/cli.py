@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
@@ -69,12 +70,13 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    # the shipped schema is checked against its metaschema by the tests, not
+    # on every run; best_match picks the error jsonschema.validate would raise
     schema = json.loads(SCHEMA_PATH.read_text())
-    try:
-        validate(cfg, schema)
-    except ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {exc.message}") from exc
+    error = best_match(Draft202012Validator(schema).iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: at {where}: {error.message}")
     model_tau = cfg["model"].get("tau")
     if model_tau is not None and model_tau != cfg["firing"]["tau"]:
         raise ConfigError(
@@ -99,7 +101,15 @@ def build_kernel(cfg: dict, base: Path):
         return GaussianKernel()
     if ktype == "mexican_hat":
         return MexicanHatKernel(spec["K"], spec["k"], spec["M"], spec["m"])
-    data = np.loadtxt(base / spec["csv"], delimiter=",")
+    path = base / spec["csv"]
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read kernel.csv: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"kernel.csv {path} is not a numeric table: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ConfigError(f"kernel.csv {path} needs at least two rows of x, value")
     xs, vals = data[:, 0], data[:, 1]
     grid = Grid(float(xs[0]), float(xs[-1]), len(xs) - 1)
     if np.max(np.abs(grid.nodes() - xs)) > 1e-9 * max(1.0, abs(xs[-1])):
@@ -136,10 +146,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
               precision: int = 17) -> None:
-    fmt = f"%.{precision}g"
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(fmt % v for v in row))
+    row_fmt = ",".join([f"%.{precision}g"] * len(columns))
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [",".join(header)] + [row_fmt % row for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -250,10 +259,13 @@ class Run:
             zero = Profile(ctx_big.grid, np.zeros(ctx_big.grid.n_nodes))
             cert = instability_certificate(0.0, zero, np.inf, 0.0, 0.0, np.inf)
             return Spectrum(0.0, zero, np.zeros(0), cert)
-        lam, v = spectral_radius(lin_big, tol=psec.get("power_tol", 1e-13))
+        # each dense eigensolve runs once: the power iteration's cross-check
+        # and the spectra comparison share the big grid's eigenvalues
+        eigs_big = lin_big.eigenvalues()
+        lam, v = spectral_radius(lin_big, tol=psec.get("power_tol", 1e-13), eigs=eigs_big)
         eigs = lin.eigenvalues()
         trans = translation_mode_check(ctx, fp.u_star, lin)
-        equiv_dev, _ = spectra_equivalence_check(lin, lin_big, psec.get("top_k", 5))
+        equiv_dev, _ = spectra_equivalence_check(eigs, eigs_big, psec.get("top_k", 5))
         slope, _ = remainder_exponent_fit(ctx_big, u_tilde, v, np.logspace(-4, -2, 9))
         cert = instability_certificate(lam, v, trans, slope, ctx.firing.holder_exponent,
                                        equiv_dev, power_vs_dense=abs(lam - float(eigs[0])))

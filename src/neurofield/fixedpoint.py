@@ -14,8 +14,9 @@ from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
 from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
 from .model import Firing, Kernel, ModelParams
 
-#: above this node count the translation-invariant Nystrom sum is evaluated by
-#: FFT convolution instead of a dense matrix (identical up to rounding)
+#: largest grid for which ``OperatorContext.kernel_matrix`` builds its dense
+#: block, which only the Newton Jacobian (and test oracles) use; applying T is
+#: an FFT convolution on every grid
 DENSE_NODE_LIMIT = 4096
 
 
@@ -39,8 +40,9 @@ class OperatorContext:
     """Kernel, firing rate, parameters, and a symmetric grid carrying T.
 
     The Nystrom sum (Tu)(x_i) = sum_j w_j omega(x_i - x_j) f(u(x_j) - h) is a
-    discrete convolution on the uniform grid; small grids use a cached dense
-    matrix, large ones an FFT evaluation of the same sum.
+    discrete convolution on the uniform grid, evaluated on every grid by one
+    circular FFT convolution with the cached spectrum of the kernel line.  The
+    dense kernel matrix serves only the Newton Jacobian.
     """
 
     def __init__(self, kernel: Kernel, firing: Firing, params: ModelParams,
@@ -77,18 +79,17 @@ class OperatorContext:
     def apply_weighted(self, s: np.ndarray) -> np.ndarray:
         """sum_j s_j omega(x_i - x_j) for an already weighted source vector s."""
         n = self.grid.n
-        if self.grid.n_nodes <= DENSE_NODE_LIMIT:
-            return self.kernel_matrix() @ s
-        # linear convolution of s (n + 1 values) with the kernel line on lags
-        # -n..n (2n + 1 values) has 3n + 1 terms; the rfft length is the one
-        # scipy.signal.fftconvolve picks, which makes the result bit-equal to it
+        # circular convolution with the kernel line holding lags 0..n in slots
+        # [0, n] and lags -n..-1 in the last n slots; a length of at least
+        # 2n + 1 keeps every one of the n + 1 outputs free of wrap-around
         if self._kern_spectrum is None:
-            lags = np.arange(-n, n + 1) * self.grid.dx
-            self._fft_len = fast_fft_len(3 * n + 1)
-            self._kern_spectrum = np.fft.rfft(np.asarray(self.kernel(lags)), self._fft_len)
-        full = np.fft.irfft(np.fft.rfft(s, self._fft_len) * self._kern_spectrum,
-                            self._fft_len)
-        return full[n:2 * n + 1]
+            self._fft_len = fast_fft_len(2 * n + 1)
+            lags = np.arange(-n, n + 1)
+            line = np.zeros(self._fft_len)
+            line[lags] = self.kernel(lags * self.grid.dx)
+            self._kern_spectrum = np.fft.rfft(line)
+        return np.fft.irfft(np.fft.rfft(s, self._fft_len) * self._kern_spectrum,
+                            self._fft_len)[:n + 1]
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
         gain = self.firing(values - self.params.h)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridMisaligned, PowerIterationStall
-from .fixedpoint import OperatorContext, embed_offset
+from .fixedpoint import OperatorContext
 from .grids import Grid, Profile
 
 #: relative threshold below which a discrete eigenvalue counts as "zero"
@@ -58,12 +58,14 @@ def build_linearization(ctx: OperatorContext, u: Profile) -> Linearization:
 
 
 def spectral_radius(lin: Linearization, tol: float = 1e-13,
-                    max_iter: int = 100_000) -> tuple[float, Profile]:
+                    max_iter: int = 100_000,
+                    eigs: np.ndarray | None = None) -> tuple[float, Profile]:
     """Dominant eigenvalue by power iteration from the constant-1 vector.
 
     The eigenvector is normalized to sup-norm 1 with its largest entry
     positive.  When the grid is small enough the result is cross-checked
-    against a dense eigensolve of the support block.
+    against the dense eigenvalues of the support block: ``eigs`` when the
+    caller already holds ``lin.eigenvalues()``, else a fresh eigensolve.
     """
     n = lin.grid.n_nodes
     v = np.ones(n)
@@ -90,7 +92,9 @@ def spectral_radius(lin: Linearization, tol: float = 1e-13,
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     if n <= 2000:
-        dense_top = float(lin.eigenvalues()[0]) if lin.support.size else 0.0
+        if eigs is None:
+            eigs = lin.eigenvalues()
+        dense_top = float(eigs[0]) if eigs.size else 0.0
         if abs(dense_top - lam) > 1e-7 * max(abs(dense_top), 1.0):
             raise PowerIterationStall(
                 f"power iteration ({lam:.12g}) disagrees with the dense "
@@ -119,17 +123,15 @@ def translation_mode_check(ctx: OperatorContext, u_star: Profile,
     return float(np.max(np.abs(lin.matvec(up) - up))) / scale
 
 
-def spectra_equivalence_check(lin_small: Linearization, lin_big: Linearization,
+def spectra_equivalence_check(ev_s: np.ndarray, ev_b: np.ndarray,
                               k: int) -> tuple[float, int]:
-    """Max relative deviation of the top-k nonzero eigenvalues of the two
-    linearizations (restricted interval vs whole working line).
+    """Max relative deviation of the top-k nonzero eigenvalues of two
+    linearizations (restricted interval vs whole working line), given as the
+    ``eigenvalues()`` of each.
 
     Returns (deviation, count actually compared); fewer than k nonzero
     eigenvalues simply shortens the comparison.
     """
-    embed_offset(lin_small.grid, lin_big.grid)
-    ev_s = lin_small.eigenvalues()
-    ev_b = lin_big.eigenvalues()
     if ev_s.size == 0 or ev_b.size == 0:
         return 0.0, 0
     cut = ZERO_EIG_REL * max(float(np.max(np.abs(ev_s))), 1e-300)

@@ -14,6 +14,7 @@ from neurofield import cli
 from neurofield.cli import main
 from neurofield.fixedpoint import DENSE_NODE_LIMIT, OperatorContext
 from neurofield.model import GaussianKernel
+from neurofield.spectral import Linearization
 
 BASE_CFG = {
     "kernel": {"type": "exponential"},
@@ -194,6 +195,23 @@ def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
                      "solve_third_fixed_point": 1, "extend_bump": 1}
 
 
+@pytest.mark.parametrize("grid_n", [200, 100])
+def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
+    # at n = 100 the big grid has at most 2,000 nodes, so the power
+    # iteration's dense cross-check runs as well as the spectra comparison
+    solved = []
+    eigenvalues = Linearization.eigenvalues
+
+    def counted(self):
+        solved.append(self.grid.n_nodes)
+        return eigenvalues(self)
+    monkeypatch.setattr(Linearization, "eigenvalues", counted)
+    cfg = write_cfg(tmp_path, {"grid": {"n": grid_n}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert len(solved) == 2 and solved[0] != solved[1]
+    assert (max(solved) <= 2000) == (grid_n == 100)
+
+
 def test_stage_commands_match_certify(tmp_path):
     # the standalone simulate reads u_tilde and the principal vector back from
     # CSV; certify passes them in memory; both must write the same bytes
@@ -262,3 +280,55 @@ def test_tracer_span_names_are_bound_in_cli():
     spec.loader.exec_module(tracer)
     missing = [name for name in tracer.CLI_SPANS if not callable(getattr(cli, name, None))]
     assert missing == []
+
+
+def test_config_schema_is_valid():
+    # load_config trusts the shipped schema instead of re-checking it per run
+    from jsonschema import Draft202012Validator
+    Draft202012Validator.check_schema(json.loads(cli.SCHEMA_PATH.read_text()))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"spacing": 0.1}},
+    {"firing": {"p": "two"}},
+    {"model": None},
+    {"kernel": {"type": "cauchy"}},
+    {"dynamics": {"dt": -0.01, "scheme": "euler"}},
+    {"output": {"precision": 2.5}},
+])
+def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, overrides):
+    from jsonschema import ValidationError, validate
+    cfg = write_cfg(tmp_path, overrides)
+    try:
+        validate(json.loads(cfg.read_text()), json.loads(cli.SCHEMA_PATH.read_text()))
+    except ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        expected = f"config error: {cfg}: at {where}: {exc.message}"
+    else:
+        pytest.fail("config unexpectedly valid")
+    assert run(["check", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [expected]
+
+
+@pytest.mark.parametrize("precision", [17, 6])
+def test_write_csv_matches_per_value_formatting(tmp_path, precision):
+    rng = np.random.default_rng(5)
+    columns = [np.linspace(-12.0, 12.0, 301),
+               rng.normal(size=301) * 10.0 ** rng.integers(-300, 300, size=301),
+               np.arange(301, dtype=float), np.zeros(301)]
+    columns[1][:4] = [0.0, -0.0, 1e-320, 2.0 ** 53 + 1]
+    cli.write_csv(tmp_path / "t.csv", ["x", "a", "b", "c"], columns, precision)
+    fmt = f"%.{precision}g"
+    lines = ["x,a,b,c"] + [",".join(fmt % v for v in row) for row in zip(*columns)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("content", [None, "x,value\n0.0,abc\n", "0.0,1.0\n"])
+def test_unreadable_kernel_csv_exit_1(tmp_path, capsys, content):
+    if content is not None:
+        (tmp_path / "kernel.csv").write_text(content)
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and str(tmp_path / "kernel.csv") in err

@@ -15,7 +15,8 @@ from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
                                    verify_translation_family)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring)
+                              MexicanHatKernel, ModelParams, RatioFiring,
+                              TabulatedKernel)
 from neurofield.quadrature import apply_integral_operator
 
 
@@ -59,27 +60,35 @@ def test_operator_context_validation(ref_model):
         OperatorContext(kernel, firing, params, Grid(-1.0, 1.0, 11))
 
 
-def test_fft_path_matches_dense(ref_model):
-    # above DENSE_NODE_LIMIT apply_weighted takes the FFT branch; scipy's
-    # fftconvolve is the bit-exact oracle and a chunked direct sum the dense one
-    from scipy.signal import fftconvolve
+def test_fft_path_matches_dense(ref_model, coarse_setup):
+    # apply_weighted is one circular FFT convolution on every grid; its oracles
+    # are a chunked direct sum everywhere and the dense kernel matrix on grids
+    # small enough to hold it
     _, firing, params = ref_model
-    g = Grid(-30.0, 30.0, 6000)
-    assert g.n_nodes > DENSE_NODE_LIMIT
+    table = Grid(-64.0, 64.0, 6400)
+    kernels = (ExponentialKernel(), GaussianKernel(),
+               MexicanHatKernel(3.0, 2.0, 1.0, 1.0),
+               TabulatedKernel(table, GaussianKernel()(table.nodes())),
+               # not even: the negative lags must not mirror the positive ones
+               lambda x: np.exp(-np.abs(x)) * (1.0 + 0.5 * np.tanh(x)))
+    big, coarse, tiny = (Grid(-30.0, 30.0, 6000), coarse_setup["ctx_big"].grid,
+                         Grid(-1.0, 1.0, 10))
+    assert big.n_nodes > DENSE_NODE_LIMIT >= coarse.n_nodes
+    assert (tiny.n // 2) % 2 == 1
     rng = np.random.default_rng(3)
-    s = rng.normal(size=g.n_nodes)
-    lags = np.arange(-g.n, g.n + 1) * g.dx
-    x = g.nodes()
-    for kernel in (ExponentialKernel(), GaussianKernel(),
-                   MexicanHatKernel(3.0, 2.0, 1.0, 1.0)):
-        ctx = OperatorContext(kernel, firing, params, g)
-        fft = ctx.apply_weighted(s)
-        assert np.array_equal(fft, fftconvolve(s, kernel(lags))[g.n:2 * g.n + 1])
-        # the second call reuses the cached kernel spectrum
-        assert np.array_equal(ctx.apply_weighted(s), fft)
-        direct = np.concatenate([kernel(x[i:i + 500, None] - x[None, :]) @ s
-                                 for i in range(0, len(x), 500)])
-        assert np.max(np.abs(fft - direct)) < 1e-12
+    for g in (big, coarse, tiny):
+        s = rng.normal(size=g.n_nodes)
+        x = g.nodes()
+        for kernel in kernels:
+            ctx = OperatorContext(kernel, firing, params, g)
+            fft = ctx.apply_weighted(s)
+            # the second call reuses the cached kernel spectrum
+            assert np.array_equal(ctx.apply_weighted(s), fft)
+            direct = np.concatenate([kernel(x[i:i + 500, None] - x[None, :]) @ s
+                                     for i in range(0, len(x), 500)])
+            assert np.max(np.abs(fft - direct)) < 1e-12
+            if g.n_nodes <= DENSE_NODE_LIMIT:
+                assert np.max(np.abs(fft - ctx.kernel_matrix() @ s)) < 1e-12
 
 
 def test_fast_fft_len_matches_scipy():
@@ -202,7 +211,8 @@ def test_extend_bump_properties(ref_ctx, ref_fp, ref_big_grid, ref_u_tilde,
 
 def test_extend_bump_matches_direct_sum(ref_ctx, ref_fp, ref_ctx_big, ref_u_tilde,
                                         coarse_setup):
-    # the reference big grid takes the FFT branch, the coarse one the dense branch
+    # the reference big grid lies above the dense-matrix limit, the coarse one
+    # below it; apply_weighted takes the same FFT path on both
     c = coarse_setup
     assert c["ctx_big"].grid.n_nodes <= DENSE_NODE_LIMIT < ref_ctx_big.grid.n_nodes
     for ctx, fp, ctx_big, u_tilde in ((ref_ctx, ref_fp, ref_ctx_big, ref_u_tilde),
