@@ -26,8 +26,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
@@ -70,8 +68,12 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    # imported here, as --version, --help and usage errors validate nothing;
     # the shipped schema is checked against its metaschema by the tests, not
     # on every run; best_match picks the error jsonschema.validate would raise
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
     schema = json.loads(SCHEMA_PATH.read_text())
     error = best_match(Draft202012Validator(schema).iter_errors(cfg))
     if error is not None:

@@ -19,6 +19,13 @@ from .model import Firing, Kernel, ModelParams
 #: an FFT convolution on every grid
 DENSE_NODE_LIMIT = 4096
 
+#: a source window is rounded outward to whole blocks of this many nodes, so
+#: that nearby windows share one kernel spectrum
+WINDOW_BLOCK = 64
+
+#: kernel spectra an ``OperatorContext`` keeps; beyond this the oldest is dropped
+SPECTRUM_CACHE_SIZE = 8
+
 
 def fast_fft_len(m: int) -> int:
     """Smallest 5-smooth integer 2^a 3^b 5^c >= m (scipy.fft.next_fast_len(m, True))."""
@@ -40,9 +47,14 @@ class OperatorContext:
     """Kernel, firing rate, parameters, and a symmetric grid carrying T.
 
     The Nystrom sum (Tu)(x_i) = sum_j w_j omega(x_i - x_j) f(u(x_j) - h) is a
-    discrete convolution on the uniform grid, evaluated on every grid by one
-    circular FFT convolution with the cached spectrum of the kernel line.  The
-    dense kernel matrix serves only the Newton Jacobian.
+    discrete convolution on the uniform grid.  Its source vanishes wherever
+    u <= h, so it is evaluated by one circular FFT convolution of the source
+    on the node window [lo, hi] that holds its nonzero values, rounded outward
+    to blocks of ``WINDOW_BLOCK`` nodes (the whole grid once it covers more
+    than a third).  The firing rate is evaluated on that window only, the
+    transform length is ``fast_fft_len(n + hi - lo + 1)``, and the kernel
+    spectrum of each window is cached, at most ``SPECTRUM_CACHE_SIZE`` of them.
+    The dense kernel matrix serves only the Newton Jacobian.
     """
 
     def __init__(self, kernel: Kernel, firing: Firing, params: ModelParams,
@@ -59,8 +71,8 @@ class OperatorContext:
         self.weights = quadrature_weights(grid, rule)
         self._nodes = grid.nodes()
         self._dense: np.ndarray | None = None
-        self._kern_spectrum: np.ndarray | None = None
-        self._fft_len = 0
+        # (lo, hi) window -> (transform length, rfft of the kernel line)
+        self._spectra: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
     @property
     def nodes(self) -> np.ndarray:
@@ -78,22 +90,62 @@ class OperatorContext:
 
     def apply_weighted(self, s: np.ndarray) -> np.ndarray:
         """sum_j s_j omega(x_i - x_j) for an already weighted source vector s."""
-        n = self.grid.n
-        # circular convolution with the kernel line holding lags 0..n in slots
-        # [0, n] and lags -n..-1 in the last n slots; a length of at least
-        # 2n + 1 keeps every one of the n + 1 outputs free of wrap-around
-        if self._kern_spectrum is None:
-            self._fft_len = fast_fft_len(2 * n + 1)
-            lags = np.arange(-n, n + 1)
-            line = np.zeros(self._fft_len)
-            line[lags] = self.kernel(lags * self.grid.dx)
-            self._kern_spectrum = np.fft.rfft(line)
-        return np.fft.irfft(np.fft.rfft(s, self._fft_len) * self._kern_spectrum,
-                            self._fft_len)[:n + 1]
+        window = self._window(s == 0.0)
+        if window is None:
+            return np.zeros(self.grid.n_nodes)
+        lo, hi = window
+        return self._convolve(s[lo:hi + 1], lo, hi)
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
-        gain = self.firing(values - self.params.h)
-        return self.apply_weighted(self.weights * gain)
+        # every firing rate vanishes at arguments <= 0, so the source is zero
+        # outside the window where u > h; a NaN node is not <= h, so it stays in
+        window = self._window(values <= self.params.h)
+        if window is None:
+            return np.zeros(self.grid.n_nodes)
+        lo, hi = window
+        return self._convolve(self.weights[lo:hi + 1] * self.firing(
+            values[lo:hi + 1] - self.params.h), lo, hi)
+
+    def _window(self, outside: np.ndarray) -> tuple[int, int] | None:
+        """Node range [lo, hi] enclosing every node where ``outside`` is False,
+        or None if it is True everywhere.
+
+        Whole blocks let nearby windows share a spectrum; past a third of the
+        grid a window saves little transform length, so it takes the whole
+        grid and its one spectrum.
+        """
+        lo = int(outside.argmin())
+        if outside[lo]:
+            return None
+        hi = len(outside) - 1 - int(outside[::-1].argmin())
+        n = self.grid.n
+        lo -= lo % WINDOW_BLOCK
+        hi = min(n, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK)
+        if 3 * (hi - lo + 1) > n + 1:
+            return 0, n
+        return lo, hi
+
+    def _convolve(self, src: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """apply_weighted for the source that is ``src`` on nodes [lo, hi] and
+        zero elsewhere."""
+        n = self.grid.n
+        cached = self._spectra.get((lo, hi))
+        if cached is None:
+            # circular convolution of src, placed at slot 0, with the kernel
+            # line holding lag l in slot (l + lo) mod length for the lags
+            # -hi..n-lo that reach the outputs; a length of at least
+            # n + hi - lo + 1 keeps them apart, so none of the n + 1 outputs
+            # wraps.  The whole grid (lo = 0, hi = n) puts lags 0..n in slots
+            # [0, n] and lags -n..-1 in the last n, at fast_fft_len(2n + 1).
+            if len(self._spectra) >= SPECTRUM_CACHE_SIZE:
+                del self._spectra[next(iter(self._spectra))]
+            length = fast_fft_len(n + hi - lo + 1)
+            lags = np.arange(-hi, n - lo + 1)
+            line = np.zeros(length)
+            line[lags + lo] = self.kernel(lags * self.grid.dx)
+            cached = self._spectra[lo, hi] = (length, np.fft.rfft(line))
+        length, spectrum = cached
+        return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:n + 1]
 
 
 def apply_T(ctx: OperatorContext, u: Profile) -> Profile:
@@ -101,13 +153,6 @@ def apply_T(ctx: OperatorContext, u: Profile) -> Profile:
     if u.grid != ctx.grid:
         raise GridMisaligned("profile does not live on the operator grid")
     return Profile(ctx.grid, ctx.apply_T_values(u.values))
-
-
-def apply_T_hat(ctx: OperatorContext, u: Profile, bb: BumpBounds) -> Profile:
-    """T followed by the nodewise clamp into [u_minus, u_plus]."""
-    Tu = ctx.apply_T_values(u.values)
-    clamped = np.maximum(np.minimum(Tu, bb.u_plus.values), bb.u_minus.values)
-    return Profile(ctx.grid, clamped)
 
 
 def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,

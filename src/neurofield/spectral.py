@@ -108,11 +108,12 @@ def derivative_profile(ctx: OperatorContext, u: Profile) -> Profile:
     The analytic route (not finite differences of u) matches the
     integration-by-parts identity that makes u' a translation eigenfunction.
     """
-    gain = ctx.firing(u.values - ctx.params.h)
-    wv = ctx.weights * gain
+    wv = ctx.weights * ctx.firing(u.values - ctx.params.h)
+    # f(u - h) vanishes where u <= h: only the supra-threshold columns count
+    cols = np.flatnonzero(wv)
     x = ctx.nodes
-    block = np.asarray(ctx.kernel.deriv(x[:, None] - x[None, :]))
-    return Profile(ctx.grid, block @ wv)
+    block = np.asarray(ctx.kernel.deriv(x[:, None] - x[None, cols]))
+    return Profile(ctx.grid, block @ wv[cols])
 
 
 def translation_mode_check(ctx: OperatorContext, u_star: Profile,

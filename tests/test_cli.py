@@ -12,7 +12,8 @@ import pytest
 import neurofield
 from neurofield import cli
 from neurofield.cli import main
-from neurofield.fixedpoint import DENSE_NODE_LIMIT, OperatorContext
+from neurofield.fixedpoint import (DENSE_NODE_LIMIT, SPECTRUM_CACHE_SIZE,
+                                   OperatorContext)
 from neurofield.model import GaussianKernel
 from neurofield.spectral import Linearization
 
@@ -139,8 +140,9 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(neurofield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, neurofield.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # jsonschema is imported by load_config, which --version and --help skip
+    code = ("import sys, neurofield.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
@@ -210,6 +212,32 @@ def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
     assert len(solved) == 2 and solved[0] != solved[1]
     assert (max(solved) <= 2000) == (grid_n == 100)
+
+
+def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
+    # the bump feeds T through its supra-threshold window only; every T on the
+    # extension grid (extend, power iteration, remainder fit, RK4) shares it
+    built, contexts = [], []
+    convolve = OperatorContext._convolve
+
+    def counted(self, src, lo, hi):
+        before = set(self._spectra)
+        out = convolve(self, src, lo, hi)
+        built.extend((self.grid.n, key) for key in set(self._spectra) - before)
+        contexts.append(self)
+        return out
+    monkeypatch.setattr(OperatorContext, "_convolve", counted)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 800}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    big_n = max(n for n, _ in built)
+    big = [key for n, key in built if n == big_n]
+    assert len(big) == 1
+    lo, hi = big[0]
+    # the bump's window, not widened to the whole grid
+    assert 3 * (hi - lo + 1) <= big_n + 1
+    # on [-d, d] the window covers most of the grid, which keeps one spectrum
+    assert [key for n, key in built if n == 800] == [(0, 800)]
+    assert all(len(ctx._spectra) <= SPECTRUM_CACHE_SIZE for ctx in contexts)
 
 
 def test_stage_commands_match_certify(tmp_path):

@@ -170,6 +170,25 @@ def test_overflow_raises_non_finite_with_partial_trajectory(setup):
     assert np.all(np.diff(partial.deviation_sup) > 0.0)
 
 
+class _NanFiring:
+    def __call__(self, u):
+        return np.where(u > 0.0, np.nan, 0.0)
+
+
+def test_nan_state_raises_non_finite(setup):
+    ctx, u = setup["ctx"], setup["u"]
+    # a NaN node far below threshold lies outside the bump's window, yet it
+    # stays in T's source and spreads over the whole next state
+    u0 = u.values.copy()
+    u0[0] = np.nan
+    assert np.all(np.isnan(step_values(ctx, u0, SimConfig())))
+    # a firing rate yielding NaN stops the simulation after its first step
+    poisoned = OperatorContext(ctx.kernel, _NanFiring(), ctx.params, ctx.grid)
+    with pytest.raises(NonFinite) as info:
+        simulate(poisoned, u, u, SimConfig(dt=0.01, t_end=1.0))
+    assert len(info.value.trajectory.times) == 1
+
+
 def test_saturated_constant_decays_monotonically(setup):
     # far above saturation, Tu is fixed, so u relaxes toward it monotonically
     g = setup["ctx"].grid

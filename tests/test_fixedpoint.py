@@ -7,9 +7,9 @@ from conftest import H, TAU, P
 from neurofield.bounds import build_bounds
 from neurofield.errors import GridMisaligned, ShiftOutOfRange
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
-                                   apply_T_hat, compute_epsilon, embed_offset,
-                                   extend_bump, fast_fft_len,
-                                   make_extension_grid, monotone_iterate,
+                                   compute_epsilon, embed_offset, extend_bump,
+                                   fast_fft_len, make_extension_grid,
+                                   monotone_iterate,
                                    solve_third_fixed_point,
                                    stationary_residual, tail_extension,
                                    verify_translation_family)
@@ -45,13 +45,6 @@ def test_apply_T_grid_mismatch(ref_ctx):
         apply_T(ref_ctx, other)
 
 
-def test_T_hat_fixes_bounds(ref_ctx, ref_bounds):
-    # T pushes past each bound, so the clamp returns the bound itself
-    for prof in (ref_bounds.u_minus, ref_bounds.u_plus):
-        out = apply_T_hat(ref_ctx, prof, ref_bounds)
-        assert np.max(np.abs(out.values - prof.values)) < 1e-12
-
-
 def test_operator_context_validation(ref_model):
     kernel, firing, params = ref_model
     with pytest.raises(ValueError):
@@ -61,9 +54,9 @@ def test_operator_context_validation(ref_model):
 
 
 def test_fft_path_matches_dense(ref_model, coarse_setup):
-    # apply_weighted is one circular FFT convolution on every grid; its oracles
-    # are a chunked direct sum everywhere and the dense kernel matrix on grids
-    # small enough to hold it
+    # apply_weighted is one circular FFT convolution over the source's nonzero
+    # window on every grid; its oracles are a chunked direct sum everywhere and
+    # the dense kernel matrix on grids small enough to hold it
     _, firing, params = ref_model
     table = Grid(-64.0, 64.0, 6400)
     kernels = (ExponentialKernel(), GaussianKernel(),
@@ -77,18 +70,49 @@ def test_fft_path_matches_dense(ref_model, coarse_setup):
     assert (tiny.n // 2) % 2 == 1
     rng = np.random.default_rng(3)
     for g in (big, coarse, tiny):
-        s = rng.normal(size=g.n_nodes)
+        n, mid = g.n, g.n // 2
+        # dense, then compactly supported: left edge, right edge, one node,
+        # across a multiple of the 64-node window block, both end nodes only
+        supports = (slice(0, n + 1), slice(0, n // 8), slice(n - n // 8, n + 1),
+                    slice(mid, mid + 1), slice(mid - mid % 64 - 5, mid - mid % 64 + 5),
+                    [0, n])
+        sources = np.zeros((g.n_nodes, len(supports)))
+        for col, support in enumerate(supports):
+            sources[support, col] = rng.normal(size=sources[support, col].shape)
         x = g.nodes()
         for kernel in kernels:
             ctx = OperatorContext(kernel, firing, params, g)
-            fft = ctx.apply_weighted(s)
-            # the second call reuses the cached kernel spectrum
-            assert np.array_equal(ctx.apply_weighted(s), fft)
-            direct = np.concatenate([kernel(x[i:i + 500, None] - x[None, :]) @ s
+            fft = np.column_stack([ctx.apply_weighted(s) for s in sources.T])
+            # a second call reuses the cached kernel spectra
+            assert np.array_equal(ctx.apply_weighted(sources[:, 1]), fft[:, 1])
+            assert np.array_equal(ctx.apply_weighted(np.zeros(g.n_nodes)),
+                                  np.zeros(g.n_nodes))
+            direct = np.concatenate([kernel(x[i:i + 500, None] - x[None, :]) @ sources
                                      for i in range(0, len(x), 500)])
             assert np.max(np.abs(fft - direct)) < 1e-12
             if g.n_nodes <= DENSE_NODE_LIMIT:
-                assert np.max(np.abs(fft - ctx.kernel_matrix() @ s)) < 1e-12
+                assert np.max(np.abs(fft - ctx.kernel_matrix() @ sources)) < 1e-12
+            if g is big:
+                # the narrow windows are transformed at a shorter length
+                lengths = [length for length, _ in ctx._spectra.values()]
+                assert min(lengths) < fast_fft_len(2 * n + 1) == max(lengths)
+
+
+def test_apply_T_values_windows_the_source(ref_ctx_big, ref_u_tilde):
+    # firing is evaluated only where u > h; the result equals the convolution
+    # of the whole weighted firing vector
+    ctx = ref_ctx_big
+    x = ctx.nodes
+    for values in (ref_u_tilde.values,
+                   ref_u_tilde.values + 1e-3 * np.cos(x) * np.exp(-np.abs(x))):
+        whole = ctx.apply_weighted(ctx.weights * ctx.firing(values - ctx.params.h))
+        assert np.max(np.abs(ctx.apply_T_values(values) - whole)) < 1e-12
+    assert np.array_equal(ctx.apply_T_values(np.zeros(ctx.grid.n_nodes)),
+                          np.zeros(ctx.grid.n_nodes))
+    # a NaN far below threshold still lies inside the window and spreads
+    poisoned = ref_u_tilde.values.copy()
+    poisoned[0] = np.nan
+    assert np.all(np.isnan(ctx.apply_T_values(poisoned)))
 
 
 def test_fast_fft_len_matches_scipy():

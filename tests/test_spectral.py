@@ -106,6 +106,17 @@ def test_derivative_profile_odd(ref_ctx_big, ref_u_tilde):
     assert abs(up[len(up) // 2]) < 1e-10
 
 
+def test_derivative_profile_matches_full_block(ref_ctx, ref_fp):
+    # only the supra-threshold columns of the kernel-derivative block count
+    u = ref_fp.u_star.values
+    x = ref_ctx.nodes
+    wv = ref_ctx.weights * ref_ctx.firing(u - ref_ctx.params.h)
+    assert 0 < np.count_nonzero(wv) < len(wv)
+    full = ref_ctx.kernel.deriv(x[:, None] - x[None, :]) @ wv
+    up = derivative_profile(ref_ctx, ref_fp.u_star).values
+    assert np.max(np.abs(up - full)) < 1e-15
+
+
 def test_spectra_equivalence(ref_lin, ref_lin_big):
     dev, count = spectra_equivalence_check(ref_lin.eigenvalues(),
                                            ref_lin_big.eigenvalues(), 5)
