@@ -75,9 +75,11 @@ def _positivity_radius(kernel: Kernel, probe: Grid) -> tuple[float, float]:
 
 
 def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
-                      probe: Grid | None = None) -> AssumptionReport:
+                      probe: Grid | None = None,
+                      W: CumulativeKernel | None = None) -> AssumptionReport:
     """Run the full hypothesis battery and return a per-condition report.
 
+    ``W`` is the kernel's cumulative table, built here when not given.
     Raises InfeasibleModel (with the report attached) when the kernel mass
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """
@@ -86,7 +88,8 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
     vals = np.asarray(kernel(xs))
     horizon = probe.hi
     records: list[ConditionRecord] = []
-    W = CumulativeKernel(kernel)
+    if W is None:
+        W = CumulativeKernel(kernel)
 
     # (i) integrability: truncated integral of |omega| plus a sampled tail proxy
     mass = float(np.trapezoid(np.abs(vals), xs)) * 2.0

@@ -115,14 +115,18 @@ def find_d(kernel: Kernel, delta_plus: float, h: float, tol: float = 1e-12,
 
 def build_bounds(kernel: Kernel, params: ModelParams, n: int,
                  n_per_unit: int = DEFAULT_N_PER_UNIT, tol: float = 1e-12,
-                 horizon: float = DEFAULT_HORIZON) -> BumpBounds:
+                 horizon: float = DEFAULT_HORIZON,
+                 W: CumulativeKernel | None = None) -> BumpBounds:
     """Assemble the sandwich: solve for both deltas and d, sample u_minus, u_plus on [-d, d].
 
     The grid has n subintervals (n must be even so 0 and +-d are nodes).
+    ``W`` is the kernel's cumulative table; when not given, one is built with
+    ``n_per_unit`` subintervals per unit length.
     """
     if n % 2 != 0:
         raise ValueError(f"need an even subinterval count for a symmetric grid, got n={n}")
-    W = CumulativeKernel(kernel, n_per_unit=n_per_unit)
+    if W is None:
+        W = CumulativeKernel(kernel, n_per_unit=n_per_unit)
     a = kernel.positive_radius(horizon)
     delta_minus = solve_delta(kernel, params.h, tol=tol, W=W, a=a)
     delta_plus = solve_delta(kernel, params.h + params.tau, tol=tol, W=W, a=a)

@@ -21,7 +21,7 @@ import hashlib
 import json
 import sys
 import tempfile
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +40,7 @@ from .fixedpoint import (DENSE_NODE_LIMIT, FixedPointResult, OperatorContext,
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
                     ModelParams, RatioFiring, TabulatedKernel)
+from .quadrature import CumulativeKernel
 from .spectral import (build_linearization, instability_certificate,
                        remainder_exponent_fit, spectra_equivalence_check,
                        spectral_radius, translation_mode_check)
@@ -148,10 +149,10 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
               precision: int = 17) -> None:
-    row_fmt = ",".join([f"%.{precision}g"] * len(columns))
-    rows = zip(*(c.tolist() for c in columns))
-    lines = [",".join(header)] + [row_fmt % row for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    row_fmt = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
+    values = np.column_stack(columns).ravel().tolist()
+    body = (row_fmt * len(columns[0])) % tuple(values)
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def read_profile_csv(path: Path) -> Profile:
@@ -184,7 +185,8 @@ class Run:
 
     Each stage (``check``, ``bounds``, ``solve``, ``spectrum``) is computed on
     first use and kept, so ``certify`` computes every stage once and a single
-    command computes only the stages it needs.
+    command computes only the stages it needs.  The check and the bounds share
+    one cumulative-kernel table, which the bounds stage drops.
     """
 
     def __init__(self, cfg: dict, base: Path):
@@ -209,20 +211,27 @@ class Run:
         return build_objects(self.cfg, self.base)
 
     @cached_property
+    def cumulative(self) -> CumulativeKernel:
+        return CumulativeKernel(self.model[0])
+
+    @cached_property
     def check(self) -> AssumptionReport:
-        return check_assumptions(*self.model)
+        return check_assumptions(*self.model, W=self.cumulative)
 
     @cached_property
     def bounds(self) -> BumpBounds:
         kernel, _, params = self.model
+        W = self.cumulative
+        # no later stage reads the table; the run would keep it alive through them
+        del self.cumulative
         gsec = self.cfg.get("grid", {})
         if "n" in gsec:
             n = int(gsec["n"])
         else:
             # d does not depend on n, so the smallest grid gives it cheaply
-            d = build_bounds(kernel, params, 2).d
+            d = build_bounds(kernel, params, 2, W=W).d
             n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
-        return build_bounds(kernel, params, n + (n % 2))
+        return build_bounds(kernel, params, n + (n % 2), W=W)
 
     @cached_property
     def solve(self) -> Solved:
@@ -460,7 +469,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="neurofield",
         description="Construct and certify unstable bump solutions of a 1D "
@@ -475,7 +486,11 @@ def main(argv=None) -> int:
         p.add_argument("--grid-n", type=int, default=None,
                        help="override the subinterval count on [-d, d]")
         p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -165,15 +165,27 @@ class RatioFiring:
             raise ValueError(f"need p > 0, got p={self.p}")
         if self.tau <= 0.0:
             raise ValueError(f"need tau > 0, got tau={self.tau}")
+        # On the clipped argument a / (a + b) is exactly 0 at u <= 0 and 1 at
+        # u >= tau, and a + b >= (tau/2)^p > 0, while tau^p is finite and
+        # (tau/2)^p nonzero (tested with a margin); otherwise the ends need
+        # the np.where of __call__.
+        tau, p = float(self.tau), float(self.p)
+        with np.errstate(over="ignore", under="ignore"):
+            plain = np.power(0.25 * tau, p) > 0.0 and np.isfinite(2.0 * np.power(tau, p))
+        object.__setattr__(self, "_plain", bool(plain))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, self.tau)
+        uc += 0.0  # -0.0 to +0.0, so f(-0.0) = +0.0 at every p
         a = np.power(uc, self.p)
         b = np.power(self.tau - uc, self.p)
-        with np.errstate(invalid="ignore"):
-            mid = a / (a + b)
-        out = np.where(u <= 0.0, 0.0, np.where(u >= self.tau, 1.0, mid))
+        if self._plain:
+            out = a / (a + b)
+        else:
+            with np.errstate(invalid="ignore"):
+                mid = a / (a + b)
+            out = np.where(u <= 0.0, 0.0, np.where(u >= self.tau, 1.0, mid))
         return out if out.ndim else float(out)
 
     def deriv(self, u):

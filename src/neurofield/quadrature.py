@@ -19,6 +19,8 @@ class CumulativeKernel:
     Node values are accumulated once on a fine uniform table (per-cell Simpson);
     a query refines the trailing partial cell with another Simpson step, so the
     result carries the full O(dx^4) accuracy everywhere, not just at table nodes.
+    A ``float`` query takes a plain-Python path with the same arithmetic as an
+    array query, so the bisections in ``bounds`` pay no array overhead.
     """
 
     def __init__(self, kernel: Kernel, n_per_unit: int = DEFAULT_N_PER_UNIT,
@@ -34,17 +36,28 @@ class CumulativeKernel:
         return (len(self._table) - 1) * self._dx
 
     def _extend(self, b_needed: float) -> None:
-        n_cells = int(math.ceil(b_needed / self._dx)) + 1
+        """Grow the table so it covers [0, b_needed]."""
+        n_cells = math.ceil(b_needed / self._dx)
         have = len(self._table) - 1
         if n_cells <= have:
             return
-        lo = np.arange(have, n_cells) * self._dx
-        hi = lo + self._dx
-        cells = (self.kernel(lo) + 4.0 * self.kernel(0.5 * (lo + hi)) + self.kernel(hi)) \
-            * (self._dx / 6.0)
+        # Simpson per cell from two evaluations: the cell ends are shared nodes
+        x = np.arange(have, n_cells + 1) * self._dx
+        kx = self.kernel(x)
+        km = self.kernel(x[:-1] + 0.5 * self._dx)
+        cells = (kx[:-1] + 4.0 * km + kx[1:]) * (self._dx / 6.0)
         self._table = np.concatenate([self._table, self._table[-1] + np.cumsum(cells)])
 
     def __call__(self, b):
+        if isinstance(b, float):
+            ab = abs(b)
+            self._extend(ab)
+            idx = min(int(ab / self._dx), len(self._table) - 1)
+            x0 = idx * self._dx
+            rem = ab - x0
+            k = self.kernel
+            out = self._table[idx] + (k(x0) + 4.0 * k(x0 + 0.5 * rem) + k(ab)) * (rem / 6.0)
+            return float(out if b >= 0.0 else -out)
         b = np.asarray(b, dtype=float)
         scalar = b.ndim == 0
         b = np.atleast_1d(b)
@@ -63,7 +76,8 @@ def indicator_convolution(W: CumulativeKernel, delta: float, x):
     """u_delta(x) = integral of omega(x - y) over [-delta, delta] = W(x+delta) - W(x-delta)."""
     if delta <= 0.0:
         raise ValueError(f"need delta > 0, got delta={delta}")
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
     return W(x + delta) - W(x - delta)
 
 

@@ -1,17 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
                       W_exp)
+from neurofield.assumptions import check_assumptions
 from neurofield.bounds import (DEFAULT_HORIZON, BumpBounds, _bisect,
                                build_bounds, find_d, solve_delta,
                                verify_heaviside_stationarity)
-from neurofield.errors import BracketFailure, NoSuchD
+from neurofield.errors import BracketFailure, NoSuchD, OutOfTableWarning
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams)
+                              MexicanHatKernel, ModelParams, RatioFiring,
+                              TabulatedKernel)
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
 
 
@@ -111,6 +114,43 @@ def test_build_bounds_reference():
     gap = bb.u_plus.values[1:-1] - bb.u_minus.values[1:-1]
     assert np.min(gap) > 0.0
     assert np.max(np.abs(bb.u_minus.values - bb.u_minus.values[::-1])) < 1e-14
+
+
+@pytest.mark.parametrize("kernel, params", [
+    (ExponentialKernel(), ModelParams(0.1, 0.2)),
+    (GaussianKernel(), ModelParams(0.1, 0.2)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+])
+def test_shared_table_matches_fresh_tables(kernel, params):
+    # a run builds one table for the check, the grid-size probe and the bounds
+    firing = RatioFiring(2.0, params.tau)
+    W = CumulativeKernel(kernel)
+    shared = [check_assumptions(kernel, firing, params, W=W),
+              build_bounds(kernel, params, 2, W=W), build_bounds(kernel, params, 200, W=W)]
+    fresh = [check_assumptions(kernel, firing, params),
+             build_bounds(kernel, params, 2), build_bounds(kernel, params, 200)]
+    assert shared[0].to_dict() == fresh[0].to_dict()
+    for got, want in zip(shared[1:], fresh[1:]):
+        assert (got.delta_minus, got.delta_plus, got.d) == (
+            want.delta_minus, want.delta_plus, want.d)
+        assert np.array_equal(got.u_minus.values, want.u_minus.values)
+        assert np.array_equal(got.u_plus.values, want.u_plus.values)
+
+
+def test_tabulated_table_edge_is_not_overrun():
+    # 2a is the edge of the kernel's table; the cumulative table stops there
+    # (the check gets a probe inside the table: the default one, out to 40,
+    # samples the kernel past its edge by design)
+    table = Grid(-12.0, 12.0, 2400)
+    kernel = TabulatedKernel(table, GaussianKernel()(table.nodes()))
+    params = ModelParams(0.1, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OutOfTableWarning)
+        rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params,
+                                probe=Grid(0.0, 12.0, 3000))
+        bb = build_bounds(kernel, params, 200)
+    assert rep.verdict == "pass" and 2.0 * rep.a == 12.0
+    assert bb.d == pytest.approx(rep.d, abs=1e-12)
 
 
 def test_build_bounds_rejects_odd_n():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from neurofield.cli import main
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, SPECTRUM_CACHE_SIZE,
                                    OperatorContext)
 from neurofield.model import GaussianKernel
+from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import Linearization
 
 BASE_CFG = {
@@ -197,6 +199,27 @@ def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
                      "solve_third_fixed_point": 1, "extend_bump": 1}
 
 
+@pytest.mark.parametrize("grid", [{"n": 200}, None])
+def test_certify_builds_one_cumulative_table(tmp_path, monkeypatch, grid):
+    # the check, the grid-size probe (no grid.n) and the bounds share a table,
+    # and no stage after the bounds keeps it alive
+    tables = []
+    init = CumulativeKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        tables.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(CumulativeKernel, "__init__", counted)
+    cfg = write_cfg(tmp_path, {"grid": grid})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert len(tables) == 1
+    tables.clear()
+    pipeline = cli.Run(cli.load_config(cfg), tmp_path)
+    assert pipeline.check.verdict == "pass"
+    assert pipeline.bounds.d == pipeline.check.d
+    assert len(tables) == 1 and tables[0]() is None
+
+
 @pytest.mark.parametrize("grid_n", [200, 100])
 def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
     # at n = 100 the big grid has at most 2,000 nodes, so the power
@@ -274,8 +297,9 @@ def test_grid_above_dense_limit_exit_1(tmp_path, capsys, monkeypatch):
     assert "grid.n = 4200" in err and str(DENSE_NODE_LIMIT) in err
 
 
-@pytest.mark.filterwarnings("ignore::neurofield.errors.OutOfTableWarning")
+@pytest.mark.filterwarnings("error::neurofield.errors.OutOfTableWarning")
 def test_simulate_rejects_edited_kernel_csv(tmp_path, capsys):
+    # the table ends at 2a = 12; no stage after the check reads beyond it
     x = np.linspace(-12.0, 12.0, 2401)
     table = np.column_stack([x, GaussianKernel()(x)])
     np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
@@ -345,10 +369,28 @@ def test_write_csv_matches_per_value_formatting(tmp_path, precision):
                rng.normal(size=301) * 10.0 ** rng.integers(-300, 300, size=301),
                np.arange(301, dtype=float), np.zeros(301)]
     columns[1][:4] = [0.0, -0.0, 1e-320, 2.0 ** 53 + 1]
-    cli.write_csv(tmp_path / "t.csv", ["x", "a", "b", "c"], columns, precision)
-    fmt = f"%.{precision}g"
-    lines = ["x,a,b,c"] + [",".join(fmt % v for v in row) for row in zip(*columns)]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+    # and the shape of spectrum.csv: index, eigenvalue, zero imaginary part
+    spectrum = [np.arange(541, dtype=float), np.sort(rng.normal(size=541))[::-1],
+                np.zeros(541)]
+    for header, cols in ((["x", "a", "b", "c"], columns),
+                         (["index", "eigenvalue_real", "eigenvalue_imag"], spectrum)):
+        cli.write_csv(tmp_path / "t.csv", header, cols, precision)
+        fmt = f"%.{precision}g"
+        lines = [",".join(header)] + [",".join(fmt % v for v in row) for row in zip(*cols)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_parser_built_once_answers_like_a_fresh_one(capsys):
+    assert cli._parser() is cli._parser()
+    outputs = []
+    for parser in (cli._parser(), cli._parser(), cli._parser.__wrapped__()):
+        for argv in (["--version"], ["--help"], ["certify"], ["bogus"], []):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            out = capsys.readouterr()
+            outputs.append((exc.value.code, out.out, out.err))
+    assert outputs[:5] == outputs[5:10] == outputs[10:]
+    assert outputs[0] == (0, neurofield.__version__ + "\n", "")
 
 
 @pytest.mark.parametrize("content", [None, "x,value\n0.0,abc\n", "0.0,1.0\n"])

@@ -107,6 +107,39 @@ def test_ratio_firing_values():
     assert f(5.0) == 1.0
 
 
+def _ratio_firing_by_where(f, u):
+    """The rate with both ends set by np.where, as before the plain-division path."""
+    u = np.asarray(u, dtype=float)
+    uc = np.clip(u, 0.0, f.tau)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = np.power(uc, f.p)
+        b = np.power(f.tau - uc, f.p)
+        mid = a / (a + b)
+    return np.where(u <= 0.0, 0.0, np.where(u >= f.tau, 1.0, mid))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0, 500.0, 800.0])
+@pytest.mark.parametrize("tau", [0.2, 0.1, 3.0])
+def test_ratio_firing_matches_where_formula(p, tau):
+    # tau^p underflows at (p, tau) = (500, 0.1) and overflows at (800, 3)
+    f = RatioFiring(p, tau)
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, tau, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324,
+               np.nextafter(tau, 0.0)]
+    u = np.concatenate([rng.uniform(-0.5 * tau, 1.5 * tau, 400), special])
+    with np.errstate(over="ignore"):
+        got = f(u)
+    want = _ratio_firing_by_where(f, u)
+    assert np.array_equal(got, want, equal_nan=True)
+    # no -0.0 from u = -0.0 at odd integer p (or p = 0.5)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for x, y in zip(special, want[400:]):
+        with np.errstate(over="ignore"):
+            fx = f(x)
+        assert type(fx) is float
+        assert np.array_equal(fx, y, equal_nan=True) and np.signbit(fx) == np.signbit(y)
+
+
 def test_ratio_firing_monotone():
     f = RatioFiring(2.0, 0.2)
     us = np.linspace(-0.1, 0.3, 400)

@@ -1,13 +1,31 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import DELTA_PLUS_EXACT, D_EXACT, W_exp
+from neurofield.errors import OutOfTableWarning
 from neurofield.grids import Grid, Profile, sample
-from neurofield.model import ExponentialKernel, GaussianKernel
-from neurofield.quadrature import (CumulativeKernel, apply_integral_operator,
+from neurofield.model import (ExponentialKernel, GaussianKernel,
+                              MexicanHatKernel, TabulatedKernel)
+from neurofield.quadrature import (DEFAULT_N_PER_UNIT, CumulativeKernel,
+                                   apply_integral_operator,
                                    indicator_convolution)
+
+_TABLE = Grid(-12.0, 12.0, 2400)
+_HAT = MexicanHatKernel(3.0, 2.0, 1.0, 1.0)
+#: each kernel with its 2a: the probe horizon 40, the first zero, the table edge
+KERNELS_2A = [
+    (ExponentialKernel(), 40.0),
+    (GaussianKernel(), 40.0),
+    (_HAT, _HAT.first_zero()),
+    (TabulatedKernel(_TABLE, GaussianKernel()(_TABLE.nodes())), 12.0),
+]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def test_cumulative_zero_at_origin():
@@ -38,6 +56,44 @@ def test_cumulative_table_matches_oracle_everywhere():
 def test_cumulative_table_odd_extension():
     W = CumulativeKernel(GaussianKernel())
     assert W(-1.3) == -W(1.3)
+
+
+@pytest.mark.parametrize("kernel,two_a", KERNELS_2A)
+def test_scalar_query_bit_equal_to_array_query(kernel, two_a):
+    dx = 1.0 / DEFAULT_N_PER_UNIT
+    # negative, on a table node, past the initial table end (8), and at 2a;
+    # the three tables grow at the same queries
+    bs = [0.0, -0.0, -0.3, -0.7, 3072 * dx, 10.5, two_a]
+    W_float, W_np, W_arr = (CumulativeKernel(kernel) for _ in range(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OutOfTableWarning)
+        for b in bs:
+            if b == 10.5:
+                assert W_float.b_max < b  # this query grows the table
+            want = W_arr(np.array([b]))[0]
+            got = W_float(b)
+            assert type(got) is float
+            assert _bits(got) == _bits(want), b
+            assert _bits(W_np(np.float64(b))) == _bits(want), b
+            assert W_float.b_max == W_np.b_max == W_arr.b_max >= abs(b)
+
+
+@pytest.mark.parametrize("kernel", [k for k, _ in KERNELS_2A])
+def test_two_evaluation_table_bit_equal_to_three(kernel):
+    # the table per cell from the three-evaluation Simpson formula, grown in
+    # the same steps (to the initial 8, then to 12)
+    dx = 1.0 / DEFAULT_N_PER_UNIT
+    table = np.zeros(1)
+    for b in (8.0, 12.0):
+        lo = np.arange(len(table) - 1, math.ceil(b / dx)) * dx
+        hi = lo + dx
+        cells = (kernel(lo) + 4.0 * kernel(0.5 * (lo + hi)) + kernel(hi)) * (dx / 6.0)
+        table = np.concatenate([table, table[-1] + np.cumsum(cells)])
+    W = CumulativeKernel(kernel)
+    nodes = np.arange(len(table)) * dx
+    # at a node the query reads the table entry: the partial cell is empty
+    assert np.array_equal(W(nodes), table)
+    assert W.b_max == 12.0
 
 
 def test_indicator_convolution_symmetric():
