@@ -7,6 +7,7 @@ and unknown rather than claiming a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +16,19 @@ from .bounds import find_d, solve_delta
 from .errors import BracketFailure, InfeasibleModel, NoSuchD, NotDifferentiable
 from .grids import Grid
 from .model import (Firing, HeavisideHi, HeavisideLo, Kernel, ModelParams,
-                    RatioFiring)
+                    RatioFiring, TabulatedKernel)
 from .quadrature import CumulativeKernel
 
 DEFAULT_PROBE = Grid(0.0, 40.0, 10_000)
+
+
+def default_probe(kernel: Kernel) -> Grid:
+    """DEFAULT_PROBE, cut at the same spacing to the table of a tabulated
+    kernel that ends before it (the kernel reads as zero past its table)."""
+    if isinstance(kernel, TabulatedKernel) and kernel.grid.hi < DEFAULT_PROBE.hi:
+        hi = kernel.grid.hi
+        return Grid(0.0, hi, math.ceil(DEFAULT_PROBE.n * hi / DEFAULT_PROBE.hi))
+    return DEFAULT_PROBE
 
 
 @dataclass(frozen=True)
@@ -79,11 +89,12 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
                       W: CumulativeKernel | None = None) -> AssumptionReport:
     """Run the full hypothesis battery and return a per-condition report.
 
-    ``W`` is the kernel's cumulative table, built here when not given.
+    ``W`` is the kernel's cumulative table, built here when not given, and
+    the probe defaults to ``default_probe(kernel)``.
     Raises InfeasibleModel (with the report attached) when the kernel mass
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """
-    probe = probe or DEFAULT_PROBE
+    probe = probe or default_probe(kernel)
     xs = probe.nodes()
     vals = np.asarray(kernel(xs))
     horizon = probe.hi
@@ -211,7 +222,7 @@ def check_lemma1_equivalence(kernel: Kernel, d: float, probe: Grid | None = None
     """
     if d <= 0.0:
         raise ValueError(f"need d > 0, got d={d}")
-    probe = probe or DEFAULT_PROBE
+    probe = probe or default_probe(kernel)
     xs = probe.nodes()
     vals = np.asarray(kernel(xs))
 

@@ -31,17 +31,15 @@ from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
 from .bounds import BumpBounds, build_bounds
 from .dynamics import SimConfig, instability_experiment
-from .errors import (ConfigError, GridTooLarge, InfeasibleModel, NeurofieldError,
-                     NoEscape, NotDifferentiable, PerturbationTooLarge,
-                     StageDependencyError)
-from .fixedpoint import (DENSE_NODE_LIMIT, FixedPointResult, OperatorContext,
-                         compute_epsilon, extend_bump, make_extension_grid,
-                         solve_third_fixed_point)
+from .errors import (ConfigError, InfeasibleModel, NeurofieldError, NoEscape,
+                     NotDifferentiable, PerturbationTooLarge, StageDependencyError)
+from .fixedpoint import (FixedPointResult, OperatorContext, compute_epsilon,
+                         extend_bump, make_extension_grid, solve_third_fixed_point)
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
                     ModelParams, RatioFiring, TabulatedKernel)
 from .quadrature import CumulativeKernel
-from .spectral import (build_linearization, instability_certificate,
+from .spectral import (Linearization, instability_certificate,
                        remainder_exponent_fit, spectra_equivalence_check,
                        spectral_radius, translation_mode_check)
 
@@ -241,10 +239,6 @@ class Run:
             raise NotDifferentiable(
                 "the fixed-point solve linearizes the firing rate; it requires a "
                 f"continuously differentiable rate (p > 1), got p={firing.p}")
-        if bb.grid.n_nodes > DENSE_NODE_LIMIT:
-            raise GridTooLarge(
-                f"grid.n = {bb.grid.n} gives {bb.grid.n_nodes} nodes on [-d, d], "
-                f"above the {DENSE_NODE_LIMIT}-node limit of the dense Newton solve")
         ssec = self.cfg.get("solver", {})
         ctx = OperatorContext(kernel, firing, params, bb.grid)
         eps = compute_epsilon(ctx, bb)
@@ -264,19 +258,20 @@ class Run:
     def spectrum(self) -> Spectrum:
         ctx, ctx_big, fp, u_tilde = self.solve
         psec = self.cfg.get("spectral", {})
-        lin = build_linearization(ctx, fp.u_star)
-        lin_big = build_linearization(ctx_big, u_tilde)
+        top_k = psec.get("top_k", 5)
+        lin = Linearization(ctx, fp.u_star)
+        lin_big = Linearization(ctx_big, u_tilde)
         if lin_big.support.size == 0:
             zero = Profile(ctx_big.grid, np.zeros(ctx_big.grid.n_nodes))
             cert = instability_certificate(0.0, zero, np.inf, 0.0, 0.0, np.inf)
             return Spectrum(0.0, zero, np.zeros(0), cert)
-        # each dense eigensolve runs once: the power iteration's cross-check
+        # each Lanczos eigensolve runs once: the power iteration's cross-check
         # and the spectra comparison share the big grid's eigenvalues
-        eigs_big = lin_big.eigenvalues()
+        eigs_big = lin_big.eigenvalues(top_k)
         lam, v = spectral_radius(lin_big, tol=psec.get("power_tol", 1e-13), eigs=eigs_big)
-        eigs = lin.eigenvalues()
+        eigs = lin.eigenvalues(top_k)
         trans = translation_mode_check(ctx, fp.u_star, lin)
-        equiv_dev, _ = spectra_equivalence_check(eigs, eigs_big, psec.get("top_k", 5))
+        equiv_dev, _ = spectra_equivalence_check(eigs, eigs_big, top_k)
         slope, _ = remainder_exponent_fit(ctx_big, u_tilde, v, np.logspace(-4, -2, 9))
         cert = instability_certificate(lam, v, trans, slope, ctx.firing.holder_exponent,
                                        equiv_dev, power_vs_dense=abs(lam - float(eigs[0])))

@@ -88,10 +88,6 @@ class ConfigError(NeurofieldError):
     """Run configuration failed to parse or validate."""
 
 
-class GridTooLarge(ConfigError):
-    """The [-d, d] grid has more nodes than the dense Newton solve accepts."""
-
-
 class NondifferentiableWarning(UserWarning):
     """Evaluation of a kernel derivative at a kink point; a symmetric value is returned."""
 

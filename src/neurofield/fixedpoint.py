@@ -10,13 +10,12 @@ import numpy as np
 
 from .bounds import BumpBounds
 from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
-                     NewtonDivergence, NoConvergence, ShiftOutOfRange)
+                     NewtonDivergence)
 from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
 from .model import Firing, Kernel, ModelParams
 
-#: largest grid for which ``OperatorContext.kernel_matrix`` builds its dense
-#: block, which only the Newton Jacobian (and test oracles) use; applying T is
-#: an FFT convolution on every grid
+#: largest grid for which ``OperatorContext.kernel_matrix``, a test oracle that
+#: no pipeline stage calls, builds its dense block
 DENSE_NODE_LIMIT = 4096
 
 #: a source window is rounded outward to whole blocks of this many nodes, so
@@ -54,7 +53,7 @@ class OperatorContext:
     than a third).  The firing rate is evaluated on that window only, the
     transform length is ``fast_fft_len(n + hi - lo + 1)``, and the kernel
     spectrum of each window is cached, at most ``SPECTRUM_CACHE_SIZE`` of them.
-    The dense kernel matrix serves only the Newton Jacobian.
+    The dense kernel matrix serves only as a test oracle.
     """
 
     def __init__(self, kernel: Kernel, firing: Firing, params: ModelParams,
@@ -79,7 +78,7 @@ class OperatorContext:
         return self._nodes
 
     def kernel_matrix(self) -> np.ndarray:
-        """Dense block omega(x_i - x_j); only for moderate grids."""
+        """Dense block omega(x_i - x_j), a test oracle; only for moderate grids."""
         if self._dense is None:
             if self.grid.n_nodes > DENSE_NODE_LIMIT:
                 raise MemoryError(
@@ -95,6 +94,15 @@ class OperatorContext:
             return np.zeros(self.grid.n_nodes)
         lo, hi = window
         return self._convolve(s[lo:hi + 1], lo, hi)
+
+    def block_operator(self, lo: int, hi: int, line=None):
+        """The product x -> sum_j x_j line(x_i - x_j) over the nodes i, j in
+        [lo, hi], with the kernel as the default line, by FFT at length
+        fast_fft_len(2 (hi - lo) + 1) however large the grid; the returned
+        function holds its spectrum, which the context does not cache."""
+        m = hi - lo
+        length, spectrum = self._line_spectrum(line or self.kernel, 0, m, m)
+        return lambda x: _circular(x, length, spectrum, m + 1)
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
         # every firing rate vanishes at arguments <= 0, so the source is zero
@@ -128,24 +136,39 @@ class OperatorContext:
     def _convolve(self, src: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """apply_weighted for the source that is ``src`` on nodes [lo, hi] and
         zero elsewhere."""
-        n = self.grid.n
         cached = self._spectra.get((lo, hi))
         if cached is None:
-            # circular convolution of src, placed at slot 0, with the kernel
-            # line holding lag l in slot (l + lo) mod length for the lags
-            # -hi..n-lo that reach the outputs; a length of at least
-            # n + hi - lo + 1 keeps them apart, so none of the n + 1 outputs
-            # wraps.  The whole grid (lo = 0, hi = n) puts lags 0..n in slots
-            # [0, n] and lags -n..-1 in the last n, at fast_fft_len(2n + 1).
             if len(self._spectra) >= SPECTRUM_CACHE_SIZE:
                 del self._spectra[next(iter(self._spectra))]
-            length = fast_fft_len(n + hi - lo + 1)
-            lags = np.arange(-hi, n - lo + 1)
-            line = np.zeros(length)
-            line[lags + lo] = self.kernel(lags * self.grid.dx)
-            cached = self._spectra[lo, hi] = (length, np.fft.rfft(line))
-        length, spectrum = cached
-        return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:n + 1]
+            cached = self._spectra[lo, hi] = self._line_spectrum(self.kernel, lo, hi)
+        return _circular(src, *cached, self.grid.n_nodes)
+
+    def _line_spectrum(self, line, lo: int, hi: int,
+                       n: int | None = None) -> tuple[int, np.ndarray]:
+        """Transform length and rfft of the lag line of ``line`` for the
+        source window [lo, hi] and the outputs at nodes 0..n (by default the
+        whole grid).
+
+        The circular convolution of the source, placed at slot 0, with a line
+        holding lag l in slot (l + lo) mod length for the lags -hi..n-lo that
+        reach the outputs; a length of at least n + hi - lo + 1 keeps them
+        apart, so none of the n + 1 outputs wraps.  The whole grid (lo = 0,
+        hi = n) puts lags 0..n in slots [0, n] and lags -n..-1 in the last n,
+        at fast_fft_len(2n + 1).
+        """
+        n = self.grid.n if n is None else n
+        length = fast_fft_len(n + hi - lo + 1)
+        lags = np.arange(-hi, n - lo + 1)
+        values = np.zeros(length)
+        values[lags + lo] = line(lags * self.grid.dx)
+        return length, np.fft.rfft(values)
+
+
+def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,
+              count: int) -> np.ndarray:
+    """The first ``count`` values of the circular convolution, at ``length``,
+    of ``src`` with the line whose rfft is ``spectrum``."""
+    return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:count]
 
 
 def apply_T(ctx: OperatorContext, u: Profile) -> Profile:
@@ -179,48 +202,6 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,
 
 
 @dataclass(frozen=True)
-class MonotoneTrace:
-    """Record of a clamped-operator iteration run."""
-
-    iterations: int
-    sup_steps: tuple[float, ...]
-    monotone_ok: bool
-    direction: str  # "decreasing" | "increasing" | "stationary"
-
-
-def monotone_iterate(ctx: OperatorContext, bb: BumpBounds, start: Profile,
-                     tol: float = 1e-10, max_iter: int = 10_000
-                     ) -> tuple[Profile, MonotoneTrace]:
-    """Iterate the clamped operator and record order preservation per step."""
-    u = start.values.copy()
-    steps: list[float] = []
-    direction = "stationary"
-    monotone_ok = True
-    for it in range(1, max_iter + 1):
-        v = np.maximum(np.minimum(ctx.apply_T_values(u), bb.u_plus.values),
-                       bb.u_minus.values)
-        diff = v - u
-        step = float(np.max(np.abs(diff)))
-        steps.append(step)
-        if step > 0.0:
-            if np.all(diff <= 1e-14):
-                step_dir = "decreasing"
-            elif np.all(diff >= -1e-14):
-                step_dir = "increasing"
-            else:
-                step_dir = "mixed"
-            if direction == "stationary":
-                direction = step_dir
-            if step_dir not in (direction, "stationary"):
-                monotone_ok = False
-        u = v
-        if step <= tol:
-            return Profile(ctx.grid, u), MonotoneTrace(it, tuple(steps),
-                                                       monotone_ok, direction)
-    raise NoConvergence(f"clamped iteration did not settle in {max_iter} steps")
-
-
-@dataclass(frozen=True)
 class FixedPointResult:
     u_star: Profile = field(repr=False)
     residual_sup: float
@@ -239,6 +220,76 @@ class FixedPointResult:
         }
 
 
+def orthogonalize(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove from w, in place, its components along the orthonormal rows of
+    Q by classical Gram-Schmidt applied twice; returns the coefficients."""
+    c1 = Q @ w
+    w -= c1 @ Q
+    c2 = Q @ w
+    w -= c2 @ Q
+    return c1 + c2
+
+
+def gmres(matvec, b: np.ndarray, rtol: float = 1e-14, restart: int = 60,
+          max_restarts: int = 5) -> np.ndarray:
+    """Solution x of A x = b by restarted GMRES, A given by ``matvec``.
+
+    Givens rotations keep the Arnoldi Hessenberg matrix triangular, so each
+    step knows its residual norm without a least-squares solve.  A cycle
+    stops once that norm is at most rtol * |b|_2 (as it is when the Krylov
+    space stops growing) or after ``restart`` steps; the solve stops when
+    the true residual meets the target or after ``max_restarts`` cycles.
+    """
+    x = np.zeros_like(b)
+    target = rtol * np.linalg.norm(b)
+    m = min(restart, len(b))
+    Q, H = np.empty((m + 1, len(b))), np.empty((m, m))
+    r = b
+    for _ in range(max_restarts):
+        g = np.zeros(m + 1)
+        g[0] = np.linalg.norm(r)
+        if g[0] <= target:
+            break
+        Q[0] = r / g[0]
+        rotations = []
+        for j in range(m):
+            w = matvec(Q[j])
+            H[:j + 1, j] = orthogonalize(Q[:j + 1], w)
+            h_next = np.linalg.norm(w)
+            for i, (c, s) in enumerate(rotations):
+                H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
+                                        c * H[i + 1, j] - s * H[i, j])
+            rho = math.hypot(H[j, j], h_next)
+            c, s = H[j, j] / rho, h_next / rho
+            rotations.append((c, s))
+            H[j, j] = rho
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            if abs(g[j + 1]) <= target:
+                break
+            Q[j + 1] = w / h_next
+        k = j + 1
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:]) / H[i, i]
+        x += y @ Q[:k]
+        r = b - matvec(x)
+    return x
+
+
+def _mirror(v: np.ndarray) -> np.ndarray:
+    """Grid values of the even profile whose values at x >= 0 are ``v``."""
+    return np.concatenate([v[:0:-1], v])
+
+
+def newton_step(ctx: OperatorContext, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solution s of J s = r for the Jacobian J at v of the even-subspace
+    residual v - T(mirror v)[x >= 0], by GMRES on the matrix-free product
+    J s = s - apply_weighted(w f'(mirror v - h) mirror s)[x >= 0]."""
+    mid = ctx.grid.n // 2
+    gain = ctx.firing.deriv(_mirror(v) - ctx.params.h) * ctx.weights
+    return gmres(lambda s: s - ctx.apply_weighted(gain * _mirror(s))[mid:], r)
+
+
 def _newton_even(ctx: OperatorContext, bb: BumpBounds, u0: np.ndarray,
                  tol: float, max_iter: int) -> tuple[np.ndarray, int]:
     """Damped Newton for u = Tu on the even-symmetric subspace.
@@ -246,32 +297,18 @@ def _newton_even(ctx: OperatorContext, bb: BumpBounds, u0: np.ndarray,
     Unknowns are the node values at x >= 0; the mirror image fixes the rest and
     removes the near-singular translation mode of the unsymmetrized Jacobian.
     """
-    n = ctx.grid.n
-    mid = n // 2
-    h = ctx.params.h
-
-    def mirror(v):
-        return np.concatenate([v[:0:-1], v])
+    mid = ctx.grid.n // 2
 
     def residual(v):
-        full = mirror(v)
-        return v - ctx.apply_T_values(full)[mid:]
+        return v - ctx.apply_T_values(_mirror(v))[mid:]
 
     v = u0[mid:].copy()
     r = residual(v)
     rnorm = float(np.max(np.abs(r)))
-    K = ctx.kernel_matrix()[mid:, :]
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
-            return mirror(v), it - 1
-        full = mirror(v)
-        gain = ctx.firing.deriv(full - h) * ctx.weights
-        M = K * gain[None, :]
-        # fold the mirrored columns onto the x >= 0 unknowns
-        Mred = M[:, mid:].copy()
-        Mred[:, 1:] += M[:, mid - 1::-1]
-        J = np.eye(n // 2 + 1) - Mred
-        step = np.linalg.solve(J, r)
+            return _mirror(v), it - 1
+        step = newton_step(ctx, v, r)
         lam = 1.0
         for _ in range(40):
             v_try = v - lam * step
@@ -285,7 +322,7 @@ def _newton_even(ctx: OperatorContext, bb: BumpBounds, u0: np.ndarray,
                 f"damping exhausted at residual {rnorm:.3e} (iteration {it})")
         v, r, rnorm = v_try, r_try, rnorm_try
     if rnorm <= tol:
-        return mirror(v), max_iter
+        return _mirror(v), max_iter
     raise NewtonDivergence(f"no convergence in {max_iter} Newton steps "
                            f"(residual {rnorm:.3e})")
 
@@ -383,34 +420,3 @@ def extend_bump(ctx: OperatorContext, u_star: Profile,
     src = np.zeros(ctx_big.grid.n_nodes)
     src[k:k + ctx.grid.n_nodes] = ctx.weights * ctx.firing(u_star.values - ctx.params.h)
     return Profile(ctx_big.grid, ctx_big.apply_weighted(src))
-
-
-def stationary_residual(ctx_big: OperatorContext, u: Profile) -> float:
-    """Sup-norm residual of u = T u on the context grid."""
-    return float(np.max(np.abs(u.values - ctx_big.apply_T_values(u.values))))
-
-
-def verify_translation_family(ctx_big: OperatorContext, u_tilde: Profile,
-                              c: float) -> float:
-    """Residual of the stationary equation on the profile shifted by c.
-
-    c must be a multiple of the grid spacing, and the shifted supra-threshold
-    support must stay inside the working interval with the tail margin.
-    """
-    dx = ctx_big.grid.dx
-    k = round(c / dx)
-    if abs(c - k * dx) > 1e-9 * max(1.0, abs(c)):
-        raise ShiftOutOfRange(f"shift {c} is not a multiple of the spacing {dx}")
-    vals = u_tilde.values
-    supra = np.nonzero(vals > ctx_big.params.h)[0]
-    if supra.size:
-        margin_cells = min(supra[0], len(vals) - 1 - supra[-1])
-        if abs(k) >= margin_cells:
-            raise ShiftOutOfRange(
-                f"shift of {k} cells exceeds the {margin_cells}-cell support margin")
-    shifted = np.roll(vals, k)
-    if k > 0:
-        shifted[:k] = vals[0]
-    elif k < 0:
-        shifted[k:] = vals[-1]
-    return stationary_residual(ctx_big, Profile(ctx_big.grid, shifted))

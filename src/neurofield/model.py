@@ -117,13 +117,14 @@ class TabulatedKernel:
         mirrored = vals[::-1]
         if np.max(np.abs(vals - mirrored)) > 1e-12:
             raise ValueError("tabulated kernel samples are not symmetric about 0")
+        object.__setattr__(self, "_nodes", self.grid.nodes())
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(np.abs(x) > self.grid.hi):
             warnings.warn("tabulated kernel evaluated outside its grid; using 0",
                           OutOfTableWarning, stacklevel=2)
-        out = np.interp(x, self.grid.nodes(), self.values, left=0.0, right=0.0)
+        out = np.interp(x, self._nodes, self.values, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
     def deriv(self, x):
@@ -136,7 +137,7 @@ class TabulatedKernel:
         return out if np.ndim(out) else float(out)
 
     def positive_radius(self, horizon: float) -> float:
-        xs = self.grid.nodes()
+        xs = self._nodes
         pos = xs >= 0.0
         xs, vs = xs[pos], self.values[pos]
         nonpos = np.nonzero(vs <= 0.0)[0]

@@ -3,15 +3,63 @@ eigenpair, translation-mode certificate, and the nonlinear remainder exponent.""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import GridMisaligned, PowerIterationStall
-from .fixedpoint import OperatorContext
-from .grids import Grid, Profile
+from .fixedpoint import OperatorContext, orthogonalize
+from .grids import Profile
 
 #: relative threshold below which a discrete eigenvalue counts as "zero"
 #: (compact-operator spectra accumulate only at 0)
 ZERO_EIG_REL = 1e-10
+
+#: seed of the Lanczos start vectors
+LANCZOS_SEED = 20111212
+
+
+def lanczos(matvec, m: int, k: int, tol: float = 1e-13) -> np.ndarray:
+    """The k eigenvalues of largest magnitude, descending, of the symmetric
+    m x m operator given by ``matvec``, by Lanczos with full
+    reorthogonalization.
+
+    The start vector is seeded pseudo-random: a mirror-symmetric one, such as
+    the constant, spans only the even modes of a mirror-symmetric operator.
+    Iteration stops once each of the k Ritz pairs has the residual estimate
+    beta |s_last| <= tol * (largest |Ritz value|), or when the Krylov space
+    fills R^m.  A breakdown (an invariant Krylov space) restarts from a new
+    seeded vector orthogonal to the basis, which finds the further copies of
+    a repeated eigenvalue, such as the zero of a finite-rank operator.
+    """
+    rng = random.Random(LANCZOS_SEED)
+
+    def seeded_unit(basis):
+        w = np.array([rng.random() - 0.5 for _ in range(m)])
+        orthogonalize(basis, w)
+        return w / np.linalg.norm(w)
+
+    Q = np.empty((min(m, 64), m))
+    Q[0] = seeded_unit(Q[:0])
+    T = np.zeros((len(Q), len(Q)))  # the tridiagonal Q A Q^T
+    for j in range(m):
+        w = matvec(Q[j])
+        T[j, j] = orthogonalize(Q[:j + 1], w)[j]
+        b = np.linalg.norm(w)
+        theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+        top = np.argsort(np.abs(theta))[::-1][:k]
+        scale = np.max(np.abs(theta))
+        if j + 1 == m or (j + 1 >= k and np.all(b * np.abs(S[-1, top]) <= tol * scale)):
+            break
+        if j + 1 == len(Q):
+            Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), m))])
+            T = np.pad(T, (0, len(Q) - len(T)))
+        if b <= tol * scale:  # breakdown
+            Q[j + 1] = seeded_unit(Q[:j + 1])
+        else:
+            Q[j + 1] = w / b
+            T[j, j + 1] = T[j + 1, j] = b
+    return np.sort(theta[top])[::-1]
 
 
 class Linearization:
@@ -19,8 +67,9 @@ class Linearization:
 
     Discretized as M[i, j] = w_j omega(x_i - x_j) g_j with g_j = f'(u_j - h)
     >= 0.  Columns with g_j = 0 vanish, so the nonzero spectrum lives on the
-    support submatrix; that submatrix is similar to a symmetric one via
-    conjugation with diag(sqrt(w g)), which the eigensolvers exploit.
+    support block; that block is similar to the symmetric s K s with
+    s = sqrt(w g), which the Lanczos eigensolver uses.  Every product is an
+    FFT convolution; no dense block is formed.
     """
 
     def __init__(self, ctx: OperatorContext, u: Profile):
@@ -35,26 +84,22 @@ class Linearization:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.ctx.apply_weighted(self.weights * self.gains * v)
 
-    def dense(self) -> np.ndarray:
-        """Full matrix; only for moderate grids."""
-        K = self.ctx.kernel_matrix()
-        return K * (self.weights * self.gains)[None, :]
-
-    def eigenvalues(self) -> np.ndarray:
-        """All nonzero-support eigenvalues, descending.  Real by symmetrizability."""
+    def eigenvalues(self, k: int = 5) -> np.ndarray:
+        """The k support eigenvalues of largest magnitude, descending (all of
+        them if the support has fewer nodes).  Real by symmetrizability."""
         idx = self.support
         if idx.size == 0:
             return np.zeros(0)
-        x = self.ctx.nodes[idx]
-        K = np.asarray(self.ctx.kernel(x[:, None] - x[None, :]))
         s = np.sqrt(self.weights[idx] * self.gains[idx])
-        sym = K * s[None, :] * s[:, None]
-        return np.linalg.eigvalsh(sym)[::-1]
+        # the support block couples only the nodes idx[0]..idx[-1]
+        block = self.ctx.block_operator(int(idx[0]), int(idx[-1]))
+        pos = idx - idx[0]
+        src = np.zeros(pos[-1] + 1)
 
-
-def build_linearization(ctx: OperatorContext, u: Profile) -> Linearization:
-    """Fréchet-derivative matrix of T at u (requires a differentiable firing rate)."""
-    return Linearization(ctx, u)
+        def sym(x):
+            src[pos] = s * x
+            return s * block(src)[pos]
+        return lanczos(sym, idx.size, k)
 
 
 def spectral_radius(lin: Linearization, tol: float = 1e-13,
@@ -63,9 +108,9 @@ def spectral_radius(lin: Linearization, tol: float = 1e-13,
     """Dominant eigenvalue by power iteration from the constant-1 vector.
 
     The eigenvector is normalized to sup-norm 1 with its largest entry
-    positive.  When the grid is small enough the result is cross-checked
-    against the dense eigenvalues of the support block: ``eigs`` when the
-    caller already holds ``lin.eigenvalues()``, else a fresh eigensolve.
+    positive.  The result is cross-checked against the top Lanczos eigenvalue
+    of the support block: ``eigs`` when the caller already holds
+    ``lin.eigenvalues()``, else a fresh eigensolve.
     """
     n = lin.grid.n_nodes
     v = np.ones(n)
@@ -91,14 +136,13 @@ def spectral_radius(lin: Linearization, tol: float = 1e-13,
             "(near-degenerate dominant pair?)")
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    if n <= 2000:
-        if eigs is None:
-            eigs = lin.eigenvalues()
-        dense_top = float(eigs[0]) if eigs.size else 0.0
-        if abs(dense_top - lam) > 1e-7 * max(abs(dense_top), 1.0):
-            raise PowerIterationStall(
-                f"power iteration ({lam:.12g}) disagrees with the dense "
-                f"eigensolve ({dense_top:.12g})")
+    if eigs is None:
+        eigs = lin.eigenvalues(1)
+    top = float(eigs[0]) if eigs.size else 0.0
+    if abs(top - lam) > 1e-7 * max(abs(top), 1.0):
+        raise PowerIterationStall(
+            f"power iteration ({lam:.12g}) disagrees with the Lanczos "
+            f"eigensolve ({top:.12g})")
     return lam, Profile(lin.grid, v)
 
 
@@ -109,11 +153,7 @@ def derivative_profile(ctx: OperatorContext, u: Profile) -> Profile:
     integration-by-parts identity that makes u' a translation eigenfunction.
     """
     wv = ctx.weights * ctx.firing(u.values - ctx.params.h)
-    # f(u - h) vanishes where u <= h: only the supra-threshold columns count
-    cols = np.flatnonzero(wv)
-    x = ctx.nodes
-    block = np.asarray(ctx.kernel.deriv(x[:, None] - x[None, cols]))
-    return Profile(ctx.grid, block @ wv[cols])
+    return Profile(ctx.grid, ctx.block_operator(0, ctx.grid.n, ctx.kernel.deriv)(wv))
 
 
 def translation_mode_check(ctx: OperatorContext, u_star: Profile,

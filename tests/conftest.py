@@ -14,8 +14,9 @@ from neurofield.bounds import build_bounds
 from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    extend_bump, make_extension_grid,
                                    solve_third_fixed_point)
-from neurofield.model import ExponentialKernel, ModelParams, RatioFiring
-from neurofield.spectral import build_linearization, spectral_radius
+from neurofield.model import (ExponentialKernel, GaussianKernel,
+                              MexicanHatKernel, ModelParams, RatioFiring)
+from neurofield.spectral import Linearization, spectral_radius
 
 H = 0.1
 TAU = 0.2
@@ -81,12 +82,12 @@ def ref_u_tilde(ref_ctx, ref_fp, ref_ctx_big):
 
 @pytest.fixture(scope="session")
 def ref_lin(ref_ctx, ref_fp):
-    return build_linearization(ref_ctx, ref_fp.u_star)
+    return Linearization(ref_ctx, ref_fp.u_star)
 
 
 @pytest.fixture(scope="session")
 def ref_lin_big(ref_ctx_big, ref_u_tilde):
-    return build_linearization(ref_ctx_big, ref_u_tilde)
+    return Linearization(ref_ctx_big, ref_u_tilde)
 
 
 @pytest.fixture(scope="session")
@@ -106,3 +107,23 @@ def coarse_setup(ref_model):
     u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
     return {"bb": bb, "ctx": ctx, "fp": fp, "ctx_big": ctx_big,
             "u_tilde": u_tilde}
+
+
+# one feasible (kernel, h, tau) per analytic kernel family, p = 2, N = 200
+@pytest.fixture(scope="session", params=[
+    (ExponentialKernel(), 0.1, 0.2),
+    (GaussianKernel(), 0.1, 0.2),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), 0.05, 0.05),
+], ids=["exponential", "gaussian", "mexican_hat"])
+def kernel_setup(request):
+    kernel, h, tau = request.param
+    firing, params = RatioFiring(P, tau), ModelParams(h, tau)
+    bb = build_bounds(kernel, params, 200)
+    ctx = OperatorContext(kernel, firing, params, bb.grid)
+    fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
+    ctx_big = OperatorContext(kernel, firing, params,
+                              make_extension_grid(kernel, bb.grid))
+    u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
+    return {"bb": bb, "ctx": ctx, "fp": fp,
+            "lin": Linearization(ctx, fp.u_star),
+            "lin_big": Linearization(ctx_big, u_tilde)}

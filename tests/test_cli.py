@@ -13,8 +13,7 @@ import pytest
 import neurofield
 from neurofield import cli
 from neurofield.cli import main
-from neurofield.fixedpoint import (DENSE_NODE_LIMIT, SPECTRUM_CACHE_SIZE,
-                                   OperatorContext)
+from neurofield.fixedpoint import SPECTRUM_CACHE_SIZE, OperatorContext
 from neurofield.model import GaussianKernel
 from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import Linearization
@@ -138,14 +137,18 @@ def test_certify_delta_too_large_exit_1(tmp_path, capsys):
     assert "epsilon_ball = 0.05" in err
 
 
-def test_cli_import_loads_no_scipy():
+def child_env():
+    """The environment with this neurofield first on PYTHONPATH."""
     src = str(Path(neurofield.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_loads_no_scipy():
     # jsonschema is imported by load_config, which --version and --help skip
     code = ("import sys, neurofield.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'jsonschema')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -222,19 +225,18 @@ def test_certify_builds_one_cumulative_table(tmp_path, monkeypatch, grid):
 
 @pytest.mark.parametrize("grid_n", [200, 100])
 def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
-    # at n = 100 the big grid has at most 2,000 nodes, so the power
-    # iteration's dense cross-check runs as well as the spectra comparison
+    # one Lanczos eigensolve per grid: the power iteration's cross-check and
+    # the spectra comparison share the big grid's eigenvalues
     solved = []
     eigenvalues = Linearization.eigenvalues
 
-    def counted(self):
+    def counted(self, *args):
         solved.append(self.grid.n_nodes)
-        return eigenvalues(self)
+        return eigenvalues(self, *args)
     monkeypatch.setattr(Linearization, "eigenvalues", counted)
     cfg = write_cfg(tmp_path, {"grid": {"n": grid_n}})
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
     assert len(solved) == 2 and solved[0] != solved[1]
-    assert (max(solved) <= 2000) == (grid_n == 100)
 
 
 def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
@@ -285,16 +287,51 @@ def test_certify_no_escape_exit_2(tmp_path, capsys):
     assert err.startswith("error: deviation never reached")
 
 
-def test_grid_above_dense_limit_exit_1(tmp_path, capsys, monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense kernel matrix requested")
+def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
+    # 4,201 nodes on [-d, d]: Newton, the eigensolves and the kernel
+    # derivative run matrix-free, so no dense block or n-sized solve is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator requested")
     monkeypatch.setattr(OperatorContext, "kernel_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     cfg = write_cfg(tmp_path)
-    assert run(["solve", "--config", cfg, "--out", tmp_path / "out",
-                "--grid-n", "4200", "--quiet"]) == 1
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert "grid.n = 4200" in err and str(DENSE_NODE_LIMIT) in err
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--grid-n", "4200",
+                "--quiet"]) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["bounds"]["n"] == 4200
+    assert report["stationary_bump_verified"]["value"]
+    assert report["instability_verified"]["value"]
+
+
+def test_certify_imports_no_scipy(tmp_path):
+    cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
+    script = ("import sys\n"
+              "from neurofield.cli import main\n"
+              f"rc = main(['certify', '--config', {str(cfg)!r}, '--out', "
+              f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env(), check=True)
+    assert proc.stdout.split() == ["0", "[]"]
+
+
+def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
+    # the Gaussian table ends at 2a = 12: the check probes inside it, so a
+    # whole certify process warns about no evaluation past the table
+    x = np.linspace(-12.0, 12.0, 2401)
+    np.savetxt(tmp_path / "kernel.csv", np.column_stack([x, GaussianKernel()(x)]),
+               delimiter=",", fmt="%.17g")
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
+                               "dynamics": {"epsilon_ball": 0.05}})
+    proc = subprocess.run([sys.executable, "-m", "neurofield.cli", "certify",
+                           "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    kernel = cli.build_kernel(cli.load_config(cfg), tmp_path)
+    assert report["a"] == kernel.positive_radius(40.0) == 6.0
 
 
 @pytest.mark.filterwarnings("error::neurofield.errors.OutOfTableWarning")

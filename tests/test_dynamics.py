@@ -7,14 +7,14 @@ from neurofield.dynamics import (EXP_EULER, RK4, SimConfig,
 from neurofield.errors import NoEscape, NonFinite
 from neurofield.fixedpoint import OperatorContext
 from neurofield.grids import Profile
-from neurofield.spectral import build_linearization, spectral_radius
+from neurofield.spectral import Linearization, spectral_radius
 
 
 @pytest.fixture(scope="module")
 def setup(coarse_setup):
     ctx_big = coarse_setup["ctx_big"]
     u_tilde = coarse_setup["u_tilde"]
-    lin = build_linearization(ctx_big, u_tilde)
+    lin = Linearization(ctx_big, u_tilde)
     lam, vec = spectral_radius(lin)
     return {"ctx": ctx_big, "u": u_tilde, "lam": lam, "vec": vec}
 

@@ -8,16 +8,16 @@ from neurofield.bounds import build_bounds
 from neurofield.errors import GridMisaligned, ShiftOutOfRange
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
                                    compute_epsilon, embed_offset, extend_bump,
-                                   fast_fft_len, make_extension_grid,
-                                   monotone_iterate,
-                                   solve_third_fixed_point,
-                                   stationary_residual, tail_extension,
-                                   verify_translation_family)
+                                   fast_fft_len, gmres, make_extension_grid,
+                                   newton_step, solve_third_fixed_point,
+                                   tail_extension)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
                               TabulatedKernel)
-from neurofield.quadrature import apply_integral_operator
+from oracles import (apply_integral_operator, dense_even_jacobian,
+                     monotone_iterate, stationary_residual,
+                     verify_translation_family)
 
 
 def test_apply_T_zero_and_saturated(ref_ctx):
@@ -200,6 +200,37 @@ def test_third_fixed_point_refinement_order(ref_fp):
     e200 = abs(vals[200] - ref)
     e400 = abs(vals[400] - ref)
     assert e400 < e200 / 3.0
+
+
+def test_newton_step_matches_dense_solve(kernel_setup):
+    # GMRES on the matrix-free Jacobian against np.linalg.solve on the folded
+    # dense one, at a start of the Newton solve and at its fixed point
+    ctx, bb, fp = kernel_setup["ctx"], kernel_setup["bb"], kernel_setup["fp"]
+    mid = ctx.grid.n // 2
+    for u in (0.5 * (bb.u_minus.values + bb.u_plus.values), fp.u_star.values):
+        v = u[mid:]
+        r = v - ctx.apply_T_values(u)[mid:] + 1e-3 * np.cos(np.arange(mid + 1))
+        J = dense_even_jacobian(ctx, v)
+        want = np.linalg.solve(J, r)
+        step = newton_step(ctx, v, r)
+        assert np.max(np.abs(step - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.linalg.norm(J @ step - r) <= 1e-14 * np.linalg.norm(r)
+
+
+def test_gmres_exact_on_small_systems():
+    # the Krylov space fills R^m: the solve is exact, without a restart
+    rng = np.random.default_rng(7)
+    A = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+    b = rng.normal(size=6)
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return A @ x
+    x = gmres(matvec, b)
+    assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-13
+    assert len(calls) <= 7
+    assert np.array_equal(gmres(matvec, np.zeros(6)), np.zeros(6))
 
 
 def test_tail_extension_oracle():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ def test_tabulated_out_of_range_warns():
     tab = TabulatedKernel(g, GaussianKernel()(g.nodes()))
     with pytest.warns(OutOfTableWarning):
         assert tab(3.0) == 0.0
+
+
+def test_tabulated_call_matches_interp_of_fresh_nodes(monkeypatch):
+    # the nodes are built once, at construction; values and warnings are
+    # those of np.interp on a fresh linspace with the out-of-table test
+    g = Grid(-3.0, 3.0, 600)
+    nodes = g.nodes()
+    tab = TabulatedKernel(g, MexicanHatKernel(3.0, 2.0, 1.0, 1.0)(nodes))
+    monkeypatch.setattr(Grid, "nodes", lambda self: pytest.fail("nodes rebuilt"))
+    inputs = (0.0, 1.234, -3.0, 3.0, 3.0001, -7.5, np.linspace(-2.9, 2.9, 41),
+              np.linspace(-4.0, 4.0, 33), np.array([[0.5, -3.5], [2.0, 1.0]]))
+    for x in inputs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = tab(x)
+        want = np.interp(np.asarray(x, dtype=float), nodes, tab.values,
+                         left=0.0, right=0.0)
+        assert np.array_equal(got, want) and np.ndim(got) == np.ndim(x)
+        assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+        outside = bool(np.any(np.abs(np.asarray(x)) > 3.0))
+        assert [w.category for w in caught] == [OutOfTableWarning] * outside
 
 
 def test_tabulated_rejects_asymmetric():

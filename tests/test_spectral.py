@@ -4,14 +4,17 @@ import pytest
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds
 from neurofield.errors import PowerIterationStall
-from neurofield.fixedpoint import OperatorContext, solve_third_fixed_point
+from neurofield.fixedpoint import (OperatorContext, extend_bump,
+                                   make_extension_grid, solve_third_fixed_point)
 from neurofield.grids import Grid, Profile
-from neurofield.model import ExponentialKernel, ModelParams, RatioFiring
-from neurofield.spectral import (Linearization, build_linearization,
-                                 derivative_profile, instability_certificate,
+from neurofield.model import (ExponentialKernel, GaussianKernel,
+                              MexicanHatKernel, ModelParams, RatioFiring)
+from neurofield.spectral import (Linearization, derivative_profile,
+                                 instability_certificate, lanczos,
                                  remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius,
                                  translation_mode_check)
+from oracles import dense_eigenvalues, dense_linearization
 
 
 def test_linearization_zero_profile(ref_ctx):
@@ -19,13 +22,13 @@ def test_linearization_zero_profile(ref_ctx):
     lin = Linearization(ref_ctx, Profile(ref_ctx.grid,
                                          np.zeros(ref_ctx.grid.n_nodes)))
     assert lin.support.size == 0
-    assert np.all(lin.dense() == 0.0)
+    assert np.all(dense_linearization(lin) == 0.0)
     assert lin.eigenvalues().size == 0
 
 
 def test_linearization_structure(ref_lin, ref_fp):
     assert np.all(ref_lin.gains >= 0.0)
-    M = ref_lin.dense()
+    M = dense_linearization(ref_lin)
     # columns off the supra-threshold support vanish
     off = np.setdiff1d(np.arange(M.shape[1]), ref_lin.support)
     if off.size:
@@ -36,11 +39,16 @@ def test_linearization_structure(ref_lin, ref_fp):
 
 
 def test_eigenvalues_match_dense(ref_lin):
-    ev_sym = ref_lin.eigenvalues()
-    ev_dense = np.linalg.eigvals(ref_lin.dense())
+    # the symmetrized support block has the spectrum of the full matrix, and
+    # Lanczos finds its top eigenvalues
+    ev_sym = dense_eigenvalues(ref_lin)
+    ev_dense = np.linalg.eigvals(dense_linearization(ref_lin))
     ev_dense = np.sort(ev_dense.real[np.abs(ev_dense) > 1e-8])[::-1]
     top = ev_sym[:len(ev_dense)]
     assert np.max(np.abs(top - ev_dense) / np.abs(ev_dense)) < 1e-8
+    ev = ref_lin.eigenvalues()
+    assert len(ev) == 5
+    assert np.max(np.abs(ev - ev_dense[:5]) / np.abs(ev_dense[:5])) < 1e-8
 
 
 def test_rank_one_oracle(ref_model):
@@ -62,10 +70,51 @@ def test_rank_one_oracle(ref_model):
     ctx = OperatorContext(FlatKernel(), firing, params, g)
     u = Profile(g, np.full(g.n_nodes, H + TAU / 2.0))  # gain p/tau = 10
     lin = Linearization(ctx, u)
-    ev = lin.eigenvalues()
-    # rank one: single nonzero eigenvalue 0.25 * 10 * 2
-    assert ev[0] == pytest.approx(5.0, rel=1e-12)
-    assert np.max(np.abs(ev[1:])) < 1e-10
+    # rank one: single nonzero eigenvalue 0.25 * 10 * 2; Lanczos breaks down
+    # after one step and finds the repeated zero from new start vectors
+    for ev in (lin.eigenvalues(), dense_eigenvalues(lin)):
+        assert ev[0] == pytest.approx(5.0, rel=1e-12)
+        assert np.max(np.abs(ev[1:])) < 1e-10
+    assert len(lin.eigenvalues()) == 5
+
+
+def test_lanczos_top_k_matches_eigvalsh(kernel_setup):
+    # the top 5 by magnitude of the full dense spectrum, on [-d, d] and on the
+    # whole working line
+    for lin in (kernel_setup["lin"], kernel_setup["lin_big"]):
+        full = dense_eigenvalues(lin)
+        want = np.sort(full[np.argsort(np.abs(full))[::-1][:5]])[::-1]
+        got = lin.eigenvalues(5)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_top_k_includes_odd_translation_eigenvalue(kernel_setup, ref_lin, ref_lin_big):
+    # u' is odd, so its eigenvalue 1 is missed by Lanczos from an even start
+    # vector: the support and s = sqrt(w g) are mirror-symmetric
+    for lin in (kernel_setup["lin"], kernel_setup["lin_big"], ref_lin, ref_lin_big):
+        ev = lin.eigenvalues(2)
+        full = dense_eigenvalues(lin)
+        assert abs(ev[1] - 1.0) < 1e-3
+        assert abs(ev[1] - full[np.argmin(np.abs(full - 1.0))]) <= 1e-12
+
+
+def test_lanczos_breakdown_and_repeated_eigenvalues():
+    # 2 P + 0.5 e e^T with P a rank-3 projector and e orthogonal to its range:
+    # eigenvalues 2, 2, 2, 0.5, then zeros; each Krylov block breaks down
+    # after finding 2, 0.5 and 0 once
+    rng = np.random.default_rng(11)
+    basis, _ = np.linalg.qr(rng.normal(size=(40, 4)))
+    A = 2.0 * basis[:, :3] @ basis[:, :3].T + 0.5 * np.outer(basis[:, 3], basis[:, 3])
+    got = lanczos(lambda x: A @ x, 40, 6)
+    assert np.allclose(got, [2.0, 2.0, 2.0, 0.5, 0.0, 0.0], atol=1e-12)
+    # an exact breakdown (a zero Lanczos residual) at every step
+    assert np.array_equal(lanczos(lambda x: 0.0 * x, 8, 3), np.zeros(3))
+    # more steps than the first block of 64 basis rows holds
+    diag = np.linspace(2.0, -1.0, 80)
+    assert np.allclose(lanczos(lambda x: diag * x, 80, 80), diag, atol=1e-12)
+    # k above the dimension returns the whole spectrum
+    small = np.diag([3.0, -1.0, 2.0])
+    assert np.allclose(lanczos(lambda x: small @ x, 3, 5), [3.0, 2.0, -1.0], atol=1e-14)
 
 
 def test_spectral_radius_reference(ref_power):
@@ -79,9 +128,9 @@ def test_spectral_radius_reference(ref_power):
 def test_power_iteration_matches_dense_small(coarse_setup):
     ctx = coarse_setup["ctx"]
     fp = coarse_setup["fp"]
-    lin = build_linearization(ctx, fp.u_star)
+    lin = Linearization(ctx, fp.u_star)
     lam, _ = spectral_radius(lin)
-    assert abs(lam - lin.eigenvalues()[0]) <= 1e-8 * lam
+    assert abs(lam - dense_eigenvalues(lin)[0]) <= 1e-8 * lam
 
 
 def test_power_iteration_stall_on_zero(ref_ctx):
