@@ -22,7 +22,7 @@ from .quadrature import CumulativeKernel
 DEFAULT_PROBE = Grid(0.0, 40.0, 10_000)
 
 
-def default_probe(kernel: Kernel) -> Grid:
+def _default_probe(kernel: Kernel) -> Grid:
     """DEFAULT_PROBE, cut at the same spacing to the table of a tabulated
     kernel that ends before it (the kernel reads as zero past its table)."""
     if isinstance(kernel, TabulatedKernel) and kernel.grid.hi < DEFAULT_PROBE.hi:
@@ -89,12 +89,12 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
                       W: CumulativeKernel | None = None) -> AssumptionReport:
     """Run the full hypothesis battery and return a per-condition report.
 
-    ``W`` is the kernel's cumulative table, built here when not given, and
-    the probe defaults to ``default_probe(kernel)``.
+    ``W`` is the kernel's cumulative table, built here when not given; the
+    probe defaults to DEFAULT_PROBE, cut to a tabulated kernel's table.
     Raises InfeasibleModel (with the report attached) when the kernel mass
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """
-    probe = probe or default_probe(kernel)
+    probe = probe or _default_probe(kernel)
     xs = probe.nodes()
     vals = np.asarray(kernel(xs))
     horizon = probe.hi
@@ -222,7 +222,7 @@ def check_lemma1_equivalence(kernel: Kernel, d: float, probe: Grid | None = None
     """
     if d <= 0.0:
         raise ValueError(f"need d > 0, got d={d}")
-    probe = probe or default_probe(kernel)
+    probe = probe or _default_probe(kernel)
     xs = probe.nodes()
     vals = np.asarray(kernel(xs))
 

@@ -4,11 +4,9 @@ import pytest
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds
 from neurofield.errors import PowerIterationStall
-from neurofield.fixedpoint import (OperatorContext, extend_bump,
-                                   make_extension_grid, solve_third_fixed_point)
+from neurofield.fixedpoint import OperatorContext, solve_third_fixed_point
 from neurofield.grids import Grid, Profile
-from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring)
+from neurofield.model import ExponentialKernel, ModelParams, RatioFiring
 from neurofield.spectral import (Linearization, derivative_profile,
                                  instability_certificate, lanczos,
                                  remainder_exponent_fit,
