@@ -7,13 +7,14 @@ and unknown rather than claiming a proof.
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import find_d, solve_delta
-from .errors import BracketFailure, InfeasibleModel, NoSuchD, NotDifferentiable
+from .errors import (BracketFailure, InfeasibleModel, NoSuchD, NotDifferentiable,
+                     OutOfTableWarning)
 from .grids import Grid
 from .model import (Firing, HeavisideHi, HeavisideLo, Kernel, ModelParams,
                     RatioFiring, TabulatedKernel)
@@ -22,13 +23,12 @@ from .quadrature import CumulativeKernel
 DEFAULT_PROBE = Grid(0.0, 40.0, 10_000)
 
 
-def _default_probe(kernel: Kernel) -> Grid:
-    """DEFAULT_PROBE, cut at the same spacing to the table of a tabulated
-    kernel that ends before it (the kernel reads as zero past its table)."""
-    if isinstance(kernel, TabulatedKernel) and kernel.grid.hi < DEFAULT_PROBE.hi:
-        hi = kernel.grid.hi
-        return Grid(0.0, hi, math.ceil(DEFAULT_PROBE.n * hi / DEFAULT_PROBE.hi))
-    return DEFAULT_PROBE
+def _sample(kernel: Kernel, x) -> np.ndarray:
+    """kernel(x) on a probe.  A tabulated kernel is 0 past its table by
+    definition, so the probe judges it there without an OutOfTableWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OutOfTableWarning)
+        return np.asarray(kernel(x))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class AssumptionReport:
 def _positivity_radius(kernel: Kernel, probe: Grid) -> tuple[float, float]:
     """Largest sampled a with omega > 0 on [0, 2a], and the value at the edge."""
     xs = probe.nodes()
-    vals = np.asarray(kernel(xs))
+    vals = _sample(kernel, xs)
     nonpos = np.nonzero(vals <= 0.0)[0]
     if nonpos.size and nonpos[0] == 0:
         return 0.0, float(vals[0])
@@ -89,14 +89,13 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
                       W: CumulativeKernel | None = None) -> AssumptionReport:
     """Run the full hypothesis battery and return a per-condition report.
 
-    ``W`` is the kernel's cumulative table, built here when not given; the
-    probe defaults to DEFAULT_PROBE, cut to a tabulated kernel's table.
+    ``W`` is the kernel's cumulative table, built here when not given.
     Raises InfeasibleModel (with the report attached) when the kernel mass
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """
-    probe = probe or _default_probe(kernel)
+    probe = probe or DEFAULT_PROBE
     xs = probe.nodes()
-    vals = np.asarray(kernel(xs))
+    vals = _sample(kernel, xs)
     horizon = probe.hi
     records: list[ConditionRecord] = []
     if W is None:
@@ -121,13 +120,16 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
         note="sampled boundedness and modulus of continuity"))
 
     # (iii) symmetry
-    sym_dev = float(np.max(np.abs(np.asarray(kernel(-xs)) - vals)))
+    sym_dev = float(np.max(np.abs(_sample(kernel, -xs) - vals)))
     records.append(ConditionRecord(
         "B_iii_symmetric", "pass" if sym_dev <= 1e-12 else "fail",
         witness=sym_dev, margin=1e-12 - sym_dev))
 
     # (iv) positivity radius a (largest sampled a with omega > 0 on [0, 2a])
     a, min_on_range = _positivity_radius(kernel, probe)
+    if isinstance(kernel, TabulatedKernel):
+        # the probe may step past the table edge, where omega is 0, not > 0
+        a = min(a, kernel.positive_radius(horizon))
     records.append(ConditionRecord(
         "B_iv_positive_range", "pass" if a > 0.0 else "fail",
         witness=a, margin=min_on_range))
@@ -222,7 +224,7 @@ def check_lemma1_equivalence(kernel: Kernel, d: float, probe: Grid | None = None
     """
     if d <= 0.0:
         raise ValueError(f"need d > 0, got d={d}")
-    probe = probe or _default_probe(kernel)
+    probe = probe or DEFAULT_PROBE
     xs = probe.nodes()
     vals = np.asarray(kernel(xs))
 

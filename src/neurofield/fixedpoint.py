@@ -10,7 +10,7 @@ import numpy as np
 
 from .bounds import BumpBounds
 from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
-                     NewtonDivergence)
+                     NewtonDivergence, NoConvergence, ShiftOutOfRange)
 from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
 from .model import Firing, Kernel, ModelParams
 
@@ -24,6 +24,12 @@ WINDOW_BLOCK = 64
 
 #: kernel spectra an ``OperatorContext`` keeps; beyond this the oldest is dropped
 SPECTRUM_CACHE_SIZE = 8
+
+#: GMRES stops at a residual of GMRES_RTOL * |b|_2, restarting its Krylov
+#: space every GMRES_RESTART steps, at most GMRES_MAX_RESTARTS times
+GMRES_RTOL = 1e-14
+GMRES_RESTART = 60
+GMRES_MAX_RESTARTS = 5
 
 
 def fast_fft_len(m: int) -> int:
@@ -202,6 +208,48 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,
 
 
 @dataclass(frozen=True)
+class MonotoneTrace:
+    """Record of a clamped-operator iteration run."""
+
+    iterations: int
+    sup_steps: tuple[float, ...]
+    monotone_ok: bool
+    direction: str  # "decreasing" | "increasing" | "stationary"
+
+
+def monotone_iterate(ctx: OperatorContext, bb: BumpBounds, start: Profile,
+                     tol: float = 1e-10, max_iter: int = 10_000
+                     ) -> tuple[Profile, MonotoneTrace]:
+    """Iterate the clamped operator and record order preservation per step."""
+    u = start.values.copy()
+    steps: list[float] = []
+    direction = "stationary"
+    monotone_ok = True
+    for it in range(1, max_iter + 1):
+        v = np.maximum(np.minimum(ctx.apply_T_values(u), bb.u_plus.values),
+                       bb.u_minus.values)
+        diff = v - u
+        step = float(np.max(np.abs(diff)))
+        steps.append(step)
+        if step > 0.0:
+            if np.all(diff <= 1e-14):
+                step_dir = "decreasing"
+            elif np.all(diff >= -1e-14):
+                step_dir = "increasing"
+            else:
+                step_dir = "mixed"
+            if direction == "stationary":
+                direction = step_dir
+            if step_dir not in (direction, "stationary"):
+                monotone_ok = False
+        u = v
+        if step <= tol:
+            return Profile(ctx.grid, u), MonotoneTrace(it, tuple(steps),
+                                                       monotone_ok, direction)
+    raise NoConvergence(f"clamped iteration did not settle in {max_iter} steps")
+
+
+@dataclass(frozen=True)
 class FixedPointResult:
     u_star: Profile = field(repr=False)
     residual_sup: float
@@ -230,22 +278,21 @@ def orthogonalize(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return c1 + c2
 
 
-def gmres(matvec, b: np.ndarray, rtol: float = 1e-14, restart: int = 60,
-          max_restarts: int = 5) -> np.ndarray:
+def gmres(matvec, b: np.ndarray) -> np.ndarray:
     """Solution x of A x = b by restarted GMRES, A given by ``matvec``.
 
     Givens rotations keep the Arnoldi Hessenberg matrix triangular, so each
     step knows its residual norm without a least-squares solve.  A cycle
-    stops once that norm is at most rtol * |b|_2 (as it is when the Krylov
-    space stops growing) or after ``restart`` steps; the solve stops when
-    the true residual meets the target or after ``max_restarts`` cycles.
+    stops once that norm is at most GMRES_RTOL * |b|_2 (as it is when the
+    Krylov space stops growing) or after GMRES_RESTART steps; the solve stops
+    when the true residual meets the target or after GMRES_MAX_RESTARTS cycles.
     """
     x = np.zeros_like(b)
-    target = rtol * np.linalg.norm(b)
-    m = min(restart, len(b))
+    target = GMRES_RTOL * np.linalg.norm(b)
+    m = min(GMRES_RESTART, len(b))
     Q, H = np.empty((m + 1, len(b))), np.empty((m, m))
     r = b
-    for _ in range(max_restarts):
+    for _ in range(GMRES_MAX_RESTARTS):
         g = np.zeros(m + 1)
         g[0] = np.linalg.norm(r)
         if g[0] <= target:
@@ -420,3 +467,34 @@ def extend_bump(ctx: OperatorContext, u_star: Profile,
     src = np.zeros(ctx_big.grid.n_nodes)
     src[k:k + ctx.grid.n_nodes] = ctx.weights * ctx.firing(u_star.values - ctx.params.h)
     return Profile(ctx_big.grid, ctx_big.apply_weighted(src))
+
+
+def stationary_residual(ctx_big: OperatorContext, u: Profile) -> float:
+    """Sup-norm residual of u = T u on the context grid."""
+    return float(np.max(np.abs(u.values - ctx_big.apply_T_values(u.values))))
+
+
+def verify_translation_family(ctx_big: OperatorContext, u_tilde: Profile,
+                              c: float) -> float:
+    """Residual of the stationary equation on the profile shifted by c.
+
+    c must be a multiple of the grid spacing, and the shifted supra-threshold
+    support must stay inside the working interval with the tail margin.
+    """
+    dx = ctx_big.grid.dx
+    k = round(c / dx)
+    if abs(c - k * dx) > 1e-9 * max(1.0, abs(c)):
+        raise ShiftOutOfRange(f"shift {c} is not a multiple of the spacing {dx}")
+    vals = u_tilde.values
+    supra = np.nonzero(vals > ctx_big.params.h)[0]
+    if supra.size:
+        margin_cells = min(supra[0], len(vals) - 1 - supra[-1])
+        if abs(k) >= margin_cells:
+            raise ShiftOutOfRange(
+                f"shift of {k} cells exceeds the {margin_cells}-cell support margin")
+    shifted = np.roll(vals, k)
+    if k > 0:
+        shifted[:k] = vals[0]
+    elif k < 0:
+        shifted[k:] = vals[-1]
+    return stationary_residual(ctx_big, Profile(ctx_big.grid, shifted))

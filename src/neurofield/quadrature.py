@@ -1,4 +1,4 @@
-"""Cumulative kernel integrals and the indicator convolutions built from them."""
+"""Cumulative kernel integrals and Nystrom application of integral operators."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
 from .model import Kernel
 
 #: table refinement for the cumulative integral, subintervals per unit length
@@ -78,3 +79,22 @@ def indicator_convolution(W: CumulativeKernel, delta: float, x):
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
     return W(x + delta) - W(x - delta)
+
+
+def apply_integral_operator(kernel: Kernel, weight: Profile, targets: Grid,
+                            rule: str = TRAPEZOID) -> Profile:
+    """Nystrom application: x -> integral of omega(x - y) weight(y) dy at the target nodes.
+
+    Direct quadrature-weighted summation, chunked over target nodes to bound the
+    size of the kernel-difference block.
+    """
+    w = quadrature_weights(weight.grid, rule)
+    src = weight.grid.nodes()
+    wv = w * weight.values
+    tgt = targets.nodes()
+    out = np.empty(len(tgt))
+    chunk = max(1, 16_000_000 // max(len(src), 1))
+    for start in range(0, len(tgt), chunk):
+        block = tgt[start:start + chunk, None] - src[None, :]
+        out[start:start + chunk] = kernel(block) @ wv
+    return Profile(targets, out)

@@ -18,20 +18,29 @@ ZERO_EIG_REL = 1e-10
 #: seed of the Lanczos start vectors
 LANCZOS_SEED = 20111212
 
+#: Lanczos stops once every wanted Ritz pair has a residual estimate of at most
+#: LANCZOS_TOL times the largest Ritz value
+LANCZOS_TOL = 1e-13
 
-def lanczos(matvec, m: int, k: int, tol: float = 1e-13) -> np.ndarray:
-    """The k eigenvalues of largest magnitude, descending, of the symmetric
-    m x m operator given by ``matvec``, by Lanczos with full
+
+def lanczos(matvec, m: int, k: int) -> np.ndarray:
+    """The min(k, m) eigenvalues of largest magnitude, descending, of the
+    symmetric m x m operator given by ``matvec``, by Lanczos with full
     reorthogonalization.
 
     The start vector is seeded pseudo-random: a mirror-symmetric one, such as
     the constant, spans only the even modes of a mirror-symmetric operator.
     Iteration stops once each of the k Ritz pairs has the residual estimate
-    beta |s_last| <= tol * (largest |Ritz value|), or when the Krylov space
-    fills R^m.  A breakdown (an invariant Krylov space) restarts from a new
-    seeded vector orthogonal to the basis, which finds the further copies of
-    a repeated eigenvalue, such as the zero of a finite-rank operator.
+    beta |s_last| <= LANCZOS_TOL * (largest |Ritz value|), or when the Krylov
+    space fills R^m.  Ritz pairs are computed from step k on, every
+    max(1, k // 4) steps, so a k near m costs a few dense eigensolves of the
+    tridiagonal, not one per step.  A breakdown (an invariant Krylov space)
+    restarts from a new seeded vector orthogonal to the basis, which finds
+    the further copies of a repeated eigenvalue, such as the zero of a
+    finite-rank operator.
     """
+    k = min(k, m)
+    stride = max(1, k // 4)
     rng = random.Random(LANCZOS_SEED)
 
     def seeded_unit(basis):
@@ -42,23 +51,27 @@ def lanczos(matvec, m: int, k: int, tol: float = 1e-13) -> np.ndarray:
     Q = np.empty((min(m, 64), m))
     Q[0] = seeded_unit(Q[:0])
     T = np.zeros((len(Q), len(Q)))  # the tridiagonal Q A Q^T
+    scale = 0.0  # largest entry of T, within a factor 3 of its norm
     for j in range(m):
         w = matvec(Q[j])
         T[j, j] = orthogonalize(Q[:j + 1], w)[j]
         b = np.linalg.norm(w)
-        theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
-        top = np.argsort(np.abs(theta))[::-1][:k]
-        scale = np.max(np.abs(theta))
-        if j + 1 == m or (j + 1 >= k and np.all(b * np.abs(S[-1, top]) <= tol * scale)):
-            break
+        scale = max(scale, abs(T[j, j]))
+        if j + 1 == m or (j + 1 >= k and (j + 1 - k) % stride == 0):
+            theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+            top = np.argsort(np.abs(theta))[::-1][:k]
+            tol = LANCZOS_TOL * np.max(np.abs(theta))
+            if j + 1 == m or np.all(b * np.abs(S[-1, top]) <= tol):
+                break
         if j + 1 == len(Q):
             Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), m))])
             T = np.pad(T, (0, len(Q) - len(T)))
-        if b <= tol * scale:  # breakdown
+        if b <= LANCZOS_TOL * scale:  # breakdown
             Q[j + 1] = seeded_unit(Q[:j + 1])
         else:
             Q[j + 1] = w / b
             T[j, j + 1] = T[j + 1, j] = b
+            scale = max(scale, b)
     return np.sort(theta[top])[::-1]
 
 

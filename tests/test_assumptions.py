@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,21 @@ def test_lemma1_formulations_agree_negative():
 def test_lemma1_rejects_nonpositive_d():
     with pytest.raises(ValueError):
         check_lemma1_equivalence(ExponentialKernel(), 0.0)
+
+
+def test_tabulated_kernel_probed_past_its_table():
+    # the exponential table on [-12, 12] ends at omega = e^-12, well above the
+    # decay threshold 1e-6 sup omega; past the table the kernel is 0 by
+    # definition, so decay and tail pass there, quietly, and a stops at the
+    # table edge
+    g = Grid(-12.0, 12.0, 2400)
+    kernel = TabulatedKernel(g, ExponentialKernel()(g.nodes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_assumptions(kernel, RatioFiring(2.0, 0.2), ModelParams(0.1, 0.2))
+    assert rep.verdict == "pass"
+    assert rep.condition("thmB_ii_vanishes_at_infinity").witness == 0.0
+    assert rep.condition("B_i_integrable").status == "pass"
+    assert rep.horizon == 40.0
+    assert rep.a == kernel.positive_radius(rep.horizon) == 6.0
+    assert rep.d == pytest.approx(1.556757, abs=1e-4)

@@ -17,6 +17,7 @@ from neurofield.fixedpoint import SPECTRUM_CACHE_SIZE, OperatorContext
 from neurofield.model import GaussianKernel
 from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import Linearization
+from oracles import dense_eigenvalues
 
 BASE_CFG = {
     "kernel": {"type": "exponential"},
@@ -303,6 +304,19 @@ def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
     assert report["bounds"]["n"] == 4200
     assert report["stationary_bump_verified"]["value"]
     assert report["instability_verified"]["value"]
+
+
+def test_certify_top_k_above_support_lists_whole_spectrum(tmp_path, coarse_setup):
+    # top_k is capped at the support size: spectrum.csv holds every support
+    # eigenvalue of the linearization on [-d, d]
+    cfg = write_cfg(tmp_path, {"spectral": {"top_k": 10**6}})
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    got = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    want = dense_eigenvalues(Linearization(coarse_setup["ctx"],
+                                           coarse_setup["fp"].u_star))
+    assert got.shape == want.shape
+    assert np.max(np.abs(np.sort(got) - np.sort(want))) <= 1e-12 * want[0]
 
 
 def test_certify_imports_no_scipy(tmp_path):

@@ -9,15 +9,16 @@ from neurofield.errors import GridMisaligned, ShiftOutOfRange
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
                                    compute_epsilon, embed_offset, extend_bump,
                                    fast_fft_len, gmres, make_extension_grid,
-                                   newton_step, solve_third_fixed_point,
-                                   tail_extension)
+                                   monotone_iterate, newton_step,
+                                   solve_third_fixed_point,
+                                   stationary_residual, tail_extension,
+                                   verify_translation_family)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
                               TabulatedKernel)
-from oracles import (apply_integral_operator, dense_even_jacobian,
-                     monotone_iterate, stationary_residual,
-                     verify_translation_family)
+from neurofield.quadrature import apply_integral_operator
+from oracles import dense_even_jacobian
 
 
 def test_apply_T_zero_and_saturated(ref_ctx):

@@ -10,8 +10,8 @@ from neurofield.grids import Grid, Profile, sample
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, TabulatedKernel)
 from neurofield.quadrature import (DEFAULT_N_PER_UNIT, CumulativeKernel,
+                                   apply_integral_operator,
                                    indicator_convolution)
-from oracles import apply_integral_operator
 
 _TABLE = Grid(-12.0, 12.0, 2400)
 _HAT = MexicanHatKernel(3.0, 2.0, 1.0, 1.0)

@@ -115,6 +115,25 @@ def test_lanczos_breakdown_and_repeated_eigenvalues():
     assert np.allclose(lanczos(lambda x: small @ x, 3, 5), [3.0, 2.0, -1.0], atol=1e-14)
 
 
+def test_lanczos_large_k_solves_few_tridiagonals(monkeypatch):
+    # Ritz pairs are computed from step k on, every k // 4 steps, so a k near
+    # the dimension costs a few dense eigensolves of the tridiagonal
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    diag = np.linspace(3.0, -1.0, 200)
+    for k, most in ((10**6, 1), (200, 1), (100, 5)):
+        sizes.clear()
+        got = lanczos(lambda x: diag * x, 200, k)
+        want = diag[np.argsort(np.abs(diag))[::-1][:k]]
+        assert np.allclose(got, np.sort(want)[::-1], atol=1e-12)
+        assert len(sizes) <= most and min(sizes) >= min(k, 200)
+
+
 def test_spectral_radius_reference(ref_power):
     lam, vec = ref_power
     assert lam == pytest.approx(4.2369, abs=1e-3)
