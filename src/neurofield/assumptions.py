@@ -7,28 +7,18 @@ and unknown rather than claiming a proof.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import find_d, solve_delta
-from .errors import (BracketFailure, InfeasibleModel, NoSuchD, NotDifferentiable,
-                     OutOfTableWarning)
+from .errors import BracketFailure, InfeasibleModel, NoSuchD, NotDifferentiable
 from .grids import Grid
 from .model import (Firing, HeavisideHi, HeavisideLo, Kernel, ModelParams,
-                    RatioFiring, TabulatedKernel)
+                    RatioFiring, TabulatedKernel, sample_kernel)
 from .quadrature import CumulativeKernel
 
 DEFAULT_PROBE = Grid(0.0, 40.0, 10_000)
-
-
-def _sample(kernel: Kernel, x) -> np.ndarray:
-    """kernel(x) on a probe.  A tabulated kernel is 0 past its table by
-    definition, so the probe judges it there without an OutOfTableWarning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfTableWarning)
-        return np.asarray(kernel(x))
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,7 @@ class AssumptionReport:
 def _positivity_radius(kernel: Kernel, probe: Grid) -> tuple[float, float]:
     """Largest sampled a with omega > 0 on [0, 2a], and the value at the edge."""
     xs = probe.nodes()
-    vals = _sample(kernel, xs)
+    vals = sample_kernel(kernel, xs)
     nonpos = np.nonzero(vals <= 0.0)[0]
     if nonpos.size and nonpos[0] == 0:
         return 0.0, float(vals[0])
@@ -95,7 +85,7 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
     """
     probe = probe or DEFAULT_PROBE
     xs = probe.nodes()
-    vals = _sample(kernel, xs)
+    vals = sample_kernel(kernel, xs)
     horizon = probe.hi
     records: list[ConditionRecord] = []
     if W is None:
@@ -120,7 +110,7 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
         note="sampled boundedness and modulus of continuity"))
 
     # (iii) symmetry
-    sym_dev = float(np.max(np.abs(_sample(kernel, -xs) - vals)))
+    sym_dev = float(np.max(np.abs(sample_kernel(kernel, -xs) - vals)))
     records.append(ConditionRecord(
         "B_iii_symmetric", "pass" if sym_dev <= 1e-12 else "fail",
         witness=sym_dev, margin=1e-12 - sym_dev))

@@ -52,10 +52,6 @@ class GridMisaligned(NeurofieldError):
     """Two grids that must share nodes do not."""
 
 
-class ShiftOutOfRange(NeurofieldError):
-    """Requested translation pushes the profile support outside the working interval."""
-
-
 class NonFinite(NeurofieldError):
     """Time integration produced a non-finite state.
 

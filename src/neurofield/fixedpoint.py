@@ -10,9 +10,9 @@ import numpy as np
 
 from .bounds import BumpBounds
 from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
-                     NewtonDivergence, NoConvergence, ShiftOutOfRange)
+                     NewtonDivergence)
 from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
-from .model import Firing, Kernel, ModelParams
+from .model import Firing, Kernel, ModelParams, TabulatedKernel, sample_kernel
 
 #: largest grid for which ``OperatorContext.kernel_matrix``, a test oracle that
 #: no pipeline stage calls, builds its dense block
@@ -21,6 +21,11 @@ DENSE_NODE_LIMIT = 4096
 #: a source window is rounded outward to whole blocks of this many nodes, so
 #: that nearby windows share one kernel spectrum
 WINDOW_BLOCK = 64
+
+#: a time step computes its stages on the supra-threshold window widened by
+#: one WINDOW_BLOCK on each side while that covers at most 1/STEP_WINDOW_SHARE
+#: of the grid, and on the whole grid past that
+STEP_WINDOW_SHARE = 6
 
 #: kernel spectra an ``OperatorContext`` keeps; beyond this the oldest is dropped
 SPECTRUM_CACHE_SIZE = 8
@@ -56,10 +61,15 @@ class OperatorContext:
     u <= h, so it is evaluated by one circular FFT convolution of the source
     on the node window [lo, hi] that holds its nonzero values, rounded outward
     to blocks of ``WINDOW_BLOCK`` nodes (the whole grid once it covers more
-    than a third).  The firing rate is evaluated on that window only, the
-    transform length is ``fast_fft_len(n + hi - lo + 1)``, and the kernel
-    spectrum of each window is cached, at most ``SPECTRUM_CACHE_SIZE`` of them.
-    The dense kernel matrix serves only as a test oracle.
+    than a third).  The firing rate is evaluated on that window only.
+    ``apply_T_window`` writes only the m + 1 nodes of an output window, at
+    transform length fast_fft_len(m + hi - lo + 1) however large the grid.
+
+    Each kernel spectrum is cached under the key (lo, hi, last) of
+    ``_line_spectrum``, the source window and the last output node counted
+    from the first output node, with the largest |omega| on its lag line;
+    at most ``SPECTRUM_CACHE_SIZE`` of them.  The dense kernel matrix serves
+    only as a test oracle.
     """
 
     def __init__(self, kernel: Kernel, firing: Firing, params: ModelParams,
@@ -76,8 +86,8 @@ class OperatorContext:
         self.weights = quadrature_weights(grid, rule)
         self._nodes = grid.nodes()
         self._dense: np.ndarray | None = None
-        # (lo, hi) window -> (transform length, rfft of the kernel line)
-        self._spectra: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+        # (lo, hi, last) -> (transform length, rfft of the lag line, max |line|)
+        self._spectra: dict[tuple[int, int, int], tuple[int, np.ndarray, float]] = {}
 
     @property
     def nodes(self) -> np.ndarray:
@@ -93,13 +103,23 @@ class OperatorContext:
             self._dense = np.asarray(self.kernel(x[:, None] - x[None, :]))
         return self._dense
 
-    def apply_weighted(self, s: np.ndarray) -> np.ndarray:
-        """sum_j s_j omega(x_i - x_j) for an already weighted source vector s."""
-        window = self._window(s == 0.0)
+    def apply_weighted(self, s: np.ndarray, lo: int = 0) -> np.ndarray:
+        """sum_j s_j omega(x_i - x_j) at every node i for an already weighted
+        source s on the nodes from lo on (by default all) and 0 elsewhere."""
+        window = self._window(s == 0.0, lo)
         if window is None:
             return np.zeros(self.grid.n_nodes)
-        lo, hi = window
-        return self._convolve(s[lo:hi + 1], lo, hi)
+        w_lo, w_hi = window
+        return self._convolve(s[w_lo - lo:w_hi - lo + 1], w_lo, w_hi)
+
+    def weighted_bound(self, s: np.ndarray, lo: int = 0) -> float:
+        """A bound on |apply_weighted(s, lo)| at every node, NaN for a NaN s:
+        |s|_1 times the largest |omega| on the lag line apply_weighted(s, lo)
+        transforms, read from its cached spectrum without a kernel call."""
+        window = self._window(s == 0.0, lo)
+        if window is None:
+            return 0.0
+        return float(np.sum(np.abs(s))) * self._spectrum((*window, self.grid.n))[2]
 
     def block_operator(self, lo: int, hi: int, line=None):
         """The product x -> sum_j x_j line(x_i - x_j) over the nodes i, j in
@@ -107,67 +127,96 @@ class OperatorContext:
         fast_fft_len(2 (hi - lo) + 1) however large the grid; the returned
         function holds its spectrum, which the context does not cache."""
         m = hi - lo
-        length, spectrum = self._line_spectrum(line or self.kernel, 0, m, m)
+        length, spectrum, _ = self._line_spectrum(line or self.kernel, 0, m, m)
         return lambda x: _circular(x, length, spectrum, m + 1)
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
+        return self.apply_T_window(values, 0)[0]
+
+    def apply_T_window(self, values: np.ndarray,
+                       lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tu at the nodes i = lo, lo + 1, ... that ``values`` covers, for a
+        profile u that is ``values`` there and at most h elsewhere, and T's
+        weighted source w_j f(u_j - h) on the same nodes."""
         # every firing rate vanishes at arguments <= 0, so the source is zero
         # outside the window where u > h; a NaN node is not <= h, so it stays in
-        window = self._window(values <= self.params.h)
+        s = np.zeros(len(values))
+        window = self._window(values <= self.params.h, lo)
         if window is None:
-            return np.zeros(self.grid.n_nodes)
-        lo, hi = window
-        return self._convolve(self.weights[lo:hi + 1] * self.firing(
-            values[lo:hi + 1] - self.params.h), lo, hi)
+            return np.zeros(len(values)), s
+        w_lo, w_hi = window
+        src = s[w_lo - lo:w_hi - lo + 1] = self.weights[w_lo:w_hi + 1] * self.firing(
+            values[w_lo - lo:w_hi - lo + 1] - self.params.h)
+        return self._convolve(src, w_lo, w_hi, lo, lo + len(values) - 1), s
 
-    def _window(self, outside: np.ndarray) -> tuple[int, int] | None:
-        """Node range [lo, hi] enclosing every node where ``outside`` is False,
-        or None if it is True everywhere.
+    def step_window(self, values: np.ndarray) -> tuple[int, int]:
+        """The nodes [lo, hi] where a time step from ``values`` computes its
+        stages: T's source window widened by a ``WINDOW_BLOCK`` on each side,
+        or the whole grid past 1/STEP_WINDOW_SHARE of it or if no u > h."""
+        window = self._window(values <= self.params.h, 0, WINDOW_BLOCK,
+                              STEP_WINDOW_SHARE)
+        return (0, self.grid.n) if window is None else window
 
-        Whole blocks let nearby windows share a spectrum; past a third of the
-        grid a window saves little transform length, so it takes the whole
-        grid and its one spectrum.
+    def _window(self, outside: np.ndarray, offset: int = 0, pad: int = 0,
+                share: int = 3) -> tuple[int, int] | None:
+        """Node range [lo, hi] enclosing every node where ``outside``, which
+        covers the nodes from ``offset`` on, is False, widened by ``pad``
+        nodes on each side and kept within the covered nodes; None if
+        ``outside`` is True everywhere.
+
+        Whole blocks let nearby windows share a spectrum; past 1/share of the
+        grid a window saves little transform length, so it takes all the
+        covered nodes (on the whole grid, its one spectrum).
         """
         lo = int(outside.argmin())
         if outside[lo]:
             return None
-        hi = len(outside) - 1 - int(outside[::-1].argmin())
-        n = self.grid.n
-        lo -= lo % WINDOW_BLOCK
-        hi = min(n, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK)
-        if 3 * (hi - lo + 1) > n + 1:
-            return 0, n
+        last = offset + len(outside) - 1
+        hi = last - int(outside[::-1].argmin()) + pad
+        lo = offset + lo - pad
+        lo = max(offset, lo - lo % WINDOW_BLOCK)
+        hi = min(last, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK)
+        if share * (hi - lo + 1) > self.grid.n + 1:
+            return offset, last
         return lo, hi
 
-    def _convolve(self, src: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """apply_weighted for the source that is ``src`` on nodes [lo, hi] and
-        zero elsewhere."""
-        cached = self._spectra.get((lo, hi))
+    def _convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int = 0,
+                  out_hi: int | None = None) -> np.ndarray:
+        """sum_j src_j omega(x_i - x_j) at the nodes i in [out_lo, out_hi]
+        (by default every node) for the source that is ``src`` on the nodes
+        [lo, hi] among them and zero elsewhere."""
+        out_hi = self.grid.n if out_hi is None else out_hi
+        key = (lo - out_lo, hi - out_lo, out_hi - out_lo)
+        length, spectrum, _ = self._spectrum(key)
+        return _circular(src, length, spectrum, key[2] + 1)
+
+    def _spectrum(self, key: tuple[int, int, int]) -> tuple[int, np.ndarray, float]:
+        """The kernel's ``_line_spectrum`` for key = (lo, hi, last), cached."""
+        cached = self._spectra.get(key)
         if cached is None:
             if len(self._spectra) >= SPECTRUM_CACHE_SIZE:
                 del self._spectra[next(iter(self._spectra))]
-            cached = self._spectra[lo, hi] = self._line_spectrum(self.kernel, lo, hi)
-        return _circular(src, *cached, self.grid.n_nodes)
+            cached = self._spectra[key] = self._line_spectrum(self.kernel, *key)
+        return cached
 
     def _line_spectrum(self, line, lo: int, hi: int,
-                       n: int | None = None) -> tuple[int, np.ndarray]:
-        """Transform length and rfft of the lag line of ``line`` for the
-        source window [lo, hi] and the outputs at nodes 0..n (by default the
-        whole grid).
+                       n: int) -> tuple[int, np.ndarray, float]:
+        """Transform length, rfft and largest magnitude of the lag line of
+        ``line`` for the source window [lo, hi] and the outputs at nodes 0..n.
 
         The circular convolution of the source, placed at slot 0, with a line
         holding lag l in slot (l + lo) mod length for the lags -hi..n-lo that
         reach the outputs; a length of at least n + hi - lo + 1 keeps them
         apart, so none of the n + 1 outputs wraps.  The whole grid (lo = 0,
         hi = n) puts lags 0..n in slots [0, n] and lags -n..-1 in the last n,
-        at fast_fft_len(2n + 1).
+        at fast_fft_len(2n + 1).  Lags past a tabulated kernel's table read
+        its 0 without a warning.
         """
-        n = self.grid.n if n is None else n
         length = fast_fft_len(n + hi - lo + 1)
         lags = np.arange(-hi, n - lo + 1)
         values = np.zeros(length)
-        values[lags + lo] = line(lags * self.grid.dx)
-        return length, np.fft.rfft(values)
+        values[lags + lo] = sample_kernel(line, lags * self.grid.dx)
+        return length, np.fft.rfft(values), float(np.max(np.abs(values)))
 
 
 def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,
@@ -175,13 +224,6 @@ def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,
     """The first ``count`` values of the circular convolution, at ``length``,
     of ``src`` with the line whose rfft is ``spectrum``."""
     return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:count]
-
-
-def apply_T(ctx: OperatorContext, u: Profile) -> Profile:
-    """One application of the Hammerstein operator on the context grid."""
-    if u.grid != ctx.grid:
-        raise GridMisaligned("profile does not live on the operator grid")
-    return Profile(ctx.grid, ctx.apply_T_values(u.values))
 
 
 def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,
@@ -205,48 +247,6 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,
     raise EpsilonNotFound(
         "no strictly positive sandwich margin found; the discretization may be "
         "too coarse or the hypotheses marginal")
-
-
-@dataclass(frozen=True)
-class MonotoneTrace:
-    """Record of a clamped-operator iteration run."""
-
-    iterations: int
-    sup_steps: tuple[float, ...]
-    monotone_ok: bool
-    direction: str  # "decreasing" | "increasing" | "stationary"
-
-
-def monotone_iterate(ctx: OperatorContext, bb: BumpBounds, start: Profile,
-                     tol: float = 1e-10, max_iter: int = 10_000
-                     ) -> tuple[Profile, MonotoneTrace]:
-    """Iterate the clamped operator and record order preservation per step."""
-    u = start.values.copy()
-    steps: list[float] = []
-    direction = "stationary"
-    monotone_ok = True
-    for it in range(1, max_iter + 1):
-        v = np.maximum(np.minimum(ctx.apply_T_values(u), bb.u_plus.values),
-                       bb.u_minus.values)
-        diff = v - u
-        step = float(np.max(np.abs(diff)))
-        steps.append(step)
-        if step > 0.0:
-            if np.all(diff <= 1e-14):
-                step_dir = "decreasing"
-            elif np.all(diff >= -1e-14):
-                step_dir = "increasing"
-            else:
-                step_dir = "mixed"
-            if direction == "stationary":
-                direction = step_dir
-            if step_dir not in (direction, "stationary"):
-                monotone_ok = False
-        u = v
-        if step <= tol:
-            return Profile(ctx.grid, u), MonotoneTrace(it, tuple(steps),
-                                                       monotone_ok, direction)
-    raise NoConvergence(f"clamped iteration did not settle in {max_iter} steps")
 
 
 @dataclass(frozen=True)
@@ -413,15 +413,20 @@ def tail_extension(kernel: Kernel, d: float, tol: float = 1e-10,
     """Smallest x_tail with sup_{y in [-d,d]} omega(x - y) * 2d <= tol for x >= d + x_tail.
 
     For a kernel decreasing in |x| beyond its core the supremum sits at y = d,
-    so x_tail solves omega(x_tail) * 2d = tol on the decreasing branch.
+    so x_tail solves omega(x_tail) * 2d = tol on the decreasing branch.  A
+    tabulated kernel is 0 past its table, so the search ends at the table's
+    edge and never evaluates beyond it.
     """
     target = tol / (2.0 * d)
+    edge = kernel.grid.hi if isinstance(kernel, TabulatedKernel) else math.inf
     x = d
-    while float(kernel(x)) > target:
+    while float(kernel(min(x, edge))) > target:
+        if x >= edge:
+            return edge
         x *= 2.0
         if x > search_limit:
             raise ValueError("kernel tail does not decay below the truncation target")
-    lo, hi = x / 2.0, x
+    lo, hi = x / 2.0, min(x, edge)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if float(kernel(mid)) > target:
@@ -467,34 +472,3 @@ def extend_bump(ctx: OperatorContext, u_star: Profile,
     src = np.zeros(ctx_big.grid.n_nodes)
     src[k:k + ctx.grid.n_nodes] = ctx.weights * ctx.firing(u_star.values - ctx.params.h)
     return Profile(ctx_big.grid, ctx_big.apply_weighted(src))
-
-
-def stationary_residual(ctx_big: OperatorContext, u: Profile) -> float:
-    """Sup-norm residual of u = T u on the context grid."""
-    return float(np.max(np.abs(u.values - ctx_big.apply_T_values(u.values))))
-
-
-def verify_translation_family(ctx_big: OperatorContext, u_tilde: Profile,
-                              c: float) -> float:
-    """Residual of the stationary equation on the profile shifted by c.
-
-    c must be a multiple of the grid spacing, and the shifted supra-threshold
-    support must stay inside the working interval with the tail margin.
-    """
-    dx = ctx_big.grid.dx
-    k = round(c / dx)
-    if abs(c - k * dx) > 1e-9 * max(1.0, abs(c)):
-        raise ShiftOutOfRange(f"shift {c} is not a multiple of the spacing {dx}")
-    vals = u_tilde.values
-    supra = np.nonzero(vals > ctx_big.params.h)[0]
-    if supra.size:
-        margin_cells = min(supra[0], len(vals) - 1 - supra[-1])
-        if abs(k) >= margin_cells:
-            raise ShiftOutOfRange(
-                f"shift of {k} cells exceeds the {margin_cells}-cell support margin")
-    shifted = np.roll(vals, k)
-    if k > 0:
-        shifted[:k] = vals[0]
-    elif k < 0:
-        shifted[k:] = vals[-1]
-    return stationary_residual(ctx_big, Profile(ctx_big.grid, shifted))

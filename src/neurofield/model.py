@@ -131,9 +131,7 @@ class TabulatedKernel:
         """Central differences with step equal to the table spacing."""
         d = self.grid.dx
         x = np.asarray(x, dtype=float)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OutOfTableWarning)
-            out = (self(x + d) - self(x - d)) / (2.0 * d)
+        out = (sample_kernel(self, x + d) - sample_kernel(self, x - d)) / (2.0 * d)
         return out if np.ndim(out) else float(out)
 
     def positive_radius(self, horizon: float) -> float:
@@ -146,6 +144,14 @@ class TabulatedKernel:
 
 
 Kernel = ExponentialKernel | GaussianKernel | MexicanHatKernel | TabulatedKernel
+
+
+def sample_kernel(kernel, x) -> np.ndarray:
+    """kernel(x) without an OutOfTableWarning: a tabulated kernel is 0 past
+    its table by definition, which is what a probe or a lag line reads there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OutOfTableWarning)
+        return np.asarray(kernel(x))
 
 
 # ---------------------------------------------------------------------------

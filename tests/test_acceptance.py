@@ -18,13 +18,13 @@ from neurofield.bounds import (build_bounds, find_d, solve_delta,
 from neurofield.dynamics import RK4, SimConfig, instability_experiment, simulate
 from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    extend_bump, make_extension_grid,
-                                   monotone_iterate, solve_third_fixed_point)
+                                   solve_third_fixed_point)
 from neurofield.grids import Grid, Profile, TRAPEZOID, integrate, sample
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring)
 from neurofield.spectral import (Linearization, remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius)
-from oracles import dense_eigenvalues
+from oracles import dense_eigenvalues, monotone_iterate
 
 
 def report(name, ok, detail=""):

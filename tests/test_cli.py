@@ -13,8 +13,9 @@ import pytest
 import neurofield
 from neurofield import cli
 from neurofield.cli import main
-from neurofield.fixedpoint import SPECTRUM_CACHE_SIZE, OperatorContext
-from neurofield.model import GaussianKernel
+from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
+                                   WINDOW_BLOCK, OperatorContext)
+from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import Linearization
 from oracles import dense_eigenvalues
@@ -242,27 +243,35 @@ def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
 
 def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # the bump feeds T through its supra-threshold window only; every T on the
-    # extension grid (extend, power iteration, remainder fit, RK4) shares it
+    # whole extension grid (extend, power iteration, remainder fit, the RK4
+    # step's one whole-line convolution and its exactness bound) shares it,
+    # and the RK4 stages add one spectrum onto their step window
     built, contexts = [], []
-    convolve = OperatorContext._convolve
+    spectrum = OperatorContext._spectrum
 
-    def counted(self, src, lo, hi):
-        before = set(self._spectra)
-        out = convolve(self, src, lo, hi)
-        built.extend((self.grid.n, key) for key in set(self._spectra) - before)
+    def counted(self, key):
+        if key not in self._spectra:
+            built.append((self.grid.n, key))
         contexts.append(self)
-        return out
-    monkeypatch.setattr(OperatorContext, "_convolve", counted)
+        return spectrum(self, key)
+    monkeypatch.setattr(OperatorContext, "_spectrum", counted)
     cfg = write_cfg(tmp_path, {"grid": {"n": 800}})
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
     big_n = max(n for n, _ in built)
-    big = [key for n, key in built if n == big_n]
-    assert len(big) == 1
-    lo, hi = big[0]
+    whole = [key for n, key in built if n == big_n and key[2] == big_n]
+    assert len(whole) == 1
+    lo, hi, _ = whole[0]
     # the bump's window, not widened to the whole grid
     assert 3 * (hi - lo + 1) <= big_n + 1
+    stages = [key for n, key in built if n == big_n and key[2] != big_n]
+    assert len(stages) == 1
+    # the same source window onto the step window, the bump's window widened
+    # by a block on each side, counted from the step window's first node
+    width = hi - lo + 2 * WINDOW_BLOCK
+    assert stages[0] == (WINDOW_BLOCK, hi - lo + WINDOW_BLOCK, width)
+    assert STEP_WINDOW_SHARE * (width + 1) <= big_n + 1
     # on [-d, d] the window covers most of the grid, which keeps one spectrum
-    assert [key for n, key in built if n == 800] == [(0, 800)]
+    assert [key for n, key in built if n == 800] == [(0, 800, 800)]
     assert all(len(ctx._spectra) <= SPECTRUM_CACHE_SIZE for ctx in contexts)
 
 
@@ -332,20 +341,29 @@ def test_certify_imports_no_scipy(tmp_path):
 
 
 def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
-    # the Gaussian table ends at 2a = 12: the check probes inside it, so a
-    # whole certify process warns about no evaluation past the table
+    # the Gaussian table ends at 2a = 12: the check probes inside it.  The
+    # exponential table still reads 3e-6 at its edge, so the tail search stops
+    # there and the extension grid's lag lines reach past it, where the table
+    # is 0 by definition.  Neither certify process warns, and both pass.
     x = np.linspace(-12.0, 12.0, 2401)
-    np.savetxt(tmp_path / "kernel.csv", np.column_stack([x, GaussianKernel()(x)]),
-               delimiter=",", fmt="%.17g")
-    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
-                               "dynamics": {"epsilon_ball": 0.05}})
-    proc = subprocess.run([sys.executable, "-m", "neurofield.cli", "certify",
-                           "--config", str(cfg), "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0 and proc.stderr == ""
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    kernel = cli.build_kernel(cli.load_config(cfg), tmp_path)
-    assert report["a"] == kernel.positive_radius(40.0) == 6.0
+    for kernel, dynamics in ((GaussianKernel(), {"epsilon_ball": 0.05}),
+                             (ExponentialKernel(), {})):
+        work = tmp_path / kernel.tag
+        work.mkdir()
+        np.savetxt(work / "kernel.csv", np.column_stack([x, kernel(x)]),
+                   delimiter=",", fmt="%.17g")
+        cfg = write_cfg(work, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
+                               "dynamics": dynamics})
+        proc = subprocess.run([sys.executable, "-m", "neurofield.cli", "certify",
+                               "--config", str(cfg), "--out", str(work / "out")],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads((work / "out" / "report.json").read_text())
+        table = cli.build_kernel(cli.load_config(cfg), work)
+        assert report["a"] == table.positive_radius(40.0) == 6.0
+        run_report = json.loads((work / "out" / "run_report.json").read_text())
+        assert run_report["stationary_bump_verified"]["value"] is True
+        assert run_report["instability_verified"]["value"] is True
 
 
 @pytest.mark.filterwarnings("error::neurofield.errors.OutOfTableWarning")
@@ -375,14 +393,46 @@ def test_config_hash_of_analytic_kernels_covers_sections_only(tmp_path):
     assert json.loads((out / "report.json").read_text())["config_hash"] == expected
 
 
-def test_tracer_span_names_are_bound_in_cli():
-    # the benchmark tracer wraps these neurofield.cli globals by name
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_span_names_are_bound_in_cli():
+    # the benchmark tracer wraps these neurofield.cli globals by name
+    tracer = load_tracer()
     missing = [name for name in tracer.CLI_SPANS if not callable(getattr(cli, name, None))]
     assert missing == []
+
+
+def test_tracer_traces_a_certify(tmp_path):
+    # the benchmark's --trace 1 runs the tracer script around a certify: each
+    # hook it patches must still exist, and every RK4 step must still pass
+    # through the patched dynamics.step_values
+    tracer = load_tracer()
+    installed = tracer.Tracer()
+    installed.install()  # fails on a hook that no longer exists
+    try:
+        assert all(callable(original) for _, _, original in installed._patched)
+    finally:
+        installed.uninstall()
+    cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
+    trace, out = tmp_path / "trace.json", tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(TRACER_PATH), str(trace), "certify",
+                           "--config", str(cfg), "--out", str(out), "--quiet"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    data = json.loads(trace.read_text())
+    names = [data["names"][index] for index, *_ in data["spans"]]
+    # a header and the initial state come before the first step's row
+    steps = len((out / "trajectory.csv").read_text().splitlines()) - 2
+    assert steps > 0 and names.count("dynamics.step") == steps
+    assert set(tracer.CLI_SPANS.values()) <= set(names)
 
 
 def test_config_schema_is_valid():

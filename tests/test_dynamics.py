@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from neurofield.dynamics import (EXP_EULER, RK4, SimConfig,
+from neurofield.dynamics import (EXP_EULER, RK4, SimConfig, _rk4_step,
                                  instability_experiment, simulate,
                                  step_values)
 from neurofield.errors import NoEscape, NonFinite
-from neurofield.fixedpoint import OperatorContext
+from neurofield.fixedpoint import (OperatorContext, extend_bump,
+                                   make_extension_grid)
 from neurofield.grids import Profile
 from neurofield.spectral import Linearization, spectral_radius
+from oracles import whole_grid_rk4_step
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,71 @@ def test_zero_stays_zero(setup):
     zero = Profile(g, np.zeros(g.n_nodes))
     traj = simulate(setup["ctx"], zero, zero, SimConfig(dt=0.05, t_end=2.0))
     assert np.max(traj.deviation_sup) == 0.0
+
+
+def _matches_whole_grid_step(ctx, u, dt):
+    out = step_values(ctx, u, SimConfig(dt=dt))
+    ref = whole_grid_rk4_step(ctx, u, dt)
+    return np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(u))
+
+
+def _takes_window(ctx, u, dt):
+    window = ctx.step_window(u)
+    return (window != (0, ctx.grid.n)
+            and _rk4_step(ctx, u, dt, *window) is not None)
+
+
+def test_window_step_matches_whole_grid_step(kernel_setup):
+    # an extension grid of 16 d leaves the step window below a sixth of it
+    ctx, fp = kernel_setup["ctx"], kernel_setup["fp"]
+    grid = make_extension_grid(ctx.kernel, ctx.grid, L_override=16.0 * ctx.grid.hi)
+    big = OperatorContext(ctx.kernel, ctx.firing, ctx.params, grid)
+    u = extend_bump(ctx, fp.u_star, big).values
+    x = big.nodes
+    for state in (u, u + 1e-3 * np.cos(3.0 * x) * np.exp(-np.abs(x))):
+        for dt in (0.01, 0.1):
+            assert _takes_window(big, state, dt)
+            assert _matches_whole_grid_step(big, state, dt)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(amplitude=st.floats(1e-8, 0.5),
+       bumps=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 2.0),
+                                st.floats(-1.0, 1.0)), min_size=1, max_size=3))
+def test_window_step_matches_whole_grid_step_property(setup, amplitude, bumps):
+    # any direction of Gaussian bumps and any amplitude; large ones may push
+    # a stage past h outside the window, which reruns on the whole grid
+    ctx, x = setup["ctx"], setup["ctx"].nodes
+    direction = sum(w * np.exp(-((x - c) / s) ** 2) for c, s, w in bumps)
+    u = setup["u"].values + amplitude * direction
+    assert _matches_whole_grid_step(ctx, u, 0.01)
+
+
+def test_stage_crossing_outside_window_reruns_on_whole_grid(setup):
+    # a saturated plateau, and just outside its step window a stretch that
+    # sits 1e-9 below h while T there exceeds h: the second stage fires there
+    ctx, h, dt = setup["ctx"], setup["ctx"].params.h, 0.1
+    n = ctx.grid.n
+    u = np.zeros(n + 1)
+    u[n // 2 - 50:n // 2 + 50] = 1.0
+    lo, hi = ctx.step_window(u)
+    u[hi + 1:hi + 40] = h - 1e-9
+    assert ctx.step_window(u) == (lo, hi)
+    y2 = u + 0.5 * dt * (ctx.apply_T_values(u) - u)
+    assert y2[hi + 1] > h
+    assert _matches_whole_grid_step(ctx, u, dt)
+    assert _rk4_step(ctx, u, dt, lo, hi) is None
+
+
+def test_zero_and_nan_states_step_as_on_the_whole_grid(setup):
+    ctx = setup["ctx"]
+    zero = np.zeros(ctx.grid.n_nodes)
+    out = step_values(ctx, zero, SimConfig())
+    assert np.array_equal(out, zero)
+    assert np.array_equal(out, whole_grid_rk4_step(ctx, zero, 0.01))
+    nan = np.full(ctx.grid.n_nodes, np.nan)
+    assert np.all(np.isnan(step_values(ctx, nan, SimConfig())))
+    assert np.all(np.isnan(whole_grid_rk4_step(ctx, nan, 0.01)))
 
 
 def test_unperturbed_drift_small(ref_ctx_big, ref_u_tilde):

@@ -5,20 +5,20 @@ import pytest
 
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds
-from neurofield.errors import GridMisaligned, ShiftOutOfRange
-from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext, apply_T,
+from neurofield.errors import GridMisaligned
+from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext,
                                    compute_epsilon, embed_offset, extend_bump,
                                    fast_fft_len, gmres, make_extension_grid,
-                                   monotone_iterate, newton_step,
-                                   solve_third_fixed_point,
-                                   stationary_residual, tail_extension,
-                                   verify_translation_family)
+                                   newton_step, solve_third_fixed_point,
+                                   tail_extension)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
                               TabulatedKernel)
 from neurofield.quadrature import apply_integral_operator
-from oracles import dense_even_jacobian
+from oracles import (ShiftOutOfRange, apply_T, dense_even_jacobian,
+                     monotone_iterate, stationary_residual,
+                     verify_translation_family)
 
 
 def test_apply_T_zero_and_saturated(ref_ctx):
@@ -95,7 +95,7 @@ def test_fft_path_matches_dense(ref_model, coarse_setup):
                 assert np.max(np.abs(fft - ctx.kernel_matrix() @ sources)) < 1e-12
             if g is big:
                 # the narrow windows are transformed at a shorter length
-                lengths = [length for length, _ in ctx._spectra.values()]
+                lengths = [length for length, *_ in ctx._spectra.values()]
                 assert min(lengths) < fast_fft_len(2 * n + 1) == max(lengths)
 
 
@@ -239,6 +239,17 @@ def test_tail_extension_oracle():
     d = 1.5567
     x_tail = tail_extension(ExponentialKernel(), d)
     assert x_tail == pytest.approx(math.log(d / 1e-10), rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error::neurofield.errors.OutOfTableWarning")
+def test_tail_extension_stops_at_table_edge():
+    # past its table a tabulated kernel is 0: a table still above the target
+    # at its edge ends the tail there, one below it is bisected inside it
+    d, table = 1.5567, Grid(-12.0, 12.0, 2400)
+    x = table.nodes()
+    assert tail_extension(TabulatedKernel(table, ExponentialKernel()(x)), d) == 12.0
+    gaussian = tail_extension(TabulatedKernel(table, GaussianKernel()(x)), d)
+    assert gaussian == pytest.approx(tail_extension(GaussianKernel(), d), rel=1e-3)
 
 
 def test_extension_grid_embeds(ref_bounds, ref_big_grid):
