@@ -79,7 +79,7 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
                       W: CumulativeKernel | None = None) -> AssumptionReport:
     """Run the full hypothesis battery and return a per-condition report.
 
-    ``W`` is the kernel's cumulative table, built here when not given.
+    ``W`` is the kernel's cumulative integral, made here when not given.
     Raises InfeasibleModel (with the report attached) when the kernel mass
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """

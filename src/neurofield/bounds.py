@@ -14,8 +14,7 @@ import numpy as np
 from .errors import BracketFailure, NoConvergence, NoSuchD
 from .grids import Grid, Profile, quadrature_weights
 from .model import Kernel, ModelParams
-from .quadrature import (DEFAULT_N_PER_UNIT, CumulativeKernel,
-                         indicator_convolution)
+from .quadrature import CumulativeKernel, indicator_convolution
 
 #: default probe horizon bounding the search for the positivity radius a
 DEFAULT_HORIZON = 40.0
@@ -113,20 +112,18 @@ def find_d(kernel: Kernel, delta_plus: float, h: float, tol: float = 1e-12,
                    delta_plus, a, xtol=tol / 4.0)
 
 
-def build_bounds(kernel: Kernel, params: ModelParams, n: int,
-                 n_per_unit: int = DEFAULT_N_PER_UNIT, tol: float = 1e-12,
+def build_bounds(kernel: Kernel, params: ModelParams, n: int, tol: float = 1e-12,
                  horizon: float = DEFAULT_HORIZON,
                  W: CumulativeKernel | None = None) -> BumpBounds:
     """Assemble the sandwich: solve for both deltas and d, sample u_minus, u_plus on [-d, d].
 
     The grid has n subintervals (n must be even so 0 and +-d are nodes).
-    ``W`` is the kernel's cumulative table; when not given, one is built with
-    ``n_per_unit`` subintervals per unit length.
+    ``W`` is the kernel's cumulative integral, made here when not given.
     """
     if n % 2 != 0:
         raise ValueError(f"need an even subinterval count for a symmetric grid, got n={n}")
     if W is None:
-        W = CumulativeKernel(kernel, n_per_unit=n_per_unit)
+        W = CumulativeKernel(kernel)
     a = kernel.positive_radius(horizon)
     delta_minus = solve_delta(kernel, params.h, tol=tol, W=W, a=a)
     delta_plus = solve_delta(kernel, params.h + params.tau, tol=tol, W=W, a=a)
@@ -138,8 +135,7 @@ def build_bounds(kernel: Kernel, params: ModelParams, n: int,
     return BumpBounds(delta_minus, delta_plus, d, u_minus, u_plus)
 
 
-def verify_heaviside_stationarity(kernel: Kernel, bb: BumpBounds, probe: Grid,
-                                  n_per_unit: int = DEFAULT_N_PER_UNIT) -> dict:
+def verify_heaviside_stationarity(kernel: Kernel, bb: BumpBounds, probe: Grid) -> dict:
     """Numeric battery for the Heaviside stationarity of u_minus and u_plus.
 
     On the probe grid: u_minus >= h on [0, delta_minus] and < h strictly beyond
@@ -148,7 +144,7 @@ def verify_heaviside_stationarity(kernel: Kernel, bb: BumpBounds, probe: Grid,
     cell; and both profiles satisfy their Heaviside fixed-point identity
     within quadrature error.
     """
-    W = CumulativeKernel(kernel, n_per_unit=n_per_unit)
+    W = CumulativeKernel(kernel)
     xs = probe.nodes()
     dx = probe.dx
     h = float(W(2.0 * bb.delta_minus))

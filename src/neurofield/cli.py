@@ -184,7 +184,7 @@ class Run:
     Each stage (``check``, ``bounds``, ``solve``, ``spectrum``) is computed on
     first use and kept, so ``certify`` computes every stage once and a single
     command computes only the stages it needs.  The check and the bounds share
-    one cumulative-kernel table, which the bounds stage drops.
+    one cumulative kernel integral W, which the bounds stage drops.
     """
 
     def __init__(self, cfg: dict, base: Path):
@@ -220,7 +220,7 @@ class Run:
     def bounds(self) -> BumpBounds:
         kernel, _, params = self.model
         W = self.cumulative
-        # no later stage reads the table; the run would keep it alive through them
+        # no later stage reads W; the run would keep it alive through them
         del self.cumulative
         gsec = self.cfg.get("grid", {})
         if "n" in gsec:

@@ -39,6 +39,10 @@ class ExponentialKernel:
         out = -0.5 * np.sign(x) * np.exp(-np.abs(x))
         return out if out.ndim else float(out)
 
+    def antiderivative(self, b: float) -> float:
+        """W(b) = integral of omega over [0, b] = (1 - e^-b) / 2, for b >= 0."""
+        return -0.5 * math.expm1(-b)
+
     def positive_radius(self, horizon: float) -> float:
         """Largest a with omega > 0 on [0, 2a], up to the probe horizon."""
         return horizon / 2.0
@@ -57,6 +61,10 @@ class GaussianKernel:
         x = np.asarray(x, dtype=float)
         out = -2.0 * x * np.exp(-np.square(x))
         return out if out.ndim else float(out)
+
+    def antiderivative(self, b: float) -> float:
+        """W(b) = (sqrt(pi) / 2) erf(b), for b >= 0."""
+        return 0.5 * math.sqrt(math.pi) * math.erf(b)
 
     def positive_radius(self, horizon: float) -> float:
         return horizon / 2.0
@@ -90,6 +98,12 @@ class MexicanHatKernel:
                           - self.M * self.m * np.exp(-self.m * x2))
         return out if out.ndim else float(out)
 
+    def antiderivative(self, b: float) -> float:
+        """W(b) = K sqrt(pi/k)/2 erf(sqrt(k) b) - M sqrt(pi/m)/2 erf(sqrt(m) b), for b >= 0."""
+        K, k, M, m = self.K, self.k, self.M, self.m
+        return (K * math.sqrt(math.pi / k) * 0.5 * math.erf(math.sqrt(k) * b)
+                - M * math.sqrt(math.pi / m) * 0.5 * math.erf(math.sqrt(m) * b))
+
     def first_zero(self) -> float:
         """Positive zero of omega: x0 = sqrt(ln(K/M) / (k - m))."""
         return math.sqrt(math.log(self.K / self.M) / (self.k - self.m))
@@ -117,7 +131,15 @@ class TabulatedKernel:
         mirrored = vals[::-1]
         if np.max(np.abs(vals - mirrored)) > 1e-12:
             raise ValueError("tabulated kernel samples are not symmetric about 0")
-        object.__setattr__(self, "_nodes", self.grid.nodes())
+        nodes = self.grid.nodes()
+        object.__setattr__(self, "_nodes", nodes)
+        # the interpolant on [0, hi]: its value at 0 (a node, or mid-cell on
+        # an odd grid), the nodes past 0, and the exact integral up to each
+        pos = nodes > 0.0
+        xs = np.concatenate([[0.0], nodes[pos]])
+        vs = np.concatenate([[np.interp(0.0, nodes, vals)], vals[pos]])
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(xs) * (vs[:-1] + vs[1:]))])
+        object.__setattr__(self, "_half", (xs.tolist(), vs.tolist(), cum.tolist()))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -126,6 +148,20 @@ class TabulatedKernel:
                           OutOfTableWarning, stacklevel=2)
         out = np.interp(x, self._nodes, self.values, left=0.0, right=0.0)
         return out if out.ndim else float(out)
+
+    def antiderivative(self, b: float) -> float:
+        """W(b) for b >= 0: the exact integral of the linear interpolant that
+        ``__call__`` evaluates, a cumulative trapezoid over the nodes plus the
+        partial cell; constant past the table edge, where omega is 0."""
+        xs, vs, cum = self._half
+        if not b < xs[-1]:
+            return cum[-1] if b >= xs[-1] else math.nan
+        # the cell [xs[i], xs[i + 1]] holding b; within rounding of a node the
+        # neighbouring cell may be taken, and its line agrees there
+        i = 0 if b < xs[1] else min(int((b - xs[1]) / self.grid.dx) + 1, len(xs) - 2)
+        t = b - xs[i]
+        slope = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
+        return cum[i] + t * (vs[i] + 0.5 * slope * t)
 
     def deriv(self, x):
         """Central differences with step equal to the table spacing."""

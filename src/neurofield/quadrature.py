@@ -1,75 +1,37 @@
-"""Cumulative kernel integrals and Nystrom application of integral operators."""
+"""The cumulative kernel integral W and the indicator convolutions built from it."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
 from .model import Kernel
-
-#: table refinement for the cumulative integral, subintervals per unit length
-DEFAULT_N_PER_UNIT = 4096
 
 
 class CumulativeKernel:
     """W(b) = integral of omega over [0, b], with the odd extension W(-b) = -W(b).
 
-    Node values are accumulated once on a fine uniform table (per-cell Simpson);
-    a query refines the trailing partial cell with another Simpson step, so the
-    result carries the full O(dx^4) accuracy everywhere, not just at table nodes.
-    A ``float`` query takes a plain-Python path with the same arithmetic as an
-    array query, so the bisections in ``bounds`` pay no array overhead.
+    On b >= 0 each kernel gives W in closed form (``antiderivative``, plain
+    ``math``): exponential (1 - e^-b)/2, Gaussian (sqrt(pi)/2) erf(b), mexican
+    hat K sqrt(pi/k)/2 erf(sqrt(k) b) - M sqrt(pi/m)/2 erf(sqrt(m) b), and a
+    tabulated kernel the exact integral of its linear interpolant.  A query
+    costs O(1) at any b: W(+-inf) is +-(total mass) and W(nan) is nan.  An
+    array query maps the ``float`` path over its entries, so the two are
+    bit-equal.
     """
 
-    def __init__(self, kernel: Kernel, n_per_unit: int = DEFAULT_N_PER_UNIT,
-                 b_max: float = 8.0):
-        self.kernel = kernel
-        self.n_per_unit = n_per_unit
-        self._dx = 1.0 / n_per_unit
-        self._table = np.zeros(1)
-        self._extend(b_max)
+    def __init__(self, kernel: Kernel):
+        self._w = kernel.antiderivative
 
-    @property
-    def b_max(self) -> float:
-        return (len(self._table) - 1) * self._dx
-
-    def _extend(self, b_needed: float) -> None:
-        """Grow the table so it covers [0, b_needed]."""
-        n_cells = math.ceil(b_needed / self._dx)
-        have = len(self._table) - 1
-        if n_cells <= have:
-            return
-        # Simpson per cell from two evaluations: the cell ends are shared nodes
-        x = np.arange(have, n_cells + 1) * self._dx
-        kx = self.kernel(x)
-        km = self.kernel(x[:-1] + 0.5 * self._dx)
-        cells = (kx[:-1] + 4.0 * km + kx[1:]) * (self._dx / 6.0)
-        self._table = np.concatenate([self._table, self._table[-1] + np.cumsum(cells)])
+    def _odd(self, b: float) -> float:
+        w = self._w(abs(b))
+        return -w if b < 0.0 else w
 
     def __call__(self, b):
         if isinstance(b, float):
-            ab = abs(b)
-            self._extend(ab)
-            idx = min(int(ab / self._dx), len(self._table) - 1)
-            x0 = idx * self._dx
-            rem = ab - x0
-            k = self.kernel
-            out = self._table[idx] + (k(x0) + 4.0 * k(x0 + 0.5 * rem) + k(ab)) * (rem / 6.0)
-            return float(out if b >= 0.0 else -out)
+            return self._odd(float(b))
         b = np.asarray(b, dtype=float)
-        scalar = b.ndim == 0
-        b = np.atleast_1d(b)
-        ab = np.abs(b)
-        self._extend(float(np.max(ab)) if ab.size else 0.0)
-        idx = np.minimum((ab / self._dx).astype(int), len(self._table) - 1)
-        x0 = idx * self._dx
-        rem = ab - x0
-        partial = (self.kernel(x0) + 4.0 * self.kernel(x0 + 0.5 * rem) + self.kernel(ab)) \
-            * (rem / 6.0)
-        out = np.sign(b) * (self._table[idx] + partial)
-        return float(out[0]) if scalar else out
+        out = np.fromiter(map(self._odd, b.ravel().tolist()), float, b.size)
+        return float(out[0]) if b.ndim == 0 else out.reshape(b.shape)
 
 
 def indicator_convolution(W: CumulativeKernel, delta: float, x):
@@ -79,22 +41,3 @@ def indicator_convolution(W: CumulativeKernel, delta: float, x):
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
     return W(x + delta) - W(x - delta)
-
-
-def apply_integral_operator(kernel: Kernel, weight: Profile, targets: Grid,
-                            rule: str = TRAPEZOID) -> Profile:
-    """Nystrom application: x -> integral of omega(x - y) weight(y) dy at the target nodes.
-
-    Direct quadrature-weighted summation, chunked over target nodes to bound the
-    size of the kernel-difference block.
-    """
-    w = quadrature_weights(weight.grid, rule)
-    src = weight.grid.nodes()
-    wv = w * weight.values
-    tgt = targets.nodes()
-    out = np.empty(len(tgt))
-    chunk = max(1, 16_000_000 // max(len(src), 1))
-    for start in range(0, len(tgt), chunk):
-        block = tgt[start:start + chunk, None] - src[None, :]
-        out[start:start + chunk] = kernel(block) @ wv
-    return Profile(targets, out)

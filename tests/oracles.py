@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from neurofield.errors import GridMisaligned, NeurofieldError, NoConvergence
-from neurofield.grids import Profile
+from neurofield.grids import TRAPEZOID, Grid, Profile, quadrature_weights
 
 
 class ShiftOutOfRange(NeurofieldError):
@@ -23,6 +23,25 @@ class ShiftOutOfRange(NeurofieldError):
 def dense_linearization(lin):
     """The matrix w_j omega(x_i - x_j) g_j of a ``Linearization``."""
     return lin.ctx.kernel_matrix() * (lin.weights * lin.gains)[None, :]
+
+
+def apply_integral_operator(kernel, weight: Profile, targets: Grid,
+                            rule: str = TRAPEZOID) -> Profile:
+    """Nystrom application: x -> integral of omega(x - y) weight(y) dy at the target nodes.
+
+    Direct quadrature-weighted summation, chunked over target nodes to bound the
+    size of the kernel-difference block.
+    """
+    w = quadrature_weights(weight.grid, rule)
+    src = weight.grid.nodes()
+    wv = w * weight.values
+    tgt = targets.nodes()
+    out = np.empty(len(tgt))
+    chunk = max(1, 16_000_000 // max(len(src), 1))
+    for start in range(0, len(tgt), chunk):
+        block = tgt[start:start + chunk, None] - src[None, :]
+        out[start:start + chunk] = kernel(block) @ wv
+    return Profile(targets, out)
 
 
 def dense_eigenvalues(lin):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_shared_table_matches_fresh_tables(kernel, params):
 
 
 def test_tabulated_table_edge_is_not_overrun():
-    # 2a is the edge of the kernel's table; the cumulative table stops there
+    # 2a is the edge of the kernel's table, and W is constant past it
     # (the check gets a probe inside the table: the default one, out to 40,
     # samples the kernel past its edge by design)
     table = Grid(-12.0, 12.0, 2400)
@@ -151,6 +152,24 @@ def test_tabulated_table_edge_is_not_overrun():
         bb = build_bounds(kernel, params, 200)
     assert rep.verdict == "pass" and 2.0 * rep.a == 12.0
     assert bb.d == pytest.approx(rep.d, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel, params", [
+    (ExponentialKernel(), ModelParams(0.1, 0.2)),
+    (GaussianKernel(), ModelParams(0.1, 0.2)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+])
+def test_check_and_bounds_allocate_under_a_megabyte(kernel, params):
+    # W is a closed form: no table of the cumulative integral is allocated
+    tracemalloc.start()
+    try:
+        W = CumulativeKernel(kernel)
+        check_assumptions(kernel, RatioFiring(2.0, params.tau), params, W=W)
+        build_bounds(kernel, params, 800, W=W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_build_bounds_rejects_odd_n():

@@ -15,10 +15,9 @@ from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
                               TabulatedKernel)
-from neurofield.quadrature import apply_integral_operator
-from oracles import (ShiftOutOfRange, apply_T, dense_even_jacobian,
-                     monotone_iterate, stationary_residual,
-                     verify_translation_family)
+from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
+                     dense_even_jacobian, monotone_iterate,
+                     stationary_residual, verify_translation_family)
 
 
 def test_apply_T_zero_and_saturated(ref_ctx):

@@ -1,17 +1,20 @@
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DELTA_PLUS_EXACT, D_EXACT, W_exp
 from neurofield.errors import OutOfTableWarning
 from neurofield.grids import Grid, Profile, sample
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, TabulatedKernel)
-from neurofield.quadrature import (DEFAULT_N_PER_UNIT, CumulativeKernel,
-                                   apply_integral_operator,
-                                   indicator_convolution)
+from neurofield.quadrature import CumulativeKernel, indicator_convolution
+from oracles import apply_integral_operator
 
 _TABLE = Grid(-12.0, 12.0, 2400)
 _HAT = MexicanHatKernel(3.0, 2.0, 1.0, 1.0)
@@ -22,10 +25,53 @@ KERNELS_2A = [
     (_HAT, _HAT.first_zero()),
     (TabulatedKernel(_TABLE, GaussianKernel()(_TABLE.nodes())), 12.0),
 ]
+#: an odd table: 0 lies mid-cell, and the exponential's kink with it
+_ODD_TABLE = Grid(-6.0, 6.0, 601)
+_ODD_TABULATED = TabulatedKernel(_ODD_TABLE, ExponentialKernel()(_ODD_TABLE.nodes()))
 
 
 def _bits(x) -> bytes:
     return np.float64(x).tobytes()
+
+
+def _mp_antiderivative(kernel, b):
+    """W(b) for b >= 0 at 50 digits, from the kernel's closed form."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(b)
+        if isinstance(kernel, ExponentialKernel):
+            return (1 - mpmath.exp(-b)) / 2
+        if isinstance(kernel, GaussianKernel):
+            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(b)
+        K, k, M, m = (mpmath.mpf(v) for v in (kernel.K, kernel.k, kernel.M, kernel.m))
+        return (K * mpmath.sqrt(mpmath.pi / k) / 2 * mpmath.erf(mpmath.sqrt(k) * b)
+                - M * mpmath.sqrt(mpmath.pi / m) / 2 * mpmath.erf(mpmath.sqrt(m) * b))
+
+
+def _fraction_antiderivative(kernel, b):
+    """W(b) for b >= 0 as the exact rational integral over [0, b] of the
+    linear interpolant of a tabulated kernel's samples (0 past the table)."""
+    xs = [Fraction(x) for x in kernel.grid.nodes()]
+    vs = [Fraction(v) for v in kernel.values]
+    lo, hi = Fraction(0), min(Fraction(b), xs[-1])
+    total = Fraction(0)
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+        p, q = max(x0, lo), min(x1, hi)
+        if p < q:
+            slope = (v1 - v0) / (x1 - x0)
+            total += (q - p) * (2 * v0 + slope * (p - x0 + q - x0)) / 2
+    return total
+
+
+def _exact_antiderivative(kernel, b):
+    if isinstance(kernel, TabulatedKernel):
+        return _fraction_antiderivative(kernel, b)
+    return _mp_antiderivative(kernel, b)
+
+
+def _total_mass(kernel):
+    if isinstance(kernel, TabulatedKernel):
+        return _fraction_antiderivative(kernel, kernel.grid.hi)
+    return _mp_antiderivative(kernel, mpmath.inf)
 
 
 def test_cumulative_zero_at_origin():
@@ -41,9 +87,7 @@ def test_cumulative_exponential_oracle():
 
 
 def test_cumulative_gaussian_total_mass():
-    # the query lies beyond the initial table, which must grow to reach it
-    W = CumulativeKernel(GaussianKernel(), n_per_unit=8192)
-    assert W.b_max < 12.0
+    W = CumulativeKernel(GaussianKernel())
     assert W(12.0) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-8)
 
 
@@ -60,40 +104,95 @@ def test_cumulative_table_odd_extension():
 
 @pytest.mark.parametrize("kernel,two_a", KERNELS_2A)
 def test_scalar_query_bit_equal_to_array_query(kernel, two_a):
-    dx = 1.0 / DEFAULT_N_PER_UNIT
-    # negative, on a table node, past the initial table end (8), and at 2a;
-    # the three tables grow at the same queries
-    bs = [0.0, -0.0, -0.3, -0.7, 3072 * dx, 10.5, two_a]
+    # zero of either sign, negative, 0.75 (a table node), past the table at
+    # 10.5 on the probe kernels, and 2a
+    bs = [0.0, -0.0, -0.3, -0.7, 0.75, 10.5, two_a]
     W_float, W_np, W_arr = (CumulativeKernel(kernel) for _ in range(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error", OutOfTableWarning)
         for b in bs:
-            if b == 10.5:
-                assert W_float.b_max < b  # this query grows the table
             want = W_arr(np.array([b]))[0]
             got = W_float(b)
             assert type(got) is float
             assert _bits(got) == _bits(want), b
             assert _bits(W_np(np.float64(b))) == _bits(want), b
-            assert W_float.b_max == W_np.b_max == W_arr.b_max >= abs(b)
+
+
+#: points on [0, 2a] of every kernel: tiny, around the unit, near and at 2a
+_POINTS = [1e-9, 1e-4, 0.003, 0.3, 0.75, 1.0, 1.048147073968205, 2.5, 5.0050021,
+           7.3, 11.99, 12.0, 25.0, 40.0]
+
+
+@pytest.mark.parametrize("kernel", [k for k, _ in KERNELS_2A] + [_ODD_TABULATED])
+def test_closed_form_matches_exact_integral(kernel):
+    # the analytic kernels against their closed forms at 50 digits, the
+    # tabulated ones against the rational integral of their interpolant
+    two_a = kernel.positive_radius(40.0) * 2.0
+    tol = 1e-14 if isinstance(kernel, TabulatedKernel) else 1e-15
+    W = CumulativeKernel(kernel)
+    bs = [b for b in _POINTS if b <= two_a] + [two_a]
+    for b in bs:
+        exact = _exact_antiderivative(kernel, b)
+        got = W(b)
+        assert abs(got - float(exact)) <= tol * abs(float(exact)), b
+        assert W(-b) == -got
+    assert np.array_equal(W(np.array(bs)), [W(b) for b in bs])
+
+
+#: a coarse table keeps the piecewise quadrature of the property test short
+_COARSE = Grid(-6.0, 6.0, 48)
+_PROPERTY_KERNELS = [k for k, _ in KERNELS_2A[:3]] + [
+    TabulatedKernel(_COARSE, GaussianKernel()(_COARSE.nodes()))]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(which=st.integers(0, len(_PROPERTY_KERNELS) - 1),
+       s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+def test_cumulative_odd_monotone_and_quad_property(which, s, t):
+    kernel = _PROPERTY_KERNELS[which]
+    two_a = 2.0 * kernel.positive_radius(40.0)
+    a, b = sorted((s * two_a, t * two_a))
+    W = CumulativeKernel(kernel)
+    assert W(-a) == -W(a) and W(-b) == -W(b)
+    assert W(a) <= W(b)
+    with mpmath.workdps(30):
+        if isinstance(kernel, TabulatedKernel):
+            nodes = kernel.grid.nodes()
+            inner = [float(x) for x in nodes if a < x < b]
+            quad = mpmath.quad(lambda x: kernel(float(x)), [a, *inner, b])
+        else:
+            quad = mpmath.quad(lambda x: kernel(float(x)), [a, b])
+    assert abs((W(b) - W(a)) - float(quad)) <= 2e-15 * float(_total_mass(kernel))
 
 
 @pytest.mark.parametrize("kernel", [k for k, _ in KERNELS_2A])
-def test_two_evaluation_table_bit_equal_to_three(kernel):
-    # the table per cell from the three-evaluation Simpson formula, grown in
-    # the same steps (to the initial 8, then to 12)
-    dx = 1.0 / DEFAULT_N_PER_UNIT
-    table = np.zeros(1)
-    for b in (8.0, 12.0):
-        lo = np.arange(len(table) - 1, math.ceil(b / dx)) * dx
-        hi = lo + dx
-        cells = (kernel(lo) + 4.0 * kernel(0.5 * (lo + hi)) + kernel(hi)) * (dx / 6.0)
-        table = np.concatenate([table, table[-1] + np.cumsum(cells)])
+def test_huge_and_infinite_queries_give_the_total_mass(kernel):
+    # O(1) at any b: no table grows to meet the query
+    mass = float(_total_mass(kernel))
     W = CumulativeKernel(kernel)
-    nodes = np.arange(len(table)) * dx
-    # at a node the query reads the table entry: the partial cell is empty
-    assert np.array_equal(W(nodes), table)
-    assert W.b_max == 12.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OutOfTableWarning)
+        tracemalloc.start()
+        try:
+            got = [W(b) for b in (1e300, math.inf, -1e300, -math.inf)]
+            arr = W(np.array([1e300, math.inf, -1e300, -math.inf]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 10_000
+    assert abs(got[0] - mass) <= 1e-15 * mass
+    assert got == [got[0], got[0], -got[0], -got[0]]
+    assert arr.tolist() == got
+
+
+@pytest.mark.parametrize("kernel", [k for k, _ in KERNELS_2A])
+def test_nan_query_gives_nan(kernel):
+    W = CumulativeKernel(kernel)
+    assert math.isnan(W(math.nan))
+    assert math.isnan(W(np.float64(math.nan)))
+    out = W(np.array([math.nan, 1.0, -math.nan]))
+    assert math.isnan(out[0]) and math.isnan(out[2])
+    assert out[1] == W(1.0)
 
 
 def test_indicator_convolution_symmetric():
