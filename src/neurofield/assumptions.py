@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import find_d, solve_delta
-from .errors import BracketFailure, InfeasibleModel, NoSuchD, NotDifferentiable
+from .bounds import DEFAULT_HORIZON, find_d, solve_delta
+from .errors import BracketFailure, InfeasibleModel, NoSuchD
 from .grids import Grid
-from .model import (Firing, HeavisideHi, HeavisideLo, Kernel, ModelParams,
-                    RatioFiring, TabulatedKernel, sample_kernel)
+from .model import Firing, Kernel, ModelParams, TabulatedKernel, sample_kernel
 from .quadrature import CumulativeKernel
 
-DEFAULT_PROBE = Grid(0.0, 40.0, 10_000)
+DEFAULT_PROBE = Grid(0.0, DEFAULT_HORIZON, 10_000)
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,9 @@ class AssumptionReport:
         }
 
 
-def _positivity_radius(kernel: Kernel, probe: Grid) -> tuple[float, float]:
-    """Largest sampled a with omega > 0 on [0, 2a], and the value at the edge."""
-    xs = probe.nodes()
-    vals = sample_kernel(kernel, xs)
+def _positivity_radius(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """Largest sampled a with omega > 0 on [0, 2a], and the value at the edge,
+    from the samples vals = omega(xs)."""
     nonpos = np.nonzero(vals <= 0.0)[0]
     if nonpos.size and nonpos[0] == 0:
         return 0.0, float(vals[0])
@@ -74,22 +72,29 @@ def _positivity_radius(kernel: Kernel, probe: Grid) -> tuple[float, float]:
     return float(edge / 2.0), float(np.min(vals[xs <= edge]))
 
 
-def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
-                      probe: Grid | None = None,
-                      W: CumulativeKernel | None = None) -> AssumptionReport:
+def _vii_violation(kernel: Kernel, xs: np.ndarray, vals: np.ndarray, d: float) -> float:
+    """Largest violation of condition (vii) on the samples vals = omega(xs):
+    the largest rise of omega between samples on [0, 2d], or the largest
+    excess over omega(2d) of a sample at x >= 2d, whichever is greater."""
+    on = xs <= 2.0 * d
+    incr = float(np.max(np.diff(vals[on]))) if np.sum(on) > 1 else 0.0
+    beyond = xs >= 2.0 * d
+    excess = float(np.max(vals[beyond] - kernel(2.0 * d))) if beyond.any() else -np.inf
+    return max(incr, excess)
+
+
+def check_assumptions(kernel: Kernel, firing: Firing,
+                      params: ModelParams) -> AssumptionReport:
     """Run the full hypothesis battery and return a per-condition report.
 
-    ``W`` is the kernel's cumulative integral, made here when not given.
     Raises InfeasibleModel (with the report attached) when the kernel mass
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """
-    probe = probe or DEFAULT_PROBE
-    xs = probe.nodes()
+    xs = DEFAULT_PROBE.nodes()
     vals = sample_kernel(kernel, xs)
-    horizon = probe.hi
+    horizon, dx = DEFAULT_HORIZON, DEFAULT_PROBE.dx
     records: list[ConditionRecord] = []
-    if W is None:
-        W = CumulativeKernel(kernel)
+    W = CumulativeKernel(kernel)
 
     # (i) integrability: truncated integral of |omega| plus a sampled tail proxy
     mass = float(np.trapezoid(np.abs(vals), xs)) * 2.0
@@ -105,8 +110,8 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
     jump = float(np.max(np.abs(np.diff(vals))))
     records.append(ConditionRecord(
         "B_ii_bounded_continuous",
-        "pass" if np.isfinite(sup) and jump <= 100.0 * sup * probe.dx + 1e-8 else "unknown",
-        witness=sup, margin=100.0 * sup * probe.dx + 1e-8 - jump,
+        "pass" if np.isfinite(sup) and jump <= 100.0 * sup * dx + 1e-8 else "unknown",
+        witness=sup, margin=100.0 * sup * dx + 1e-8 - jump,
         note="sampled boundedness and modulus of continuity"))
 
     # (iii) symmetry
@@ -116,7 +121,7 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
         witness=sym_dev, margin=1e-12 - sym_dev))
 
     # (iv) positivity radius a (largest sampled a with omega > 0 on [0, 2a])
-    a, min_on_range = _positivity_radius(kernel, probe)
+    a, min_on_range = _positivity_radius(xs, vals)
     if isinstance(kernel, TabulatedKernel):
         # the probe may step past the table edge, where omega is 0, not > 0
         a = min(a, kernel.positive_radius(horizon))
@@ -135,8 +140,8 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
     if margin_v > 0.0:
         # (vi) existence of d with u_plus(d) = h, delegated to the bounds solvers
         try:
-            delta_plus = solve_delta(kernel, params.h + params.tau, W=W, a=a)
-            d = find_d(kernel, delta_plus, params.h, W=W, a=a)
+            delta_plus = solve_delta(W, params.h + params.tau, a)
+            d = find_d(W, delta_plus, params.h, a)
             records.append(ConditionRecord(
                 "B_vi_d_exists", "pass", witness=d, margin=a - d))
         except (BracketFailure, NoSuchD) as exc:
@@ -148,22 +153,18 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
 
     # (vii) omega decreasing on [0, 2d], dominated by omega(2d) beyond
     if d is not None:
-        on = xs <= 2.0 * d
-        incr = float(np.max(np.diff(vals[on]))) if np.sum(on) > 1 else 0.0
-        w2d = float(kernel(2.0 * d))
-        beyond = xs >= 2.0 * d
-        excess = float(np.max(vals[beyond] - w2d)) if beyond.any() else 0.0
-        ok = incr <= 1e-12 and excess <= 1e-12
+        # 2d <= 2a <= horizon, so the last sample lies beyond 2d
+        violation = _vii_violation(kernel, xs, vals, d)
         records.append(ConditionRecord(
-            "B_vii_decreasing_dominated", "pass" if ok else "fail",
-            witness=2.0 * d, margin=-max(incr, excess),
+            "B_vii_decreasing_dominated", "pass" if violation <= 1e-12 else "fail",
+            witness=2.0 * d, margin=-violation,
             note=f"tail checked up to the probe horizon {horizon}"))
     else:
         records.append(ConditionRecord(
             "B_vii_decreasing_dominated", "unknown", note="no d available"))
 
     # smoothness and decay extras: (i) essentially bounded derivative
-    diffs = np.abs(np.diff(vals)) / probe.dx
+    diffs = np.abs(np.diff(vals)) / dx
     deriv_sup = float(np.max(diffs))
     records.append(ConditionRecord(
         "thmB_i_deriv_bounded", "pass" if np.isfinite(deriv_sup) else "unknown",
@@ -178,22 +179,14 @@ def check_assumptions(kernel: Kernel, firing: Firing, params: ModelParams,
         note=f"judged at the probe horizon {horizon}"))
 
     # (iii) f continuously differentiable with Holder derivative
-    if isinstance(firing, RatioFiring):
-        if firing.p > 1.0:
-            mu = firing.holder_exponent
-            records.append(ConditionRecord(
-                "thmB_iii_firing_smooth", "pass", witness=mu,
-                note=f"ratio family with p={firing.p}: C^1 with mu=min(1, p-1)"))
-        else:
-            records.append(ConditionRecord(
-                "thmB_iii_firing_smooth", "fail", witness=firing.p,
-                note="ratio family needs p > 1 for a continuous derivative"))
-    elif isinstance(firing, (HeavisideLo, HeavisideHi)):
+    if firing.p > 1.0:
         records.append(ConditionRecord(
-            "thmB_iii_firing_smooth", "fail",
-            note="Heaviside comparison rates are not differentiable"))
-    else:  # pragma: no cover - future firing variants
-        records.append(ConditionRecord("thmB_iii_firing_smooth", "unknown"))
+            "thmB_iii_firing_smooth", "pass", witness=firing.holder_exponent,
+            note=f"ratio family with p={firing.p}: C^1 with mu=min(1, p-1)"))
+    else:
+        records.append(ConditionRecord(
+            "thmB_iii_firing_smooth", "fail", witness=firing.p,
+            note="ratio family needs p > 1 for a continuous derivative"))
 
     report = AssumptionReport(tuple(records), a=a, d=d, horizon=horizon,
                               extras={"h": params.h, "tau": params.tau})
@@ -216,14 +209,7 @@ def check_lemma1_equivalence(kernel: Kernel, d: float, probe: Grid | None = None
         raise ValueError(f"need d > 0, got d={d}")
     probe = probe or DEFAULT_PROBE
     xs = probe.nodes()
-    vals = np.asarray(kernel(xs))
-
-    on = xs <= 2.0 * d
-    incr = float(np.max(np.diff(vals[on]))) if np.sum(on) > 1 else 0.0
-    w2d = float(kernel(2.0 * d))
-    beyond = xs >= 2.0 * d
-    excess = float(np.max(vals[beyond] - w2d)) if beyond.any() else -np.inf
-    vii_violation = max(incr, excess)
+    vii_violation = _vii_violation(kernel, xs, np.asarray(kernel(xs)), d)
 
     x_samples = d + np.linspace(probe.dx, probe.hi - d, n_sample)
     y_samples = np.linspace(-d, d, n_sample)

@@ -16,8 +16,11 @@ from .grids import Grid, Profile, quadrature_weights
 from .model import Kernel, ModelParams
 from .quadrature import CumulativeKernel, indicator_convolution
 
-#: default probe horizon bounding the search for the positivity radius a
+#: probe horizon bounding the search for the positivity radius a
 DEFAULT_HORIZON = 40.0
+
+#: absolute tolerance of the bisections for delta_minus, delta_plus and d
+BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,18 +73,12 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
     raise NoConvergence("bisection did not converge in 200 steps")
 
 
-def solve_delta(kernel: Kernel, level: float, tol: float = 1e-12,
-                W: CumulativeKernel | None = None, a: float | None = None,
-                horizon: float = DEFAULT_HORIZON) -> float:
+def solve_delta(W: CumulativeKernel, level: float, a: float) -> float:
     """Half-width delta with W(2 delta) = level, by bisection on [0, a].
 
     W is strictly increasing on [0, 2a] since omega > 0 there, so bisection
     converges unconditionally.
     """
-    if W is None:
-        W = CumulativeKernel(kernel)
-    if a is None:
-        a = kernel.positive_radius(horizon)
     if not 0.0 < level:
         raise BracketFailure(f"need level > 0, got {level}")
     top = W(2.0 * a)
@@ -89,45 +86,35 @@ def solve_delta(kernel: Kernel, level: float, tol: float = 1e-12,
         raise BracketFailure(
             f"level {level} is not below the kernel mass W(2a) = {top:.6g}"
         )
-    return _bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=tol / 4.0)
+    return _bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=BISECT_TOL / 4.0)
 
 
-def find_d(kernel: Kernel, delta_plus: float, h: float, tol: float = 1e-12,
-           W: CumulativeKernel | None = None, a: float | None = None,
-           horizon: float = DEFAULT_HORIZON) -> float:
+def find_d(W: CumulativeKernel, delta_plus: float, h: float, a: float) -> float:
     """Radius d in (delta_plus, a] with u_plus(d) = h, by bisection.
 
     u_plus(delta_plus) = h + tau > h by construction, and u_plus decreases
     beyond delta_plus, so the bracket is monotone.
     """
-    if W is None:
-        W = CumulativeKernel(kernel)
-    if a is None:
-        a = kernel.positive_radius(horizon)
     if indicator_convolution(W, delta_plus, a) > h:
         raise NoSuchD(
             f"u_plus never falls to h={h} on ({delta_plus:.6g}, {a:.6g}]"
         )
     return _bisect(lambda x: indicator_convolution(W, delta_plus, x) - h,
-                   delta_plus, a, xtol=tol / 4.0)
+                   delta_plus, a, xtol=BISECT_TOL / 4.0)
 
 
-def build_bounds(kernel: Kernel, params: ModelParams, n: int, tol: float = 1e-12,
-                 horizon: float = DEFAULT_HORIZON,
-                 W: CumulativeKernel | None = None) -> BumpBounds:
+def build_bounds(kernel: Kernel, params: ModelParams, n: int) -> BumpBounds:
     """Assemble the sandwich: solve for both deltas and d, sample u_minus, u_plus on [-d, d].
 
     The grid has n subintervals (n must be even so 0 and +-d are nodes).
-    ``W`` is the kernel's cumulative integral, made here when not given.
     """
     if n % 2 != 0:
         raise ValueError(f"need an even subinterval count for a symmetric grid, got n={n}")
-    if W is None:
-        W = CumulativeKernel(kernel)
-    a = kernel.positive_radius(horizon)
-    delta_minus = solve_delta(kernel, params.h, tol=tol, W=W, a=a)
-    delta_plus = solve_delta(kernel, params.h + params.tau, tol=tol, W=W, a=a)
-    d = find_d(kernel, delta_plus, params.h, tol=tol, W=W, a=a)
+    W = CumulativeKernel(kernel)
+    a = kernel.positive_radius(DEFAULT_HORIZON)
+    delta_minus = solve_delta(W, params.h, a)
+    delta_plus = solve_delta(W, params.h + params.tau, a)
+    d = find_d(W, delta_plus, params.h, a)
     grid = Grid(-d, d, n)
     xs = grid.nodes()
     u_minus = Profile(grid, indicator_convolution(W, delta_minus, xs))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
-from .bounds import BumpBounds, build_bounds
+from .bounds import BISECT_TOL, BumpBounds, build_bounds
 from .dynamics import SimConfig, instability_experiment
 from .errors import (ConfigError, InfeasibleModel, NeurofieldError, NoEscape,
                      NotDifferentiable, PerturbationTooLarge, StageDependencyError)
@@ -38,7 +38,6 @@ from .fixedpoint import (FixedPointResult, OperatorContext, compute_epsilon,
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
                     ModelParams, RatioFiring, TabulatedKernel)
-from .quadrature import CumulativeKernel
 from .spectral import (Linearization, instability_certificate,
                        remainder_exponent_fit, spectra_equivalence_check,
                        spectral_radius, translation_mode_check)
@@ -183,8 +182,7 @@ class Run:
 
     Each stage (``check``, ``bounds``, ``solve``, ``spectrum``) is computed on
     first use and kept, so ``certify`` computes every stage once and a single
-    command computes only the stages it needs.  The check and the bounds share
-    one cumulative kernel integral W, which the bounds stage drops.
+    command computes only the stages it needs.
     """
 
     def __init__(self, cfg: dict, base: Path):
@@ -209,27 +207,20 @@ class Run:
         return build_objects(self.cfg, self.base)
 
     @cached_property
-    def cumulative(self) -> CumulativeKernel:
-        return CumulativeKernel(self.model[0])
-
-    @cached_property
     def check(self) -> AssumptionReport:
-        return check_assumptions(*self.model, W=self.cumulative)
+        return check_assumptions(*self.model)
 
     @cached_property
     def bounds(self) -> BumpBounds:
         kernel, _, params = self.model
-        W = self.cumulative
-        # no later stage reads W; the run would keep it alive through them
-        del self.cumulative
         gsec = self.cfg.get("grid", {})
         if "n" in gsec:
             n = int(gsec["n"])
         else:
             # d does not depend on n, so the smallest grid gives it cheaply
-            d = build_bounds(kernel, params, 2, W=W).d
+            d = build_bounds(kernel, params, 2).d
             n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
-        return build_bounds(kernel, params, n + (n % 2), W=W)
+        return build_bounds(kernel, params, n + (n % 2))
 
     @cached_property
     def solve(self) -> Solved:
@@ -268,7 +259,7 @@ class Run:
         # each Lanczos eigensolve runs once: the power iteration's cross-check
         # and the spectra comparison share the big grid's eigenvalues
         eigs_big = lin_big.eigenvalues(top_k)
-        lam, v = spectral_radius(lin_big, tol=psec.get("power_tol", 1e-13), eigs=eigs_big)
+        lam, v = spectral_radius(lin_big, eigs_big, tol=psec.get("power_tol", 1e-13))
         eigs = lin.eigenvalues(top_k)
         trans = translation_mode_check(ctx, fp.u_star, lin)
         equiv_dev, _ = spectra_equivalence_check(eigs, eigs_big, top_k)
@@ -338,7 +329,7 @@ def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):
         "config_hash": run.config_hash("bounds"),
         "delta_minus": bb.delta_minus, "delta_plus": bb.delta_plus, "d": bb.d,
         "h": params.h, "tau": params.tau, "n": bb.grid.n,
-        "tolerance": 1e-12,
+        "tolerance": BISECT_TOL,
     }
     write_json(out / "bounds.json", payload)
     if not quiet:

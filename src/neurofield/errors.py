@@ -5,10 +5,6 @@ class NeurofieldError(Exception):
     """Base class for all toolkit errors."""
 
 
-class IncompatibleRule(NeurofieldError):
-    """Quadrature rule cannot be applied to this grid (e.g. Simpson with odd n)."""
-
-
 class NotDifferentiable(NeurofieldError):
     """Derivative requested from a firing rate that does not have one."""
 

@@ -11,7 +11,7 @@ import numpy as np
 from .bounds import BumpBounds
 from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
                      NewtonDivergence)
-from .grids import Grid, Profile, TRAPEZOID, quadrature_weights
+from .grids import Grid, Profile, quadrature_weights
 from .model import Firing, Kernel, ModelParams, TabulatedKernel, sample_kernel
 
 #: largest grid for which ``OperatorContext.kernel_matrix``, a test oracle that
@@ -35,6 +35,17 @@ SPECTRUM_CACHE_SIZE = 8
 GMRES_RTOL = 1e-14
 GMRES_RESTART = 60
 GMRES_MAX_RESTARTS = 5
+
+#: compute_epsilon halves its margin at most this many times
+EPSILON_HALVINGS = 60
+
+#: Newton starts lam * u_minus + (1 - lam) * u_plus, tried in this order
+NEWTON_MIXES = (0.5, 0.35, 0.65, 0.25, 0.75)
+
+#: the extension grid ends where the kernel's reach from [-d, d], omega * 2d,
+#: is at most TAIL_TOL; the tail search gives up past TAIL_SEARCH_LIMIT
+TAIL_TOL = 1e-10
+TAIL_SEARCH_LIMIT = 1e4
 
 
 def fast_fft_len(m: int) -> int:
@@ -73,7 +84,7 @@ class OperatorContext:
     """
 
     def __init__(self, kernel: Kernel, firing: Firing, params: ModelParams,
-                 grid: Grid, rule: str = TRAPEZOID):
+                 grid: Grid):
         if not grid.symmetric:
             raise ValueError("operator grid must be symmetric about 0")
         if grid.n % 2 != 0:
@@ -82,8 +93,7 @@ class OperatorContext:
         self.firing = firing
         self.params = params
         self.grid = grid
-        self.rule = rule
-        self.weights = quadrature_weights(grid, rule)
+        self.weights = quadrature_weights(grid)
         self._nodes = grid.nodes()
         self._dense: np.ndarray | None = None
         # (lo, hi, last) -> (transform length, rfft of the lag line, max |line|)
@@ -226,8 +236,7 @@ def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,
     return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:count]
 
 
-def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,
-                    max_halvings: int = 60) -> float:
+def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
     """Largest margin in the ladder eps0 * 2^-k certifying the strict sandwich.
 
     Requires, on the grid: T(u_minus + eps) stays strictly below u_minus + eps,
@@ -235,7 +244,7 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds,
     strictly ordered.
     """
     eps = bb.gap_norm() / 4.0
-    for _ in range(max_halvings):
+    for _ in range(EPSILON_HALVINGS):
         lo = bb.u_minus.values + eps
         hi = bb.u_plus.values - eps
         ok = (np.min(lo - ctx.apply_T_values(lo)) > 0.0
@@ -337,8 +346,8 @@ def newton_step(ctx: OperatorContext, v: np.ndarray, r: np.ndarray) -> np.ndarra
     return gmres(lambda s: s - ctx.apply_weighted(gain * _mirror(s))[mid:], r)
 
 
-def _newton_even(ctx: OperatorContext, bb: BumpBounds, u0: np.ndarray,
-                 tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
+                 max_iter: int) -> tuple[np.ndarray, int]:
     """Damped Newton for u = Tu on the even-symmetric subspace.
 
     Unknowns are the node values at x >= 0; the mirror image fixes the rest and
@@ -377,7 +386,6 @@ def _newton_even(ctx: OperatorContext, bb: BumpBounds, u0: np.ndarray,
 def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
                             tol: float = 1e-10, max_iter: int = 60,
                             degeneracy_threshold: float = 1e-2,
-                            mixes: tuple[float, ...] = (0.5, 0.35, 0.65, 0.25, 0.75),
                             epsilon: float | None = None) -> FixedPointResult:
     """Find the interior fixed point separated from both bounding profiles.
 
@@ -388,10 +396,10 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
     gap = bb.gap_norm()
     sep_min = degeneracy_threshold * gap
     last_exc: Exception | None = None
-    for lam in mixes:
+    for lam in NEWTON_MIXES:
         u0 = lam * bb.u_minus.values + (1.0 - lam) * bb.u_plus.values
         try:
-            u, iters = _newton_even(ctx, bb, u0, tol, max_iter)
+            u, iters = _newton_even(ctx, u0, tol, max_iter)
         except NewtonDivergence as exc:
             last_exc = exc
             continue
@@ -405,26 +413,25 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
         resid = float(np.max(np.abs(u - ctx.apply_T_values(u))))
         return FixedPointResult(Profile(ctx.grid, u), resid, iters,
                                 d_lo, d_hi, epsilon_used=epsilon)
-    raise last_exc if last_exc is not None else NewtonDivergence("no Newton run converged")
+    raise last_exc
 
 
-def tail_extension(kernel: Kernel, d: float, tol: float = 1e-10,
-                   search_limit: float = 1e4) -> float:
-    """Smallest x_tail with sup_{y in [-d,d]} omega(x - y) * 2d <= tol for x >= d + x_tail.
+def tail_extension(kernel: Kernel, d: float) -> float:
+    """Smallest x_tail with sup_{y in [-d,d]} omega(x - y) * 2d <= TAIL_TOL for x >= d + x_tail.
 
     For a kernel decreasing in |x| beyond its core the supremum sits at y = d,
-    so x_tail solves omega(x_tail) * 2d = tol on the decreasing branch.  A
+    so x_tail solves omega(x_tail) * 2d = TAIL_TOL on the decreasing branch.  A
     tabulated kernel is 0 past its table, so the search ends at the table's
     edge and never evaluates beyond it.
     """
-    target = tol / (2.0 * d)
+    target = TAIL_TOL / (2.0 * d)
     edge = kernel.grid.hi if isinstance(kernel, TabulatedKernel) else math.inf
     x = d
     while float(kernel(min(x, edge))) > target:
         if x >= edge:
             return edge
         x *= 2.0
-        if x > search_limit:
+        if x > TAIL_SEARCH_LIMIT:
             raise ValueError("kernel tail does not decay below the truncation target")
     lo, hi = x / 2.0, min(x, edge)
     for _ in range(200):
@@ -436,7 +443,7 @@ def tail_extension(kernel: Kernel, d: float, tol: float = 1e-10,
     return hi
 
 
-def make_extension_grid(kernel: Kernel, grid_d: Grid, tail_tol: float = 1e-10,
+def make_extension_grid(kernel: Kernel, grid_d: Grid,
                         L_override: float | None = None) -> Grid:
     """Grid on [-L, L] with the same spacing, embedding the [-d, d] nodes.
 
@@ -444,7 +451,7 @@ def make_extension_grid(kernel: Kernel, grid_d: Grid, tail_tol: float = 1e-10,
     """
     d = grid_d.hi
     dx = grid_d.dx
-    x_tail = (L_override - d) if L_override is not None else tail_extension(kernel, d, tail_tol)
+    x_tail = (L_override - d) if L_override is not None else tail_extension(kernel, d)
     if x_tail <= 0.0:
         raise ValueError("extension length must be positive")
     extra = int(math.ceil(x_tail / dx - 1e-12))
@@ -452,9 +459,9 @@ def make_extension_grid(kernel: Kernel, grid_d: Grid, tail_tol: float = 1e-10,
     return Grid(-L, L, grid_d.n + 2 * extra)
 
 
-def embed_offset(small: Grid, big: Grid, tol: float = 1e-9) -> int:
+def embed_offset(small: Grid, big: Grid) -> int:
     """Index of the small grid's first node inside the big grid."""
-    if abs(small.dx - big.dx) > tol * big.dx:
+    if abs(small.dx - big.dx) > 1e-9 * big.dx:
         raise GridMisaligned(f"spacings differ: {small.dx} vs {big.dx}")
     off = (small.lo - big.lo) / big.dx
     k = round(off)

@@ -1,17 +1,10 @@
-"""Uniform grids, sampled profiles, and composite quadrature rules."""
+"""Uniform grids, sampled profiles, and the composite trapezoid rule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import IncompatibleRule
-
-TRAPEZOID = "trapezoid"
-SIMPSON = "simpson"
-
-_RULES = (TRAPEZOID, SIMPSON)
 
 
 @dataclass(frozen=True)
@@ -66,27 +59,8 @@ class Profile:
         return float(np.max(np.abs(self.values)))
 
 
-def quadrature_weights(grid: Grid, rule: str = TRAPEZOID) -> np.ndarray:
-    """Composite quadrature weights on the grid nodes."""
-    if rule not in _RULES:
-        raise IncompatibleRule(f"unknown rule {rule!r}")
-    if rule == SIMPSON and grid.n % 2 != 0:
-        raise IncompatibleRule(f"simpson needs an even number of subintervals, got n={grid.n}")
+def quadrature_weights(grid: Grid) -> np.ndarray:
+    """Composite trapezoid weights on the grid nodes."""
     w = np.full(grid.n + 1, grid.dx)
-    if rule == TRAPEZOID:
-        w[0] = w[-1] = grid.dx / 2.0
-    else:
-        w[:] = grid.dx / 3.0
-        w[1:-1:2] *= 4.0
-        w[2:-1:2] *= 2.0
+    w[0] = w[-1] = grid.dx / 2.0
     return w
-
-
-def integrate(p: Profile, rule: str = TRAPEZOID) -> float:
-    """Composite quadrature approximation of the integral of p over its interval."""
-    return float(np.dot(quadrature_weights(p.grid, rule), p.values))
-
-
-def sample(grid: Grid, fn) -> Profile:
-    """Sample a vectorized callable on the grid nodes."""
-    return Profile(grid, np.asarray(fn(grid.nodes()), dtype=float))

@@ -256,41 +256,7 @@ class RatioFiring:
         return min(1.0, self.p - 1.0)
 
 
-@dataclass(frozen=True)
-class HeavisideLo:
-    """Indicator of (0, inf); comparison rate generating the lower bound profile."""
-
-    tag = "heaviside_lo"
-
-    def __call__(self, u):
-        out = (np.asarray(u, dtype=float) > 0.0).astype(float)
-        return out if out.ndim else float(out)
-
-    def deriv(self, u):
-        raise NotDifferentiable("Heaviside firing rate has no derivative")
-
-
-@dataclass(frozen=True)
-class HeavisideHi:
-    """Indicator of (tau, inf); comparison rate generating the upper bound profile."""
-
-    tau: float
-
-    tag = "heaviside_hi"
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"need tau > 0, got tau={self.tau}")
-
-    def __call__(self, u):
-        out = (np.asarray(u, dtype=float) > self.tau).astype(float)
-        return out if out.ndim else float(out)
-
-    def deriv(self, u):
-        raise NotDifferentiable("Heaviside firing rate has no derivative")
-
-
-Firing = RatioFiring | HeavisideLo | HeavisideHi
+Firing = RatioFiring
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,14 @@ LANCZOS_SEED = 20111212
 #: LANCZOS_TOL times the largest Ritz value
 LANCZOS_TOL = 1e-13
 
+#: power iteration gives up after this many products
+POWER_MAX_ITER = 100_000
+
+#: certificate thresholds: the translation-mode residual and the relative
+#: deviation of the restricted from the whole-line spectrum
+TRANSLATION_TOL = 5e-3
+EQUIVALENCE_TOL = 1e-6
+
 
 def lanczos(matvec, m: int, k: int) -> np.ndarray:
     """The min(k, m) eigenvalues of largest magnitude, descending, of the
@@ -115,20 +123,17 @@ class Linearization:
         return lanczos(sym, idx.size, k)
 
 
-def spectral_radius(lin: Linearization, tol: float = 1e-13,
-                    max_iter: int = 100_000,
-                    eigs: np.ndarray | None = None) -> tuple[float, Profile]:
+def spectral_radius(lin: Linearization, eigs: np.ndarray,
+                    tol: float = 1e-13) -> tuple[float, Profile]:
     """Dominant eigenvalue by power iteration from the constant-1 vector.
 
     The eigenvector is normalized to sup-norm 1 with its largest entry
-    positive.  The result is cross-checked against the top Lanczos eigenvalue
-    of the support block: ``eigs`` when the caller already holds
-    ``lin.eigenvalues()``, else a fresh eigensolve.
+    positive.  The result is cross-checked against ``eigs``, the top Lanczos
+    eigenvalues ``lin.eigenvalues(k)`` of the support block.
     """
-    n = lin.grid.n_nodes
-    v = np.ones(n)
+    v = np.ones(lin.grid.n_nodes)
     lam = 0.0
-    for it in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = lin.matvec(v)
         norm = float(np.max(np.abs(w)))
         if norm == 0.0:
@@ -145,12 +150,10 @@ def spectral_radius(lin: Linearization, tol: float = 1e-13,
         lam = lam_new
     else:
         raise PowerIterationStall(
-            f"dominant eigenvalue did not settle in {max_iter} iterations "
+            f"dominant eigenvalue did not settle in {POWER_MAX_ITER} iterations "
             "(near-degenerate dominant pair?)")
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    if eigs is None:
-        eigs = lin.eigenvalues(1)
     top = float(eigs[0]) if eigs.size else 0.0
     if abs(top - lam) > 1e-7 * max(abs(top), 1.0):
         raise PowerIterationStall(
@@ -227,9 +230,7 @@ def instability_certificate(spectral_radius_value: float,
                             remainder_exponent: float,
                             mu: float,
                             equivalence_deviation: float,
-                            power_vs_dense: float | None = None,
-                            translation_tol: float = 5e-3,
-                            equivalence_tol: float = 1e-6) -> dict:
+                            power_vs_dense: float | None = None) -> dict:
     """Aggregate the spectral checks into a pass/fail verdict record.
 
     Passing certifies, at the discrete level, the chain: spectral radius above
@@ -243,9 +244,9 @@ def instability_certificate(spectral_radius_value: float,
     items = {
         "spectral_radius_above_one": spectral_radius_value > 1.0,
         "principal_vector_one_signed": bool(one_signed),
-        "translation_mode": translation_residual <= translation_tol,
+        "translation_mode": translation_residual <= TRANSLATION_TOL,
         "remainder_superlinear": remainder_exponent >= 1.0 + mu - 0.1,
-        "spectra_equivalence": equivalence_deviation <= equivalence_tol,
+        "spectra_equivalence": equivalence_deviation <= EQUIVALENCE_TOL,
     }
     if power_vs_dense is not None:
         items["power_vs_dense_agreement"] = power_vs_dense <= 1e-8

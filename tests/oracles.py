@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from neurofield.errors import GridMisaligned, NeurofieldError, NoConvergence
-from neurofield.grids import TRAPEZOID, Grid, Profile, quadrature_weights
+from neurofield.grids import Grid, Profile, quadrature_weights
 
 
 class ShiftOutOfRange(NeurofieldError):
@@ -25,14 +25,23 @@ def dense_linearization(lin):
     return lin.ctx.kernel_matrix() * (lin.weights * lin.gains)[None, :]
 
 
-def apply_integral_operator(kernel, weight: Profile, targets: Grid,
-                            rule: str = TRAPEZOID) -> Profile:
+def sample(grid: Grid, fn) -> Profile:
+    """Sample a vectorized callable on the grid nodes."""
+    return Profile(grid, np.asarray(fn(grid.nodes()), dtype=float))
+
+
+def integrate(p: Profile) -> float:
+    """Composite trapezoid approximation of the integral of p over its interval."""
+    return float(np.dot(quadrature_weights(p.grid), p.values))
+
+
+def apply_integral_operator(kernel, weight: Profile, targets: Grid) -> Profile:
     """Nystrom application: x -> integral of omega(x - y) weight(y) dy at the target nodes.
 
     Direct quadrature-weighted summation, chunked over target nodes to bound the
     size of the kernel-difference block.
     """
-    w = quadrature_weights(weight.grid, rule)
+    w = quadrature_weights(weight.grid)
     src = weight.grid.nodes()
     wv = w * weight.values
     tgt = targets.nodes()

@@ -13,18 +13,19 @@ import pytest
 
 from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU, P,
                       W_exp)
-from neurofield.bounds import (build_bounds, find_d, solve_delta,
-                               verify_heaviside_stationarity)
+from neurofield.bounds import (DEFAULT_HORIZON, build_bounds, find_d,
+                               solve_delta, verify_heaviside_stationarity)
 from neurofield.dynamics import RK4, SimConfig, instability_experiment, simulate
 from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    extend_bump, make_extension_grid,
                                    solve_third_fixed_point)
-from neurofield.grids import Grid, Profile, TRAPEZOID, integrate, sample
+from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring)
+from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import (Linearization, remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius)
-from oracles import dense_eigenvalues, monotone_iterate
+from oracles import dense_eigenvalues, integrate, monotone_iterate, sample
 
 
 def report(name, ok, detail=""):
@@ -37,9 +38,10 @@ def report(name, ok, detail=""):
 def test_criterion_01_bound_constants():
     t0 = time.perf_counter()
     kernel = ExponentialKernel()
-    dm = solve_delta(kernel, H)
-    dp = solve_delta(kernel, H + TAU)
-    d = find_d(kernel, dp, H)
+    W, a = CumulativeKernel(kernel), kernel.positive_radius(DEFAULT_HORIZON)
+    dm = solve_delta(W, H, a)
+    dp = solve_delta(W, H + TAU, a)
+    d = find_d(W, dp, H, a)
     elapsed = time.perf_counter() - t0
     errs = (abs(dm - DELTA_MINUS_EXACT), abs(dp - DELTA_PLUS_EXACT),
             abs(d - D_EXACT))
@@ -114,7 +116,7 @@ def test_criterion_05_instability_certificate(ref_power, coarse_setup):
     one_signed = float(np.min(v) * np.max(v)) >= -1e-10
     # power iteration vs dense eigensolve on the small setup
     lin_small = Linearization(coarse_setup["ctx_big"], coarse_setup["u_tilde"])
-    lam_small, _ = spectral_radius(lin_small)
+    lam_small, _ = spectral_radius(lin_small, lin_small.eigenvalues(1))
     dense_small = float(dense_eigenvalues(lin_small)[0])
     agree = abs(lam_small - dense_small)
     ok = lam >= 1.01 and one_signed and agree <= 1e-8
@@ -188,7 +190,7 @@ def test_criterion_10_numerical_substrate(coarse_setup):
     errs = []
     for n in (40, 80):
         p = sample(Grid(-2.0, 2.0, n), lambda x: np.exp(-x * x))
-        errs.append(abs(integrate(p, TRAPEZOID) - exact))
+        errs.append(abs(integrate(p) - exact))
     trap_order = math.log2(errs[0] / errs[1])
 
     # rk4 self-convergence against a dt/16 reference on the coarse bump

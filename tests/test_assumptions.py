@@ -8,8 +8,8 @@ from neurofield.assumptions import (check_assumptions,
 from neurofield.errors import InfeasibleModel
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              HeavisideLo, MexicanHatKernel, ModelParams,
-                              RatioFiring, TabulatedKernel)
+                              MexicanHatKernel, ModelParams, RatioFiring,
+                              TabulatedKernel)
 
 
 FEASIBLE = [
@@ -59,9 +59,6 @@ def test_nonsmooth_firing_flagged():
                             ModelParams(0.1, 0.2))
     assert rep.condition("thmB_iii_firing_smooth").status == "fail"
     assert rep.verdict == "fail"
-    rep = check_assumptions(ExponentialKernel(), HeavisideLo(),
-                            ModelParams(0.1, 0.2))
-    assert rep.condition("thmB_iii_firing_smooth").status == "fail"
 
 
 @pytest.mark.parametrize("kernel,d", [

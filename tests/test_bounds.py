@@ -8,7 +8,7 @@ import pytest
 from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
                       W_exp)
 from neurofield.assumptions import check_assumptions
-from neurofield.bounds import (DEFAULT_HORIZON, BumpBounds, _bisect,
+from neurofield.bounds import (BISECT_TOL, DEFAULT_HORIZON, BumpBounds, _bisect,
                                build_bounds, find_d, solve_delta,
                                verify_heaviside_stationarity)
 from neurofield.errors import BracketFailure, NoSuchD, OutOfTableWarning
@@ -19,33 +19,37 @@ from neurofield.model import (ExponentialKernel, GaussianKernel,
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
 
 
+def _W_and_a(kernel):
+    """The cumulative integral and the positivity radius that build_bounds uses."""
+    return CumulativeKernel(kernel), kernel.positive_radius(DEFAULT_HORIZON)
+
+
 def test_solve_delta_closed_forms():
-    k = ExponentialKernel()
-    assert solve_delta(k, H) == pytest.approx(DELTA_MINUS_EXACT, abs=1e-10)
-    assert solve_delta(k, H + TAU) == pytest.approx(DELTA_PLUS_EXACT, abs=1e-10)
+    W, a = _W_and_a(ExponentialKernel())
+    assert solve_delta(W, H, a) == pytest.approx(DELTA_MINUS_EXACT, abs=1e-10)
+    assert solve_delta(W, H + TAU, a) == pytest.approx(DELTA_PLUS_EXACT, abs=1e-10)
 
 
 def test_solve_delta_round_trip():
-    k = GaussianKernel()
-    W = CumulativeKernel(k)
+    W, a = _W_and_a(GaussianKernel())
     for level in (0.05, 0.2, 0.6):
-        delta = solve_delta(k, level, W=W)
+        delta = solve_delta(W, level, a)
         assert W(2.0 * delta) == pytest.approx(level, abs=1e-10)
 
 
 def test_solve_delta_monotone_in_level():
-    k = GaussianKernel()
-    W = CumulativeKernel(k)
-    deltas = [solve_delta(k, lv, W=W) for lv in (0.05, 0.1, 0.3, 0.6)]
+    W, a = _W_and_a(GaussianKernel())
+    deltas = [solve_delta(W, lv, a) for lv in (0.05, 0.1, 0.3, 0.6)]
     assert np.all(np.diff(deltas) > 0.0)
 
 
 def test_solve_delta_bracket_failure():
     # exponential kernel mass is 1, so level 1.5 is out of reach
+    W, a = _W_and_a(ExponentialKernel())
     with pytest.raises(BracketFailure):
-        solve_delta(ExponentialKernel(), 1.5)
+        solve_delta(W, 1.5, a)
     with pytest.raises(BracketFailure):
-        solve_delta(ExponentialKernel(), -0.1)
+        solve_delta(W, -0.1, a)
 
 
 @pytest.mark.parametrize("kernel, params", [
@@ -55,16 +59,15 @@ def test_solve_delta_bracket_failure():
 ])
 def test_bisection_bit_equal_to_scipy(kernel, params):
     from scipy.optimize import bisect
-    W = CumulativeKernel(kernel)
-    a = kernel.positive_radius(DEFAULT_HORIZON)
-    xtol = 1e-12 / 4.0
+    W, a = _W_and_a(kernel)
+    xtol = BISECT_TOL / 4.0
     for level in (params.h, params.h + params.tau):
         expected = bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=xtol, maxiter=200)
-        assert solve_delta(kernel, level, W=W, a=a) == expected
-    delta_plus = solve_delta(kernel, params.h + params.tau, W=W, a=a)
+        assert solve_delta(W, level, a) == expected
+    delta_plus = solve_delta(W, params.h + params.tau, a)
     expected = bisect(lambda x: indicator_convolution(W, delta_plus, x) - params.h,
                       delta_plus, a, xtol=xtol, maxiter=200)
-    assert find_d(kernel, delta_plus, params.h, W=W, a=a) == expected
+    assert find_d(W, delta_plus, params.h, a) == expected
 
 
 def test_bisection_rejects_non_bracketing_interval():
@@ -73,20 +76,18 @@ def test_bisection_rejects_non_bracketing_interval():
 
 
 def test_find_d_closed_form():
-    k = ExponentialKernel()
-    d = find_d(k, DELTA_PLUS_EXACT, H)
+    W, a = _W_and_a(ExponentialKernel())
+    d = find_d(W, DELTA_PLUS_EXACT, H, a)
     assert d == pytest.approx(D_EXACT, abs=1e-10)
     # u_plus(d) = h by construction
-    W = CumulativeKernel(k)
     assert W(d + DELTA_PLUS_EXACT) - W(d - DELTA_PLUS_EXACT) == pytest.approx(
         H, abs=1e-10)
 
 
 def test_find_d_gaussian_cross_check():
-    k = GaussianKernel()
-    W = CumulativeKernel(k)
-    delta_plus = solve_delta(k, H + TAU, W=W)
-    d = find_d(k, delta_plus, H, W=W)
+    W, a = _W_and_a(GaussianKernel())
+    delta_plus = solve_delta(W, H + TAU, a)
+    d = find_d(W, delta_plus, H, a)
     # dense-scan cross-check of the root
     xs = np.linspace(delta_plus, 10.0, 2_000_001)
     vals = W(xs + delta_plus) - W(xs - delta_plus)
@@ -95,10 +96,10 @@ def test_find_d_gaussian_cross_check():
 
 
 def test_find_d_no_such_d():
-    # restrict the horizon so u_plus stays above h on the admitted range
-    k = ExponentialKernel()
+    # restrict a so u_plus stays above h on the admitted range
+    W = CumulativeKernel(ExponentialKernel())
     with pytest.raises(NoSuchD):
-        find_d(k, DELTA_PLUS_EXACT, H, horizon=1.2)
+        find_d(W, DELTA_PLUS_EXACT, H, a=0.6)
 
 
 def test_build_bounds_reference():
@@ -117,38 +118,15 @@ def test_build_bounds_reference():
     assert np.max(np.abs(bb.u_minus.values - bb.u_minus.values[::-1])) < 1e-14
 
 
-@pytest.mark.parametrize("kernel, params", [
-    (ExponentialKernel(), ModelParams(0.1, 0.2)),
-    (GaussianKernel(), ModelParams(0.1, 0.2)),
-    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
-])
-def test_shared_table_matches_fresh_tables(kernel, params):
-    # a run builds one table for the check, the grid-size probe and the bounds
-    firing = RatioFiring(2.0, params.tau)
-    W = CumulativeKernel(kernel)
-    shared = [check_assumptions(kernel, firing, params, W=W),
-              build_bounds(kernel, params, 2, W=W), build_bounds(kernel, params, 200, W=W)]
-    fresh = [check_assumptions(kernel, firing, params),
-             build_bounds(kernel, params, 2), build_bounds(kernel, params, 200)]
-    assert shared[0].to_dict() == fresh[0].to_dict()
-    for got, want in zip(shared[1:], fresh[1:]):
-        assert (got.delta_minus, got.delta_plus, got.d) == (
-            want.delta_minus, want.delta_plus, want.d)
-        assert np.array_equal(got.u_minus.values, want.u_minus.values)
-        assert np.array_equal(got.u_plus.values, want.u_plus.values)
-
-
 def test_tabulated_table_edge_is_not_overrun():
-    # 2a is the edge of the kernel's table, and W is constant past it
-    # (the check gets a probe inside the table: the default one, out to 40,
-    # samples the kernel past its edge by design)
+    # 2a is the edge of the kernel's table, and W is constant past it (the
+    # check's probe, out to 40, samples the kernel past its edge quietly)
     table = Grid(-12.0, 12.0, 2400)
     kernel = TabulatedKernel(table, GaussianKernel()(table.nodes()))
     params = ModelParams(0.1, 0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", OutOfTableWarning)
-        rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params,
-                                probe=Grid(0.0, 12.0, 3000))
+        rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
         bb = build_bounds(kernel, params, 200)
     assert rep.verdict == "pass" and 2.0 * rep.a == 12.0
     assert bb.d == pytest.approx(rep.d, abs=1e-12)
@@ -163,9 +141,8 @@ def test_check_and_bounds_allocate_under_a_megabyte(kernel, params):
     # W is a closed form: no table of the cumulative integral is allocated
     tracemalloc.start()
     try:
-        W = CumulativeKernel(kernel)
-        check_assumptions(kernel, RatioFiring(2.0, params.tau), params, W=W)
-        build_bounds(kernel, params, 800, W=W)
+        check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+        build_bounds(kernel, params, 800)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,6 @@ from neurofield.cli import main
 from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
                                    WINDOW_BLOCK, OperatorContext)
 from neurofield.model import ExponentialKernel, GaussianKernel
-from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import Linearization
 from oracles import dense_eigenvalues
 
@@ -204,25 +202,17 @@ def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
                      "solve_third_fixed_point": 1, "extend_bump": 1}
 
 
-@pytest.mark.parametrize("grid", [{"n": 200}, None])
-def test_certify_builds_one_cumulative_table(tmp_path, monkeypatch, grid):
-    # the check, the grid-size probe (no grid.n) and the bounds share a table,
-    # and no stage after the bounds keeps it alive
-    tables = []
-    init = CumulativeKernel.__init__
-
-    def counted(self, *args, **kwargs):
-        tables.append(weakref.ref(self))
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(CumulativeKernel, "__init__", counted)
-    cfg = write_cfg(tmp_path, {"grid": grid})
-    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
-    assert len(tables) == 1
-    tables.clear()
+def test_certify_without_grid_section(tmp_path):
+    # with no grid section the bounds take n = round(2 d 256), made even, and
+    # the check and the bounds find the same d
+    cfg = write_cfg(tmp_path, {"grid": None})
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    bounds = json.loads((out / "bounds.json").read_text())
+    n = round(2.0 * bounds["d"] * 256)
+    assert bounds["n"] == n + n % 2 and bounds["n"] % 2 == 0
     pipeline = cli.Run(cli.load_config(cfg), tmp_path)
-    assert pipeline.check.verdict == "pass"
-    assert pipeline.bounds.d == pipeline.check.d
-    assert len(tables) == 1 and tables[0]() is None
+    assert pipeline.check.d == pipeline.bounds.d
 
 
 @pytest.mark.parametrize("grid_n", [200, 100])

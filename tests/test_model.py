@@ -6,10 +6,10 @@ import pytest
 
 from neurofield.errors import (NondifferentiableWarning, NotDifferentiable,
                                OutOfTableWarning)
-from neurofield.grids import Grid, sample
-from neurofield.model import (ExponentialKernel, GaussianKernel, HeavisideHi,
-                              HeavisideLo, MexicanHatKernel, ModelParams,
-                              RatioFiring, TabulatedKernel)
+from neurofield.grids import Grid
+from neurofield.model import (ExponentialKernel, GaussianKernel,
+                              MexicanHatKernel, ModelParams, RatioFiring,
+                              TabulatedKernel)
 
 
 # --------------------------------------------------------------------------
@@ -204,16 +204,6 @@ def test_ratio_firing_rejects_bad_params():
         RatioFiring(0.0, 0.2)
     with pytest.raises(ValueError):
         RatioFiring(2.0, -1.0)
-
-
-def test_heaviside_rates():
-    lo, hi = HeavisideLo(), HeavisideHi(0.2)
-    assert lo(0.01) == 1.0 and lo(0.0) == 0.0
-    assert hi(0.21) == 1.0 and hi(0.2) == 0.0
-    with pytest.raises(NotDifferentiable):
-        lo.deriv(0.1)
-    with pytest.raises(NotDifferentiable):
-        hi.deriv(0.1)
 
 
 def test_model_params_validation():

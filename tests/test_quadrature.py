@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DELTA_PLUS_EXACT, D_EXACT, W_exp
 from neurofield.errors import OutOfTableWarning
-from neurofield.grids import Grid, Profile, sample
+from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, TabulatedKernel)
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
-from oracles import apply_integral_operator
+from oracles import apply_integral_operator, sample
 
 _TABLE = Grid(-12.0, 12.0, 2400)
 _HAT = MexicanHatKernel(3.0, 2.0, 1.0, 1.0)
