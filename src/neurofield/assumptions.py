@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import DEFAULT_HORIZON, find_d, solve_delta
-from .errors import BracketFailure, InfeasibleModel, NoSuchD
+from .bounds import DEFAULT_HORIZON, solve_sandwich
+from .errors import InfeasibleModel
 from .grids import Grid
-from .model import Firing, Kernel, ModelParams, TabulatedKernel, sample_kernel
+from .model import Firing, Kernel, ModelParams
 from .quadrature import CumulativeKernel
 
 DEFAULT_PROBE = Grid(0.0, DEFAULT_HORIZON, 10_000)
@@ -53,23 +53,9 @@ class AssumptionReport:
             "a": self.a,
             "d": self.d,
             "horizon": self.horizon,
-            "conditions": [
-                {"name": c.name, "status": c.status, "witness": c.witness,
-                 "margin": c.margin, "note": c.note}
-                for c in self.conditions
-            ],
+            "conditions": [dict(vars(c)) for c in self.conditions],
             **self.extras,
         }
-
-
-def _positivity_radius(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Largest sampled a with omega > 0 on [0, 2a], and the value at the edge,
-    from the samples vals = omega(xs)."""
-    nonpos = np.nonzero(vals <= 0.0)[0]
-    if nonpos.size and nonpos[0] == 0:
-        return 0.0, float(vals[0])
-    edge = xs[nonpos[0]] if nonpos.size else xs[-1]
-    return float(edge / 2.0), float(np.min(vals[xs <= edge]))
 
 
 def _vii_violation(kernel: Kernel, xs: np.ndarray, vals: np.ndarray, d: float) -> float:
@@ -91,10 +77,9 @@ def check_assumptions(kernel: Kernel, firing: Firing,
     condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
     """
     xs = DEFAULT_PROBE.nodes()
-    vals = sample_kernel(kernel, xs)
+    vals = kernel(xs)
     horizon, dx = DEFAULT_HORIZON, DEFAULT_PROBE.dx
     records: list[ConditionRecord] = []
-    W = CumulativeKernel(kernel)
 
     # (i) integrability: truncated integral of |omega| plus a sampled tail proxy
     mass = float(np.trapezoid(np.abs(vals), xs)) * 2.0
@@ -115,41 +100,33 @@ def check_assumptions(kernel: Kernel, firing: Firing,
         note="sampled boundedness and modulus of continuity"))
 
     # (iii) symmetry
-    sym_dev = float(np.max(np.abs(sample_kernel(kernel, -xs) - vals)))
+    sym_dev = float(np.max(np.abs(kernel(-xs) - vals)))
     records.append(ConditionRecord(
         "B_iii_symmetric", "pass" if sym_dev <= 1e-12 else "fail",
         witness=sym_dev, margin=1e-12 - sym_dev))
 
-    # (iv) positivity radius a (largest sampled a with omega > 0 on [0, 2a])
-    a, min_on_range = _positivity_radius(xs, vals)
-    if isinstance(kernel, TabulatedKernel):
-        # the probe may step past the table edge, where omega is 0, not > 0
-        a = min(a, kernel.positive_radius(horizon))
+    # (iv) the sandwich's positivity radius a; margin: least sampled omega on [0, 2a]
+    sw = solve_sandwich(kernel, params)
+    a = sw.a
+    min_on_range = float(np.min(vals[xs <= 2.0 * a]))
     records.append(ConditionRecord(
-        "B_iv_positive_range", "pass" if a > 0.0 else "fail",
+        "B_iv_positive_range", "pass" if a > 0.0 and min_on_range >= 0.0 else "fail",
         witness=a, margin=min_on_range))
 
     # (v) kernel mass exceeds h + tau
-    mass_2a = float(W(2.0 * a)) if a > 0.0 else 0.0
+    mass_2a = float(CumulativeKernel(kernel)(2.0 * a))
     margin_v = mass_2a - (params.h + params.tau)
     records.append(ConditionRecord(
         "B_v_mass_exceeds_h_plus_tau", "pass" if margin_v > 0.0 else "fail",
         witness=mass_2a, margin=margin_v))
 
-    d = None
-    if margin_v > 0.0:
-        # (vi) existence of d with u_plus(d) = h, delegated to the bounds solvers
-        try:
-            delta_plus = solve_delta(W, params.h + params.tau, a)
-            d = find_d(W, delta_plus, params.h, a)
-            records.append(ConditionRecord(
-                "B_vi_d_exists", "pass", witness=d, margin=a - d))
-        except (BracketFailure, NoSuchD) as exc:
-            records.append(ConditionRecord(
-                "B_vi_d_exists", "fail", note=str(exc)))
+    # (vi) existence of d with u_plus(d) = h, from the sandwich's solve
+    d = sw.d
+    if d is not None:
+        records.append(ConditionRecord("B_vi_d_exists", "pass", witness=d, margin=a - d))
     else:
-        records.append(ConditionRecord(
-            "B_vi_d_exists", "fail", note="skipped: condition (v) already fails"))
+        note = str(sw.failure) if margin_v > 0.0 else "skipped: condition (v) already fails"
+        records.append(ConditionRecord("B_vi_d_exists", "fail", note=note))
 
     # (vii) omega decreasing on [0, 2d], dominated by omega(2d) beyond
     if d is not None:
@@ -195,32 +172,3 @@ def check_assumptions(kernel: Kernel, firing: Firing,
             f"kernel mass W(2a) = {mass_2a:.6g} does not exceed h + tau = "
             f"{params.h + params.tau:.6g}", report=report)
     return report
-
-
-def check_lemma1_equivalence(kernel: Kernel, d: float, probe: Grid | None = None,
-                             n_sample: int = 200) -> dict:
-    """Sampled cross-check of the two equivalent formulations of condition (vii).
-
-    Formulation one: omega decreasing on [0, 2d] and omega(x) <= omega(2d) for
-    x >= 2d.  Formulation two: omega(x - y) <= omega(d - y) for all x > d and
-    y in [-d, d].  Both verdicts are returned; they must agree.
-    """
-    if d <= 0.0:
-        raise ValueError(f"need d > 0, got d={d}")
-    probe = probe or DEFAULT_PROBE
-    xs = probe.nodes()
-    vii_violation = _vii_violation(kernel, xs, np.asarray(kernel(xs)), d)
-
-    x_samples = d + np.linspace(probe.dx, probe.hi - d, n_sample)
-    y_samples = np.linspace(-d, d, n_sample)
-    lhs = kernel(x_samples[:, None] - y_samples[None, :])
-    rhs = kernel(d - y_samples)[None, :]
-    eq_violation = float(np.max(lhs - rhs))
-
-    tol = 1e-12
-    return {
-        "vii_holds": vii_violation <= tol,
-        "eq_cond_holds": eq_violation <= tol,
-        "agree": (vii_violation <= tol) == (eq_violation <= tol),
-        "worst_violation": float(max(vii_violation, eq_violation)),
-    }

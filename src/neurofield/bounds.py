@@ -1,4 +1,4 @@
-"""Sandwich constants (delta_minus, delta_plus, d) and bounding profiles u_minus, u_plus.
+"""Sandwich constants (a, delta_minus, delta_plus, d) and bounding profiles u_minus, u_plus.
 
 The lower profile is the convolution of the kernel with the indicator of
 [-delta_minus, delta_minus], the upper one with [-delta_plus, delta_plus];
@@ -8,15 +8,16 @@ they bracket the bump constructed by the fixed-point module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketFailure, NoConvergence, NoSuchD
-from .grids import Grid, Profile, quadrature_weights
+from .errors import BracketFailure, NeurofieldError, NoConvergence, NoSuchD
+from .grids import Grid, Profile
 from .model import Kernel, ModelParams
 from .quadrature import CumulativeKernel, indicator_convolution
 
-#: probe horizon bounding the search for the positivity radius a
+#: probe horizon: the positivity radius a is capped at DEFAULT_HORIZON / 2
 DEFAULT_HORIZON = 40.0
 
 #: absolute tolerance of the bisections for delta_minus, delta_plus and d
@@ -103,76 +104,51 @@ def find_d(W: CumulativeKernel, delta_plus: float, h: float, a: float) -> float:
                    delta_plus, a, xtol=BISECT_TOL / 4.0)
 
 
+class Sandwich(NamedTuple):
+    """The constants of the order interval [u_minus, u_plus]: the positivity
+    radius a, the half-widths delta_minus < delta_plus and the radius d, with
+    ``failure`` saying why the constants after a are None when they are."""
+
+    a: float
+    delta_minus: float | None = None
+    delta_plus: float | None = None
+    d: float | None = None
+    failure: NeurofieldError | None = None
+
+    def solved(self) -> Sandwich:
+        """This sandwich, or the error of its failed solve raised."""
+        if self.failure is not None:
+            raise self.failure
+        return self
+
+
+def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
+    """Solve W(2 delta_minus) = h, W(2 delta_plus) = h + tau and u_plus(d) = h on
+    [0, a], a the kernel's positive radius capped at DEFAULT_HORIZON / 2; a failed
+    solve (no level below W(2a), no such d) leaves them None and keeps its error."""
+    W = CumulativeKernel(kernel)
+    a = min(kernel.positive_radius(), DEFAULT_HORIZON / 2.0)
+    try:
+        delta_minus = solve_delta(W, params.h, a)
+        delta_plus = solve_delta(W, params.h + params.tau, a)
+        d = find_d(W, delta_plus, params.h, a)
+    except (BracketFailure, NoSuchD) as exc:
+        # without its traceback, whose frames would keep the callers' arrays alive
+        return Sandwich(a, failure=exc.with_traceback(None))
+    return Sandwich(a, delta_minus, delta_plus, d)
+
+
 def build_bounds(kernel: Kernel, params: ModelParams, n: int) -> BumpBounds:
-    """Assemble the sandwich: solve for both deltas and d, sample u_minus, u_plus on [-d, d].
+    """Sample u_minus and u_plus of the solved sandwich on [-d, d].
 
     The grid has n subintervals (n must be even so 0 and +-d are nodes).
     """
     if n % 2 != 0:
         raise ValueError(f"need an even subinterval count for a symmetric grid, got n={n}")
+    sw = solve_sandwich(kernel, params).solved()
     W = CumulativeKernel(kernel)
-    a = kernel.positive_radius(DEFAULT_HORIZON)
-    delta_minus = solve_delta(W, params.h, a)
-    delta_plus = solve_delta(W, params.h + params.tau, a)
-    d = find_d(W, delta_plus, params.h, a)
-    grid = Grid(-d, d, n)
+    grid = Grid(-sw.d, sw.d, n)
     xs = grid.nodes()
-    u_minus = Profile(grid, indicator_convolution(W, delta_minus, xs))
-    u_plus = Profile(grid, indicator_convolution(W, delta_plus, xs))
-    return BumpBounds(delta_minus, delta_plus, d, u_minus, u_plus)
-
-
-def verify_heaviside_stationarity(kernel: Kernel, bb: BumpBounds, probe: Grid) -> dict:
-    """Numeric battery for the Heaviside stationarity of u_minus and u_plus.
-
-    On the probe grid: u_minus >= h on [0, delta_minus] and < h strictly beyond
-    (one grid cell of slack at the boundary), analogously u_plus against
-    h + tau; the supra-threshold supports match [-delta, delta] within one
-    cell; and both profiles satisfy their Heaviside fixed-point identity
-    within quadrature error.
-    """
-    W = CumulativeKernel(kernel)
-    xs = probe.nodes()
-    dx = probe.dx
-    h = float(W(2.0 * bb.delta_minus))
-    h_plus_tau = float(W(2.0 * bb.delta_plus))
-
-    report: dict = {"h": h, "h_plus_tau": h_plus_tau, "checks": {}}
-
-    def record(name, ok, margin):
-        report["checks"][name] = {"status": "pass" if ok else "fail",
-                                  "margin": float(margin)}
-
-    for label, delta, level in (("u_minus", bb.delta_minus, h),
-                                ("u_plus", bb.delta_plus, h_plus_tau)):
-        u = indicator_convolution(W, delta, np.abs(xs))
-        core = np.abs(xs) <= delta
-        outside = np.abs(xs) > delta + dx
-        inner_margin = np.min(u[core] - level) if core.any() else np.inf
-        outer_margin = np.min(level - u[outside]) if outside.any() else np.inf
-        # boundary equality u(delta) = level is accepted with zero margin
-        record(f"{label}_core_above_level", inner_margin >= -1e-12, inner_margin)
-        record(f"{label}_tail_below_level", outer_margin > 0.0, outer_margin)
-        support = xs[u - level > 1e-12]
-        if support.size:
-            support_dev = max(abs(support.min() + delta), abs(support.max() - delta))
-        else:
-            support_dev = np.inf
-        record(f"{label}_support_matches", support_dev <= dx + 1e-12, dx - support_dev)
-
-    # Heaviside fixed-point identities T_chi u = u: apply the Nystrom operator
-    # with the indicator firing rate on the bounds grid.  The indicator edge
-    # falls mid-cell, so the quadrature error budget is O(dx).
-    ys = bb.grid.nodes()
-    wts = quadrature_weights(bb.grid)
-    K = kernel(ys[:, None] - ys[None, :])
-    quad_err = 4.0 * float(np.max(K)) * bb.grid.dx + 1e-12
-    for label, u, delta, level in (("u_minus", bb.u_minus.values, bb.delta_minus, h),
-                                   ("u_plus", bb.u_plus.values, bb.delta_plus, h_plus_tau)):
-        g = (u - level > 0.0).astype(float)
-        Tu = K @ (wts * g)
-        resid = float(np.max(np.abs(Tu - u)))
-        record(f"{label}_heaviside_fixed_point", resid <= quad_err, quad_err - resid)
-
-    report["ok"] = all(c["status"] == "pass" for c in report["checks"].values())
-    return report
+    u_minus = Profile(grid, indicator_convolution(W, sw.delta_minus, xs))
+    u_plus = Profile(grid, indicator_convolution(W, sw.delta_plus, xs))
+    return BumpBounds(sw.delta_minus, sw.delta_plus, sw.d, u_minus, u_plus)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
-from .bounds import BISECT_TOL, BumpBounds, build_bounds
+from .bounds import BISECT_TOL, BumpBounds, build_bounds, solve_sandwich
 from .dynamics import SimConfig, instability_experiment
 from .errors import (ConfigError, InfeasibleModel, NeurofieldError, NoEscape,
                      NotDifferentiable, PerturbationTooLarge, StageDependencyError)
@@ -100,7 +100,10 @@ def build_kernel(cfg: dict, base: Path):
     if ktype == "gaussian":
         return GaussianKernel()
     if ktype == "mexican_hat":
-        return MexicanHatKernel(spec["K"], spec["k"], spec["M"], spec["m"])
+        try:
+            return MexicanHatKernel(spec["K"], spec["k"], spec["M"], spec["m"])
+        except ValueError as exc:
+            raise ConfigError(f"mexican_hat kernel: {exc}") from exc
     path = base / spec["csv"]
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -111,10 +114,13 @@ def build_kernel(cfg: dict, base: Path):
     if data.shape[0] < 2 or data.shape[1] < 2:
         raise ConfigError(f"kernel.csv {path} needs at least two rows of x, value")
     xs, vals = data[:, 0], data[:, 1]
-    grid = Grid(float(xs[0]), float(xs[-1]), len(xs) - 1)
-    if np.max(np.abs(grid.nodes() - xs)) > 1e-9 * max(1.0, abs(xs[-1])):
-        raise ConfigError("tabulated kernel CSV must sample a uniform grid")
-    return TabulatedKernel(grid, vals)
+    try:
+        grid = Grid(float(xs[0]), float(xs[-1]), len(xs) - 1)
+        if not np.max(np.abs(grid.nodes() - xs)) <= 1e-9 * max(1.0, abs(xs[-1])):
+            raise ValueError("the x column must sample a uniform grid")
+        return TabulatedKernel(grid, vals)
+    except ValueError as exc:
+        raise ConfigError(f"kernel.csv {path}: {exc}") from exc
 
 
 def build_objects(cfg: dict, base: Path):
@@ -217,8 +223,8 @@ class Run:
         if "n" in gsec:
             n = int(gsec["n"])
         else:
-            # d does not depend on n, so the smallest grid gives it cheaply
-            d = build_bounds(kernel, params, 2).d
+            # d does not depend on n, so the sandwich alone gives it
+            d = solve_sandwich(kernel, params).solved().d
             n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
         return build_bounds(kernel, params, n + (n % 2))
 
@@ -263,7 +269,7 @@ class Run:
         eigs = lin.eigenvalues(top_k)
         trans = translation_mode_check(ctx, fp.u_star, lin)
         equiv_dev, _ = spectra_equivalence_check(eigs, eigs_big, top_k)
-        slope, _ = remainder_exponent_fit(ctx_big, u_tilde, v, np.logspace(-4, -2, 9))
+        slope, _ = remainder_exponent_fit(lin_big, v, np.logspace(-4, -2, 9))
         cert = instability_certificate(lam, v, trans, slope, ctx.firing.holder_exponent,
                                        equiv_dev, power_vs_dense=abs(lam - float(eigs[0])))
         return Spectrum(lam, v, eigs, cert)

@@ -1,4 +1,4 @@
-"""Exception and warning types used across the toolkit."""
+"""Exception types used across the toolkit."""
 
 
 class NeurofieldError(Exception):
@@ -78,11 +78,3 @@ class StageDependencyError(NeurofieldError):
 
 class ConfigError(NeurofieldError):
     """Run configuration failed to parse or validate."""
-
-
-class NondifferentiableWarning(UserWarning):
-    """Evaluation of a kernel derivative at a kink point; a symmetric value is returned."""
-
-
-class OutOfTableWarning(UserWarning):
-    """Tabulated kernel evaluated beyond its grid; extrapolated as zero."""

@@ -12,7 +12,7 @@ from .bounds import BumpBounds
 from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
                      NewtonDivergence)
 from .grids import Grid, Profile, quadrature_weights
-from .model import Firing, Kernel, ModelParams, TabulatedKernel, sample_kernel
+from .model import Firing, Kernel, ModelParams, TabulatedKernel
 
 #: largest grid for which ``OperatorContext.kernel_matrix``, a test oracle that
 #: no pipeline stage calls, builds its dense block
@@ -219,13 +219,12 @@ class OperatorContext:
         reach the outputs; a length of at least n + hi - lo + 1 keeps them
         apart, so none of the n + 1 outputs wraps.  The whole grid (lo = 0,
         hi = n) puts lags 0..n in slots [0, n] and lags -n..-1 in the last n,
-        at fast_fft_len(2n + 1).  Lags past a tabulated kernel's table read
-        its 0 without a warning.
+        at fast_fft_len(2n + 1).
         """
         length = fast_fft_len(n + hi - lo + 1)
         lags = np.arange(-hi, n - lo + 1)
         values = np.zeros(length)
-        values[lags + lo] = sample_kernel(line, lags * self.grid.dx)
+        values[lags + lo] = line(lags * self.grid.dx)
         return length, np.fft.rfft(values), float(np.max(np.abs(values)))
 
 

@@ -8,12 +8,11 @@ width tau.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NondifferentiableWarning, NotDifferentiable, OutOfTableWarning
+from .errors import NotDifferentiable
 from .grids import Grid
 
 
@@ -33,9 +32,6 @@ class ExponentialKernel:
     def deriv(self, x):
         """Derivative; at the kink x = 0 the odd-symmetric value 0 is returned."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0 and x == 0.0:
-            warnings.warn("exponential kernel is not differentiable at 0; returning 0",
-                          NondifferentiableWarning, stacklevel=2)
         out = -0.5 * np.sign(x) * np.exp(-np.abs(x))
         return out if out.ndim else float(out)
 
@@ -43,9 +39,9 @@ class ExponentialKernel:
         """W(b) = integral of omega over [0, b] = (1 - e^-b) / 2, for b >= 0."""
         return -0.5 * math.expm1(-b)
 
-    def positive_radius(self, horizon: float) -> float:
-        """Largest a with omega > 0 on [0, 2a], up to the probe horizon."""
-        return horizon / 2.0
+    def positive_radius(self) -> float:
+        """Largest a with omega > 0 on [0, 2a): unbounded, omega > 0 everywhere."""
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,8 @@ class GaussianKernel:
         """W(b) = (sqrt(pi) / 2) erf(b), for b >= 0."""
         return 0.5 * math.sqrt(math.pi) * math.erf(b)
 
-    def positive_radius(self, horizon: float) -> float:
-        return horizon / 2.0
+    def positive_radius(self) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -108,13 +104,13 @@ class MexicanHatKernel:
         """Positive zero of omega: x0 = sqrt(ln(K/M) / (k - m))."""
         return math.sqrt(math.log(self.K / self.M) / (self.k - self.m))
 
-    def positive_radius(self, horizon: float) -> float:
-        return min(self.first_zero() / 2.0, horizon / 2.0)
+    def positive_radius(self) -> float:
+        return self.first_zero() / 2.0
 
 
 @dataclass(frozen=True)
 class TabulatedKernel:
-    """Kernel given by samples on a grid; linear interpolation, zero outside."""
+    """Samples on a grid, linearly interpolated, and 0 past the table by definition."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -126,10 +122,11 @@ class TabulatedKernel:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n + 1,):
             raise ValueError("tabulated kernel: value count does not match grid")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("tabulated kernel samples must be finite")
         if not self.grid.symmetric:
             raise ValueError("tabulated kernel grid must be symmetric about 0")
-        mirrored = vals[::-1]
-        if np.max(np.abs(vals - mirrored)) > 1e-12:
+        if np.max(np.abs(vals - vals[::-1])) > 1e-12:
             raise ValueError("tabulated kernel samples are not symmetric about 0")
         nodes = self.grid.nodes()
         object.__setattr__(self, "_nodes", nodes)
@@ -142,10 +139,6 @@ class TabulatedKernel:
         object.__setattr__(self, "_half", (xs.tolist(), vs.tolist(), cum.tolist()))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > self.grid.hi):
-            warnings.warn("tabulated kernel evaluated outside its grid; using 0",
-                          OutOfTableWarning, stacklevel=2)
         out = np.interp(x, self._nodes, self.values, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
@@ -167,27 +160,23 @@ class TabulatedKernel:
         """Central differences with step equal to the table spacing."""
         d = self.grid.dx
         x = np.asarray(x, dtype=float)
-        out = (sample_kernel(self, x + d) - sample_kernel(self, x - d)) / (2.0 * d)
+        out = (self(x + d) - self(x - d)) / (2.0 * d)
         return out if np.ndim(out) else float(out)
 
-    def positive_radius(self, horizon: float) -> float:
-        xs = self._nodes
-        pos = xs >= 0.0
-        xs, vs = xs[pos], self.values[pos]
-        nonpos = np.nonzero(vs <= 0.0)[0]
-        edge = xs[nonpos[0]] if nonpos.size else xs[-1]
-        return min(edge / 2.0, horizon / 2.0)
+    def positive_radius(self) -> float:
+        """Half the first zero of the interpolant on x >= 0, or of the table's
+        edge, past which omega is 0."""
+        xs, vs, _ = self._half
+        i = next((i for i, v in enumerate(vs) if v <= 0.0), None)
+        if i is None:
+            return xs[-1] / 2.0
+        if i == 0:
+            return 0.0
+        t = vs[i - 1] / (vs[i - 1] - vs[i])
+        return (xs[i - 1] + t * (xs[i] - xs[i - 1])) / 2.0
 
 
 Kernel = ExponentialKernel | GaussianKernel | MexicanHatKernel | TabulatedKernel
-
-
-def sample_kernel(kernel, x) -> np.ndarray:
-    """kernel(x) without an OutOfTableWarning: a tabulated kernel is 0 past
-    its table by definition, which is what a probe or a lag line reads there."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfTableWarning)
-        return np.asarray(kernel(x))
 
 
 # ---------------------------------------------------------------------------

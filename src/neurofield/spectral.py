@@ -97,6 +97,7 @@ class Linearization:
         if u.grid != ctx.grid:
             raise GridMisaligned("profile does not live on the operator grid")
         self.ctx = ctx
+        self.u = u
         self.grid = ctx.grid
         self.weights = ctx.weights
         self.gains = np.asarray(ctx.firing.deriv(u.values - ctx.params.h), dtype=float)
@@ -201,9 +202,10 @@ def spectra_equivalence_check(ev_s: np.ndarray, ev_b: np.ndarray,
     return float(np.max(dev)), count
 
 
-def remainder_exponent_fit(ctx_big: OperatorContext, u_tilde: Profile,
-                           direction: Profile, amplitudes) -> tuple[float, np.ndarray]:
-    """Least-squares slope of log ||T(u+dv) - Tu - T'(u) d v|| against log d.
+def remainder_exponent_fit(lin: Linearization, direction: Profile,
+                           amplitudes) -> tuple[float, np.ndarray]:
+    """Least-squares slope of log ||T(u+dv) - Tu - T'(u) d v|| against log d
+    for the linearization T'(u) = ``lin`` at its profile u.
 
     The direction must have sup-norm 1 and the amplitudes should span at least
     two decades; the slope estimates 1 + mu of the remainder bound.
@@ -213,12 +215,12 @@ def remainder_exponent_fit(ctx_big: OperatorContext, u_tilde: Profile,
         raise ValueError("amplitudes must be positive")
     if amplitudes[-1] / amplitudes[0] < 99.0:
         raise ValueError("amplitudes should span at least two decades")
-    lin = Linearization(ctx_big, u_tilde)
-    base = ctx_big.apply_T_values(u_tilde.values)
+    u = lin.u.values
+    base = lin.ctx.apply_T_values(u)
     norms = np.empty(len(amplitudes))
     for i, delta in enumerate(amplitudes):
         v = delta * direction.values
-        rem = ctx_big.apply_T_values(u_tilde.values + v) - base - lin.matvec(v)
+        rem = lin.ctx.apply_T_values(u + v) - base - lin.matvec(v)
         norms[i] = np.max(np.abs(rem))
     slope = float(np.polyfit(np.log(amplitudes), np.log(norms), 1)[0])
     return slope, norms

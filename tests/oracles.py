@@ -3,7 +3,9 @@
 The dense ones build the full matrix that the package applies through FFT
 products, so they serve moderate grids only.  The rest are the plain form of
 a step the package computes more cheaply (the whole-grid RK4 step), or checks
-that no certify stage runs (the clamped iteration, the translation family).
+that no certify stage runs (the clamped iteration, the translation family,
+the Heaviside stationarity of u_minus and u_plus, and the two formulations of
+condition (vii)).
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from neurofield.assumptions import DEFAULT_PROBE, _vii_violation
 from neurofield.errors import GridMisaligned, NeurofieldError, NoConvergence
 from neurofield.grids import Grid, Profile, quadrature_weights
+from neurofield.quadrature import CumulativeKernel, indicator_convolution
 
 
 class ShiftOutOfRange(NeurofieldError):
@@ -166,3 +170,88 @@ def verify_translation_family(ctx_big, u_tilde: Profile, c: float) -> float:
     elif k < 0:
         shifted[k:] = vals[-1]
     return stationary_residual(ctx_big, Profile(ctx_big.grid, shifted))
+
+
+def verify_heaviside_stationarity(kernel, bb, probe: Grid) -> dict:
+    """Numeric battery for the Heaviside stationarity of u_minus and u_plus.
+
+    On the probe grid: u_minus >= h on [0, delta_minus] and < h strictly beyond
+    (one grid cell of slack at the boundary), analogously u_plus against
+    h + tau; the supra-threshold supports match [-delta, delta] within one
+    cell; and both profiles satisfy their Heaviside fixed-point identity
+    within quadrature error.
+    """
+    W = CumulativeKernel(kernel)
+    xs = probe.nodes()
+    dx = probe.dx
+    h = float(W(2.0 * bb.delta_minus))
+    h_plus_tau = float(W(2.0 * bb.delta_plus))
+
+    report: dict = {"h": h, "h_plus_tau": h_plus_tau, "checks": {}}
+
+    def record(name, ok, margin):
+        report["checks"][name] = {"status": "pass" if ok else "fail",
+                                  "margin": float(margin)}
+
+    for label, delta, level in (("u_minus", bb.delta_minus, h),
+                                ("u_plus", bb.delta_plus, h_plus_tau)):
+        u = indicator_convolution(W, delta, np.abs(xs))
+        core = np.abs(xs) <= delta
+        outside = np.abs(xs) > delta + dx
+        inner_margin = np.min(u[core] - level) if core.any() else np.inf
+        outer_margin = np.min(level - u[outside]) if outside.any() else np.inf
+        # boundary equality u(delta) = level is accepted with zero margin
+        record(f"{label}_core_above_level", inner_margin >= -1e-12, inner_margin)
+        record(f"{label}_tail_below_level", outer_margin > 0.0, outer_margin)
+        support = xs[u - level > 1e-12]
+        if support.size:
+            support_dev = max(abs(support.min() + delta), abs(support.max() - delta))
+        else:
+            support_dev = np.inf
+        record(f"{label}_support_matches", support_dev <= dx + 1e-12, dx - support_dev)
+
+    # Heaviside fixed-point identities T_chi u = u: apply the Nystrom operator
+    # with the indicator firing rate on the bounds grid.  The indicator edge
+    # falls mid-cell, so the quadrature error budget is O(dx).
+    ys = bb.grid.nodes()
+    wts = quadrature_weights(bb.grid)
+    K = kernel(ys[:, None] - ys[None, :])
+    quad_err = 4.0 * float(np.max(K)) * bb.grid.dx + 1e-12
+    for label, u, delta, level in (("u_minus", bb.u_minus.values, bb.delta_minus, h),
+                                   ("u_plus", bb.u_plus.values, bb.delta_plus, h_plus_tau)):
+        g = (u - level > 0.0).astype(float)
+        Tu = K @ (wts * g)
+        resid = float(np.max(np.abs(Tu - u)))
+        record(f"{label}_heaviside_fixed_point", resid <= quad_err, quad_err - resid)
+
+    report["ok"] = all(c["status"] == "pass" for c in report["checks"].values())
+    return report
+
+
+def check_lemma1_equivalence(kernel, d: float, probe: Grid | None = None,
+                             n_sample: int = 200) -> dict:
+    """Sampled cross-check of the two equivalent formulations of condition (vii).
+
+    Formulation one: omega decreasing on [0, 2d] and omega(x) <= omega(2d) for
+    x >= 2d.  Formulation two: omega(x - y) <= omega(d - y) for all x > d and
+    y in [-d, d].  Both verdicts are returned; they must agree.
+    """
+    if d <= 0.0:
+        raise ValueError(f"need d > 0, got d={d}")
+    probe = probe or DEFAULT_PROBE
+    xs = probe.nodes()
+    vii_violation = _vii_violation(kernel, xs, np.asarray(kernel(xs)), d)
+
+    x_samples = d + np.linspace(probe.dx, probe.hi - d, n_sample)
+    y_samples = np.linspace(-d, d, n_sample)
+    lhs = kernel(x_samples[:, None] - y_samples[None, :])
+    rhs = kernel(d - y_samples)[None, :]
+    eq_violation = float(np.max(lhs - rhs))
+
+    tol = 1e-12
+    return {
+        "vii_holds": vii_violation <= tol,
+        "eq_cond_holds": eq_violation <= tol,
+        "agree": (vii_violation <= tol) == (eq_violation <= tol),
+        "worst_violation": float(max(vii_violation, eq_violation)),
+    }

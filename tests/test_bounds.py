@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +7,20 @@ import pytest
 from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
                       W_exp)
 from neurofield.assumptions import check_assumptions
-from neurofield.bounds import (BISECT_TOL, DEFAULT_HORIZON, BumpBounds, _bisect,
-                               build_bounds, find_d, solve_delta,
-                               verify_heaviside_stationarity)
-from neurofield.errors import BracketFailure, NoSuchD, OutOfTableWarning
+from neurofield.bounds import (BISECT_TOL, BumpBounds, _bisect, build_bounds,
+                               find_d, solve_delta, solve_sandwich)
+from neurofield.errors import BracketFailure, NoSuchD
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
                               TabulatedKernel)
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
+from oracles import verify_heaviside_stationarity
 
 
 def _W_and_a(kernel):
     """The cumulative integral and the positivity radius that build_bounds uses."""
-    return CumulativeKernel(kernel), kernel.positive_radius(DEFAULT_HORIZON)
+    return CumulativeKernel(kernel), solve_sandwich(kernel, ModelParams(H, TAU)).a
 
 
 def test_solve_delta_closed_forms():
@@ -120,16 +119,14 @@ def test_build_bounds_reference():
 
 def test_tabulated_table_edge_is_not_overrun():
     # 2a is the edge of the kernel's table, and W is constant past it (the
-    # check's probe, out to 40, samples the kernel past its edge quietly)
+    # check's probe, out to 40, samples the kernel past its edge, where it is 0)
     table = Grid(-12.0, 12.0, 2400)
     kernel = TabulatedKernel(table, GaussianKernel()(table.nodes()))
     params = ModelParams(0.1, 0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", OutOfTableWarning)
-        rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
-        bb = build_bounds(kernel, params, 200)
+    rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+    bb = build_bounds(kernel, params, 200)
     assert rep.verdict == "pass" and 2.0 * rep.a == 12.0
-    assert bb.d == pytest.approx(rep.d, abs=1e-12)
+    assert bb.d == rep.d
 
 
 @pytest.mark.parametrize("kernel, params", [

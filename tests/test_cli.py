@@ -350,13 +350,12 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
         assert proc.returncode == 0 and proc.stderr == ""
         report = json.loads((work / "out" / "report.json").read_text())
         table = cli.build_kernel(cli.load_config(cfg), work)
-        assert report["a"] == table.positive_radius(40.0) == 6.0
+        assert report["a"] == table.positive_radius() == 6.0
         run_report = json.loads((work / "out" / "run_report.json").read_text())
         assert run_report["stationary_bump_verified"]["value"] is True
         assert run_report["instability_verified"]["value"] is True
 
 
-@pytest.mark.filterwarnings("error::neurofield.errors.OutOfTableWarning")
 def test_simulate_rejects_edited_kernel_csv(tmp_path, capsys):
     # the table ends at 2a = 12; no stage after the check reads beyond it
     x = np.linspace(-12.0, 12.0, 2401)
@@ -484,7 +483,12 @@ def test_parser_built_once_answers_like_a_fresh_one(capsys):
     assert outputs[0] == (0, neurofield.__version__ + "\n", "")
 
 
-@pytest.mark.parametrize("content", [None, "x,value\n0.0,abc\n", "0.0,1.0\n"])
+@pytest.mark.parametrize("content", [
+    None, "x,value\n0.0,abc\n", "0.0,1.0\n",
+    # tables the model rejects: x decreasing, samples asymmetric or not finite
+    "1.0,0.5\n0.0,1.0\n-1.0,0.5\n", "-1.0,0.5\n0.0,1.0\n1.0,0.6\n",
+    "-1.0,nan\n0.0,1.0\n1.0,nan\n",
+])
 def test_unreadable_kernel_csv_exit_1(tmp_path, capsys, content):
     if content is not None:
         (tmp_path / "kernel.csv").write_text(content)
@@ -493,3 +497,16 @@ def test_unreadable_kernel_csv_exit_1(tmp_path, capsys, content):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and str(tmp_path / "kernel.csv") in err
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({"K": 1, "k": 2, "M": 3, "m": 1}, "need K > M > 0"),
+    ({"K": 3, "k": 1, "M": 1, "m": 2}, "need k > m > 0"),
+    ({"K": 3, "k": 2, "M": 3, "m": 1}, "need K > M > 0"),
+])
+def test_bad_mexican_hat_exit_1(tmp_path, capsys, shape, message):
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "mexican_hat", **shape}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.splitlines() == [err]
+    assert err.startswith("config error: mexican_hat kernel: " + message)

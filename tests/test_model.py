@@ -1,11 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from neurofield.errors import (NondifferentiableWarning, NotDifferentiable,
-                               OutOfTableWarning)
+from neurofield.errors import NotDifferentiable
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
@@ -27,8 +25,9 @@ def test_exponential_deriv_oracle():
     k = ExponentialKernel()
     assert k.deriv(1.0) == pytest.approx(-0.5 * math.exp(-1.0), abs=1e-15)
     assert k.deriv(-1.0) == -k.deriv(1.0)
-    with pytest.warns(NondifferentiableWarning):
-        assert k.deriv(0.0) == 0.0
+    # the kink at 0 takes the odd-symmetric value 0, as a scalar and in an array
+    assert k.deriv(0.0) == 0.0
+    assert k.deriv(np.array([0.0]))[0] == 0.0
 
 
 def test_gaussian_values_and_deriv():
@@ -44,7 +43,12 @@ def test_mexican_hat_first_zero():
     assert abs(k(x0)) < 1e-14
     assert k(0.0) == 2.0
     assert k(0.99 * x0) > 0.0 > k(1.5 * x0)
-    assert k.positive_radius(40.0) == pytest.approx(x0 / 2.0)
+    assert k.positive_radius() == x0 / 2.0
+
+
+def test_positive_kernels_have_unbounded_radius():
+    assert ExponentialKernel().positive_radius() == math.inf
+    assert GaussianKernel().positive_radius() == math.inf
 
 
 def test_mexican_hat_rejects_bad_shape():
@@ -71,16 +75,16 @@ def test_tabulated_round_trip():
     assert np.max(np.abs(tab.deriv(xs) - GaussianKernel().deriv(xs))) < 1e-3
 
 
-def test_tabulated_out_of_range_warns():
+def test_tabulated_out_of_range_is_zero():
     g = Grid(-2.0, 2.0, 100)
     tab = TabulatedKernel(g, GaussianKernel()(g.nodes()))
-    with pytest.warns(OutOfTableWarning):
-        assert tab(3.0) == 0.0
+    assert tab(3.0) == 0.0 and tab(-3.0) == 0.0
+    assert np.array_equal(tab(np.array([-2.5, 2.5])), [0.0, 0.0])
 
 
 def test_tabulated_call_matches_interp_of_fresh_nodes(monkeypatch):
-    # the nodes are built once, at construction; values and warnings are
-    # those of np.interp on a fresh linspace with the out-of-table test
+    # the nodes are built once, at construction; values are those of
+    # np.interp on a fresh linspace, 0 past the table
     g = Grid(-3.0, 3.0, 600)
     nodes = g.nodes()
     tab = TabulatedKernel(g, MexicanHatKernel(3.0, 2.0, 1.0, 1.0)(nodes))
@@ -88,15 +92,11 @@ def test_tabulated_call_matches_interp_of_fresh_nodes(monkeypatch):
     inputs = (0.0, 1.234, -3.0, 3.0, 3.0001, -7.5, np.linspace(-2.9, 2.9, 41),
               np.linspace(-4.0, 4.0, 33), np.array([[0.5, -3.5], [2.0, 1.0]]))
     for x in inputs:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = tab(x)
+        got = tab(x)
         want = np.interp(np.asarray(x, dtype=float), nodes, tab.values,
                          left=0.0, right=0.0)
         assert np.array_equal(got, want) and np.ndim(got) == np.ndim(x)
         assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
-        outside = bool(np.any(np.abs(np.asarray(x)) > 3.0))
-        assert [w.category for w in caught] == [OutOfTableWarning] * outside
 
 
 def test_tabulated_rejects_asymmetric():
@@ -109,11 +109,30 @@ def test_tabulated_rejects_asymmetric():
         TabulatedKernel(Grid(0.0, 1.0, 100), np.ones(101))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tabulated_rejects_non_finite(bad):
+    # a NaN would pass the symmetry test, as NaN > 1e-12 is False
+    g = Grid(-1.0, 1.0, 100)
+    vals = GaussianKernel()(g.nodes())
+    vals[10] = vals[-11] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedKernel(g, vals)
+
+
 def test_tabulated_positive_radius():
     g = Grid(-4.0, 4.0, 800)
     tab = TabulatedKernel(g, MexicanHatKernel(3.0, 2.0, 1.0, 1.0)(g.nodes()))
-    assert tab.positive_radius(40.0) == pytest.approx(
-        math.sqrt(math.log(3.0)) / 2.0, abs=0.01)
+    # half the zero of the interpolant, which lies inside the cell where the
+    # samples change sign, within O(dx^2) of the kernel's zero
+    assert tab.positive_radius() == pytest.approx(
+        math.sqrt(math.log(3.0)) / 2.0, abs=1e-4)
+    x = 2.0 * tab.positive_radius()
+    assert abs(tab(x)) < 1e-15 and tab(x - 1e-9) > 0.0 > tab(x + 1e-9)
+    # a table positive everywhere reaches its edge, one zero at 0 gives 0
+    assert TabulatedKernel(g, GaussianKernel()(g.nodes())).positive_radius() == 2.0
+    flat = np.ones(801)
+    flat[400] = 0.0
+    assert TabulatedKernel(g, flat).positive_radius() == 0.0
 
 
 # --------------------------------------------------------------------------

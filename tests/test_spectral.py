@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,8 +62,8 @@ def test_rank_one_oracle(ref_model):
         def deriv(self, x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-        def positive_radius(self, horizon):
-            return horizon / 2.0
+        def positive_radius(self):
+            return math.inf
 
     _, firing, params = ref_model
     g = Grid(-1.0, 1.0, 100)
@@ -197,24 +199,23 @@ def test_spectra_equivalence_oversized_k(ref_lin, ref_lin_big):
     assert count > 0
 
 
-def test_remainder_exponent(ref_ctx_big, ref_u_tilde, ref_power):
+def test_remainder_exponent(ref_ctx_big, ref_lin_big, ref_power):
     _, vec_small = ref_power
     direction = Profile(ref_ctx_big.grid,
                         ref_power[1].values / np.max(np.abs(ref_power[1].values)))
     amplitudes = np.logspace(-4, -2, 9)
-    slope, norms = remainder_exponent_fit(ref_ctx_big, ref_u_tilde, direction,
-                                          amplitudes)
+    slope, norms = remainder_exponent_fit(ref_lin_big, direction, amplitudes)
     # p = 2 gives mu = 1, so the remainder is quadratic
     assert slope == pytest.approx(2.0, abs=0.1)
     assert np.all(np.diff(norms) > 0.0)
 
 
-def test_remainder_fit_validation(ref_ctx_big, ref_u_tilde):
+def test_remainder_fit_validation(ref_ctx_big, ref_lin_big):
     d = Profile(ref_ctx_big.grid, np.ones(ref_ctx_big.grid.n_nodes))
     with pytest.raises(ValueError):
-        remainder_exponent_fit(ref_ctx_big, ref_u_tilde, d, [1e-3, 2e-3])
+        remainder_exponent_fit(ref_lin_big, d, [1e-3, 2e-3])
     with pytest.raises(ValueError):
-        remainder_exponent_fit(ref_ctx_big, ref_u_tilde, d, [-1e-3, 1e-1])
+        remainder_exponent_fit(ref_lin_big, d, [-1e-3, 1e-1])
 
 
 def test_certificate_pass(ref_power):
