@@ -1,9 +1,11 @@
 """Batch command-line front end: check, bounds, solve, spectrum, simulate, certify.
 
-One ``Run`` per invocation computes each pipeline stage at most once; the
-commands write its results as JSON + CSV artifacts stamped with a hash of the
-config sections they depend on.  Exit codes: 0 pass, 2 model infeasible or
-certificate failure, 1 usage or internal error.
+Every command is a prefix of ``certify``: one ``Run`` per invocation computes
+the stages up to the command's own, each at most once and in memory, and
+stops where ``certify`` stops.  The commands write their results as JSON + CSV
+artifacts stamped with a hash of the config sections they depend on; no
+artifact is read back.  Exit codes: 0 pass, 2 model infeasible or certificate
+failure, 1 usage or internal error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ if _threads:
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from functools import cache, cached_property
@@ -32,7 +35,7 @@ from .assumptions import AssumptionReport, check_assumptions
 from .bounds import BISECT_TOL, BumpBounds, build_bounds, solve_sandwich
 from .dynamics import SimConfig, instability_experiment
 from .errors import (ConfigError, InfeasibleModel, NeurofieldError, NoEscape,
-                     NotDifferentiable, PerturbationTooLarge, StageDependencyError)
+                     PerturbationTooLarge)
 from .fixedpoint import (FixedPointResult, OperatorContext, compute_epsilon,
                          extend_bump, make_extension_grid, solve_third_fixed_point)
 from .grids import Grid, Profile
@@ -57,15 +60,26 @@ _STAGE_SECTIONS = {
 # config handling
 # ---------------------------------------------------------------------------
 
+def _finite_object(pairs: list) -> dict:
+    """A JSON object whose numbers are finite (json reads NaN, Infinity and
+    1e999 as floats that pass every schema bound)."""
+    for key, value in pairs:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"at {key}: {value} is not a finite number")
+    return dict(pairs)
+
+
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_finite_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     # imported here, as --version, --help and usage errors validate nothing;
     # the shipped schema is checked against its metaschema by the tests, not
     # on every run; best_match picks the error jsonschema.validate would raise
@@ -159,6 +173,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
 
 
 def read_profile_csv(path: Path) -> Profile:
+    """The profile in a two-column artifact CSV; no command reads one back."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     xs = data[:, 0]
     grid = Grid(float(xs[0]), float(xs[-1]), len(xs) - 1)
@@ -187,17 +202,13 @@ class Run:
     """Config, model objects and stage results of one invocation.
 
     Each stage (``check``, ``bounds``, ``solve``, ``spectrum``) is computed on
-    first use and kept, so ``certify`` computes every stage once and a single
-    command computes only the stages it needs.
+    first use from the stages before it and kept, so ``certify`` computes
+    every stage once and a single command computes only the stages it needs.
     """
 
     def __init__(self, cfg: dict, base: Path):
         self.cfg = cfg
         self.base = base
-
-    def computed(self, stage: str) -> bool:
-        """Whether this run already holds the result of ``stage``."""
-        return stage in vars(self)
 
     def config_hash(self, stage: str) -> str:
         """Hash of the config sections ``stage`` depends on; a tabulated
@@ -218,6 +229,12 @@ class Run:
 
     @cached_property
     def bounds(self) -> BumpBounds:
+        # the check gates every later stage, as it gates certify
+        report = self.check
+        if report.verdict != "pass":
+            failed = [c.name for c in report.conditions if c.status != "pass"]
+            raise InfeasibleModel(f"assumptions not met: {', '.join(failed)}",
+                                  report=report)
         kernel, _, params = self.model
         gsec = self.cfg.get("grid", {})
         if "n" in gsec:
@@ -226,16 +243,18 @@ class Run:
             # d does not depend on n, so the sandwich alone gives it
             d = solve_sandwich(kernel, params).solved().d
             n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
+            if n == 0:
+                raise ConfigError(f"grid.n_per_unit: {gsec['n_per_unit']} per unit "
+                                  f"leaves no subinterval on [-d, d], d = {d:.9g}")
         return build_bounds(kernel, params, n + (n % 2))
 
     @cached_property
     def solve(self) -> Solved:
-        kernel, firing, params = self.model
         bb = self.bounds
-        if firing.p <= 1.0:
-            raise NotDifferentiable(
-                "the fixed-point solve linearizes the firing rate; it requires a "
-                f"continuously differentiable rate (p > 1), got p={firing.p}")
+        kernel, firing, params = self.model
+        L = self.cfg.get("grid", {}).get("L_override")
+        if L is not None and L <= bb.d:
+            raise ConfigError(f"grid.L_override: {L} does not exceed d = {bb.d:.9g}")
         ssec = self.cfg.get("solver", {})
         ctx = OperatorContext(kernel, firing, params, bb.grid)
         eps = compute_epsilon(ctx, bb)
@@ -245,8 +264,7 @@ class Run:
             max_iter=ssec.get("max_iter", 60),
             degeneracy_threshold=ssec.get("degeneracy_threshold", 1e-2),
             epsilon=eps)
-        big = make_extension_grid(kernel, bb.grid,
-                                  L_override=self.cfg.get("grid", {}).get("L_override"))
+        big = make_extension_grid(kernel, bb.grid, L_override=L)
         ctx_big = OperatorContext(kernel, firing, params, big)
         u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
         return Solved(ctx, ctx_big, fp, u_tilde)
@@ -273,38 +291,6 @@ class Run:
         cert = instability_certificate(lam, v, trans, slope, ctx.firing.holder_exponent,
                                        equiv_dev, power_vs_dense=abs(lam - float(eigs[0])))
         return Spectrum(lam, v, eigs, cert)
-
-
-def run_dynamics(cfg: dict, ctx_big, u_tilde, v_principal, lam):
-    dsec = cfg.get("dynamics", {})
-    sim = SimConfig(dt=dsec.get("dt", 0.01), t_end=dsec.get("t_end", 60.0),
-                    scheme=dsec.get("scheme", "rk4"))
-    delta = dsec.get("delta", 1e-3)
-    eps_ball = dsec.get("epsilon_ball")
-    source = "dynamics.epsilon_ball"
-    if eps_ball is None:
-        eps_ball = 0.05 * u_tilde.sup_norm()
-        source = "the default 0.05 * sup|u_tilde|"
-    try:
-        result = instability_experiment(ctx_big, u_tilde, v_principal, delta,
-                                        eps_ball, sim, lambda_max=lam)
-    except PerturbationTooLarge as exc:
-        raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc
-    result["epsilon_ball"] = eps_ball
-    result["delta"] = delta
-    return result
-
-
-def _load_stage_json(out: Path, name: str, run: Run, stage: str) -> dict:
-    path = out / name
-    if not path.exists():
-        raise StageDependencyError(
-            f"missing artifact {name}: run the '{stage}' stage first")
-    payload = json.loads(path.read_text())
-    if payload.get("config_hash") != run.config_hash(stage):
-        raise StageDependencyError(
-            f"cached {name} was produced with a different config; rerun '{stage}'")
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +365,21 @@ def cmd_spectrum(run: Run, out: Path, precision: int, quiet: bool):
 
 
 def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
-    """The escape experiment.  Inside certify the run already holds the bump
-    and the principal vector; a standalone simulate reads them from the
-    artifacts of earlier solve and spectrum commands, refusing missing or
-    stale ones."""
-    if run.computed("spectrum"):
-        ctx_big, u_tilde = run.solve.ctx_big, run.solve.u_tilde
-        lam, v = run.spectrum.lam, run.spectrum.v
-    else:
-        lam = _load_stage_json(out, "certificate.json", run, "spectrum")["spectral_radius"]
-        _load_stage_json(out, "fixedpoint.json", run, "solve")
-        u_tilde = read_profile_csv(out / "u_tilde.csv")
-        v = read_profile_csv(out / "principal.csv")
-        ctx_big = OperatorContext(*run.model, u_tilde.grid)
-    result = run_dynamics(run.cfg, ctx_big, u_tilde, v, lam)
+    """The escape experiment from the bump and the principal vector of the run."""
+    dsec = run.cfg.get("dynamics", {})
+    sim = SimConfig(dt=dsec.get("dt", 0.01), t_end=dsec.get("t_end", 60.0))
+    delta = dsec.get("delta", 1e-3)
+    eps_ball = dsec.get("epsilon_ball")
+    source = "dynamics.epsilon_ball"
+    u_tilde = run.solve.u_tilde
+    if eps_ball is None:
+        eps_ball = 0.05 * u_tilde.sup_norm()
+        source = "the default 0.05 * sup|u_tilde|"
+    try:
+        result = instability_experiment(run.solve.ctx_big, u_tilde, run.spectrum.v,
+                                        delta, eps_ball, sim, lambda_max=run.spectrum.lam)
+    except PerturbationTooLarge as exc:
+        raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc
     traj = result["trajectory"]
     write_csv(out / "trajectory.csv", ["t", "deviation_sup"],
               [traj.times, traj.deviation_sup], precision)
@@ -401,8 +388,8 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
         "growth_rate": result["growth_rate"],
         "escape_time": result["escape_time"],
         "predicted_escape": result["predicted_escape"],
-        "epsilon_ball": result["epsilon_ball"],
-        "delta": result["delta"],
+        "epsilon_ball": eps_ball,
+        "delta": delta,
     }
     write_json(out / "dynamics.json", payload)
     if not quiet:
@@ -497,9 +484,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except StageDependencyError as exc:
-        print(f"stage dependency: {exc}", file=sys.stderr)
-        return 1
+    except InfeasibleModel as exc:
+        # a command after check stops where certify stops
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
     except NoEscape as exc:
         # the dynamic half of the certificate failed
         print(f"error: {exc}", file=sys.stderr)

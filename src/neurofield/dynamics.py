@@ -20,22 +20,16 @@ from .errors import NoEscape, NonFinite, PerturbationTooLarge
 from .fixedpoint import OperatorContext
 from .grids import Profile
 
-RK4 = "rk4"
-EXP_EULER = "exp_euler"
-
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.01
     t_end: float = 60.0
-    scheme: str = RK4
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("need dt > 0 and t_end > 0")
-        if self.scheme not in (RK4, EXP_EULER):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == RK4 and self.dt > 0.1:
+        if self.dt > 0.1:
             raise ValueError("rk4 default accuracy budget requires dt <= 0.1")
 
 
@@ -46,13 +40,9 @@ class Trajectory:
 
 
 def step_values(ctx: OperatorContext, u: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    dt = cfg.dt
-    if cfg.scheme == RK4:
-        out = _rk4_step(ctx, u, dt, *ctx.step_window(u))
-        return _rk4_step(ctx, u, dt, 0, ctx.grid.n) if out is None else out
-    # exponential Euler: the linear part is exactly -u, integrated exactly
-    decay = np.exp(-dt)
-    return decay * u + (1.0 - decay) * ctx.apply_T_values(u)
+    """One RK4 step of u_t = -u + Tu."""
+    out = _rk4_step(ctx, u, cfg.dt, *ctx.step_window(u))
+    return _rk4_step(ctx, u, cfg.dt, 0, ctx.grid.n) if out is None else out
 
 
 def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float,

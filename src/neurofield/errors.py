@@ -72,9 +72,5 @@ class PowerIterationStall(NeurofieldError):
     """Dominant-eigenvalue iteration failed to settle (near-degenerate dominant pair)."""
 
 
-class StageDependencyError(NeurofieldError):
-    """A pipeline command is missing the cached artifacts of an earlier stage."""
-
-
 class ConfigError(NeurofieldError):
     """Run configuration failed to parse or validate."""

@@ -15,7 +15,7 @@ from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU, P,
                       W_exp)
 from neurofield.bounds import (build_bounds, find_d, solve_delta,
                                solve_sandwich)
-from neurofield.dynamics import RK4, SimConfig, instability_experiment, simulate
+from neurofield.dynamics import SimConfig, instability_experiment, simulate
 from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    extend_bump, make_extension_grid,
                                    solve_third_fixed_point)
@@ -197,10 +197,10 @@ def test_criterion_10_numerical_substrate(coarse_setup):
     ctx = coarse_setup["ctx_big"]
     u = coarse_setup["u_tilde"]
     u0 = Profile(ctx.grid, 1.01 * u.values)
-    ref = simulate(ctx, u0, u, SimConfig(dt=0.0025, t_end=1.0, scheme=RK4))
+    ref = simulate(ctx, u0, u, SimConfig(dt=0.0025, t_end=1.0))
     es = []
     for dt in (0.04, 0.02):
-        traj = simulate(ctx, u0, u, SimConfig(dt=dt, t_end=1.0, scheme=RK4))
+        traj = simulate(ctx, u0, u, SimConfig(dt=dt, t_end=1.0))
         es.append(abs(traj.deviation_sup[-1] - ref.deviation_sup[-1]))
     rk4_order = math.log2(es[0] / es[1])
 

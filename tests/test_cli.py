@@ -83,19 +83,32 @@ def test_solve_and_spectrum(tmp_path):
     assert cert["spectral_radius"] == pytest.approx(4.237, abs=0.01)
 
 
+def same_files(staged, certified):
+    """Names of the files in staged, each byte-identical to certify's."""
+    names = sorted(p.name for p in staged.iterdir())
+    for name in names:
+        assert (staged / name).read_bytes() == (certified / name).read_bytes(), name
+    return names
+
+
 def test_simulate_requires_cached_stages(tmp_path):
+    # simulate computes the stages before it itself: an empty directory will do
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
-    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["dynamics.json", "trajectory.csv"]
 
 
 def test_simulate_rejects_stale_cache(tmp_path):
+    # the artifacts of another config in the directory change nothing
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert run(["spectrum", "--config", cfg, "--out", out, "--quiet"]) == 0
-    # different grid invalidates the cached spectrum
     cfg2 = write_cfg(tmp_path, {"grid": {"n": 300}}, name="cfg2.json")
-    assert run(["simulate", "--config", cfg2, "--out", out, "--quiet"]) == 1
+    assert run(["simulate", "--config", cfg2, "--out", out, "--quiet"]) == 0
+    assert run(["certify", "--config", cfg2, "--out", tmp_path / "c2", "--quiet"]) == 0
+    for name in ("dynamics.json", "trajectory.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
 
 
 def test_certify_full_pipeline(tmp_path):
@@ -154,9 +167,11 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_nonsmooth_firing_exit_1(tmp_path):
+    # p <= 1 fails the check's thmB_iii_firing_smooth, so solve stops with
+    # exit 2 where certify stops (the name predates that exit code)
     cfg = write_cfg(tmp_path, {"firing": {"p": 0.5, "tau": 0.2}})
     assert run(["solve", "--config", cfg, "--out", tmp_path / "out",
-                "--quiet"]) == 1
+                "--quiet"]) == 2
 
 
 def test_malformed_json_exit_1(tmp_path):
@@ -266,17 +281,63 @@ def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
 
 
 def test_stage_commands_match_certify(tmp_path):
-    # the standalone simulate reads u_tilde and the principal vector back from
-    # CSV; certify passes them in memory; both must write the same bytes
+    # the five stage commands in one directory write certify's eleven files
     cfg = write_cfg(tmp_path)
     staged, certified = tmp_path / "staged", tmp_path / "certified"
     for command in ("check", "bounds", "solve", "spectrum", "simulate"):
         assert run([command, "--config", cfg, "--out", staged, "--quiet"]) == 0
     assert run(["certify", "--config", cfg, "--out", certified, "--quiet"]) == 0
-    names = sorted(p.name for p in staged.iterdir())
-    assert len(names) == 11
-    for name in names:
-        assert (staged / name).read_bytes() == (certified / name).read_bytes(), name
+    assert len(same_files(staged, certified)) == 11
+
+
+REFERENCE_CFG = dict(BASE_CFG, grid={"n": 800})
+PREFIX_CFGS = {
+    "reference": ({}, 0),
+    # a smaller delta than the reference's fits the epsilon ball of these bumps
+    "gaussian": ({"kernel": {"type": "gaussian"},
+                  "dynamics": {"delta": 1e-4}}, 0),
+    "mexican_hat": ({"kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1},
+                     "model": {"h": 0.05}, "firing": {"p": 2.0, "tau": 0.05},
+                     "dynamics": {"delta": 1e-4}}, 2),
+}
+STAGE_FILES = {
+    "check": ["report.json"],
+    "bounds": ["bounds.json", "profiles.csv"],
+    "solve": ["fixedpoint.json", "u_star.csv", "u_tilde.csv"],
+    "spectrum": ["certificate.json", "principal.csv", "spectrum.csv"],
+    "simulate": ["dynamics.json", "trajectory.csv"],
+}
+
+
+@pytest.mark.parametrize("precision", [17, 6])
+@pytest.mark.parametrize("name", PREFIX_CFGS)
+def test_every_command_is_a_prefix_of_certify(tmp_path, name, precision):
+    # each command, alone in a fresh directory, writes the bytes certify writes
+    overrides, certify_rc = PREFIX_CFGS[name]
+    cfg = write_cfg(tmp_path, {**REFERENCE_CFG, **overrides,
+                               "output": {"precision": precision}})
+    certified = tmp_path / "certify"
+    assert run(["certify", "--config", cfg, "--out", certified, "--quiet"]) == certify_rc
+    for command, files in STAGE_FILES.items():
+        staged = tmp_path / command
+        run([command, "--config", cfg, "--out", staged, "--quiet"])
+        assert same_files(staged, certified) == files, command
+
+
+@pytest.mark.parametrize("overrides", [{"model": {"h": 0.4}},
+                                       {"firing": {"p": 0.5, "tau": 0.2}}],
+                         ids=["h=0.4", "p=0.5"])
+def test_commands_after_check_stop_where_certify_stops(tmp_path, capsys, overrides):
+    cfg = write_cfg(tmp_path, overrides)
+    assert run(["check", "--config", cfg, "--out", tmp_path / "check", "--quiet"]) == 2
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "certify", "--quiet"]) == 2
+    capsys.readouterr()
+    for command in ("bounds", "solve", "spectrum", "simulate"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command,
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
+        assert not (tmp_path / command).exists()
 
 
 def test_certify_no_escape_exit_2(tmp_path, capsys):
@@ -356,7 +417,7 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
         assert run_report["instability_verified"]["value"] is True
 
 
-def test_simulate_rejects_edited_kernel_csv(tmp_path, capsys):
+def test_simulate_rejects_edited_kernel_csv(tmp_path):
     # the table ends at 2a = 12; no stage after the check reads beyond it
     x = np.linspace(-12.0, 12.0, 2401)
     table = np.column_stack([x, GaussianKernel()(x)])
@@ -366,11 +427,15 @@ def test_simulate_rejects_edited_kernel_csv(tmp_path, capsys):
     out = tmp_path / "out"
     for command in ("solve", "spectrum", "simulate"):
         assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
-    # same path, new content: the cached u_tilde and principal vector are stale
+    before = (out / "dynamics.json").read_bytes()
+    # same path, new content: simulate follows the table, not the old artifacts
     table[:, 1] *= 1.2
     np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
-    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 1
-    assert "stage dependency" in capsys.readouterr().err
+    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "fresh", "--quiet"]) == 0
+    assert (out / "dynamics.json").read_bytes() != before
+    for name in ("dynamics.json", "trajectory.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_config_hash_of_analytic_kernels_covers_sections_only(tmp_path):
@@ -436,6 +501,7 @@ def test_config_schema_is_valid():
     {"model": None},
     {"kernel": {"type": "cauchy"}},
     {"dynamics": {"dt": -0.01, "scheme": "euler"}},
+    {"dynamics": {"dt": 0.5}},
     {"output": {"precision": 2.5}},
 ])
 def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, overrides):
@@ -510,3 +576,29 @@ def test_bad_mexican_hat_exit_1(tmp_path, capsys, shape, message):
     err = capsys.readouterr().err.strip()
     assert err.splitlines() == [err]
     assert err.startswith("config error: mexican_hat kernel: " + message)
+
+
+@pytest.mark.parametrize("grid, key", [
+    ({"n_per_unit": 0.001}, "grid.n_per_unit: 0.001"),
+    # below d = 1.557 of the reference model
+    ({"n": 800, "L_override": 0.5}, "grid.L_override: 0.5"),
+], ids=["n_per_unit", "L_override"])
+def test_grid_the_model_cannot_use_exit_1(tmp_path, capsys, grid, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(REFERENCE_CFG, grid=grid)))
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("number, literal, key", [
+    ('"h": 0.1', '"h": NaN', "at h: nan"),
+    ('"delta": 0.001', '"delta": 0.001, "epsilon_ball": Infinity', "at epsilon_ball: inf"),
+    ('"delta": 0.001', '"delta": 1e999', "at delta: inf"),
+], ids=["NaN", "Infinity", "overflow"])
+def test_non_finite_number_exit_1(tmp_path, capsys, number, literal, key):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(number, literal))
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: {key} is not a finite number\n"
+    assert not (tmp_path / "out").exists()

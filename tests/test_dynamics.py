@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neurofield.dynamics import (EXP_EULER, RK4, SimConfig, _rk4_step,
-                                 instability_experiment, simulate,
-                                 step_values)
+from neurofield.dynamics import (SimConfig, _rk4_step, instability_experiment,
+                                 simulate, step_values)
 from neurofield.errors import NoEscape, NonFinite
 from neurofield.fixedpoint import (OperatorContext, extend_bump,
                                    make_extension_grid)
@@ -27,10 +26,10 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
-        SimConfig(scheme="euler")
+        SimConfig(t_end=-1.0)
     with pytest.raises(ValueError):
-        SimConfig(dt=0.5, scheme=RK4)
-    SimConfig(dt=0.5, scheme=EXP_EULER)
+        SimConfig(dt=0.5)
+    SimConfig(dt=0.1)
 
 
 def test_equilibrium_is_stationary(setup):
@@ -119,26 +118,13 @@ def test_unperturbed_drift_small(ref_ctx_big, ref_u_tilde):
     assert np.max(traj.deviation_sup) <= 1e-6
 
 
-def _scheme_errors(setup, scheme, dts, t_end=1.0, amp=1.01):
-    ctx, u = setup["ctx"], setup["u"]
-    u0 = Profile(ctx.grid, amp * u.values)
-    ref = simulate(ctx, u0, u, SimConfig(dt=min(dts) / 16.0, t_end=t_end,
-                                         scheme=RK4))
-    errs = []
-    for dt in dts:
-        traj = simulate(ctx, u0, u, SimConfig(dt=dt, t_end=t_end, scheme=scheme))
-        errs.append(abs(traj.deviation_sup[-1] - ref.deviation_sup[-1]))
-    return errs
-
-
 def test_rk4_self_convergence(setup):
-    e1, e2 = _scheme_errors(setup, RK4, [0.04, 0.02])
+    ctx, u = setup["ctx"], setup["u"]
+    u0 = Profile(ctx.grid, 1.01 * u.values)
+    ref = simulate(ctx, u0, u, SimConfig(dt=0.02 / 16.0, t_end=1.0))
+    e1, e2 = (abs(simulate(ctx, u0, u, SimConfig(dt=dt, t_end=1.0)).deviation_sup[-1]
+                  - ref.deviation_sup[-1]) for dt in (0.04, 0.02))
     assert e1 / e2 >= 12.0  # fourth order gives 16 per halving
-
-
-def test_exp_euler_first_order(setup):
-    e1, e2 = _scheme_errors(setup, EXP_EULER, [0.04, 0.02])
-    assert 1.5 <= e1 / e2 <= 2.5  # first order gives 2 per halving
 
 
 def test_perturbations_grow_both_ways(setup):
