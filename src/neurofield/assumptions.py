@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import DEFAULT_HORIZON, solve_sandwich
-from .errors import InfeasibleModel
+from .bounds import DEFAULT_HORIZON, Sandwich, solve_sandwich
 from .grids import Grid
 from .model import Firing, Kernel, ModelParams
 from .quadrature import CumulativeKernel
@@ -32,10 +31,17 @@ class ConditionRecord:
 @dataclass(frozen=True)
 class AssumptionReport:
     conditions: tuple[ConditionRecord, ...]
-    a: float
-    d: float | None
+    sandwich: Sandwich
     horizon: float
     extras: dict = field(default_factory=dict)
+
+    @property
+    def a(self) -> float:
+        return self.sandwich.a
+
+    @property
+    def d(self) -> float | None:
+        return self.sandwich.d
 
     @property
     def verdict(self) -> str:
@@ -71,11 +77,8 @@ def _vii_violation(kernel: Kernel, xs: np.ndarray, vals: np.ndarray, d: float) -
 
 def check_assumptions(kernel: Kernel, firing: Firing,
                       params: ModelParams) -> AssumptionReport:
-    """Run the full hypothesis battery and return a per-condition report.
-
-    Raises InfeasibleModel (with the report attached) when the kernel mass
-    condition W(2a) > h + tau fails: no bump regime exists for these h, tau.
-    """
+    """Run the full hypothesis battery and return a per-condition report that
+    keeps the sandwich it solved; a failed condition is a fail verdict."""
     xs = DEFAULT_PROBE.nodes()
     vals = kernel(xs)
     horizon, dx = DEFAULT_HORIZON, DEFAULT_PROBE.dx
@@ -165,10 +168,5 @@ def check_assumptions(kernel: Kernel, firing: Firing,
             "thmB_iii_firing_smooth", "fail", witness=firing.p,
             note="ratio family needs p > 1 for a continuous derivative"))
 
-    report = AssumptionReport(tuple(records), a=a, d=d, horizon=horizon,
-                              extras={"h": params.h, "tau": params.tau})
-    if margin_v <= 0.0:
-        raise InfeasibleModel(
-            f"kernel mass W(2a) = {mass_2a:.6g} does not exceed h + tau = "
-            f"{params.h + params.tau:.6g}", report=report)
-    return report
+    return AssumptionReport(tuple(records), sw, horizon=horizon,
+                            extras={"h": params.h, "tau": params.tau})

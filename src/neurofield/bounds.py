@@ -125,7 +125,8 @@ class Sandwich(NamedTuple):
 def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
     """Solve W(2 delta_minus) = h, W(2 delta_plus) = h + tau and u_plus(d) = h on
     [0, a], a the kernel's positive radius capped at DEFAULT_HORIZON / 2; a failed
-    solve (no level below W(2a), no such d) leaves them None and keeps its error."""
+    solve (no level below W(2a), no such d, or constants not ordered
+    0 < delta_minus < delta_plus < d) leaves them None and keeps its error."""
     W = CumulativeKernel(kernel)
     a = min(kernel.positive_radius(), DEFAULT_HORIZON / 2.0)
     try:
@@ -135,17 +136,22 @@ def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
     except (BracketFailure, NoSuchD) as exc:
         # without its traceback, whose frames would keep the callers' arrays alive
         return Sandwich(a, failure=exc.with_traceback(None))
+    if not 0.0 < delta_minus < delta_plus < d:
+        # h + tau rounds to h when tau is below the last bit of h
+        return Sandwich(a, failure=NeurofieldError(
+            f"degenerate sandwich: need 0 < delta_minus < delta_plus < d, got "
+            f"{delta_minus!r}, {delta_plus!r}, {d!r}"))
     return Sandwich(a, delta_minus, delta_plus, d)
 
 
-def build_bounds(kernel: Kernel, params: ModelParams, n: int) -> BumpBounds:
-    """Sample u_minus and u_plus of the solved sandwich on [-d, d].
+def build_bounds(kernel: Kernel, sandwich: Sandwich, n: int) -> BumpBounds:
+    """Sample u_minus and u_plus of a solved sandwich on [-d, d].
 
     The grid has n subintervals (n must be even so 0 and +-d are nodes).
     """
     if n % 2 != 0:
         raise ValueError(f"need an even subinterval count for a symmetric grid, got n={n}")
-    sw = solve_sandwich(kernel, params).solved()
+    sw = sandwich.solved()
     W = CumulativeKernel(kernel)
     grid = Grid(-sw.d, sw.d, n)
     xs = grid.nodes()

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
-from .bounds import BISECT_TOL, BumpBounds, build_bounds, solve_sandwich
+from .bounds import BISECT_TOL, BumpBounds, build_bounds
 from .dynamics import SimConfig, instability_experiment
 from .errors import (ConfigError, InfeasibleModel, NeurofieldError, NoEscape,
                      PerturbationTooLarge)
@@ -69,7 +69,8 @@ def _finite_object(pairs: list) -> dict:
     return dict(pairs)
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path, grid_n: int | None) -> dict:
+    """The config at path with grid.n set to grid_n (unless None), validated."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -80,6 +81,9 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if grid_n is not None and isinstance(cfg, dict) and isinstance(
+            cfg.setdefault("grid", {}), dict):
+        cfg["grid"]["n"] = grid_n
     # imported here, as --version, --help and usage errors validate nothing;
     # the shipped schema is checked against its metaschema by the tests, not
     # on every run; best_match picks the error jsonschema.validate would raise
@@ -229,24 +233,20 @@ class Run:
 
     @cached_property
     def bounds(self) -> BumpBounds:
-        # the check gates every later stage, as it gates certify
+        # the one gate: every stage after the check, certify's included
         report = self.check
         if report.verdict != "pass":
             failed = [c.name for c in report.conditions if c.status != "pass"]
-            raise InfeasibleModel(f"assumptions not met: {', '.join(failed)}",
-                                  report=report)
-        kernel, _, params = self.model
+            raise InfeasibleModel(f"assumptions not met: {', '.join(failed)}")
         gsec = self.cfg.get("grid", {})
         if "n" in gsec:
             n = int(gsec["n"])
         else:
-            # d does not depend on n, so the sandwich alone gives it
-            d = solve_sandwich(kernel, params).solved().d
-            n = int(round(2.0 * d * gsec.get("n_per_unit", 256)))
+            n = int(round(2.0 * report.d * gsec.get("n_per_unit", 256)))
             if n == 0:
                 raise ConfigError(f"grid.n_per_unit: {gsec['n_per_unit']} per unit "
-                                  f"leaves no subinterval on [-d, d], d = {d:.9g}")
-        return build_bounds(kernel, params, n + (n % 2))
+                                  f"leaves no subinterval on [-d, d], d = {report.d:.9g}")
+        return build_bounds(self.model[0], report.sandwich, n + (n % 2))
 
     @cached_property
     def solve(self) -> Solved:
@@ -298,18 +298,11 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def cmd_check(run: Run, out: Path, precision: int, quiet: bool):
-    try:
-        report = run.check
-        message = f"assumptions: {report.verdict}"
-    except InfeasibleModel as exc:
-        report, message = exc.report, f"infeasible: {exc}"
-    payload = None
-    if report is not None:
-        payload = dict(report.to_dict(), config_hash=run.config_hash("check"))
-        write_json(out / "report.json", payload)
+    payload = dict(run.check.to_dict(), config_hash=run.config_hash("check"))
+    write_json(out / "report.json", payload)
     if not quiet:
-        print(message)
-    return (0 if payload is not None and payload["verdict"] == "pass" else 2), payload
+        print(f"assumptions: {payload['verdict']}")
+    return (0 if payload["verdict"] == "pass" else 2), payload
 
 
 def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):
@@ -398,21 +391,17 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
 
 
 def cmd_certify(run: Run, out: Path, precision: int, quiet: bool):
-    rc, report = cmd_check(run, out, precision, True)
-    if rc != 0:
-        if not quiet:
-            print("certify: model infeasible")
-        return rc, None
+    _, report = cmd_check(run, out, precision, True)
     _, bounds = cmd_bounds(run, out, precision, True)
     _, fixedpoint = cmd_solve(run, out, precision, True)
     _, certificate = cmd_spectrum(run, out, precision, True)
     _, dyn = cmd_simulate(run, out, precision, True)
 
+    # cmd_bounds returned, so the check passed
     newton_tol = fixedpoint["newton_tol"]
-    bump_ok = (report["verdict"] == "pass"
-                 and fixedpoint["residual_sup"] <= 10.0 * newton_tol
-                 and fixedpoint["epsilon_used"] is not None
-                 and fixedpoint["epsilon_used"] > 0.0)
+    bump_ok = (fixedpoint["residual_sup"] <= 10.0 * newton_tol
+               and fixedpoint["epsilon_used"] is not None
+               and fixedpoint["epsilon_used"] > 0.0)
     lam = certificate["spectral_radius"]
     growth_ok = (dyn["growth_rate"] is not None and lam > 1.0
                  and abs(dyn["growth_rate"] - (lam - 1.0)) <= 0.1 * (lam - 1.0))
@@ -448,10 +437,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: exit code 2 means an
+    infeasible model or a failed certificate."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neurofield",
         description="Construct and certify unstable bump solutions of a 1D "
                     "neural field equation.")
@@ -472,9 +470,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.grid_n is not None:
-            cfg.setdefault("grid", {})["n"] = args.grid_n
+        cfg = load_config(args.config, args.grid_n)
         base = Path(args.config).resolve().parent
         osec = cfg.get("output", {})
         out = Path(args.out) if args.out else base / osec.get("directory", "out")
@@ -485,14 +481,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleModel as exc:
-        # a command after check stops where certify stops
+        # every command after check stops at Run.bounds, as certify does
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except NoEscape as exc:
         # the dynamic half of the certificate failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NeurofieldError as exc:
+    except (NeurofieldError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

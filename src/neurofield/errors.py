@@ -10,14 +10,8 @@ class NotDifferentiable(NeurofieldError):
 
 
 class InfeasibleModel(NeurofieldError):
-    """The kernel mass on [0, 2a] does not exceed h + tau: no bump regime exists.
-
-    Carries the assumption report that detected the failure in ``report``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The assumption check did not pass, so no bump is built: raised by the
+    first stage after the check, naming the conditions that did not pass."""
 
 
 class BracketFailure(NeurofieldError):

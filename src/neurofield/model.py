@@ -197,27 +197,29 @@ class RatioFiring:
             raise ValueError(f"need p > 0, got p={self.p}")
         if self.tau <= 0.0:
             raise ValueError(f"need tau > 0, got tau={self.tau}")
-        # On the clipped argument a / (a + b) is exactly 0 at u <= 0 and 1 at
-        # u >= tau, and a + b >= (tau/2)^p > 0, while tau^p is finite and
-        # (tau/2)^p nonzero (tested with a margin); otherwise the ends need
-        # the np.where of __call__.
+        # The plain quotients of __call__ and deriv hold while (tau/2)^p and
+        # its square are normal and tau^p and its square finite (tested with a
+        # margin): a + b >= (tau/2)^p and (a + b)^2 then lose no bits, and on
+        # the clipped argument a / (a + b) is exactly 0 at u <= 0 and 1 at
+        # u >= tau.  Otherwise f and f' come from r = ((tau - u)/u)^p.
         tau, p = float(self.tau), float(self.p)
         with np.errstate(over="ignore", under="ignore"):
-            plain = np.power(0.25 * tau, p) > 0.0 and np.isfinite(2.0 * np.power(tau, p))
+            low, high = np.power(0.25 * tau, p), 2.0 * np.power(tau, p)
+            plain = low * low >= np.finfo(float).tiny and np.isfinite(p * high * high)
         object.__setattr__(self, "_plain", bool(plain))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, self.tau)
         uc += 0.0  # -0.0 to +0.0, so f(-0.0) = +0.0 at every p
-        a = np.power(uc, self.p)
-        b = np.power(self.tau - uc, self.p)
         if self._plain:
+            a = np.power(uc, self.p)
+            b = np.power(self.tau - uc, self.p)
             out = a / (a + b)
         else:
-            with np.errstate(invalid="ignore"):
-                mid = a / (a + b)
-            out = np.where(u <= 0.0, 0.0, np.where(u >= self.tau, 1.0, mid))
+            # f = 1 / (1 + r): r = inf at u = 0 and r = 0 at u = tau give the ends
+            with np.errstate(divide="ignore", over="ignore", under="ignore"):
+                out = 1.0 / (1.0 + np.power((self.tau - uc) / uc, self.p))
         return out if out.ndim else float(out)
 
     def deriv(self, u):
@@ -229,11 +231,19 @@ class RatioFiring:
             raise NotDifferentiable(f"ratio firing rate with p={self.p} <= 1 is not C^1")
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, self.tau)
-        a = np.power(uc, self.p)
-        b = np.power(self.tau - uc, self.p)
-        num = self.p * self.tau * np.power(uc, self.p - 1.0) * np.power(self.tau - uc, self.p - 1.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mid = num / np.square(a + b)
+        if self._plain:
+            a = np.power(uc, self.p)
+            b = np.power(self.tau - uc, self.p)
+            num = self.p * self.tau * np.power(uc, self.p - 1.0) * np.power(self.tau - uc, self.p - 1.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mid = num / np.square(a + b)
+        else:
+            # f' = p tau f (1 - f) / (u (tau - u)) with f = 1 / (1 + r) and
+            # 1 - f = 1 / (1 + 1/r), ordered so that no factor overflows
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+                f = 1.0 / (1.0 + np.power((self.tau - uc) / uc, self.p))
+                g = 1.0 / (1.0 + np.power(uc / (self.tau - uc), self.p))
+                mid = self.p * (f / uc) * (g * (self.tau / (self.tau - uc)))
         out = np.where((u <= 0.0) | (u >= self.tau), 0.0, mid)
         return out if out.ndim else float(out)
 

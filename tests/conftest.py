@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from neurofield.bounds import build_bounds
+from neurofield.bounds import build_bounds, solve_sandwich
 from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    extend_bump, make_extension_grid,
                                    solve_third_fixed_point)
@@ -43,7 +43,7 @@ def ref_model():
 @pytest.fixture(scope="session")
 def ref_bounds(ref_model):
     kernel, _, params = ref_model
-    return build_bounds(kernel, params, 800)
+    return build_bounds(kernel, solve_sandwich(kernel, params), 800)
 
 
 @pytest.fixture(scope="session")
@@ -99,7 +99,7 @@ def ref_power(ref_lin_big):
 @pytest.fixture(scope="session")
 def coarse_setup(ref_model):
     kernel, firing, params = ref_model
-    bb = build_bounds(kernel, params, 200)
+    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
     ctx = OperatorContext(kernel, firing, params, bb.grid)
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
     ctx_big = OperatorContext(kernel, firing, params,
@@ -118,7 +118,7 @@ def coarse_setup(ref_model):
 def kernel_setup(request):
     kernel, h, tau = request.param
     firing, params = RatioFiring(P, tau), ModelParams(h, tau)
-    bb = build_bounds(kernel, params, 200)
+    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
     ctx = OperatorContext(kernel, firing, params, bb.grid)
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
     ctx_big = OperatorContext(kernel, firing, params,

@@ -90,7 +90,7 @@ def test_criterion_04_translation_eigenvalue(ref_lin_big):
     params = ModelParams(H, TAU)
 
     def nearest_one(n):
-        bb = build_bounds(kernel, params, n)
+        bb = build_bounds(kernel, solve_sandwich(kernel, params), n)
         ctx = OperatorContext(kernel, firing, params, bb.grid)
         fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
         ctx_big = OperatorContext(kernel, firing, params,
@@ -176,7 +176,7 @@ def test_criterion_09_comparison_profile_battery():
     ]
     all_ok = True
     for kernel, params in cases:
-        bb = build_bounds(kernel, params, 400)
+        bb = build_bounds(kernel, solve_sandwich(kernel, params), 400)
         probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 8000)
         rep = verify_heaviside_stationarity(kernel, bb, probe)
         all_ok = all_ok and rep["ok"]

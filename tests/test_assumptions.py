@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurofield.assumptions import check_assumptions
 from neurofield.bounds import build_bounds, solve_sandwich
-from neurofield.errors import InfeasibleModel, NoSuchD
+from neurofield.errors import NoSuchD
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
@@ -47,10 +47,8 @@ def test_reference_report_contents():
     (ExponentialKernel(), ModelParams(0.3, 0.3)),
     (GaussianKernel(), ModelParams(0.5, 0.4)),
 ])
-def test_infeasible_mass_raises(kernel, params):
-    with pytest.raises(InfeasibleModel) as exc:
-        check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
-    rep = exc.value.report
+def test_infeasible_mass_fails_the_check(kernel, params):
+    rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
     assert rep.condition("B_v_mass_exceeds_h_plus_tau").status == "fail"
     assert rep.verdict == "fail"
 
@@ -128,9 +126,9 @@ def test_check_and_bounds_share_one_sandwich(which, level, split):
     if rep.d is None:
         assert rep.condition("B_vi_d_exists").status == "fail"
         with pytest.raises(NoSuchD):
-            build_bounds(kernel, params, 200)
+            build_bounds(kernel, rep.sandwich, 200)
     else:
-        assert rep.d == build_bounds(kernel, params, 200).d
+        assert rep.d == build_bounds(kernel, rep.sandwich, 200).d
     iv = rep.condition("B_iv_positive_range")
     assert iv.status == "pass" and iv.margin >= 0.0
     if kernel is _HAT:

@@ -9,7 +9,7 @@ from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
 from neurofield.assumptions import check_assumptions
 from neurofield.bounds import (BISECT_TOL, BumpBounds, _bisect, build_bounds,
                                find_d, solve_delta, solve_sandwich)
-from neurofield.errors import BracketFailure, NoSuchD
+from neurofield.errors import BracketFailure, NeurofieldError, NoSuchD
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
@@ -101,8 +101,20 @@ def test_find_d_no_such_d():
         find_d(W, DELTA_PLUS_EXACT, H, a=0.6)
 
 
+@pytest.mark.parametrize("tau", [1e-17, 5e-18, 1e-300])
+def test_degenerate_sandwich_is_a_failed_solve(tau):
+    # h + tau rounds to h, so delta_minus = delta_plus: no order interval
+    kernel = ExponentialKernel()
+    sw = solve_sandwich(kernel, ModelParams(H, tau))
+    assert sw.delta_minus is sw.delta_plus is sw.d is None
+    assert str(sw.failure).startswith("degenerate sandwich: ")
+    with pytest.raises(NeurofieldError, match="degenerate sandwich"):
+        build_bounds(kernel, sw, 200)
+
+
 def test_build_bounds_reference():
-    bb = build_bounds(ExponentialKernel(), ModelParams(H, TAU), 800)
+    kernel = ExponentialKernel()
+    bb = build_bounds(kernel, solve_sandwich(kernel, ModelParams(H, TAU)), 800)
     assert bb.delta_minus == pytest.approx(DELTA_MINUS_EXACT, abs=1e-10)
     assert bb.delta_plus == pytest.approx(DELTA_PLUS_EXACT, abs=1e-10)
     assert bb.d == pytest.approx(D_EXACT, abs=1e-10)
@@ -124,7 +136,7 @@ def test_tabulated_table_edge_is_not_overrun():
     kernel = TabulatedKernel(table, GaussianKernel()(table.nodes()))
     params = ModelParams(0.1, 0.2)
     rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
-    bb = build_bounds(kernel, params, 200)
+    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
     assert rep.verdict == "pass" and 2.0 * rep.a == 12.0
     assert bb.d == rep.d
 
@@ -138,8 +150,8 @@ def test_check_and_bounds_allocate_under_a_megabyte(kernel, params):
     # W is a closed form: no table of the cumulative integral is allocated
     tracemalloc.start()
     try:
-        check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
-        build_bounds(kernel, params, 800)
+        rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+        build_bounds(kernel, rep.sandwich, 800)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -148,7 +160,8 @@ def test_check_and_bounds_allocate_under_a_megabyte(kernel, params):
 
 def test_build_bounds_rejects_odd_n():
     with pytest.raises(ValueError):
-        build_bounds(ExponentialKernel(), ModelParams(H, TAU), 801)
+        kernel = ExponentialKernel()
+        build_bounds(kernel, solve_sandwich(kernel, ModelParams(H, TAU)), 801)
 
 
 def test_bump_bounds_validation():
@@ -169,7 +182,7 @@ def test_bump_bounds_validation():
     (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
 ])
 def test_heaviside_stationarity_battery(kernel, params):
-    bb = build_bounds(kernel, params, 400)
+    bb = build_bounds(kernel, solve_sandwich(kernel, params), 400)
     probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 8000)
     report = verify_heaviside_stationarity(kernel, bb, probe)
     assert report["ok"], report["checks"]
@@ -185,7 +198,7 @@ def test_heaviside_battery_random_feasible_params():
         tau = rng.uniform(0.05, 0.5)
         if h + tau >= 0.45:  # keep below the half-line kernel mass W(inf) = 0.5
             continue
-        bb = build_bounds(k, ModelParams(h, tau), 200)
+        bb = build_bounds(k, solve_sandwich(k, ModelParams(h, tau)), 200)
         probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 4000)
         assert verify_heaviside_stationarity(k, bb, probe)["ok"]
 
@@ -193,7 +206,7 @@ def test_heaviside_battery_random_feasible_params():
 def test_heaviside_battery_negative_control():
     # perturbing the claimed delta_minus must break the battery
     k = ExponentialKernel()
-    bb = build_bounds(k, ModelParams(H, TAU), 400)
+    bb = build_bounds(k, solve_sandwich(k, ModelParams(H, TAU)), 400)
     probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 8000)
     for factor in (0.9, 1.1):
         fake = BumpBounds(bb.delta_minus * factor, bb.delta_plus, bb.d,

@@ -217,6 +217,23 @@ def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
                      "solve_third_fixed_point": 1, "extend_bump": 1}
 
 
+@pytest.mark.parametrize("grid", [{"n": 200}, None], ids=["grid.n", "no grid"])
+def test_certify_solves_the_sandwich_once(tmp_path, monkeypatch, grid):
+    # the check solves it, and the bounds take it and their n from the report
+    import neurofield.assumptions
+    import neurofield.bounds
+    calls = []
+    for module in (neurofield.assumptions, neurofield.bounds, cli):
+        if hasattr(module, "solve_sandwich"):
+            def counted(*args, _fn=module.solve_sandwich):
+                calls.append(args)
+                return _fn(*args)
+            monkeypatch.setattr(module, "solve_sandwich", counted)
+    cfg = write_cfg(tmp_path, {"grid": grid})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert len(calls) == 1
+
+
 def test_certify_without_grid_section(tmp_path):
     # with no grid section the bounds take n = round(2 d 256), made even, and
     # the check and the bounds find the same d
@@ -226,7 +243,7 @@ def test_certify_without_grid_section(tmp_path):
     bounds = json.loads((out / "bounds.json").read_text())
     n = round(2.0 * bounds["d"] * 256)
     assert bounds["n"] == n + n % 2 and bounds["n"] % 2 == 0
-    pipeline = cli.Run(cli.load_config(cfg), tmp_path)
+    pipeline = cli.Run(cli.load_config(cfg, None), tmp_path)
     assert pipeline.check.d == pipeline.bounds.d
 
 
@@ -324,20 +341,73 @@ def test_every_command_is_a_prefix_of_certify(tmp_path, name, precision):
         assert same_files(staged, certified) == files, command
 
 
-@pytest.mark.parametrize("overrides", [{"model": {"h": 0.4}},
-                                       {"firing": {"p": 0.5, "tau": 0.2}}],
-                         ids=["h=0.4", "p=0.5"])
-def test_commands_after_check_stop_where_certify_stops(tmp_path, capsys, overrides):
-    cfg = write_cfg(tmp_path, overrides)
-    assert run(["check", "--config", cfg, "--out", tmp_path / "check", "--quiet"]) == 2
-    assert run(["certify", "--config", cfg, "--out", tmp_path / "certify", "--quiet"]) == 2
-    capsys.readouterr()
+INFEASIBLE_CFGS = {
+    "h=0.4": {"model": {"h": 0.4}},
+    "p=0.5": {"firing": {"p": 0.5, "tau": 0.2}},
+    "h=tau=0.3": {"model": {"h": 0.3}, "firing": {"p": 2.0, "tau": 0.3}},
+    "p=1": {"firing": {"p": 1.0, "tau": 0.2}},
+    # h + tau rounds to h, so delta_minus = delta_plus
+    "tau=1e-17": {"firing": {"p": 2.0, "tau": 1e-17}},
+    "tau=5e-18": {"firing": {"p": 2.0, "tau": 5e-18}},
+    "tau=1e-300": {"firing": {"p": 2.0, "tau": 1e-300}},
+}
+
+
+@pytest.mark.parametrize("name", INFEASIBLE_CFGS)
+def test_commands_after_check_stop_where_certify_stops(tmp_path, capsys, name):
+    # check answers fail; every later command prints one infeasible line
+    cfg = write_cfg(tmp_path, INFEASIBLE_CFGS[name])
+    assert run(["check", "--config", cfg, "--out", tmp_path / "check"]) == 2
+    assert capsys.readouterr() == ("assumptions: fail\n", "")
+    report = json.loads((tmp_path / "check" / "report.json").read_text())
+    failed = [c["name"] for c in report["conditions"] if c["status"] != "pass"]
+    if name.startswith("tau="):
+        vi, = (c for c in report["conditions"] if c["name"] == "B_vi_d_exists")
+        assert vi["status"] == "fail" and vi["note"].startswith("degenerate sandwich: ")
+    line = f"infeasible: assumptions not met: {', '.join(failed)}\n"
+    for command in ("bounds", "solve", "spectrum", "simulate", "certify"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+        assert capsys.readouterr() == ("", line), command
     for command in ("bounds", "solve", "spectrum", "simulate"):
-        assert run([command, "--config", cfg, "--out", tmp_path / command,
-                    "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("infeasible: ") and err.count("\n") == 1
         assert not (tmp_path / command).exists()
+    # certify writes the check's report, and nothing after it
+    assert same_files(tmp_path / "check", tmp_path / "certify") == ["report.json"]
+    assert [p.name for p in (tmp_path / "certify").iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["check"],
+                                  ["check", "--config", "cfg.json", "--grid-n", "abc"]],
+                         ids=["no command", "unknown command", "no --config", "--grid-n abc"])
+def test_usage_error_exit_1(capsys, argv):
+    # exit code 2 is kept for an infeasible model or a failed certificate
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_n", [0, -4, 1])
+def test_grid_n_flag_validated_as_grid_n(tmp_path, capsys, grid_n):
+    # the flag is merged into the config before validation: one config error
+    flagged = write_cfg(tmp_path)
+    assert run(["bounds", "--config", flagged, "--out", tmp_path / "out",
+                "--grid-n", grid_n]) == 1
+    err = capsys.readouterr().err
+    configured = write_cfg(tmp_path, {"grid": {"n": grid_n}}, name="n.json")
+    assert run(["bounds", "--config", configured, "--out", tmp_path / "out"]) == 1
+    assert err.replace("cfg.json", "n.json") == capsys.readouterr().err
+    assert err.startswith("config error: ") and " at grid/n: " in err
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 200, "L_override": 1e14}],
+                         ids=["n", "L_override"])
+def test_allocation_failure_exit_1(tmp_path, capsys, grid):
+    # sizes past the address space fail at once, without allocating
+    cfg = write_cfg(tmp_path, {"grid": grid})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_certify_no_escape_exit_2(tmp_path, capsys):
@@ -410,7 +480,7 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0 and proc.stderr == ""
         report = json.loads((work / "out" / "report.json").read_text())
-        table = cli.build_kernel(cli.load_config(cfg), work)
+        table = cli.build_kernel(cli.load_config(cfg, None), work)
         assert report["a"] == table.positive_radius() == 6.0
         run_report = json.loads((work / "out" / "run_report.json").read_text())
         assert run_report["stationary_bump_verified"]["value"] is True

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import H, TAU, P
-from neurofield.bounds import build_bounds
+from neurofield.bounds import build_bounds, solve_sandwich
 from neurofield.errors import GridMisaligned
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext,
                                    compute_epsilon, embed_offset, extend_bump,
@@ -126,7 +126,7 @@ def test_epsilon_positive_and_stable(ref_epsilon, ref_model, ref_bounds):
     assert ref_epsilon < ref_bounds.gap_norm()
     # refining the grid moves epsilon by less than 10 percent
     kernel, firing, params = ref_model
-    bb2 = build_bounds(kernel, params, 1600)
+    bb2 = build_bounds(kernel, solve_sandwich(kernel, params), 1600)
     ctx2 = OperatorContext(kernel, firing, params, bb2.grid)
     eps2 = compute_epsilon(ctx2, bb2)
     assert abs(eps2 - ref_epsilon) <= 0.1 * ref_epsilon
@@ -192,7 +192,7 @@ def test_third_fixed_point_refinement_order(ref_fp):
     firing = RatioFiring(P, TAU)
     params = ModelParams(H, TAU)
     for n in (200, 400):
-        bb = build_bounds(kernel, params, n)
+        bb = build_bounds(kernel, solve_sandwich(kernel, params), n)
         ctx = OperatorContext(kernel, firing, params, bb.grid)
         fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
         vals[n] = fp.u_star.values[n // 2]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -159,26 +160,64 @@ def _ratio_firing_by_where(f, u):
     return np.where(u <= 0.0, 0.0, np.where(u >= f.tau, 1.0, mid))
 
 
+def _ratio_firing_by_mpmath(f, u, deriv=False):
+    """f(u), or f'(u), in 60-digit arithmetic, rounded to the nearest double."""
+    def one(x):
+        if not math.isfinite(x) or not 0.0 < x < f.tau:
+            return x if math.isnan(x) else float(x >= f.tau and not deriv)
+        with mpmath.workdps(60):
+            x, p, tau = mpmath.mpf(x), mpmath.mpf(f.p), mpmath.mpf(f.tau)
+            a, b = x ** p, (tau - x) ** p
+            if deriv:
+                return float(p * tau * (x * (tau - x)) ** (p - 1) / (a + b) ** 2)
+            return float(a / (a + b))
+    return np.array([one(float(x)) for x in np.ravel(u)])
+
+
 @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0, 500.0, 800.0])
 @pytest.mark.parametrize("tau", [0.2, 0.1, 3.0])
 def test_ratio_firing_matches_where_formula(p, tau):
-    # tau^p underflows at (p, tau) = (500, 0.1) and overflows at (800, 3)
+    # bit for bit where the plain quotient holds; at p = 500 and 800 tau^p
+    # underflows or overflows, the where formula reads NaN inside (0, tau),
+    # and mpmath is the oracle
     f = RatioFiring(p, tau)
+    assert f._plain == (p < 500.0)
     rng = np.random.default_rng(3)
     special = [0.0, -0.0, tau, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324,
                np.nextafter(tau, 0.0)]
     u = np.concatenate([rng.uniform(-0.5 * tau, 1.5 * tau, 400), special])
-    with np.errstate(over="ignore"):
-        got = f(u)
-    want = _ratio_firing_by_where(f, u)
-    assert np.array_equal(got, want, equal_nan=True)
+    got = f(u)
+    if f._plain:
+        want = _ratio_firing_by_where(f, u)
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        # relatively exact down to the subnormal range
+        want = _ratio_firing_by_mpmath(f, u)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
     # no -0.0 from u = -0.0 at odd integer p (or p = 0.5)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     for x, y in zip(special, want[400:]):
-        with np.errstate(over="ignore"):
-            fx = f(x)
+        fx = f(x)
         assert type(fx) is float
         assert np.array_equal(fx, y, equal_nan=True) and np.signbit(fx) == np.signbit(y)
+
+
+@pytest.mark.parametrize("p", [160.0, 200.0, 500.0, 800.0])
+@pytest.mark.parametrize("tau", [0.2, 3.0, 1e-300])
+def test_ratio_firing_finite_at_large_p(p, tau):
+    # (a + b)^2 underflows from p = 170 at tau = 0.2 and a / (a + b) is 0/0
+    # from p = 330: f and f' come from r = ((tau - u)/u)^p there
+    f = RatioFiring(p, tau)
+    u = np.concatenate([np.linspace(0.0, tau, 201),
+                        np.random.default_rng(4).uniform(0.0, tau, 200)])
+    values, slopes = f(u), f.deriv(u)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(slopes))
+    np.testing.assert_allclose(values, _ratio_firing_by_mpmath(f, u),
+                               rtol=1e-12, atol=1e-300)
+    # f' to 1e-12 of its peak p / tau, at which f' is relatively exact
+    want = _ratio_firing_by_mpmath(f, u, deriv=True)
+    np.testing.assert_allclose(slopes, want, rtol=1e-12, atol=1e-12 * p / tau)
+    assert f.deriv(0.5 * tau) == pytest.approx(p / tau, rel=1e-13)
 
 
 def test_ratio_firing_monotone():
