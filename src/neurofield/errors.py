@@ -27,7 +27,7 @@ class EpsilonNotFound(NeurofieldError):
 
 
 class NoConvergence(NeurofieldError):
-    """Iteration exhausted its budget without meeting the tolerance."""
+    """An iteration or an eigenpair did not meet its tolerance."""
 
 
 class NewtonDivergence(NeurofieldError):
@@ -35,7 +35,8 @@ class NewtonDivergence(NeurofieldError):
 
 
 class DegenerateFixedPoint(NeurofieldError):
-    """Newton converged onto one of the bounding profiles instead of an interior point."""
+    """Newton converged onto one of the bounding profiles or outside the order
+    interval between them instead of an interior point."""
 
 
 class GridMisaligned(NeurofieldError):
@@ -60,10 +61,6 @@ class PerturbationTooLarge(NeurofieldError, ValueError):
 
 class NoEscape(NeurofieldError):
     """Perturbed trajectory never left the epsilon ball despite a positive growth margin."""
-
-
-class PowerIterationStall(NeurofieldError):
-    """Dominant-eigenvalue iteration failed to settle (near-degenerate dominant pair)."""
 
 
 class ConfigError(NeurofieldError):

@@ -42,6 +42,13 @@ EPSILON_HALVINGS = 60
 #: Newton starts lam * u_minus + (1 - lam) * u_plus, tried in this order
 NEWTON_MIXES = (0.5, 0.35, 0.65, 0.25, 0.75)
 
+#: defaults of the solver config section: Newton's sup-norm residual target
+#: and step budget, and the separation from each bounding profile, relative
+#: to the gap norm, below which a fixed point counts as collapsed onto it
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 60
+DEGENERACY_THRESHOLD = 1e-2
+
 #: the extension grid ends where the kernel's reach from [-d, d], omega * 2d,
 #: is at most TAIL_TOL; the tail search gives up past TAIL_SEARCH_LIMIT
 TAIL_TOL = 1e-10
@@ -383,14 +390,15 @@ def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
 
 
 def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
-                            tol: float = 1e-10, max_iter: int = 60,
-                            degeneracy_threshold: float = 1e-2,
+                            tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
+                            degeneracy_threshold: float = DEGENERACY_THRESHOLD,
                             epsilon: float | None = None) -> FixedPointResult:
     """Find the interior fixed point separated from both bounding profiles.
 
     Starts Newton from convex combinations lam*u_minus + (1-lam)*u_plus and
-    rejects runs that collapse onto either bound (degeneracy threshold is
-    relative to the gap norm).
+    rejects a limit that leaves the order interval [u_minus, u_plus] at some
+    node or collapses onto either bound (degeneracy threshold is relative to
+    the gap norm).
     """
     gap = bb.gap_norm()
     sep_min = degeneracy_threshold * gap
@@ -404,6 +412,11 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
             continue
         d_lo = float(np.max(np.abs(u - bb.u_minus.values)))
         d_hi = float(np.max(np.abs(u - bb.u_plus.values)))
+        if not np.all((bb.u_minus.values <= u) & (u <= bb.u_plus.values)):
+            last_exc = DegenerateFixedPoint(
+                f"Newton from mix {lam} left the order interval [u_minus, u_plus] "
+                f"(separations {d_lo:.3e}, {d_hi:.3e})")
+            continue
         if min(d_lo, d_hi) < sep_min:
             last_exc = DegenerateFixedPoint(
                 f"Newton from mix {lam} collapsed onto a bounding profile "

@@ -92,7 +92,7 @@ def ref_lin_big(ref_ctx_big, ref_u_tilde):
 
 @pytest.fixture(scope="session")
 def ref_power(ref_lin_big):
-    return spectral_radius(ref_lin_big, ref_lin_big.eigenvalues(1))
+    return spectral_radius(ref_lin_big, *ref_lin_big.eigensolve(1))
 
 
 # coarser twin of the reference setup for the time-stepping tests

@@ -2,7 +2,8 @@
 
 The dense ones build the full matrix that the package applies through FFT
 products, so they serve moderate grids only.  The rest are the plain form of
-a step the package computes more cheaply (the whole-grid RK4 step), or checks
+a step the package computes more cheaply (the whole-grid RK4 step, power
+iteration for the principal eigenpair), or checks
 that no certify stage runs (the clamped iteration, the translation family,
 the Heaviside stationarity of u_minus and u_plus, and the two formulations of
 condition (vii)).
@@ -55,6 +56,43 @@ def apply_integral_operator(kernel, weight: Profile, targets: Grid) -> Profile:
         block = tgt[start:start + chunk, None] - src[None, :]
         out[start:start + chunk] = kernel(block) @ wv
     return Profile(targets, out)
+
+
+#: power iteration gives up after this many products
+POWER_MAX_ITER = 100_000
+
+
+def power_iteration(lin, tol: float = 1e-13) -> tuple[float, Profile]:
+    """Dominant eigenvalue of a ``Linearization`` by power iteration from the
+    constant-1 vector, on the whole grid.
+
+    The eigenvector is normalized to sup-norm 1 with its largest entry
+    positive.
+    """
+    v = np.ones(lin.grid.n_nodes)
+    lam = 0.0
+    for _ in range(POWER_MAX_ITER):
+        w = lin.matvec(v)
+        norm = float(np.max(np.abs(w)))
+        if norm == 0.0:
+            raise NoConvergence("operator annihilated the start vector")
+        w /= norm
+        lam_new = norm
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
+            resid = float(np.max(np.abs(lin.matvec(w) - lam_new * w)))
+            if resid <= 1e-10 * max(lam_new, 1.0):
+                v = w
+                lam = lam_new
+                break
+        v = w
+        lam = lam_new
+    else:
+        raise NoConvergence(
+            f"dominant eigenvalue did not settle in {POWER_MAX_ITER} iterations "
+            "(near-degenerate dominant pair?)")
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    return lam, Profile(lin.grid, v)
 
 
 def dense_eigenvalues(lin):

@@ -249,15 +249,15 @@ def test_certify_without_grid_section(tmp_path):
 
 @pytest.mark.parametrize("grid_n", [200, 100])
 def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
-    # one Lanczos eigensolve per grid: the power iteration's cross-check and
-    # the spectra comparison share the big grid's eigenvalues
+    # one Lanczos eigensolve per grid: the principal pair and the spectra
+    # comparison share the big grid's eigensolve
     solved = []
-    eigenvalues = Linearization.eigenvalues
+    eigensolve = Linearization.eigensolve
 
     def counted(self, *args):
         solved.append(self.grid.n_nodes)
-        return eigenvalues(self, *args)
-    monkeypatch.setattr(Linearization, "eigenvalues", counted)
+        return eigensolve(self, *args)
+    monkeypatch.setattr(Linearization, "eigensolve", counted)
     cfg = write_cfg(tmp_path, {"grid": {"n": grid_n}})
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
     assert len(solved) == 2 and solved[0] != solved[1]
@@ -265,7 +265,7 @@ def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
 
 def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # the bump feeds T through its supra-threshold window only; every T on the
-    # whole extension grid (extend, power iteration, remainder fit, the RK4
+    # whole extension grid (extend, principal vector, remainder fit, the RK4
     # step's one whole-line convolution and its exactness bound) shares it,
     # and the RK4 stages add one spectrum onto their step window
     built, contexts = [], []
@@ -316,6 +316,9 @@ PREFIX_CFGS = {
     "mexican_hat": ({"kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1},
                      "model": {"h": 0.05}, "firing": {"p": 2.0, "tau": 0.05},
                      "dynamics": {"delta": 1e-4}}, 2),
+    # on 200 subintervals Newton's third start converges to u = 0, outside
+    # [u_minus, u_plus]; the fourth finds the bump, whose certificate fails
+    "p=300": ({"firing": {"p": 300.0, "tau": 0.2}, "grid": {"n": 200}}, 2),
 }
 STAGE_FILES = {
     "check": ["report.json"],

@@ -17,7 +17,7 @@ def setup(coarse_setup):
     ctx_big = coarse_setup["ctx_big"]
     u_tilde = coarse_setup["u_tilde"]
     lin = Linearization(ctx_big, u_tilde)
-    lam, vec = spectral_radius(lin, lin.eigenvalues(1))
+    lam, vec = spectral_radius(lin, *lin.eigensolve(1))
     return {"ctx": ctx_big, "u": u_tilde, "lam": lam, "vec": vec}
 
 

@@ -202,6 +202,20 @@ def test_third_fixed_point_refinement_order(ref_fp):
     assert e400 < e200 / 3.0
 
 
+def test_newton_limit_outside_the_order_interval_is_rejected():
+    # at p = 300 the starts 0.5 and 0.35 diverge and 0.65 converges to the
+    # trivial fixed point u = 0, below u_minus; the start 0.25 finds the bump
+    kernel, params = ExponentialKernel(), ModelParams(H, TAU)
+    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
+    ctx = OperatorContext(kernel, RatioFiring(300.0, TAU), params, bb.grid)
+    fp = solve_third_fixed_point(ctx, bb)
+    u = fp.u_star.values
+    assert np.all(bb.u_minus.values <= u) and np.all(u <= bb.u_plus.values)
+    assert u[100] == pytest.approx(0.2244, abs=1e-4)
+    assert (fp.dist_to_u_minus, fp.dist_to_u_plus) == pytest.approx((0.120, 0.149),
+                                                                     abs=1e-3)
+
+
 def test_newton_step_matches_dense_solve(kernel_setup):
     # GMRES on the matrix-free Jacobian against np.linalg.solve on the folded
     # dense one, at a start of the Newton solve and at its fixed point

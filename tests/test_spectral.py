@@ -5,7 +5,7 @@ import pytest
 
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds
-from neurofield.errors import PowerIterationStall
+from neurofield.errors import NoConvergence
 from neurofield.fixedpoint import OperatorContext, solve_third_fixed_point
 from neurofield.grids import Grid, Profile
 from neurofield.model import ExponentialKernel, ModelParams, RatioFiring
@@ -14,7 +14,7 @@ from neurofield.spectral import (Linearization, derivative_profile,
                                  remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius,
                                  translation_mode_check)
-from oracles import dense_eigenvalues, dense_linearization
+from oracles import dense_eigenvalues, dense_linearization, power_iteration
 
 
 def test_linearization_zero_profile(ref_ctx):
@@ -105,16 +105,19 @@ def test_lanczos_breakdown_and_repeated_eigenvalues():
     rng = np.random.default_rng(11)
     basis, _ = np.linalg.qr(rng.normal(size=(40, 4)))
     A = 2.0 * basis[:, :3] @ basis[:, :3].T + 0.5 * np.outer(basis[:, 3], basis[:, 3])
-    got = lanczos(lambda x: A @ x, 40, 6)
+    got = lanczos(lambda x: A @ x, 40, 6)[0]
     assert np.allclose(got, [2.0, 2.0, 2.0, 0.5, 0.0, 0.0], atol=1e-12)
     # an exact breakdown (a zero Lanczos residual) at every step
-    assert np.array_equal(lanczos(lambda x: 0.0 * x, 8, 3), np.zeros(3))
+    assert np.array_equal(lanczos(lambda x: 0.0 * x, 8, 3)[0], np.zeros(3))
     # more steps than the first block of 64 basis rows holds
     diag = np.linspace(2.0, -1.0, 80)
-    assert np.allclose(lanczos(lambda x: diag * x, 80, 80), diag, atol=1e-12)
+    assert np.allclose(lanczos(lambda x: diag * x, 80, 80)[0], diag, atol=1e-12)
     # k above the dimension returns the whole spectrum
     small = np.diag([3.0, -1.0, 2.0])
-    assert np.allclose(lanczos(lambda x: small @ x, 3, 5), [3.0, 2.0, -1.0], atol=1e-14)
+    values, top = lanczos(lambda x: small @ x, 3, 5)
+    assert np.allclose(values, [3.0, 2.0, -1.0], atol=1e-14)
+    # the top Ritz vector is the unit vector of the diagonal entry 3
+    assert np.allclose(np.abs(top), [1.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_lanczos_large_k_solves_few_tridiagonals(monkeypatch):
@@ -130,7 +133,7 @@ def test_lanczos_large_k_solves_few_tridiagonals(monkeypatch):
     diag = np.linspace(3.0, -1.0, 200)
     for k, most in ((10**6, 1), (200, 1), (100, 5)):
         sizes.clear()
-        got = lanczos(lambda x: diag * x, 200, k)
+        got = lanczos(lambda x: diag * x, 200, k)[0]
         want = diag[np.argsort(np.abs(diag))[::-1][:k]]
         assert np.allclose(got, np.sort(want)[::-1], atol=1e-12)
         assert len(sizes) <= most and min(sizes) >= min(k, 200)
@@ -148,15 +151,40 @@ def test_power_iteration_matches_dense_small(coarse_setup):
     ctx = coarse_setup["ctx"]
     fp = coarse_setup["fp"]
     lin = Linearization(ctx, fp.u_star)
-    lam, _ = spectral_radius(lin, lin.eigenvalues(1))
+    lam, _ = spectral_radius(lin, *lin.eigensolve(1))
     assert abs(lam - dense_eigenvalues(lin)[0]) <= 1e-8 * lam
 
 
 def test_power_iteration_stall_on_zero(ref_ctx):
     lin = Linearization(ref_ctx, Profile(ref_ctx.grid,
                                          np.zeros(ref_ctx.grid.n_nodes)))
-    with pytest.raises(PowerIterationStall):
-        spectral_radius(lin, lin.eigenvalues(1))
+    with pytest.raises(NoConvergence):
+        spectral_radius(lin, *lin.eigensolve(1))
+
+
+def test_spectral_radius_matches_power_iteration(kernel_setup):
+    # the top Ritz pair extended to the whole line is the pair that power
+    # iteration from the constant vector settles on
+    lin = kernel_setup["lin_big"]
+    lam, vec = spectral_radius(lin, *lin.eigensolve(5))
+    lam_power, vec_power = power_iteration(lin)
+    assert abs(lam - lam_power) <= 1e-12 * lam_power
+    assert np.max(np.abs(vec.values - vec_power.values)) <= 1e-12
+
+
+def test_spectral_radius_meets_the_residual_gate(kernel_setup):
+    lin = kernel_setup["lin_big"]
+    eigs, y = lin.eigensolve(5)
+    lam, vec = spectral_radius(lin, eigs, y)
+    v = vec.values
+    assert lam == eigs[0] and v[np.argmax(np.abs(v))] == 1.0 == np.max(np.abs(v))
+    assert np.max(np.abs(lin.matvec(v) - lam * v)) <= 1e-10 * max(lam, 1.0)
+    # an eigenvalue off by 1e-8 relative fails the gate
+    with pytest.raises(NoConvergence, match="residual"):
+        spectral_radius(lin, eigs * (1.0 + 1e-8), y)
+    # so does a top eigenvalue that a negative one outweighs
+    with pytest.raises(NoConvergence, match="dominates"):
+        spectral_radius(lin, np.array([eigs[0], -2.0 * eigs[0]]), y)
 
 
 def test_translation_mode(ref_ctx_big, ref_u_tilde, ref_lin_big):
@@ -220,8 +248,7 @@ def test_remainder_fit_validation(ref_ctx_big, ref_lin_big):
 
 def test_certificate_pass(ref_power):
     lam, vec = ref_power
-    cert = instability_certificate(lam, vec, 1e-5, 1.96, 1.0, 1e-9,
-                                   power_vs_dense=1e-10)
+    cert = instability_certificate(lam, vec, 1e-5, 1.96, 1.0, 1e-9)
     assert cert["verdict"] == "pass"
     assert all(cert["items"].values())
     assert cert["instability_margin"] == pytest.approx(lam - 1.0)
