@@ -185,8 +185,8 @@ def read_profile_csv(path: Path) -> Profile:
 # ---------------------------------------------------------------------------
 
 class Solved(NamedTuple):
+    """The run's one context, on the whole line; u* on its [-d, d] window."""
     ctx: OperatorContext
-    ctx_big: OperatorContext
     fp: FixedPointResult
     u_tilde: Profile
 
@@ -252,7 +252,8 @@ class Run:
         if L is not None and L <= bb.d:
             raise ConfigError(f"grid.L_override: {L} does not exceed d = {bb.d:.9g}")
         ssec = self.cfg.get("solver", {})
-        ctx = OperatorContext(kernel, firing, params, bb.grid)
+        ctx = OperatorContext(kernel, firing, params,
+                              make_extension_grid(kernel, bb.grid, L_override=L))
         eps = compute_epsilon(ctx, bb)
         fp = solve_third_fixed_point(
             ctx, bb,
@@ -260,31 +261,26 @@ class Run:
             max_iter=ssec.get("max_iter", NEWTON_MAX_ITER),
             degeneracy_threshold=ssec.get("degeneracy_threshold", DEGENERACY_THRESHOLD),
             epsilon=eps)
-        big = make_extension_grid(kernel, bb.grid, L_override=L)
-        ctx_big = OperatorContext(kernel, firing, params, big)
-        u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
-        return Solved(ctx, ctx_big, fp, u_tilde)
+        return Solved(ctx, fp, extend_bump(ctx, fp.u_star))
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        ctx, ctx_big, fp, u_tilde = self.solve
+        # one linearization and one Lanczos solve, at the whole-line bump
+        ctx, fp, u_tilde = self.solve
         top_k = self.cfg.get("spectral", {}).get("top_k", 5)
-        lin = Linearization(ctx, fp.u_star)
-        lin_big = Linearization(ctx_big, u_tilde)
-        if lin_big.support.size == 0:
-            zero = Profile(ctx_big.grid, np.zeros(ctx_big.grid.n_nodes))
-            cert = instability_certificate(0.0, zero, np.inf, 0.0, 0.0, np.inf)
+        lin = Linearization(ctx, u_tilde)
+        margins = spectra_equivalence_check(lin, fp.u_star)
+        if lin.support.size == 0:
+            zero = Profile(ctx.grid, np.zeros(ctx.grid.n_nodes))
+            cert = instability_certificate(0.0, zero, lin.support, np.inf, 0.0, 0.0,
+                                           *margins)
             return Spectrum(0.0, zero, np.zeros(0), cert)
-        # one Lanczos eigensolve per grid: the big grid's gives the principal
-        # pair and the eigenvalues the spectra comparison reads
-        eigs_big, y = lin_big.eigensolve(top_k)
-        lam, v = spectral_radius(lin_big, eigs_big, y)
-        eigs = lin.eigenvalues(top_k)
-        trans = translation_mode_check(ctx, fp.u_star, lin)
-        equiv_dev, _ = spectra_equivalence_check(eigs, eigs_big, top_k)
-        slope, _ = remainder_exponent_fit(lin_big, v, np.logspace(-4, -2, 9))
-        cert = instability_certificate(lam, v, trans, slope, ctx.firing.holder_exponent,
-                                       equiv_dev)
+        eigs, y = lin.eigensolve(top_k)
+        lam, v = spectral_radius(lin, eigs, y)
+        trans = translation_mode_check(lin, fp.u_star)
+        slope, _ = remainder_exponent_fit(lin, v, np.logspace(-4, -2, 9))
+        cert = instability_certificate(lam, v, lin.support, trans, slope,
+                                       ctx.firing.holder_exponent, *margins)
         return Spectrum(lam, v, eigs, cert)
 
 
@@ -319,15 +315,15 @@ def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):
 
 
 def cmd_solve(run: Run, out: Path, precision: int, quiet: bool):
-    ctx, ctx_big, fp, u_tilde = run.solve
+    ctx, fp, u_tilde = run.solve
     write_csv(out / "u_star.csv", ["x", "value"],
-              [ctx.grid.nodes(), fp.u_star.values], precision)
+              [fp.u_star.grid.nodes(), fp.u_star.values], precision)
     write_csv(out / "u_tilde.csv", ["x", "value"],
-              [ctx_big.grid.nodes(), u_tilde.values], precision)
+              [ctx.grid.nodes(), u_tilde.values], precision)
     payload = fp.to_dict()
     payload.update({
         "config_hash": run.config_hash("solve"),
-        "L": ctx_big.grid.hi,
+        "L": ctx.grid.hi,
         "newton_tol": run.cfg.get("solver", {}).get("newton_tol", NEWTON_TOL),
     })
     write_json(out / "fixedpoint.json", payload)
@@ -338,13 +334,13 @@ def cmd_solve(run: Run, out: Path, precision: int, quiet: bool):
 
 
 def cmd_spectrum(run: Run, out: Path, precision: int, quiet: bool):
-    ctx_big = run.solve.ctx_big
+    ctx = run.solve.ctx
     lam, v, eigs, cert = run.spectrum
     write_csv(out / "spectrum.csv", ["index", "eigenvalue_real", "eigenvalue_imag"],
               [np.arange(len(eigs), dtype=float), eigs, np.zeros(len(eigs))],
               precision)
     write_csv(out / "principal.csv", ["x", "value"],
-              [ctx_big.grid.nodes(), v.values], precision)
+              [ctx.grid.nodes(), v.values], precision)
     payload = dict(cert, config_hash=run.config_hash("spectrum"))
     write_json(out / "certificate.json", payload)
     if not quiet:
@@ -364,7 +360,7 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
         eps_ball = 0.05 * u_tilde.sup_norm()
         source = "the default 0.05 * sup|u_tilde|"
     try:
-        result = instability_experiment(run.solve.ctx_big, u_tilde, run.spectrum.v,
+        result = instability_experiment(run.solve.ctx, u_tilde, run.spectrum.v,
                                         delta, eps_ball, sim, lambda_max=run.spectrum.lam)
     except PerturbationTooLarge as exc:
         raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc

@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoEscape, NonFinite, PerturbationTooLarge
+from .errors import ConfigError, NoEscape, NonFinite, PerturbationTooLarge
 from .fixedpoint import OperatorContext
 from .grids import Profile
+
+#: the most steps a run may ask for (about 1 ms each on the reference grid)
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,9 @@ class SimConfig:
             raise ValueError("need dt > 0 and t_end > 0")
         if self.dt > 0.1:
             raise ValueError("rk4 default accuracy budget requires dt <= 0.1")
+        if not self.t_end / self.dt <= MAX_STEPS:  # inf once it overflows
+            raise ConfigError(f"dynamics.dt: t_end / dt = {self.t_end / self.dt:.6g} "
+                              f"steps exceed the affordable {MAX_STEPS}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Discretized Hammerstein operator on [-d, d], sandwich verification, and the
-third fixed point between the bounding profiles, extended to the whole line."""
+"""Discretized Hammerstein operator on the whole-line grid; the sandwich
+margin and the third fixed point on its [-d, d] window at O(window) per
+product, weighing +-d by dx, not dx / 2 (equal while u <= h at +-d)."""
 
 from __future__ import annotations
 
@@ -120,14 +121,17 @@ class OperatorContext:
             self._dense = np.asarray(self.kernel(x[:, None] - x[None, :]))
         return self._dense
 
-    def apply_weighted(self, s: np.ndarray, lo: int = 0) -> np.ndarray:
-        """sum_j s_j omega(x_i - x_j) at every node i for an already weighted
-        source s on the nodes from lo on (by default all) and 0 elsewhere."""
+    def apply_weighted(self, s: np.ndarray, lo: int = 0, out_lo: int = 0,
+                       out_hi: int | None = None) -> np.ndarray:
+        """sum_j s_j omega(x_i - x_j) at the nodes i in [out_lo, out_hi] (by
+        default every node) for an already weighted source s on the nodes
+        from lo on (by default all) and 0 elsewhere."""
+        out_hi = self.grid.n if out_hi is None else out_hi
         window = self._window(s == 0.0, lo)
         if window is None:
-            return np.zeros(self.grid.n_nodes)
+            return np.zeros(out_hi - out_lo + 1)
         w_lo, w_hi = window
-        return self._convolve(s[w_lo - lo:w_hi - lo + 1], w_lo, w_hi)
+        return self._convolve(s[w_lo - lo:w_hi - lo + 1], w_lo, w_hi, out_lo, out_hi)
 
     def weighted_bound(self, s: np.ndarray, lo: int = 0) -> float:
         """A bound on |apply_weighted(s, lo)| at every node, NaN for a NaN s:
@@ -245,16 +249,17 @@ def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,
 def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
     """Largest margin in the ladder eps0 * 2^-k certifying the strict sandwich.
 
-    Requires, on the grid: T(u_minus + eps) stays strictly below u_minus + eps,
-    T(u_plus - eps) strictly above u_plus - eps, and the shifted profiles stay
-    strictly ordered.
+    Requires, on the [-d, d] window: T(u_minus + eps) stays strictly below
+    u_minus + eps, T(u_plus - eps) strictly above u_plus - eps, and the
+    shifted profiles stay strictly ordered.
     """
+    k = embed_offset(bb.grid, ctx.grid)
     eps = bb.gap_norm() / 4.0
     for _ in range(EPSILON_HALVINGS):
         lo = bb.u_minus.values + eps
         hi = bb.u_plus.values - eps
-        ok = (np.min(lo - ctx.apply_T_values(lo)) > 0.0
-              and np.min(ctx.apply_T_values(hi) - hi) > 0.0
+        ok = (np.min(lo - ctx.apply_T_window(lo, k)[0]) > 0.0
+              and np.min(ctx.apply_T_window(hi, k)[0] - hi) > 0.0
               and np.min(hi - lo) > 0.0)
         if ok:
             return eps
@@ -345,24 +350,27 @@ def _mirror(v: np.ndarray) -> np.ndarray:
 
 def newton_step(ctx: OperatorContext, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solution s of J s = r for the Jacobian J at v of the even-subspace
-    residual v - T(mirror v)[x >= 0], by GMRES on the matrix-free product
-    J s = s - apply_weighted(w f'(mirror v - h) mirror s)[x >= 0]."""
-    mid = ctx.grid.n // 2
-    gain = ctx.firing.deriv(_mirror(v) - ctx.params.h) * ctx.weights
-    return gmres(lambda s: s - ctx.apply_weighted(gain * _mirror(s))[mid:], r)
+    residual v - T(mirror v)[x >= 0] on the 2 len(v) - 1 middle nodes, by GMRES
+    on the matrix-free product J s = s - K(w f'(mirror v - h) mirror s)[x >= 0]."""
+    mid = len(v) - 1
+    lo = ctx.grid.n // 2 - mid
+    gain = ctx.firing.deriv(_mirror(v) - ctx.params.h) * ctx.weights[lo:lo + 2 * mid + 1]
+    return gmres(lambda s: s - ctx.apply_weighted(gain * _mirror(s), lo, lo,
+                                                  lo + 2 * mid)[mid:], r)
 
 
 def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
                  max_iter: int) -> tuple[np.ndarray, int]:
-    """Damped Newton for u = Tu on the even-symmetric subspace.
+    """Damped Newton for u = Tu on the even-symmetric subspace of u0's middle nodes.
 
     Unknowns are the node values at x >= 0; the mirror image fixes the rest and
     removes the near-singular translation mode of the unsymmetrized Jacobian.
     """
-    mid = ctx.grid.n // 2
+    mid = len(u0) // 2
+    lo = ctx.grid.n // 2 - mid
 
     def residual(v):
-        return v - ctx.apply_T_values(_mirror(v))[mid:]
+        return v - ctx.apply_T_window(_mirror(v), lo)[0][mid:]
 
     v = u0[mid:].copy()
     r = residual(v)
@@ -393,13 +401,14 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
                             tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
                             degeneracy_threshold: float = DEGENERACY_THRESHOLD,
                             epsilon: float | None = None) -> FixedPointResult:
-    """Find the interior fixed point separated from both bounding profiles.
+    """Find the interior fixed point on [-d, d] separated from both bounding profiles.
 
     Starts Newton from convex combinations lam*u_minus + (1-lam)*u_plus and
     rejects a limit that leaves the order interval [u_minus, u_plus] at some
     node or collapses onto either bound (degeneracy threshold is relative to
     the gap norm).
     """
+    k = embed_offset(bb.grid, ctx.grid)
     gap = bb.gap_norm()
     sep_min = degeneracy_threshold * gap
     last_exc: Exception | None = None
@@ -422,8 +431,8 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
                 f"Newton from mix {lam} collapsed onto a bounding profile "
                 f"(separations {d_lo:.3e}, {d_hi:.3e})")
             continue
-        resid = float(np.max(np.abs(u - ctx.apply_T_values(u))))
-        return FixedPointResult(Profile(ctx.grid, u), resid, iters,
+        resid = float(np.max(np.abs(u - ctx.apply_T_window(u, k)[0])))
+        return FixedPointResult(Profile(bb.grid, u), resid, iters,
                                 d_lo, d_hi, epsilon_used=epsilon)
     raise last_exc
 
@@ -482,12 +491,9 @@ def embed_offset(small: Grid, big: Grid) -> int:
     return k
 
 
-def extend_bump(ctx: OperatorContext, u_star: Profile,
-                ctx_big: OperatorContext) -> Profile:
-    """Whole-line bump on the grid of ctx_big: the kernel convolved with
-    f(u_star - h) over [-d, d], i.e. T on ctx_big applied to a source that is
-    zero outside the embedded [-d, d] nodes."""
-    k = embed_offset(ctx.grid, ctx_big.grid)
-    src = np.zeros(ctx_big.grid.n_nodes)
-    src[k:k + ctx.grid.n_nodes] = ctx.weights * ctx.firing(u_star.values - ctx.params.h)
-    return Profile(ctx_big.grid, ctx_big.apply_weighted(src))
+def extend_bump(ctx: OperatorContext, u_star: Profile) -> Profile:
+    """Whole-line bump: T on ctx's grid applied to a source that is
+    f(u_star - h) on the [-d, d] window and zero elsewhere."""
+    k = embed_offset(u_star.grid, ctx.grid)
+    src = ctx.weights[k:k + u_star.grid.n_nodes] * ctx.firing(u_star.values - ctx.params.h)
+    return Profile(ctx.grid, ctx.apply_weighted(src, k))

@@ -1,5 +1,6 @@
 """Nystrom linearization of the Hammerstein operator at a profile, dominant
-eigenpair, translation-mode certificate, and the nonlinear remainder exponent."""
+eigenpair, translation-mode certificate, the premises of Lemma 1, and the
+nonlinear remainder exponent."""
 
 from __future__ import annotations
 
@@ -8,12 +9,8 @@ import random
 import numpy as np
 
 from .errors import GridMisaligned, NoConvergence
-from .fixedpoint import OperatorContext, orthogonalize
+from .fixedpoint import OperatorContext, embed_offset, orthogonalize
 from .grids import Profile
-
-#: relative threshold below which a discrete eigenvalue counts as "zero"
-#: (compact-operator spectra accumulate only at 0)
-ZERO_EIG_REL = 1e-10
 
 #: seed of the Lanczos start vectors
 LANCZOS_SEED = 20111212
@@ -22,10 +19,8 @@ LANCZOS_SEED = 20111212
 #: LANCZOS_TOL times the largest Ritz value
 LANCZOS_TOL = 1e-13
 
-#: certificate thresholds: the translation-mode residual and the relative
-#: deviation of the restricted from the whole-line spectrum
+#: certificate threshold of the translation-mode residual
 TRANSLATION_TOL = 5e-3
-EQUIVALENCE_TOL = 1e-6
 
 
 def lanczos(matvec, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +96,12 @@ class Linearization:
         self.gains = np.asarray(ctx.firing.deriv(u.values - ctx.params.h), dtype=float)
         self.support = np.nonzero(self.gains > 0.0)[0]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.ctx.apply_weighted(self.weights * self.gains * v)
+    def matvec(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
+        """The operator at the nodes from lo on that v covers (by default
+        all), for v given there and zero elsewhere."""
+        hi = lo + len(v) - 1
+        return self.ctx.apply_weighted(self.weights[lo:hi + 1] * self.gains[lo:hi + 1] * v,
+                                       lo, lo, hi)
 
     def eigenvalues(self, k: int = 5) -> np.ndarray:
         """The k support eigenvalues of largest magnitude, descending (all of
@@ -155,42 +154,35 @@ def spectral_radius(lin: Linearization, eigs: np.ndarray,
 
 
 def derivative_profile(ctx: OperatorContext, u: Profile) -> Profile:
-    """u'(x) through the kernel derivative: integral of omega'(x - y) f(u(y) - h).
+    """u'(x) through the kernel derivative: integral of omega'(x - y) f(u(y) - h)
+    over the nodes of u's grid, a window of ctx's, at those nodes.
 
     The analytic route (not finite differences of u) matches the
     integration-by-parts identity that makes u' a translation eigenfunction.
     """
-    wv = ctx.weights * ctx.firing(u.values - ctx.params.h)
-    return Profile(ctx.grid, ctx.block_operator(0, ctx.grid.n, ctx.kernel.deriv)(wv))
+    k = embed_offset(u.grid, ctx.grid)
+    wv = ctx.weights[k:k + u.grid.n_nodes] * ctx.firing(u.values - ctx.params.h)
+    return Profile(u.grid, ctx.block_operator(k, k + u.grid.n, ctx.kernel.deriv)(wv))
 
 
-def translation_mode_check(ctx: OperatorContext, u_star: Profile,
-                           lin: Linearization) -> float:
-    """Relative sup-residual of the eigenvalue-1 identity on the bump derivative."""
-    up = derivative_profile(ctx, u_star).values
-    scale = float(np.max(np.abs(up)))
-    return float(np.max(np.abs(lin.matvec(up) - up))) / scale
+def translation_mode_check(lin: Linearization, u: Profile) -> float:
+    """Relative sup-residual of the eigenvalue-1 identity on the bump
+    derivative u', both sides on the nodes of u's grid, a window of lin's."""
+    up = derivative_profile(lin.ctx, u).values
+    image = lin.matvec(up, embed_offset(u.grid, lin.grid))
+    return float(np.max(np.abs(image - up))) / float(np.max(np.abs(up)))
 
 
-def spectra_equivalence_check(ev_s: np.ndarray, ev_b: np.ndarray,
-                              k: int) -> tuple[float, int]:
-    """Max relative deviation of the top-k nonzero eigenvalues of two
-    linearizations (restricted interval vs whole working line), given as the
-    ``eigenvalues()`` of each.
-
-    Returns (deviation, count actually compared); fewer than k nonzero
-    eigenvalues simply shortens the comparison.
-    """
-    if ev_s.size == 0 or ev_b.size == 0:
-        return 0.0, 0
-    cut = ZERO_EIG_REL * max(float(np.max(np.abs(ev_s))), 1e-300)
-    top_s = np.sort(np.abs(ev_s[np.abs(ev_s) > cut]))[::-1]
-    top_b = np.sort(np.abs(ev_b[np.abs(ev_b) > cut]))[::-1]
-    count = min(k, len(top_s), len(top_b))
-    if count == 0:
-        return 0.0, 0
-    dev = np.abs(top_s[:count] - top_b[:count]) / top_s[:count]
-    return float(np.max(dev)), count
+def spectra_equivalence_check(lin: Linearization, u_star: Profile) -> tuple[float, float]:
+    """(support_margin, edge_margin) of Lemma 1's premises, which carry the
+    spectrum of ``lin`` between [-d, d] (u_star's grid) and the whole line:
+    >= 1 node between the support of f'(u - h) and +-d (inf if empty) keeps
+    one support block, and h - max u_star(+-d) >= 0 leaves +-d no source."""
+    k = embed_offset(u_star.grid, lin.grid)
+    idx = lin.support
+    support_margin = (float(min(idx[0] - k, k + u_star.grid.n - idx[-1]))
+                      if idx.size else np.inf)
+    return support_margin, float(lin.ctx.params.h - max(u_star.values[0], u_star.values[-1]))
 
 
 def remainder_exponent_fit(lin: Linearization, direction: Profile,
@@ -217,38 +209,37 @@ def remainder_exponent_fit(lin: Linearization, direction: Profile,
     return slope, norms
 
 
-def instability_certificate(spectral_radius_value: float,
-                            principal_vector: Profile,
-                            translation_residual: float,
-                            remainder_exponent: float,
-                            mu: float,
-                            equivalence_deviation: float) -> dict:
+def instability_certificate(spectral_radius_value: float, principal_vector: Profile,
+                            support: np.ndarray, translation_residual: float,
+                            remainder_exponent: float, mu: float,
+                            support_margin: float, edge_margin: float) -> dict:
     """Aggregate the spectral checks into a pass/fail verdict record.
 
     Passing certifies, at the discrete level, the chain: spectral radius above
-    one, one-signed principal mode, translation eigenvalue one, superlinear
-    nonlinear remainder, and agreement of the restricted and whole-line
-    spectra.
+    one, a principal mode one-signed on ``support`` (where f'(u - h) > 0, the
+    Krein-Rutman cone), translation eigenvalue one, superlinear nonlinear
+    remainder, and the premises of Lemma 1 (``spectra_equivalence_check``).
     """
     v = principal_vector.values
     applicable = float(np.max(np.abs(v))) > 0.0
-    one_signed = float(np.min(v) * np.max(v)) >= -1e-10
+    cone = v[support]
+    one_signed = cone.size == 0 or float(np.min(cone) * np.max(cone)) >= -1e-10
     items = {
         "spectral_radius_above_one": spectral_radius_value > 1.0,
         "principal_vector_one_signed": bool(one_signed),
         "translation_mode": translation_residual <= TRANSLATION_TOL,
         "remainder_superlinear": remainder_exponent >= 1.0 + mu - 0.1,
-        "spectra_equivalence": equivalence_deviation <= EQUIVALENCE_TOL,
+        "spectra_equivalence": support_margin >= 1.0 and edge_margin >= 0.0,
     }
-    record = {
+    return {
         "applicable": applicable,
         "items": items,
         "spectral_radius": spectral_radius_value,
         "instability_margin": spectral_radius_value - 1.0,
         "translation_residual": translation_residual,
         "remainder_exponent": remainder_exponent,
-        "equivalence_deviation": equivalence_deviation,
+        "support_margin": support_margin,
+        "edge_margin": edge_margin,
         "verdict": "pass" if applicable and all(items.values()) else
                    ("not-applicable" if not applicable else "fail"),
     }
-    return record

@@ -76,8 +76,8 @@ def ref_ctx_big(ref_model, ref_big_grid):
 
 
 @pytest.fixture(scope="session")
-def ref_u_tilde(ref_ctx, ref_fp, ref_ctx_big):
-    return extend_bump(ref_ctx, ref_fp.u_star, ref_ctx_big)
+def ref_u_tilde(ref_fp, ref_ctx_big):
+    return extend_bump(ref_ctx_big, ref_fp.u_star)
 
 
 @pytest.fixture(scope="session")
@@ -104,7 +104,7 @@ def coarse_setup(ref_model):
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
     ctx_big = OperatorContext(kernel, firing, params,
                               make_extension_grid(kernel, bb.grid))
-    u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
+    u_tilde = extend_bump(ctx_big, fp.u_star)
     return {"bb": bb, "ctx": ctx, "fp": fp, "ctx_big": ctx_big,
             "u_tilde": u_tilde}
 
@@ -123,7 +123,7 @@ def kernel_setup(request):
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
     ctx_big = OperatorContext(kernel, firing, params,
                               make_extension_grid(kernel, bb.grid))
-    u_tilde = extend_bump(ctx, fp.u_star, ctx_big)
+    u_tilde = extend_bump(ctx_big, fp.u_star)
     return {"bb": bb, "ctx": ctx, "fp": fp,
             "lin": Linearization(ctx, fp.u_star),
             "lin_big": Linearization(ctx_big, u_tilde)}

@@ -5,8 +5,9 @@ products, so they serve moderate grids only.  The rest are the plain form of
 a step the package computes more cheaply (the whole-grid RK4 step, power
 iteration for the principal eigenpair), or checks
 that no certify stage runs (the clamped iteration, the translation family,
-the Heaviside stationarity of u_minus and u_plus, and the two formulations of
-condition (vii)).
+the Heaviside stationarity of u_minus and u_plus, the two formulations of
+condition (vii), and the comparison of the restricted and whole-line spectra
+whose premises certify checks instead).
 """
 
 from __future__ import annotations
@@ -105,6 +106,31 @@ def dense_eigenvalues(lin):
     K = np.asarray(lin.ctx.kernel(x[:, None] - x[None, :]))
     s = np.sqrt(lin.weights[idx] * lin.gains[idx])
     return np.linalg.eigvalsh(K * s[None, :] * s[:, None])[::-1]
+
+
+#: relative threshold below which a discrete eigenvalue counts as "zero"
+#: (compact-operator spectra accumulate only at 0)
+ZERO_EIG_REL = 1e-10
+
+
+def spectra_deviation(ev_s: np.ndarray, ev_b: np.ndarray, k: int) -> tuple[float, int]:
+    """Max relative deviation of the top-k nonzero eigenvalues of two
+    linearizations (restricted interval vs whole working line), given as the
+    ``eigenvalues()`` of each.
+
+    Returns (deviation, count actually compared); fewer than k nonzero
+    eigenvalues simply shortens the comparison.
+    """
+    if ev_s.size == 0 or ev_b.size == 0:
+        return 0.0, 0
+    cut = ZERO_EIG_REL * max(float(np.max(np.abs(ev_s))), 1e-300)
+    top_s = np.sort(np.abs(ev_s[np.abs(ev_s) > cut]))[::-1]
+    top_b = np.sort(np.abs(ev_b[np.abs(ev_b) > cut]))[::-1]
+    count = min(k, len(top_s), len(top_b))
+    if count == 0:
+        return 0.0, 0
+    dev = np.abs(top_s[:count] - top_b[:count]) / top_s[:count]
+    return float(np.max(dev)), count
 
 
 def dense_even_jacobian(ctx, v):

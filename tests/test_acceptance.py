@@ -26,7 +26,7 @@ from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import (Linearization, remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius)
 from oracles import (dense_eigenvalues, integrate, monotone_iterate, sample,
-                     verify_heaviside_stationarity)
+                     spectra_deviation, verify_heaviside_stationarity)
 
 
 def report(name, ok, detail=""):
@@ -95,7 +95,7 @@ def test_criterion_04_translation_eigenvalue(ref_lin_big):
         fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
         ctx_big = OperatorContext(kernel, firing, params,
                                   make_extension_grid(kernel, bb.grid))
-        lin = Linearization(ctx_big, extend_bump(ctx, fp.u_star, ctx_big))
+        lin = Linearization(ctx_big, extend_bump(ctx_big, fp.u_star))
         ev = lin.eigenvalues()
         return float(ev[np.argmin(np.abs(ev - 1.0))])
 
@@ -125,15 +125,19 @@ def test_criterion_05_instability_certificate(ref_power, coarse_setup):
            f"lambda_max {lam:.6f}, principal vs dense {agree:.1e}")
 
 
-def test_criterion_06_spectra_equivalence(ref_lin, ref_lin_big):
-    dev, count = spectra_equivalence_check(ref_lin.eigenvalues(),
-                                           ref_lin_big.eigenvalues(), 5)
+def test_criterion_06_spectra_equivalence(ref_lin, ref_lin_big, ref_fp):
+    dev, count = spectra_deviation(ref_lin.eigenvalues(),
+                                   ref_lin_big.eigenvalues(), 5)
     # the full dense spectra give the same top-5 comparison
-    dev_dense, _ = spectra_equivalence_check(dense_eigenvalues(ref_lin),
-                                             dense_eigenvalues(ref_lin_big), 5)
-    ok = count == 5 and dev <= 1e-6 and abs(dev - dev_dense) <= 1e-12
+    dev_dense, _ = spectra_deviation(dense_eigenvalues(ref_lin),
+                                     dense_eigenvalues(ref_lin_big), 5)
+    # Lemma 1's premises, which certify checks in place of the comparison
+    support_margin, edge_margin = spectra_equivalence_check(ref_lin_big, ref_fp.u_star)
+    ok = (count == 5 and dev <= 1e-6 and abs(dev - dev_dense) <= 1e-12
+          and support_margin >= 1.0 and edge_margin >= 0.0)
     report("criterion 6: restricted vs whole-line spectra", ok,
-           f"top-{count} relative deviation {dev:.2e}")
+           f"top-{count} relative deviation {dev:.2e}, premise margins "
+           f"{support_margin:.0f} nodes, {edge_margin:.4f}")
 
 
 def test_criterion_07_remainder_exponent(ref_ctx_big, ref_lin_big, ref_power):

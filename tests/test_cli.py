@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import neurofield
+import neurofield.dynamics
 from neurofield import cli
 from neurofield.cli import main
 from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
@@ -249,25 +250,36 @@ def test_certify_without_grid_section(tmp_path):
 
 @pytest.mark.parametrize("grid_n", [200, 100])
 def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
-    # one Lanczos eigensolve per grid: the principal pair and the spectra
-    # comparison share the big grid's eigensolve
-    solved = []
-    eigensolve = Linearization.eigensolve
+    # one operator context, on the whole-line grid, and one Lanczos eigensolve
+    # on it: the principal pair and spectrum.csv come from the same solve
+    solved, contexts = [], []
+    eigensolve, init = Linearization.eigensolve, OperatorContext.__init__
 
     def counted(self, *args):
         solved.append(self.grid.n_nodes)
         return eigensolve(self, *args)
+
+    def counted_init(self, *args):
+        contexts.append(args[-1].n)
+        init(self, *args)
     monkeypatch.setattr(Linearization, "eigensolve", counted)
+    monkeypatch.setattr(OperatorContext, "__init__", counted_init)
     cfg = write_cfg(tmp_path, {"grid": {"n": grid_n}})
-    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
-    assert len(solved) == 2 and solved[0] != solved[1]
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert len(contexts) == 1 and contexts[0] > grid_n
+    assert solved == [contexts[0] + 1]
+    eigs = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    cert = json.loads((out / "certificate.json").read_text())
+    assert eigs[0] == cert["spectral_radius"]
 
 
 def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
-    # the bump feeds T through its supra-threshold window only; every T on the
-    # whole extension grid (extend, principal vector, remainder fit, the RK4
-    # step's one whole-line convolution and its exactness bound) shares it,
-    # and the RK4 stages add one spectrum onto their step window
+    # the bump feeds T through its supra-threshold window only; every T onto
+    # the whole extension grid (extend, principal vector, remainder fit, the
+    # RK4 step's one whole-line convolution and its exactness bound) shares
+    # it, and the RK4 stages add one spectrum onto their step window; the
+    # margin, Newton and the translation check output the [-d, d] nodes only
     built, contexts = [], []
     spectrum = OperatorContext._spectrum
 
@@ -280,20 +292,23 @@ def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, {"grid": {"n": 800}})
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
     big_n = max(n for n, _ in built)
+    # one context, on the whole extension grid
+    assert {n for n, _ in built} == {big_n} and len(set(map(id, contexts))) == 1
     whole = [key for n, key in built if n == big_n and key[2] == big_n]
     assert len(whole) == 1
     lo, hi, _ = whole[0]
     # the bump's window, not widened to the whole grid
     assert 3 * (hi - lo + 1) <= big_n + 1
-    stages = [key for n, key in built if n == big_n and key[2] != big_n]
+    # every Newton and epsilon spectrum outputs the n + 1 = 801 nodes of
+    # [-d, d], never the whole line
+    assert any(key[2] == 800 for _, key in built)
+    stages = [key for n, key in built if key[2] not in (big_n, 800)]
     assert len(stages) == 1
     # the same source window onto the step window, the bump's window widened
     # by a block on each side, counted from the step window's first node
     width = hi - lo + 2 * WINDOW_BLOCK
     assert stages[0] == (WINDOW_BLOCK, hi - lo + WINDOW_BLOCK, width)
     assert STEP_WINDOW_SHARE * (width + 1) <= big_n + 1
-    # on [-d, d] the window covers most of the grid, which keeps one spectrum
-    assert [key for n, key in built if n == 800] == [(0, 800, 800)]
     assert all(len(ctx._spectra) <= SPECTRUM_CACHE_SIZE for ctx in contexts)
 
 
@@ -313,9 +328,10 @@ PREFIX_CFGS = {
     # a smaller delta than the reference's fits the epsilon ball of these bumps
     "gaussian": ({"kernel": {"type": "gaussian"},
                   "dynamics": {"delta": 1e-4}}, 0),
+    # the principal vector is negative only off the support of f'(u - h)
     "mexican_hat": ({"kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1},
                      "model": {"h": 0.05}, "firing": {"p": 2.0, "tau": 0.05},
-                     "dynamics": {"delta": 1e-4}}, 2),
+                     "dynamics": {"delta": 1e-4}}, 0),
     # on 200 subintervals Newton's third start converges to u = 0, outside
     # [u_minus, u_plus]; the fourth finds the bump, whose certificate fails
     "p=300": ({"firing": {"p": 300.0, "tau": 0.2}, "grid": {"n": 200}}, 2),
@@ -413,6 +429,20 @@ def test_allocation_failure_exit_1(tmp_path, capsys, grid):
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dynamics", [{"dt": 5e-324}, {"dt": 1e-17, "t_end": 1.0}],
+                         ids=["dt=5e-324", "dt=1e-17"])
+def test_unaffordable_step_count_exit_1(tmp_path, capsys, monkeypatch, dynamics):
+    # refused before the first step, with one line naming dt and t_end
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(neurofield.dynamics, "step_values", refuse)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 100}, "dynamics": dynamics})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dynamics.dt: t_end / dt = ") and err.count("\n") == 1
+    assert "exceed the affordable 1000000" in err
+
+
 def test_certify_no_escape_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"dynamics": {"t_end": 0.1}})
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 2
@@ -441,13 +471,13 @@ def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
 
 def test_certify_top_k_above_support_lists_whole_spectrum(tmp_path, coarse_setup):
     # top_k is capped at the support size: spectrum.csv holds every support
-    # eigenvalue of the linearization on [-d, d]
+    # eigenvalue of the one linearization, at the whole-line bump
     cfg = write_cfg(tmp_path, {"spectral": {"top_k": 10**6}})
     out = tmp_path / "out"
     assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
     got = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
-    want = dense_eigenvalues(Linearization(coarse_setup["ctx"],
-                                           coarse_setup["fp"].u_star))
+    want = dense_eigenvalues(Linearization(coarse_setup["ctx_big"],
+                                           coarse_setup["u_tilde"]))
     assert got.shape == want.shape
     assert np.max(np.abs(np.sort(got) - np.sort(want))) <= 1e-12 * want[0]
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurofield.dynamics import (SimConfig, _rk4_step, instability_experiment,
                                  simulate, step_values)
-from neurofield.errors import NoEscape, NonFinite
+from neurofield.errors import ConfigError, NoEscape, NonFinite
 from neurofield.fixedpoint import (OperatorContext, extend_bump,
                                    make_extension_grid)
 from neurofield.grids import Profile
@@ -30,6 +30,11 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.5)
     SimConfig(dt=0.1)
+    # t_end / dt overflows, or asks for more steps than a run can afford
+    SimConfig(dt=1e-6, t_end=1.0)
+    for dt, t_end in ((5e-324, 60.0), (1e-17, 1.0), (1e-6, 1.1)):
+        with pytest.raises(ConfigError, match="exceed the affordable 1000000"):
+            SimConfig(dt=dt, t_end=t_end)
 
 
 def test_equilibrium_is_stationary(setup):
@@ -62,7 +67,7 @@ def test_window_step_matches_whole_grid_step(kernel_setup):
     ctx, fp = kernel_setup["ctx"], kernel_setup["fp"]
     grid = make_extension_grid(ctx.kernel, ctx.grid, L_override=16.0 * ctx.grid.hi)
     big = OperatorContext(ctx.kernel, ctx.firing, ctx.params, grid)
-    u = extend_bump(ctx, fp.u_star, big).values
+    u = extend_bump(big, fp.u_star).values
     x = big.nodes
     for state in (u, u + 1e-3 * np.cos(3.0 * x) * np.exp(-np.abs(x))):
         for dt in (0.01, 0.1):

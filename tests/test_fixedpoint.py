@@ -264,6 +264,25 @@ def test_tail_extension_stops_at_table_edge():
     assert gaussian == pytest.approx(tail_extension(GaussianKernel(), d), rel=1e-3)
 
 
+def test_whole_line_context_solves_on_the_embedded_window(ref_ctx, ref_ctx_big, ref_bounds,
+                                                         ref_epsilon, ref_fp):
+    # the margin, Newton and its GMRES product on the [-d, d] nodes of the
+    # whole-line context give the [-d, d] context's results
+    k = embed_offset(ref_bounds.grid, ref_ctx_big.grid)
+    u = ref_fp.u_star.values
+    window = ref_ctx_big.apply_T_window(u, k)[0]
+    assert np.max(np.abs(window - ref_ctx.apply_T_values(u))) <= 1e-15
+    assert compute_epsilon(ref_ctx_big, ref_bounds) == ref_epsilon
+    fp = solve_third_fixed_point(ref_ctx_big, ref_bounds, tol=1e-12)
+    assert fp.u_star.grid == ref_bounds.grid
+    assert np.max(np.abs(fp.u_star.values - u)) <= 1e-14
+    assert fp.residual_sup <= 1e-12
+    v, mid = u[400:], 400
+    r = v - ref_ctx.apply_T_values(u)[mid:] + 1e-3 * np.cos(np.arange(mid + 1))
+    want = newton_step(ref_ctx, v, r)
+    assert np.max(np.abs(newton_step(ref_ctx_big, v, r) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_extension_grid_embeds(ref_bounds, ref_big_grid):
     small, big = ref_bounds.grid, ref_big_grid
     assert big.dx == pytest.approx(small.dx, rel=1e-12)
@@ -304,7 +323,7 @@ def test_extend_bump_matches_direct_sum(ref_ctx, ref_fp, ref_ctx_big, ref_u_tild
 def test_extend_bump_alignment_guard(ref_model, ref_ctx, ref_fp):
     misaligned = OperatorContext(*ref_model, Grid(-30.0, 30.0, 1000))
     with pytest.raises(GridMisaligned):
-        extend_bump(ref_ctx, ref_fp.u_star, misaligned)
+        extend_bump(misaligned, ref_fp.u_star)
 
 
 def test_make_extension_grid_override(ref_model, ref_bounds):

@@ -14,7 +14,8 @@ from neurofield.spectral import (Linearization, derivative_profile,
                                  remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius,
                                  translation_mode_check)
-from oracles import dense_eigenvalues, dense_linearization, power_iteration
+from oracles import (dense_eigenvalues, dense_linearization, power_iteration,
+                     spectra_deviation)
 
 
 def test_linearization_zero_profile(ref_ctx):
@@ -187,12 +188,17 @@ def test_spectral_radius_meets_the_residual_gate(kernel_setup):
         spectral_radius(lin, np.array([eigs[0], -2.0 * eigs[0]]), y)
 
 
-def test_translation_mode(ref_ctx_big, ref_u_tilde, ref_lin_big):
-    resid = translation_mode_check(ref_ctx_big, ref_u_tilde, ref_lin_big)
+def test_translation_mode(ref_ctx_big, ref_u_tilde, ref_lin_big, ref_fp, ref_lin):
+    resid = translation_mode_check(ref_lin_big, ref_u_tilde)
     assert resid <= 5e-3
     # eigenvalue 1 sits in the spectrum
     ev = ref_lin_big.eigenvalues()
     assert np.min(np.abs(ev - 1.0)) < 1e-6
+    # certify's check on the embedded [-d, d] nodes reads the whole-line
+    # value, and the value of the context on [-d, d] itself
+    window = translation_mode_check(ref_lin_big, ref_fp.u_star)
+    assert abs(window - resid) <= 1e-13
+    assert abs(window - translation_mode_check(ref_lin, ref_fp.u_star)) <= 1e-13
 
 
 def test_derivative_profile_odd(ref_ctx_big, ref_u_tilde):
@@ -214,17 +220,48 @@ def test_derivative_profile_matches_full_block(ref_ctx, ref_fp):
 
 
 def test_spectra_equivalence(ref_lin, ref_lin_big):
-    dev, count = spectra_equivalence_check(ref_lin.eigenvalues(),
-                                           ref_lin_big.eigenvalues(), 5)
+    dev, count = spectra_deviation(ref_lin.eigenvalues(),
+                                   ref_lin_big.eigenvalues(), 5)
     assert count == 5
     assert dev <= 1e-6
 
 
 def test_spectra_equivalence_oversized_k(ref_lin, ref_lin_big):
-    dev, count = spectra_equivalence_check(ref_lin.eigenvalues(),
-                                           ref_lin_big.eigenvalues(), 10_000)
+    dev, count = spectra_deviation(ref_lin.eigenvalues(),
+                                   ref_lin_big.eigenvalues(), 10_000)
     assert count <= ref_lin.support.size
     assert count > 0
+
+
+def test_spectra_equivalence_premises(ref_lin, ref_lin_big, ref_fp):
+    # the support of f'(u - h) is nodes 130-670 of the 0-800 embedded ones,
+    # and u* - h = -0.0395 at +-d; a context on [-d, d] itself reads the same
+    support_margin, edge_margin = spectra_equivalence_check(ref_lin_big, ref_fp.u_star)
+    assert support_margin == 130.0
+    assert edge_margin == pytest.approx(0.0395, abs=1e-4)
+    assert spectra_equivalence_check(ref_lin, ref_fp.u_star) == (support_margin,
+                                                                  edge_margin)
+
+
+def test_spectra_equivalence_premises_can_fail(ref_ctx_big, ref_u_tilde, ref_lin_big,
+                                               ref_fp, ref_power):
+    lam, vec = ref_power
+
+    def premise_item(lin, u_star):
+        margins = spectra_equivalence_check(lin, u_star)
+        cert = instability_certificate(lam, vec, lin.support, 1e-5, 1.96, 1.0, *margins)
+        return margins, cert["items"]["spectra_equivalence"]
+    # raised by 0.05, the bump's support reaches past +-d, and u* > h there
+    raised = Linearization(ref_ctx_big, Profile(ref_ctx_big.grid, ref_u_tilde.values + 0.05))
+    u_raised = Profile(ref_fp.u_star.grid, ref_fp.u_star.values + 0.05)
+    (support_margin, edge_margin), ok = premise_item(raised, u_raised)
+    assert support_margin <= 0.0 and edge_margin < 0.0 and not ok
+    # saturated at +-d, where f' vanishes again: the support stays inside
+    saturated = ref_fp.u_star.values.copy()
+    saturated[[0, -1]] = 1.0
+    (support_margin, edge_margin), ok = premise_item(
+        ref_lin_big, Profile(ref_fp.u_star.grid, saturated))
+    assert support_margin == 130.0 and edge_margin < 0.0 and not ok
 
 
 def test_remainder_exponent(ref_ctx_big, ref_lin_big, ref_power):
@@ -246,36 +283,52 @@ def test_remainder_fit_validation(ref_ctx_big, ref_lin_big):
         remainder_exponent_fit(ref_lin_big, d, [-1e-3, 1e-1])
 
 
-def test_certificate_pass(ref_power):
+def test_certificate_pass(ref_power, ref_lin_big):
     lam, vec = ref_power
-    cert = instability_certificate(lam, vec, 1e-5, 1.96, 1.0, 1e-9)
+    cert = instability_certificate(lam, vec, ref_lin_big.support, 1e-5, 1.96, 1.0,
+                                   130.0, 0.04)
     assert cert["verdict"] == "pass"
     assert all(cert["items"].values())
     assert cert["instability_margin"] == pytest.approx(lam - 1.0)
+    assert (cert["support_margin"], cert["edge_margin"]) == (130.0, 0.04)
 
 
-def test_certificate_fail_modes(ref_power):
+def test_certificate_fail_modes(ref_power, ref_lin_big):
     _, vec = ref_power
-    assert instability_certificate(0.9, vec, 1e-5, 1.96, 1.0,
-                                   1e-9)["verdict"] == "fail"
-    assert instability_certificate(4.0, vec, 0.1, 1.96, 1.0,
-                                   1e-9)["verdict"] == "fail"
-    assert instability_certificate(4.0, vec, 1e-5, 1.2, 1.0,
-                                   1e-9)["verdict"] == "fail"
+    support = ref_lin_big.support
+    assert instability_certificate(0.9, vec, support, 1e-5, 1.96, 1.0,
+                                   130.0, 0.04)["verdict"] == "fail"
+    assert instability_certificate(4.0, vec, support, 0.1, 1.96, 1.0,
+                                   130.0, 0.04)["verdict"] == "fail"
+    assert instability_certificate(4.0, vec, support, 1e-5, 1.2, 1.0,
+                                   130.0, 0.04)["verdict"] == "fail"
+    # a support that reaches +-d, or u* above h there
+    for margins in ((0.0, 0.04), (130.0, -1e-3)):
+        cert = instability_certificate(4.0, vec, support, 1e-5, 1.96, 1.0, *margins)
+        assert cert["verdict"] == "fail"
+        assert not cert["items"]["spectra_equivalence"]
+    # sin changes sign inside the support
     mixed = Profile(vec.grid, np.sin(vec.grid.nodes()))
-    assert not instability_certificate(4.0, mixed, 1e-5, 1.96, 1.0,
-                                       1e-9)["items"]["principal_vector_one_signed"]
+    assert not instability_certificate(4.0, mixed, support, 1e-5, 1.96, 1.0, 130.0,
+                                       0.04)["items"]["principal_vector_one_signed"]
+    # negative only off the support, as an inhibitory lobe pulls it: one-signed
+    lobed = vec.values.copy()
+    lobed[np.setdiff1d(np.arange(len(lobed)), support)] = -0.1
+    assert instability_certificate(4.0, Profile(vec.grid, lobed), support, 1e-5, 1.96,
+                                   1.0, 130.0, 0.04)["items"]["principal_vector_one_signed"]
 
 
 def test_certificate_not_applicable(ref_ctx):
     zero = Profile(ref_ctx.grid, np.zeros(ref_ctx.grid.n_nodes))
-    cert = instability_certificate(0.0, zero, 0.0, 0.0, 1.0, 0.0)
+    cert = instability_certificate(0.0, zero, np.zeros(0, dtype=int), 0.0, 0.0, 1.0,
+                                   0.0, 0.0)
     assert cert["verdict"] == "not-applicable"
 
 
-def test_certificate_json_round_trip(ref_power):
+def test_certificate_json_round_trip(ref_power, ref_lin_big):
     import json
     lam, vec = ref_power
-    cert = instability_certificate(lam, vec, 1e-5, 1.96, 1.0, 1e-9)
+    cert = instability_certificate(lam, vec, ref_lin_big.support, 1e-5, 1.96, 1.0,
+                                   130.0, 0.04)
     again = json.loads(json.dumps(cert))
     assert again["verdict"] == cert["verdict"]
