@@ -70,6 +70,52 @@ def _finite_object(pairs: list) -> dict:
     return dict(pairs)
 
 
+#: JSON Schema 2020-12 types by name: a bool is no number, and 2.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+#: the keywords _valid decides by; it skips annotations ($schema, title, ...)
+_KEYWORDS = frozenset({"type", "enum", "required", "additionalProperties",
+                       "properties", "exclusiveMinimum", "minimum", "maximum"})
+
+
+@cache
+def _schema() -> dict:
+    """The shipped schema, parsed once per process."""
+    return json.loads(SCHEMA_PATH.read_text())
+
+
+def _valid(value, schema: dict) -> bool:
+    """Whether value meets schema, read as JSON Schema 2020-12 with only the
+    _KEYWORDS, in the forms config_schema.json writes them: an enum of
+    strings and ``additionalProperties: false``."""
+    types = schema.get("type")
+    if isinstance(types, str):
+        types = [types]
+    if types is not None and not any(_TYPES[t](value) for t in types):
+        return False
+    if "enum" in schema and value not in schema["enum"]:
+        return False
+    if _TYPES["number"](value) and (
+            value <= schema.get("exclusiveMinimum", -math.inf)
+            or value < schema.get("minimum", -math.inf)
+            or value > schema.get("maximum", math.inf)):
+        return False
+    if not isinstance(value, dict):
+        return True
+    props = schema.get("properties", {})
+    if not all(key in value for key in schema.get("required", ())):
+        return False
+    if schema.get("additionalProperties") is False and not value.keys() <= props.keys():
+        return False
+    return all(_valid(v, props[k]) for k, v in value.items() if k in props)
+
+
 def load_config(path: str | Path, grid_n: int | None) -> dict:
     """The config at path with grid.n set to grid_n (unless None), validated."""
     try:
@@ -85,15 +131,14 @@ def load_config(path: str | Path, grid_n: int | None) -> dict:
     if grid_n is not None and isinstance(cfg, dict) and isinstance(
             cfg.setdefault("grid", {}), dict):
         cfg["grid"]["n"] = grid_n
-    # imported here, as --version, --help and usage errors validate nothing;
-    # the shipped schema is checked against its metaschema by the tests, not
-    # on every run; best_match picks the error jsonschema.validate would raise
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
+    # _valid decides; jsonschema (a slow import) only words a rejection, with
+    # the error jsonschema.validate would raise.  The tests check the shipped
+    # schema against its metaschema and _valid against jsonschema's verdict
+    if not _valid(cfg, _schema()):
+        from jsonschema import Draft202012Validator
+        from jsonschema.exceptions import best_match
 
-    schema = json.loads(SCHEMA_PATH.read_text())
-    error = best_match(Draft202012Validator(schema).iter_errors(cfg))
-    if error is not None:
+        error = best_match(Draft202012Validator(_schema()).iter_errors(cfg))
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"{path}: at {where}: {error.message}")
     ktype = cfg["kernel"]["type"]
@@ -258,7 +303,7 @@ class Run:
         fp = solve_third_fixed_point(
             ctx, bb,
             tol=ssec.get("newton_tol", NEWTON_TOL),
-            max_iter=ssec.get("max_iter", NEWTON_MAX_ITER),
+            max_iter=int(ssec.get("max_iter", NEWTON_MAX_ITER)),
             degeneracy_threshold=ssec.get("degeneracy_threshold", DEGENERACY_THRESHOLD),
             epsilon=eps)
         return Solved(ctx, fp, extend_bump(ctx, fp.u_star))
@@ -267,7 +312,7 @@ class Run:
     def spectrum(self) -> Spectrum:
         # one linearization and one Lanczos solve, at the whole-line bump
         ctx, fp, u_tilde = self.solve
-        top_k = self.cfg.get("spectral", {}).get("top_k", 5)
+        top_k = int(self.cfg.get("spectral", {}).get("top_k", 5))
         lin = Linearization(ctx, u_tilde)
         margins = spectra_equivalence_check(lin, fp.u_star)
         if lin.support.size == 0:
@@ -465,7 +510,7 @@ def main(argv=None) -> int:
         base = Path(args.config).resolve().parent
         osec = cfg.get("output", {})
         out = Path(args.out) if args.out else base / osec.get("directory", "out")
-        precision = osec.get("precision", 17)
+        precision = int(osec.get("precision", 17))
         rc, _ = _COMMANDS[args.command](Run(cfg, base), out, precision, args.quiet)
         return rc
     except ConfigError as exc:

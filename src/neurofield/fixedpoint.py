@@ -434,7 +434,9 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
         resid = float(np.max(np.abs(u - ctx.apply_T_window(u, k)[0])))
         return FixedPointResult(Profile(bb.grid, u), resid, iters,
                                 d_lo, d_hi, epsilon_used=epsilon)
-    raise last_exc
+    # a coarse grid is the usual cause, so the message names it
+    raise type(last_exc)(f"{last_exc} on the [-d, d] grid of n = {bb.grid.n}, "
+                         f"dx = {bb.grid.dx:.6g}")
 
 
 def tail_extension(kernel: Kernel, d: float) -> float:

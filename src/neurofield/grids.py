@@ -20,6 +20,9 @@ class Grid:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.n < 1:
             raise ValueError(f"need at least one subinterval, got n={self.n}")
+        if self.n + 1 > np.iinfo(np.intp).max // 8:
+            # past the address space numpy refuses the nodes with a ValueError
+            raise MemoryError(f"Unable to allocate {self.n + 1} grid nodes")
 
     @property
     def dx(self) -> float:

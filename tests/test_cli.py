@@ -1,13 +1,18 @@
+import collections
 import hashlib
 import importlib.util
 import json
+import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import neurofield
 import neurofield.dynamics
@@ -159,7 +164,7 @@ def child_env():
 
 
 def test_cli_import_loads_no_scipy():
-    # jsonschema is imported by load_config, which --version and --help skip
+    # jsonschema is imported only to word a rejected config's error
     code = ("import sys, neurofield.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
@@ -419,11 +424,16 @@ def test_grid_n_flag_validated_as_grid_n(tmp_path, capsys, grid_n):
     assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 200, "L_override": 1e14}],
-                         ids=["n", "L_override"])
+@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 200, "L_override": 1e14},
+                                  {"n": 10**20}, {"n": 200, "L_override": 1e300},
+                                  {"n_per_unit": 1e300}],
+                         ids=["n", "L_override", "n=1e20", "L_override=1e300",
+                              "n_per_unit=1e300"])
 def test_allocation_failure_exit_1(tmp_path, capsys, grid):
-    # sizes past the address space fail at once, without allocating
-    cfg = write_cfg(tmp_path, {"grid": grid})
+    # sizes past the address space fail at once, without allocating; past
+    # numpy's largest array too, where numpy raises a ValueError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(BASE_CFG, grid=grid)))
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
@@ -483,12 +493,14 @@ def test_certify_top_k_above_support_lists_whole_spectrum(tmp_path, coarse_setup
 
 
 def test_certify_imports_no_scipy(tmp_path):
+    # nor jsonschema: load_config validates a valid config without it
     cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
     script = ("import sys\n"
               "from neurofield.cli import main\n"
               f"rc = main(['certify', '--config', {str(cfg)!r}, '--out', "
               f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
-              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              "print(rc, sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env(), check=True)
     assert proc.stdout.split() == ["0", "[]"]
@@ -619,6 +631,234 @@ def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, ov
         pytest.fail("config unexpectedly valid")
     assert run(["check", "--config", cfg, "--quiet"]) == 1
     assert capsys.readouterr().err.splitlines() == [expected]
+
+
+def unhandled_keywords(schema: dict, where: str = "<root>") -> list[str]:
+    """Where schema uses a keyword, type or form that cli._valid does not decide."""
+    found = [f"{where}: {key}" for key in sorted(schema.keys() - cli._KEYWORDS
+                                                 - {"$schema", "title", "description"})]
+    types = schema.get("type", [])
+    found += [f"{where}: type {t}" for t in ([types] if isinstance(types, str) else types)
+              if t not in cli._TYPES]
+    if schema.get("additionalProperties", False) is not False:
+        found.append(f"{where}: additionalProperties other than false")
+    if not all(isinstance(e, str) for e in schema.get("enum", [])):
+        found.append(f"{where}: enum of non-strings")
+    for key, sub in schema.get("properties", {}).items():
+        found += unhandled_keywords(sub, f"{where}/{key}")
+    return found
+
+
+def test_schema_uses_only_keywords_valid_decides():
+    assert unhandled_keywords(cli._schema()) == []
+    # and the walk sees what it must refuse
+    assert unhandled_keywords({"properties": {"a": {
+        "type": ["boolean", "number"], "pattern": "x", "enum": [1],
+        "additionalProperties": {"type": "number"}}}}) == [
+        "<root>/a: pattern", "<root>/a: type boolean",
+        "<root>/a: additionalProperties other than false", "<root>/a: enum of non-strings"]
+
+
+#: a config that sets every key of the schema
+FULL_CFG = {
+    "kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1, "csv": "kernel.csv"},
+    "firing": {"p": 2.0, "tau": 0.2},
+    "model": {"h": 0.1},
+    "grid": {"n_per_unit": 256, "n": 800, "L_override": 20.0},
+    "solver": {"newton_tol": 1e-12, "max_iter": 60, "degeneracy_threshold": 1e-6},
+    "spectral": {"top_k": 5},
+    "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3, "epsilon_ball": None,
+                 "scheme": "rk4"},
+    "output": {"directory": "out", "precision": 17},
+}
+#: wrong types, bools, integer-valued floats, zero, bounds and their neighbours
+MUTANT_VALUES = [None, True, False, "rk4", "gaussian", "x", [], [1], {}, {"n": 2},
+                 0, 1, 2, 17, 18, -1, 10**400, -10**400,
+                 0.0, -0.0, 1.0, 2.0, 17.0, 18.0, 2.5, -1.0, 0.1, 0.1 + 2**-56,
+                 5e-324, -5e-324, 1e300, -1e300]
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = json.loads(json.dumps(FULL_CFG))
+    sections = list(cli._schema()["properties"])
+    for _ in range(draw(st.integers(1, 4))):
+        section = draw(st.sampled_from(sections + ["extra"]))
+        body = cfg.get(section)
+        if isinstance(body, dict) and draw(st.booleans()):
+            # one key of the section: an unknown one, or a known one
+            # dropped (required or not) or set to a mutant value
+            key = draw(st.sampled_from(sorted(FULL_CFG.get(section, {})) + ["extra"]))
+            if draw(st.booleans()):
+                body.pop(key, None)
+            else:
+                body[key] = draw(st.sampled_from(MUTANT_VALUES))
+        elif draw(st.booleans()):
+            cfg.pop(section, None)
+        else:
+            cfg[section] = draw(st.sampled_from(MUTANT_VALUES))
+    return draw(st.sampled_from([cfg, cfg, cfg, [cfg], None]))
+
+
+def test_valid_agrees_with_jsonschema():
+    from jsonschema import Draft202012Validator
+    schema = cli._schema()
+    validator = Draft202012Validator(schema)
+    verdicts = []
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(mutated_configs())
+    def agree(cfg):
+        verdicts.append(validator.is_valid(cfg))
+        assert cli._valid(cfg, schema) == verdicts[-1]
+
+    agree()
+    assert cli._valid(FULL_CFG, schema)
+    # both verdicts are common among the mutants
+    assert 0.05 * len(verdicts) < sum(verdicts) < 0.95 * len(verdicts)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "max_iter", 30), ("spectral", "top_k", 5), ("output", "precision", 6)])
+def test_integer_valued_float_runs_like_the_int(tmp_path, section, key, value):
+    # JSON Schema counts 30.0 as an integer, and the run reads it as 30
+    outs = []
+    for spelled in (value, float(value)):
+        cfg = write_cfg(tmp_path, {section: {key: spelled}}, name=f"{spelled!r}.json")
+        outs.append(tmp_path / repr(spelled))
+        assert run(["certify", "--config", cfg, "--out", outs[-1], "--quiet"]) == 0
+    # config_hash hashes the config as written, where 30.0 is not 30
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        texts = [re.sub(r'"config_hash": "[0-9a-f]{16}"', "", (out / name).read_text())
+                 for out in outs]
+        assert texts[0] == texts[1], name
+
+
+@pytest.mark.parametrize("n, overrides, message", [
+    (10, {"firing": {"p": 8.0, "tau": 0.3}}, "error: Newton from mix "),
+    (20, {"solver": {"newton_tol": 5e-324}}, "error: damping exhausted "),
+], ids=["order interval", "damping"])
+def test_solver_failure_names_the_grid(tmp_path, capsys, n, overrides, message):
+    # the check passes, and Newton fails on n subintervals of [-d, d]
+    cfg = write_cfg(tmp_path, {**overrides, "grid": {"n": n}})
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 1
+    d = json.loads((out / "report.json").read_text())["d"]
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert err.endswith(f" on the [-d, d] grid of n = {n}, dx = {2.0 * d / n:.6g}\n")
+
+
+#: one config per kernel family that certifies on a coarse grid, in 1.5 time units
+FUZZ_BASES = [
+    {"kernel": {"type": "exponential"}, "firing": {"p": 2.0, "tau": 0.2},
+     "model": {"h": 0.1}, "grid": {"n": 40}, "dynamics": {"t_end": 1.5}},
+    {"kernel": {"type": "gaussian"}, "firing": {"p": 2.0, "tau": 0.2},
+     "model": {"h": 0.1}, "grid": {"n_per_unit": 8},
+     "dynamics": {"t_end": 1.5, "delta": 1e-4}},
+    {"kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1},
+     "firing": {"p": 2.0, "tau": 0.05}, "model": {"h": 0.05}, "grid": {"n": 40},
+     "dynamics": {"t_end": 1.5, "delta": 1e-4}},
+    {"kernel": {"type": "tabulated", "csv": "kernel.csv"}, "firing": {"p": 2.0, "tau": 0.2},
+     "model": {"h": 0.1}, "grid": {"n": 40}, "dynamics": {"t_end": 1.5}},
+]
+#: log10 ranges of the usual values of each number key of the schema
+FUZZ_LOG10 = {"K": (0.0, 1.0), "k": (0.0, 1.0), "M": (-0.5, 0.5), "m": (-0.5, 0.5),
+              "p": (0.05, 0.6), "tau": (-2.0, -0.5), "h": (-2.0, -0.5),
+              "n_per_unit": (-0.3, 1.0), "L_override": (0.0, 1.5),
+              "newton_tol": (-14.0, -6.0), "degeneracy_threshold": (-8.0, -0.5),
+              "dt": (-2.3, -1.0), "t_end": (-1.0, 0.3), "delta": (-5.0, -2.0),
+              "epsilon_ball": (-3.0, -1.0)}
+#: small ranges of the integer keys, drawn as ints and integer-valued floats
+FUZZ_INTS = {"n": (2, 40), "max_iter": (1, 60), "top_k": (1, 10**6), "precision": (1, 17)}
+FUZZ_EDGES = [5e-324, 1e300, 1.0, 2.0, 3.0]
+#: RK4 steps a fuzz case may take before it is cut short
+FUZZ_STEP_BUDGET = 600
+
+
+def fuzz_value(key: str, spec: dict):
+    """A usual value of the key, or an edge value one draw in four."""
+    if "enum" in spec:
+        return st.sampled_from(spec["enum"])
+    if key == "csv":
+        return st.sampled_from(["kernel.csv", "missing.csv"])
+    if key == "directory":
+        return st.just("unused")
+    if key in FUZZ_INTS:
+        ints = st.integers(*FUZZ_INTS[key])
+        usual = ints | ints.map(float)
+    else:
+        usual = st.floats(*FUZZ_LOG10[key]).map(lambda e: 10.0 ** e)
+    values = st.integers(0, 3).flatmap(lambda i: usual if i else st.sampled_from(FUZZ_EDGES))
+    return values | st.none() if "null" in spec["type"] else values
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A base config with up to four keys of the schema redrawn."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    keys = [(section, key, spec) for section, sspec in cli._schema()["properties"].items()
+            for key, spec in sspec["properties"].items()]
+    for section, key, spec in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        cfg.setdefault(section, {})[key] = draw(fuzz_value(key, spec))
+    return cfg
+
+
+class StepBudgetSpent(Exception):
+    """A fuzz case asked for more RK4 steps than FUZZ_STEP_BUDGET."""
+
+
+def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
+    # every config exits 0, 1 or 2 with no escaping exception; 0 with both
+    # verdicts passed, 2 with run_report.json or one line naming why, and 1
+    # with one line; a case's cost is bounded by counting its RK4 steps
+    step_values, steps = neurofield.dynamics.step_values, [0]
+
+    def counted(*args):
+        steps[0] += 1
+        if steps[0] > FUZZ_STEP_BUDGET:
+            raise StepBudgetSpent
+        return step_values(*args)
+    monkeypatch.setattr(neurofield.dynamics, "step_values", counted)
+    xs = np.linspace(-12.0, 12.0, 481).tolist()
+    (tmp_path / "kernel.csv").write_text(
+        "".join(f"{x!r},{0.5 * math.exp(-abs(x))!r}\n" for x in xs))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    codes = collections.Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fuzz_configs())
+    def contract(cfg):
+        steps[0] = 0
+        shutil.rmtree(out, ignore_errors=True)
+        cfg_path.write_text(json.dumps(cfg))
+        try:
+            rc = run(["certify", "--config", cfg_path, "--out", out, "--quiet"])
+        except StepBudgetSpent:
+            codes["cut"] += 1
+            capsys.readouterr()
+            return
+        codes[rc] += 1
+        stdout, err = capsys.readouterr()
+        lines = err.splitlines()
+        report = out / "run_report.json"
+        assert stdout == ""
+        if rc == 0:
+            verdicts = json.loads(report.read_text())
+            assert err == ""
+            assert verdicts["stationary_bump_verified"]["value"]
+            assert verdicts["instability_verified"]["value"]
+        elif rc == 2:
+            assert (err == "" and report.exists() or len(lines) == 1 and lines[0].startswith(
+                ("infeasible: ", "error: deviation never reached "))), err
+        else:
+            assert rc == 1 and len(lines) == 1, err
+            assert lines[0].startswith(("config error: ", "error: ")), err
+
+    contract()
+    assert {0, 1, 2} <= codes.keys(), codes
 
 
 @pytest.mark.parametrize("precision", [17, 6])
