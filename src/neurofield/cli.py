@@ -34,7 +34,7 @@ from . import __version__
 from .assumptions import AssumptionReport, check_assumptions
 from .bounds import BISECT_TOL, BumpBounds, build_bounds
 from .dynamics import SimConfig, instability_experiment
-from .errors import (ConfigError, InfeasibleModel, NeurofieldError, NoEscape,
+from .errors import (ConfigError, InfeasibleModel, NeurofieldError,
                      PerturbationTooLarge)
 from .fixedpoint import (DEGENERACY_THRESHOLD, NEWTON_MAX_ITER, NEWTON_TOL,
                          FixedPointResult, OperatorContext, compute_epsilon,
@@ -293,12 +293,9 @@ class Run:
     def solve(self) -> Solved:
         bb = self.bounds
         kernel, firing, params = self.model
-        L = self.cfg.get("grid", {}).get("L_override")
-        if L is not None and L <= bb.d:
-            raise ConfigError(f"grid.L_override: {L} does not exceed d = {bb.d:.9g}")
         ssec = self.cfg.get("solver", {})
         ctx = OperatorContext(kernel, firing, params,
-                              make_extension_grid(kernel, bb.grid, L_override=L))
+                              make_extension_grid(kernel, bb.grid))
         eps = compute_epsilon(ctx, bb)
         fp = solve_third_fixed_point(
             ctx, bb,
@@ -394,7 +391,8 @@ def cmd_spectrum(run: Run, out: Path, precision: int, quiet: bool):
 
 
 def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
-    """The escape experiment from the bump and the principal vector of the run."""
+    """The escape experiment from the bump and the principal vector of the
+    run; a deviation that never leaves the epsilon ball fails it (exit 2)."""
     dsec = run.cfg.get("dynamics", {})
     sim = SimConfig(dt=dsec.get("dt", 0.01), t_end=dsec.get("t_end", 60.0))
     delta = dsec.get("delta", 1e-3)
@@ -404,14 +402,19 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
     if eps_ball is None:
         eps_ball = 0.05 * u_tilde.sup_norm()
         source = "the default 0.05 * sup|u_tilde|"
-    try:
-        result = instability_experiment(run.solve.ctx, u_tilde, run.spectrum.v,
-                                        delta, eps_ball, sim, lambda_max=run.spectrum.lam)
-    except PerturbationTooLarge as exc:
-        raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc
-    traj = result["trajectory"]
-    write_csv(out / "trajectory.csv", ["t", "deviation_sup"],
-              [traj.times, traj.deviation_sup], precision)
+    if run.spectrum.cert["applicable"]:
+        try:
+            result = instability_experiment(run.solve.ctx, u_tilde, run.spectrum.v,
+                                            delta, eps_ball, sim, lambda_max=run.spectrum.lam)
+        except PerturbationTooLarge as exc:
+            raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc
+        traj = result["trajectory"]
+        write_csv(out / "trajectory.csv", ["t", "deviation_sup"],
+                  [traj.times, traj.deviation_sup], precision)
+    else:
+        # f'(u_tilde - h) vanishes on the whole line, so no principal mode
+        # exists to perturb along: the experiment fails without a step
+        result = dict.fromkeys(("growth_rate", "escape_time", "predicted_escape"))
     payload = {
         "config_hash": run.config_hash("simulate"),
         "growth_rate": result["growth_rate"],
@@ -423,7 +426,7 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
     write_json(out / "dynamics.json", payload)
     if not quiet:
         print(f"growth_rate={result['growth_rate']} escape_time={result['escape_time']}")
-    return 0, payload
+    return (2 if result["escape_time"] is None else 0), payload
 
 
 def cmd_certify(run: Run, out: Path, precision: int, quiet: bool):
@@ -519,10 +522,6 @@ def main(argv=None) -> int:
     except InfeasibleModel as exc:
         # every command after check stops at Run.bounds, as certify does
         print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    except NoEscape as exc:
-        # the dynamic half of the certificate failed
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NeurofieldError, MemoryError) as exc:
         # numpy's MemoryError names the size it could not allocate

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoEscape, NonFinite, PerturbationTooLarge
+from .errors import ConfigError, NonFinite, PerturbationTooLarge
 from .fixedpoint import OperatorContext
 from .grids import Profile
 
@@ -118,7 +118,8 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
     [2 delta, 10 delta], clear of both the transient and the nonlinear
     saturation regime.  Integration stops at the first sample outside the
     epsilon ball, which gives the escape time; as epsilon_ball > 10 delta,
-    that sample lies above the fit window.
+    that sample lies above the fit window.  A deviation that stays inside the
+    ball up to t_end gives an escape time of None.
     """
     if delta >= epsilon_ball / 10.0:
         raise PerturbationTooLarge(
@@ -142,10 +143,6 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
     predicted = None
     if lambda_max is not None and lambda_max > 1.0:
         predicted = float(np.log(epsilon_ball / delta) / (lambda_max - 1.0))
-    if escape_time is None and lambda_max is not None and lambda_max > 1.0 + 1e-6:
-        raise NoEscape(
-            f"deviation never reached {epsilon_ball:.3g} by t={cfg.t_end} despite "
-            f"a positive spectral margin {lambda_max - 1.0:.3g}")
     return {
         "growth_rate": growth_rate,
         "escape_time": escape_time,

@@ -39,10 +39,6 @@ class DegenerateFixedPoint(NeurofieldError):
     interval between them instead of an interior point."""
 
 
-class GridMisaligned(NeurofieldError):
-    """Two grids that must share nodes do not."""
-
-
 class NonFinite(NeurofieldError):
     """Time integration produced a non-finite state.
 
@@ -57,10 +53,6 @@ class NonFinite(NeurofieldError):
 class PerturbationTooLarge(NeurofieldError, ValueError):
     """The escape experiment's delta is not below epsilon_ball / 10, leaving no
     linear growth window inside the epsilon ball."""
-
-
-class NoEscape(NeurofieldError):
-    """Perturbed trajectory never left the epsilon ball despite a positive growth margin."""
 
 
 class ConfigError(NeurofieldError):

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BumpBounds
-from .errors import (DegenerateFixedPoint, EpsilonNotFound, GridMisaligned,
-                     NewtonDivergence)
+from .errors import DegenerateFixedPoint, EpsilonNotFound, NewtonDivergence
 from .grids import Grid, Profile, quadrature_weights
 from .model import Firing, Kernel, ModelParams, TabulatedKernel
 
@@ -110,6 +109,15 @@ class OperatorContext:
     @property
     def nodes(self) -> np.ndarray:
         return self._nodes
+
+    def centred(self, n: int) -> int:
+        """First node of the centred window of n subintervals: where the
+        [-d, d] grid of n subintervals and this grid's spacing lies in the line
+        ``make_extension_grid`` builds around it."""
+        if not 0 <= n <= self.grid.n or (self.grid.n - n) % 2:
+            raise ValueError(f"no centred window of {n} subintervals in a grid "
+                             f"of {self.grid.n}")
+        return (self.grid.n - n) // 2
 
     def kernel_matrix(self) -> np.ndarray:
         """Dense block omega(x_i - x_j), a test oracle; only for moderate grids."""
@@ -253,7 +261,7 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
     u_minus + eps, T(u_plus - eps) strictly above u_plus - eps, and the
     shifted profiles stay strictly ordered.
     """
-    k = embed_offset(bb.grid, ctx.grid)
+    k = ctx.centred(bb.grid.n)
     eps = bb.gap_norm() / 4.0
     for _ in range(EPSILON_HALVINGS):
         lo = bb.u_minus.values + eps
@@ -266,7 +274,8 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
         eps /= 2.0
     raise EpsilonNotFound(
         "no strictly positive sandwich margin found; the discretization may be "
-        "too coarse or the hypotheses marginal")
+        "too coarse or the hypotheses marginal on the [-d, d] grid of "
+        f"n = {bb.grid.n}, dx = {bb.grid.dx:.6g}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +362,7 @@ def newton_step(ctx: OperatorContext, v: np.ndarray, r: np.ndarray) -> np.ndarra
     residual v - T(mirror v)[x >= 0] on the 2 len(v) - 1 middle nodes, by GMRES
     on the matrix-free product J s = s - K(w f'(mirror v - h) mirror s)[x >= 0]."""
     mid = len(v) - 1
-    lo = ctx.grid.n // 2 - mid
+    lo = ctx.centred(2 * mid)
     gain = ctx.firing.deriv(_mirror(v) - ctx.params.h) * ctx.weights[lo:lo + 2 * mid + 1]
     return gmres(lambda s: s - ctx.apply_weighted(gain * _mirror(s), lo, lo,
                                                   lo + 2 * mid)[mid:], r)
@@ -367,7 +376,7 @@ def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
     removes the near-singular translation mode of the unsymmetrized Jacobian.
     """
     mid = len(u0) // 2
-    lo = ctx.grid.n // 2 - mid
+    lo = ctx.centred(2 * mid)
 
     def residual(v):
         return v - ctx.apply_T_window(_mirror(v), lo)[0][mid:]
@@ -408,7 +417,7 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
     node or collapses onto either bound (degeneracy threshold is relative to
     the gap norm).
     """
-    k = embed_offset(bb.grid, ctx.grid)
+    k = ctx.centred(bb.grid.n)
     gap = bb.gap_norm()
     sep_min = degeneracy_threshold * gap
     last_exc: Exception | None = None
@@ -440,62 +449,57 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
 
 
 def tail_extension(kernel: Kernel, d: float) -> float:
-    """Smallest x_tail with sup_{y in [-d,d]} omega(x - y) * 2d <= TAIL_TOL for x >= d + x_tail.
+    """Smallest x_tail with sup_{y in [-d,d]} |omega(x - y)| * 2d <= TAIL_TOL for x >= d + x_tail.
 
-    For a kernel decreasing in |x| beyond its core the supremum sits at y = d,
-    so x_tail solves omega(x_tail) * 2d = TAIL_TOL on the decreasing branch.  A
-    tabulated kernel is 0 past its table, so the search ends at the table's
-    edge and never evaluates beyond it.
+    For a kernel whose |omega| decreases in |x| beyond its core the supremum
+    sits at y = d, so x_tail solves |omega(x_tail)| * 2d = TAIL_TOL.  The
+    search doubles x from d up to TAIL_SEARCH_LIMIT and bisects from the last
+    doubling point where |omega| exceeds the target towards the next one, so
+    a kernel that changes sign is followed past its zero to the end of its
+    inhibitory lobe.  A tabulated kernel is 0 past its table, so the search
+    ends at the table's edge and never evaluates beyond it.
     """
     target = TAIL_TOL / (2.0 * d)
     edge = kernel.grid.hi if isinstance(kernel, TabulatedKernel) else math.inf
-    x = d
-    while float(kernel(min(x, edge))) > target:
-        if x >= edge:
-            return edge
+
+    def above(x):
+        return abs(float(kernel(x))) > target
+
+    x, last = d, None
+    while True:
+        if above(min(x, edge)):
+            if x >= edge:
+                return edge
+            last = x
+        if x >= edge or 2.0 * x > TAIL_SEARCH_LIMIT:
+            break
         x *= 2.0
-        if x > TAIL_SEARCH_LIMIT:
-            raise ValueError("kernel tail does not decay below the truncation target")
-    lo, hi = x / 2.0, min(x, edge)
+    if last == x:
+        raise ValueError("kernel tail does not decay below the truncation target")
+    lo = d / 2.0 if last is None else last
+    hi = min(2.0 * lo, edge)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(kernel(mid)) > target:
+        if above(mid):
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def make_extension_grid(kernel: Kernel, grid_d: Grid,
-                        L_override: float | None = None) -> Grid:
-    """Grid on [-L, L] with the same spacing, embedding the [-d, d] nodes.
-
-    L defaults to d plus the certified tail length, rounded up to a node.
-    """
-    d = grid_d.hi
-    dx = grid_d.dx
-    x_tail = (L_override - d) if L_override is not None else tail_extension(kernel, d)
-    if x_tail <= 0.0:
-        raise ValueError("extension length must be positive")
-    extra = int(math.ceil(x_tail / dx - 1e-12))
-    L = d + extra * dx
+def make_extension_grid(kernel: Kernel, grid_d: Grid) -> Grid:
+    """The whole working line: ``grid_d`` on [-d, d] with ``extra`` nodes of
+    the same spacing added on each side, so that [-d, d] is its centred
+    window (``OperatorContext.centred``).  The line ends at d plus the
+    certified tail length, rounded up to a node."""
+    extra = int(math.ceil(tail_extension(kernel, grid_d.hi) / grid_d.dx - 1e-12))
+    L = grid_d.hi + extra * grid_d.dx
     return Grid(-L, L, grid_d.n + 2 * extra)
-
-
-def embed_offset(small: Grid, big: Grid) -> int:
-    """Index of the small grid's first node inside the big grid."""
-    if abs(small.dx - big.dx) > 1e-9 * big.dx:
-        raise GridMisaligned(f"spacings differ: {small.dx} vs {big.dx}")
-    off = (small.lo - big.lo) / big.dx
-    k = round(off)
-    if abs(off - k) > 1e-6 or k < 0 or k + small.n > big.n:
-        raise GridMisaligned("small grid nodes are not embedded in the big grid")
-    return k
 
 
 def extend_bump(ctx: OperatorContext, u_star: Profile) -> Profile:
     """Whole-line bump: T on ctx's grid applied to a source that is
     f(u_star - h) on the [-d, d] window and zero elsewhere."""
-    k = embed_offset(u_star.grid, ctx.grid)
+    k = ctx.centred(u_star.grid.n)
     src = ctx.weights[k:k + u_star.grid.n_nodes] * ctx.firing(u_star.values - ctx.params.h)
     return Profile(ctx.grid, ctx.apply_weighted(src, k))

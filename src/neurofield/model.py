@@ -24,8 +24,6 @@ from .grids import Grid
 class ExponentialKernel:
     """omega(x) = exp(-|x|) / 2.  Positive everywhere, kink at the origin."""
 
-    tag = "exponential"
-
     def __call__(self, x):
         return 0.5 * np.exp(-np.abs(x))
 
@@ -47,8 +45,6 @@ class ExponentialKernel:
 @dataclass(frozen=True)
 class GaussianKernel:
     """omega(x) = exp(-x^2)."""
-
-    tag = "gaussian"
 
     def __call__(self, x):
         return np.exp(-np.square(x))
@@ -74,8 +70,6 @@ class MexicanHatKernel:
     k: float
     M: float
     m: float
-
-    tag = "mexican_hat"
 
     def __post_init__(self):
         if not (self.K > self.M > 0.0):
@@ -114,8 +108,6 @@ class TabulatedKernel:
 
     grid: Grid
     values: np.ndarray = field(repr=False)
-
-    tag = "tabulated"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -189,8 +181,6 @@ class RatioFiring:
 
     p: float
     tau: float
-
-    tag = "ratio_family"
 
     def __post_init__(self):
         if self.p <= 0.0:

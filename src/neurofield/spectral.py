@@ -8,8 +8,8 @@ import random
 
 import numpy as np
 
-from .errors import GridMisaligned, NoConvergence
-from .fixedpoint import OperatorContext, embed_offset, orthogonalize
+from .errors import NoConvergence
+from .fixedpoint import OperatorContext, orthogonalize
 from .grids import Profile
 
 #: seed of the Lanczos start vectors
@@ -88,7 +88,7 @@ class Linearization:
 
     def __init__(self, ctx: OperatorContext, u: Profile):
         if u.grid != ctx.grid:
-            raise GridMisaligned("profile does not live on the operator grid")
+            raise ValueError("profile does not live on the operator grid")
         self.ctx = ctx
         self.u = u
         self.grid = ctx.grid
@@ -160,7 +160,7 @@ def derivative_profile(ctx: OperatorContext, u: Profile) -> Profile:
     The analytic route (not finite differences of u) matches the
     integration-by-parts identity that makes u' a translation eigenfunction.
     """
-    k = embed_offset(u.grid, ctx.grid)
+    k = ctx.centred(u.grid.n)
     wv = ctx.weights[k:k + u.grid.n_nodes] * ctx.firing(u.values - ctx.params.h)
     return Profile(u.grid, ctx.block_operator(k, k + u.grid.n, ctx.kernel.deriv)(wv))
 
@@ -169,7 +169,7 @@ def translation_mode_check(lin: Linearization, u: Profile) -> float:
     """Relative sup-residual of the eigenvalue-1 identity on the bump
     derivative u', both sides on the nodes of u's grid, a window of lin's."""
     up = derivative_profile(lin.ctx, u).values
-    image = lin.matvec(up, embed_offset(u.grid, lin.grid))
+    image = lin.matvec(up, lin.ctx.centred(u.grid.n))
     return float(np.max(np.abs(image - up))) / float(np.max(np.abs(up)))
 
 
@@ -178,7 +178,7 @@ def spectra_equivalence_check(lin: Linearization, u_star: Profile) -> tuple[floa
     spectrum of ``lin`` between [-d, d] (u_star's grid) and the whole line:
     >= 1 node between the support of f'(u - h) and +-d (inf if empty) keeps
     one support block, and h - max u_star(+-d) >= 0 leaves +-d no source."""
-    k = embed_offset(u_star.grid, lin.grid)
+    k = lin.ctx.centred(u_star.grid.n)
     idx = lin.support
     support_margin = (float(min(idx[0] - k, k + u_star.grid.n - idx[-1]))
                       if idx.size else np.inf)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from neurofield.assumptions import DEFAULT_PROBE, _vii_violation
-from neurofield.errors import GridMisaligned, NeurofieldError, NoConvergence
+from neurofield.errors import NeurofieldError, NoConvergence
 from neurofield.grids import Grid, Profile, quadrature_weights
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
 
@@ -161,7 +161,7 @@ def whole_grid_rk4_step(ctx, u, dt):
 def apply_T(ctx, u: Profile) -> Profile:
     """One application of the Hammerstein operator on the context grid."""
     if u.grid != ctx.grid:
-        raise GridMisaligned("profile does not live on the operator grid")
+        raise ValueError("profile does not live on the operator grid")
     return Profile(ctx.grid, ctx.apply_T_values(u.values))
 
 

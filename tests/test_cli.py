@@ -424,11 +424,8 @@ def test_grid_n_flag_validated_as_grid_n(tmp_path, capsys, grid_n):
     assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 200, "L_override": 1e14},
-                                  {"n": 10**20}, {"n": 200, "L_override": 1e300},
-                                  {"n_per_unit": 1e300}],
-                         ids=["n", "L_override", "n=1e20", "L_override=1e300",
-                              "n_per_unit=1e300"])
+@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 10**20}, {"n_per_unit": 1e300}],
+                         ids=["n", "n=1e20", "n_per_unit=1e300"])
 def test_allocation_failure_exit_1(tmp_path, capsys, grid):
     # sizes past the address space fail at once, without allocating; past
     # numpy's largest array too, where numpy raises a ValueError
@@ -454,11 +451,40 @@ def test_unaffordable_step_count_exit_1(tmp_path, capsys, monkeypatch, dynamics)
 
 
 def test_certify_no_escape_exit_2(tmp_path, capsys):
+    # the perturbation stays inside the ball up to t_end: a failed instability
+    # verdict that run_report.json explains, with a passing certificate
     cfg = write_cfg(tmp_path, {"dynamics": {"t_end": 0.1}})
-    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 2
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: deviation never reached")
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "")
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["dynamics"] == json.loads((out / "dynamics.json").read_text())
+    assert report["dynamics"]["escape_time"] is None
+    assert report["certificate"]["verdict"] == "pass"
+    assert report["certificate"]["spectral_radius"] > 1.0 + 1e-6
+    assert report["stationary_bump_verified"]["value"] is True
+    assert report["instability_verified"]["value"] is False
+    # standalone simulate fails the same experiment with the same bytes
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--out", sim, "--quiet"]) == 2
+    for name in ("dynamics.json", "trajectory.csv"):
+        assert (sim / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_certify_without_principal_mode_exit_2(tmp_path, capsys):
+    # at p = 1e300 f'(u - h) vanishes on the whole line: the certificate is
+    # not applicable and the escape experiment, with no mode to perturb
+    # along, fails without a step instead of raising
+    cfg = write_cfg(tmp_path, {"firing": {"p": 1e300, "tau": 0.2}, "grid": {"n": 40},
+                               "solver": {"newton_tol": 1e300}})
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "")
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["certificate"]["verdict"] == "not-applicable"
+    assert report["dynamics"]["escape_time"] is None
+    assert report["instability_verified"]["value"] is False
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
@@ -514,7 +540,7 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
     x = np.linspace(-12.0, 12.0, 2401)
     for kernel, dynamics in ((GaussianKernel(), {"epsilon_ball": 0.05}),
                              (ExponentialKernel(), {})):
-        work = tmp_path / kernel.tag
+        work = tmp_path / type(kernel).__name__
         work.mkdir()
         np.savetxt(work / "kernel.csv", np.column_stack([x, kernel(x)]),
                    delimiter=",", fmt="%.17g")
@@ -664,11 +690,10 @@ FULL_CFG = {
     "kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1, "csv": "kernel.csv"},
     "firing": {"p": 2.0, "tau": 0.2},
     "model": {"h": 0.1},
-    "grid": {"n_per_unit": 256, "n": 800, "L_override": 20.0},
+    "grid": {"n_per_unit": 256, "n": 800},
     "solver": {"newton_tol": 1e-12, "max_iter": 60, "degeneracy_threshold": 1e-6},
     "spectral": {"top_k": 5},
-    "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3, "epsilon_ball": None,
-                 "scheme": "rk4"},
+    "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3, "epsilon_ball": None},
     "output": {"directory": "out", "precision": 17},
 }
 #: wrong types, bools, integer-valued floats, zero, bounds and their neighbours
@@ -739,9 +764,11 @@ def test_integer_valued_float_runs_like_the_int(tmp_path, section, key, value):
 @pytest.mark.parametrize("n, overrides, message", [
     (10, {"firing": {"p": 8.0, "tau": 0.3}}, "error: Newton from mix "),
     (20, {"solver": {"newton_tol": 5e-324}}, "error: damping exhausted "),
-], ids=["order interval", "damping"])
+    (2, {"firing": {"p": 2.0, "tau": 0.01}}, "error: no strictly positive sandwich margin "),
+], ids=["order interval", "damping", "epsilon"])
 def test_solver_failure_names_the_grid(tmp_path, capsys, n, overrides, message):
-    # the check passes, and Newton fails on n subintervals of [-d, d]
+    # the check passes, and the sandwich margin or Newton fails on n
+    # subintervals of [-d, d]
     cfg = write_cfg(tmp_path, {**overrides, "grid": {"n": n}})
     out = tmp_path / "out"
     assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 1
@@ -767,7 +794,7 @@ FUZZ_BASES = [
 #: log10 ranges of the usual values of each number key of the schema
 FUZZ_LOG10 = {"K": (0.0, 1.0), "k": (0.0, 1.0), "M": (-0.5, 0.5), "m": (-0.5, 0.5),
               "p": (0.05, 0.6), "tau": (-2.0, -0.5), "h": (-2.0, -0.5),
-              "n_per_unit": (-0.3, 1.0), "L_override": (0.0, 1.5),
+              "n_per_unit": (-0.3, 1.0),
               "newton_tol": (-14.0, -6.0), "degeneracy_threshold": (-8.0, -0.5),
               "dt": (-2.3, -1.0), "t_end": (-1.0, 0.3), "delta": (-5.0, -2.0),
               "epsilon_ball": (-3.0, -1.0)}
@@ -851,8 +878,8 @@ def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
             assert verdicts["stationary_bump_verified"]["value"]
             assert verdicts["instability_verified"]["value"]
         elif rc == 2:
-            assert (err == "" and report.exists() or len(lines) == 1 and lines[0].startswith(
-                ("infeasible: ", "error: deviation never reached "))), err
+            assert (err == "" and report.exists()
+                    or len(lines) == 1 and lines[0].startswith("infeasible: ")), err
         else:
             assert rc == 1 and len(lines) == 1, err
             assert lines[0].startswith(("config error: ", "error: ")), err
@@ -923,9 +950,7 @@ def test_bad_mexican_hat_exit_1(tmp_path, capsys, shape, message):
 
 @pytest.mark.parametrize("grid, key", [
     ({"n_per_unit": 0.001}, "grid.n_per_unit: 0.001"),
-    # below d = 1.557 of the reference model
-    ({"n": 800, "L_override": 0.5}, "grid.L_override: 0.5"),
-], ids=["n_per_unit", "L_override"])
+], ids=["n_per_unit"])
 def test_grid_the_model_cannot_use_exit_1(tmp_path, capsys, grid, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(REFERENCE_CFG, grid=grid)))

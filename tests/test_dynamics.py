@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from neurofield.dynamics import (SimConfig, _rk4_step, instability_experiment,
                                  simulate, step_values)
-from neurofield.errors import ConfigError, NoEscape, NonFinite
-from neurofield.fixedpoint import (OperatorContext, extend_bump,
-                                   make_extension_grid)
-from neurofield.grids import Profile
+from neurofield.errors import ConfigError, NonFinite
+from neurofield.fixedpoint import OperatorContext, extend_bump
+from neurofield.grids import Grid, Profile
 from neurofield.spectral import Linearization, spectral_radius
 from oracles import whole_grid_rk4_step
 
@@ -63,10 +62,13 @@ def _takes_window(ctx, u, dt):
 
 
 def test_window_step_matches_whole_grid_step(kernel_setup):
-    # an extension grid of 16 d leaves the step window below a sixth of it
+    # a line of 16 d, [-d, d] with 15 n / 2 nodes of its spacing added on
+    # each side, leaves the step window below a sixth of it
     ctx, fp = kernel_setup["ctx"], kernel_setup["fp"]
-    grid = make_extension_grid(ctx.kernel, ctx.grid, L_override=16.0 * ctx.grid.hi)
-    big = OperatorContext(ctx.kernel, ctx.firing, ctx.params, grid)
+    extra = 15 * ctx.grid.n // 2
+    L = ctx.grid.hi + extra * ctx.grid.dx
+    big = OperatorContext(ctx.kernel, ctx.firing, ctx.params,
+                          Grid(-L, L, ctx.grid.n + 2 * extra))
     u = extend_bump(big, fp.u_star).values
     x = big.nodes
     for state in (u, u + 1e-3 * np.cos(3.0 * x) * np.exp(-np.abs(x))):
@@ -185,11 +187,17 @@ def test_escape_time_shifts_with_delta(setup):
 
 
 def test_no_escape_raised(setup):
-    with pytest.raises(NoEscape):
-        instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                               delta=1e-6, epsilon_ball=0.05,
-                               cfg=SimConfig(dt=0.01, t_end=0.1),
-                               lambda_max=setup["lam"])
+    # a deviation still inside the ball at t_end raises nothing: the
+    # experiment reports a null escape time over the whole trajectory
+    out = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
+                                 delta=1e-6, epsilon_ball=0.05,
+                                 cfg=SimConfig(dt=0.01, t_end=0.1),
+                                 lambda_max=setup["lam"])
+    traj = out["trajectory"]
+    assert setup["lam"] > 1.0 + 1e-6
+    assert out["escape_time"] is None
+    assert len(traj.times) == 11 and traj.times[-1] == pytest.approx(0.1)
+    assert np.max(traj.deviation_sup) < 0.05
 
 
 def test_experiment_input_validation(setup):

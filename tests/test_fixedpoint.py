@@ -5,16 +5,15 @@ import pytest
 
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds, solve_sandwich
-from neurofield.errors import GridMisaligned
-from neurofield.fixedpoint import (DENSE_NODE_LIMIT, OperatorContext,
-                                   compute_epsilon, embed_offset, extend_bump,
-                                   fast_fft_len, gmres, make_extension_grid,
-                                   newton_step, solve_third_fixed_point,
-                                   tail_extension)
+from neurofield.fixedpoint import (DENSE_NODE_LIMIT, TAIL_TOL, OperatorContext,
+                                   compute_epsilon, extend_bump, fast_fft_len,
+                                   gmres, make_extension_grid, newton_step,
+                                   solve_third_fixed_point, tail_extension)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, ModelParams, RatioFiring,
                               TabulatedKernel)
+from neurofield.spectral import Linearization, spectral_radius
 from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
                      dense_even_jacobian, monotone_iterate,
                      stationary_residual, verify_translation_family)
@@ -41,7 +40,7 @@ def test_apply_T_monotone(ref_ctx, ref_bounds):
 
 def test_apply_T_grid_mismatch(ref_ctx):
     other = Profile(Grid(-1.0, 1.0, 10), np.zeros(11))
-    with pytest.raises(GridMisaligned):
+    with pytest.raises(ValueError, match="operator grid"):
         apply_T(ref_ctx, other)
 
 
@@ -264,11 +263,38 @@ def test_tail_extension_stops_at_table_edge():
     assert gaussian == pytest.approx(tail_extension(GaussianKernel(), d), rel=1e-3)
 
 
+def test_tail_extension_bounds_the_kernel_magnitude():
+    # beyond x_tail no sample of |omega| exceeds the target, also past the
+    # zero of a mexican hat, where its inhibitory lobe is still far above it
+    table = Grid(-12.0, 12.0, 2400)
+    kernels = (ExponentialKernel(), GaussianKernel(),
+               MexicanHatKernel(3.0, 2.0, 1.0, 1.0),
+               TabulatedKernel(table, MexicanHatKernel(3.0, 2.0, 1.0, 1.0)(table.nodes())))
+    for kernel in kernels:
+        for d in (0.3, 1.0, 1.5567, 3.0):
+            x_tail = tail_extension(kernel, d)
+            beyond = x_tail + np.linspace(0.0, 30.0, 30001)
+            assert np.max(np.abs(kernel(beyond))) <= TAIL_TOL / (2.0 * d)
+
+
+def test_mexican_hat_line_reaches_its_decayed_tail():
+    # the whole-line bump and principal vector of a mexican hat have decayed
+    # at both ends of the line, past the kernel's inhibitory lobe
+    kernel, params = MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)
+    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
+    ctx = OperatorContext(kernel, RatioFiring(P, 0.05), params,
+                          make_extension_grid(kernel, bb.grid))
+    lin = Linearization(ctx, extend_bump(ctx, solve_third_fixed_point(ctx, bb).u_star))
+    v = spectral_radius(lin, *lin.eigensolve(1))[1].values
+    for profile in (lin.u.values, v):
+        assert max(abs(profile[0]), abs(profile[-1])) < 1e-8
+
+
 def test_whole_line_context_solves_on_the_embedded_window(ref_ctx, ref_ctx_big, ref_bounds,
                                                          ref_epsilon, ref_fp):
     # the margin, Newton and its GMRES product on the [-d, d] nodes of the
     # whole-line context give the [-d, d] context's results
-    k = embed_offset(ref_bounds.grid, ref_ctx_big.grid)
+    k = ref_ctx_big.centred(ref_bounds.grid.n)
     u = ref_fp.u_star.values
     window = ref_ctx_big.apply_T_window(u, k)[0]
     assert np.max(np.abs(window - ref_ctx.apply_T_values(u))) <= 1e-15
@@ -283,19 +309,32 @@ def test_whole_line_context_solves_on_the_embedded_window(ref_ctx, ref_ctx_big, 
     assert np.max(np.abs(newton_step(ref_ctx_big, v, r) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_extension_grid_embeds(ref_bounds, ref_big_grid):
-    small, big = ref_bounds.grid, ref_big_grid
-    assert big.dx == pytest.approx(small.dx, rel=1e-12)
-    k = embed_offset(small, big)
-    assert big.nodes()[k] == pytest.approx(small.lo, abs=1e-12)
-    with pytest.raises(GridMisaligned):
-        embed_offset(Grid(-1.0, 1.0, 7), big)
+def test_extension_grid_embeds(ref_model):
+    # the [-d, d] nodes are the centred window of the line built around them,
+    # for every kernel family and several (d, n); a window whose subinterval
+    # count differs from the line's in parity, or does not fit, has none
+    _, firing, params = ref_model
+    table = Grid(-12.0, 12.0, 2400)
+    kernels = (ExponentialKernel(), GaussianKernel(),
+               MexicanHatKernel(3.0, 2.0, 1.0, 1.0),
+               TabulatedKernel(table, ExponentialKernel()(table.nodes())))
+    for kernel in kernels:
+        for d, n in ((0.3, 2), (1.5567, 200), (1.5567, 800), (4.0, 1000)):
+            grid_d = Grid(-d, d, n)
+            ctx = OperatorContext(kernel, firing, params,
+                                  make_extension_grid(kernel, grid_d))
+            k = ctx.centred(n)
+            assert ctx.grid.dx == pytest.approx(grid_d.dx, rel=1e-12)
+            assert (np.max(np.abs(ctx.nodes[k:k + n + 1] - grid_d.nodes()))
+                    <= 1e-12 * ctx.grid.hi)
+            for bad in (n - 1, n + 1, ctx.grid.n + 2, -2):
+                with pytest.raises(ValueError, match="centred window"):
+                    ctx.centred(bad)
 
 
-def test_extend_bump_properties(ref_ctx, ref_fp, ref_big_grid, ref_u_tilde,
-                                ref_ctx_big):
+def test_extend_bump_properties(ref_ctx, ref_fp, ref_u_tilde, ref_ctx_big):
     u = ref_u_tilde.values
-    k = embed_offset(ref_ctx.grid, ref_big_grid)
+    k = ref_ctx_big.centred(ref_ctx.grid.n)
     # agrees with T u_star on the core nodes
     core = ref_ctx.apply_T_values(ref_fp.u_star.values)
     assert np.max(np.abs(u[k:k + ref_ctx.grid.n_nodes] - core)) < 1e-12
@@ -320,19 +359,11 @@ def test_extend_bump_matches_direct_sum(ref_ctx, ref_fp, ref_ctx_big, ref_u_tild
         assert np.max(np.abs(u_tilde.values - direct.values)) < 1e-12
 
 
-def test_extend_bump_alignment_guard(ref_model, ref_ctx, ref_fp):
-    misaligned = OperatorContext(*ref_model, Grid(-30.0, 30.0, 1000))
-    with pytest.raises(GridMisaligned):
-        extend_bump(misaligned, ref_fp.u_star)
-
-
-def test_make_extension_grid_override(ref_model, ref_bounds):
-    kernel, _, _ = ref_model
-    big = make_extension_grid(kernel, ref_bounds.grid, L_override=10.0)
-    assert big.hi >= 10.0
-    assert big.hi - 10.0 < big.dx
-    with pytest.raises(ValueError):
-        make_extension_grid(kernel, ref_bounds.grid, L_override=1.0)
+def test_extend_bump_alignment_guard(ref_ctx_big):
+    # an odd subinterval count has no centred window in the even line
+    u = Profile(Grid(-1.0, 1.0, 7), np.zeros(8))
+    with pytest.raises(ValueError, match="centred window"):
+        extend_bump(ref_ctx_big, u)
 
 
 def test_translation_family(ref_ctx_big, ref_u_tilde):

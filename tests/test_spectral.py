@@ -55,8 +55,6 @@ def test_eigenvalues_match_dense(ref_lin):
 def test_rank_one_oracle(ref_model):
     # constant kernel stub: M = m * ones weighted, single eigenvalue = total mass
     class FlatKernel:
-        tag = "flat"
-
         def __call__(self, x):
             return np.full_like(np.asarray(x, dtype=float), 0.25)
 
