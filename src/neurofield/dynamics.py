@@ -4,10 +4,23 @@ demonstrating Lyapunov instability of the computed bump.
 An RK4 step computes its stages on ``OperatorContext.step_window`` only: the
 nodes where u > h, widened by a block on each side.  Off that window each
 stage state is a_i u + K c_i, K the kernel convolution and c_i a mix of the
-earlier stage sources, so the new state there is one whole-line convolution.
-Before each stage the step checks a_i u + |c_i|_1 max|omega| <= h off the
-window, which keeps the stage's source zero there, and else reruns on the
-whole grid; either way the supra-threshold sets are the whole-grid step's.
+earlier stage sources, so the new state there is a_f u + K c_f.  Before each
+stage the step checks a_i top + |c_i|_1 max|omega| <= h off the window, top
+an upper bound of u there, which keeps the stage's source zero there, and
+else reruns on the whole grid; either way the supra-threshold sets are the
+whole-grid step's.
+
+A run (``LineState``) keeps the state off the window in that form, u = A u0
++ K C, u0 the state when the whole line was last built, A the product of the
+steps' a_f and C <- a_f C + c_f a source on the window, so a step costs
+O(window).  After each step one product gives the state on two guard bands
+beside the window, each as wide as it, and beyond them
+|u - ref| <= |A| max|u0 - ref| + |C - (1 - A) s|_1 max|omega| + |1 - A| max|ref - K s|,
+s ref's source on the window and omega taken at the lags that reach past the
+bands.  While the bands and that bound lie below the deviation on the window,
+the deviation is that on-window maximum, exactly; the whole line is built
+(one product) only where they do not, where the step window would move, or
+where the state is not finite.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from .errors import ConfigError, NonFinite, PerturbationTooLarge
 from .fixedpoint import OperatorContext
 from .grids import Profile
 
-#: the most steps a run may ask for (about 1 ms each on the reference grid)
+#: the most steps a run may ask for (about 0.75 ms each on the reference grid)
 MAX_STEPS = 1_000_000
 
 
@@ -45,19 +58,135 @@ class Trajectory:
     deviation_sup: np.ndarray = field(repr=False)
 
 
-def step_values(ctx: OperatorContext, u: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """One RK4 step of u_t = -u + Tu."""
-    out = _rk4_step(ctx, u, cfg.dt, *ctx.step_window(u))
-    return _rk4_step(ctx, u, cfg.dt, 0, ctx.grid.n) if out is None else out
+def _off(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The entries of x off the nodes [lo, hi]."""
+    return np.concatenate([x[:lo], x[hi + 1:]])
 
 
-def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float,
-              lo: int, hi: int) -> np.ndarray | None:
+class LineState:
+    """A state u on the grid of ``ctx``: exact on the step window [lo, hi]
+    and A u0 + K C off it (see the module docstring), with ``deviation`` =
+    sup|u - ref| and ``finite`` whether u is finite, when ``ref`` is given.
+    ``top`` and ``bottom`` bound u off the window; None reads them from u."""
+
+    def __init__(self, ctx: OperatorContext, values: np.ndarray,
+                 ref: np.ndarray | None = None):
+        self.ctx, self.ref = ctx, ref
+        self._ref_terms = self._window_terms = None
+        self._restart(np.array(values, dtype=float))
+
+    def _restart(self, values: np.ndarray) -> None:
+        """Continue from the whole-line values: u0 = values, A = 1, C = 0."""
+        self.u, self.a, self.c = values, 1.0, None
+        self.lo, self.hi = self.ctx.step_window(values)
+        self.top = self.bottom = None
+        self.finite = bool(np.all(np.isfinite(values)))
+        if self.ref is not None:
+            dev = np.abs(values - self.ref)
+            self.deviation = float(np.max(dev))
+            n, width = self.ctx.grid.n, self.hi - self.lo + 1
+            if width <= n:
+                self.bands = max(0, self.lo - width), min(n, self.hi + width)
+                self._d0 = float(np.max(_off(dev, *self.bands), initial=0.0))
+
+    def values(self) -> np.ndarray:
+        """The whole-line values of u, by one product once a step has run."""
+        if self.c is None:
+            return self.u
+        out = self.a * self.u + self.ctx.apply_weighted(self.c, self.lo)
+        out[self.lo:self.hi + 1] = self.u[self.lo:self.hi + 1]
+        return out
+
+    def step(self, dt: float) -> LineState:
+        """Advance u by one RK4 step, in place."""
+        ctx, lo, hi = self.ctx, self.lo, self.hi
+        out = _rk4_step(ctx, self.u, dt, lo, hi, self.top, self.bottom)
+        if out is None:
+            self._restart(_rk4_step(ctx, self.values(), dt, 0, ctx.grid.n)[0])
+            return self
+        new, a_f, c_f = out
+        if (lo, hi) == (0, ctx.grid.n):
+            self._restart(new)
+            return self
+        self.u[lo:hi + 1] = new
+        self.a *= a_f
+        self.c = c_f if self.c is None else a_f * self.c + c_f
+        if self.ref is None or not self._settle():
+            self._restart(self.values())
+        return self
+
+    def _settle(self) -> bool:
+        """After a windowed step, set the deviation and the bounds off the
+        window from the guard bands and the bound beyond them; False where
+        they do not settle it, the step window would move, or u is not
+        finite."""
+        ctx, ref, lo, hi, a = self.ctx, self.ref, self.lo, self.hi, self.a
+        terms = self._far_terms()
+        if terms is None:
+            return False
+        s, reach, ref_lo, ref_hi, r_far = terms
+        inside = self.u[lo:hi + 1]
+        on = float(np.max(np.abs(inside - ref[lo:hi + 1])))
+        far = (abs(a) * self._d0 + abs(1.0 - a) * r_far
+               + float(np.sum(np.abs(self.c - (1.0 - a) * s))) * reach)
+        if not far < on:
+            return False
+        b_lo, b_hi = self.bands
+        near = a * self.u[b_lo:b_hi + 1] + ctx.apply_weighted(self.c, lo, b_lo, b_hi)
+        bands = _off(near, lo - b_lo, hi - b_lo)
+        band_dev = np.max(np.abs(bands - _off(ref[b_lo:b_hi + 1], lo - b_lo, hi - b_lo)))
+        top = max(float(np.max(bands)), ref_hi + far)
+        if not (band_dev < on and top <= ctx.params.h
+                and ctx.step_window(inside, lo) == (lo, hi)):
+            return False
+        self.top, self.bottom = top, min(float(np.min(bands)), ref_lo - far)
+        self.deviation, self.finite = on, True
+        return True
+
+    def _far_terms(self) -> tuple[np.ndarray, float, float, float, float] | None:
+        """ref's weighted source s on the step window, the largest |omega| at
+        the lags from the window past the bands, and beyond the bands the
+        min and max of ref and max|ref - K s|; None if ref's source reaches
+        off the window.  One product per run gives K s = T ref, and one
+        kernel call per window the lags."""
+        ctx, ref, lo, hi = self.ctx, self.ref, self.lo, self.hi
+        if self._ref_terms is None:
+            t_ref, src = ctx.apply_T_window(ref, 0)
+            self._ref_terms = src, np.flatnonzero(src), np.abs(ref - t_ref)
+        src, fires, residual = self._ref_terms
+        if fires.size and not lo <= fires[0] <= fires[-1] <= hi:
+            return None
+        if self._window_terms is None or self._window_terms[0] != (lo, hi):
+            far = _off(ref, *self.bands)
+            lags = np.arange(hi - lo + 2, ctx.grid.n + 1) * ctx.grid.dx
+            reach = max(float(np.max(np.abs(ctx.kernel(x)), initial=0.0)) for x in (lags, -lags))
+            self._window_terms = (lo, hi), (
+                src[lo:hi + 1], reach,
+                float(np.min(far, initial=np.inf)), float(np.max(far, initial=-np.inf)),
+                float(np.max(_off(residual, *self.bands), initial=0.0)))
+        return self._window_terms[1]
+
+
+def step_values(ctx: OperatorContext, u, cfg: SimConfig):
+    """One RK4 step of u_t = -u + Tu from u, a ``LineState`` (advanced in
+    place) or the whole-line values (returned as new whole-line values)."""
+    if isinstance(u, LineState):
+        return u.step(cfg.dt)
+    return LineState(ctx, u).step(cfg.dt).values()
+
+
+def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float, lo: int, hi: int,
+              top: float | None = None, bottom: float | None = None):
     """One RK4 step from u with its stages computed on the nodes [lo, hi],
-    which hold every node where u > h, or None if a stage state may exceed h
-    outside them."""
-    inside, rest = u[lo:hi + 1], np.concatenate([u[:lo], u[hi + 1:]])
-    top = rest.max() if rest.size else 0.0
+    which hold every node where u > h: the new values there, and a_f and c_f,
+    the new state off them being a_f u + K c_f; or None if a stage state may
+    exceed h off them.  u off [lo, hi] lies in [bottom, top], by default its
+    min and max there."""
+    inside = u[lo:hi + 1]
+    outside = hi - lo < ctx.grid.n
+    if outside and top is None:
+        rest = _off(u, lo, hi)
+        top, bottom = rest.max(), rest.min()
     y, a, c, slopes, a_f, c_f = inside, 1.0, 0.0, 0.0, 1.0, 0.0
     # (share of dt from the last slope to the next stage, slope weight)
     for offset, weight in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (0.0, 1.0)):
@@ -65,22 +194,17 @@ def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float,
         k = Ty - y
         slopes = slopes + weight * k
         y = inside + offset * dt * k
-        if rest.size:
+        if outside:
             # off the window this slope is -a u + K (s - c), and the next
             # stage state is (1 - offset dt a) u + K (offset dt (s - c))
             s = s - c
             a_f -= dt / 6.0 * weight * a
             c_f = c_f + dt / 6.0 * weight * s
             a, c = 1.0 - offset * dt * a, offset * dt * s
-            if offset and not (a * (top if a >= 0.0 else rest.min())
+            if offset and not (a * (top if a >= 0.0 else bottom)
                                + ctx.weighted_bound(c, lo) <= ctx.params.h):
                 return None
-    new = inside + (dt / 6.0) * slopes
-    if not rest.size:
-        return new
-    out = a_f * u + ctx.apply_weighted(c_f, lo)
-    out[lo:hi + 1] = new
-    return out
+    return inside + (dt / 6.0) * slopes, a_f, c_f
 
 
 def simulate(ctx: OperatorContext, u0: Profile, u_ref: Profile, cfg: SimConfig,
@@ -92,19 +216,18 @@ def simulate(ctx: OperatorContext, u0: Profile, u_ref: Profile, cfg: SimConfig,
     a step overflows.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
-    u = u0.values.copy()
-    ref = u_ref.values
+    u = LineState(ctx, u0.values, u_ref.values)
     times = [0.0]
-    devs = [float(np.max(np.abs(u - ref)))]
+    devs = [u.deviation]
     for i in range(1, n_steps + 1):
         if stop_at is not None and devs[-1] >= stop_at:
             break
         u = step_values(ctx, u, cfg)
-        if not np.all(np.isfinite(u)):
+        if not u.finite:
             raise NonFinite(f"state became non-finite at t={i * cfg.dt:.6g}",
                             trajectory=Trajectory(np.asarray(times), np.asarray(devs)))
         times.append(i * cfg.dt)
-        devs.append(float(np.max(np.abs(u - ref))))
+        devs.append(u.deviation)
     return Trajectory(np.asarray(times), np.asarray(devs))
 
 

@@ -178,35 +178,38 @@ class OperatorContext:
             values[w_lo - lo:w_hi - lo + 1] - self.params.h)
         return self._convolve(src, w_lo, w_hi, lo, lo + len(values) - 1), s
 
-    def step_window(self, values: np.ndarray) -> tuple[int, int]:
-        """The nodes [lo, hi] where a time step from ``values`` computes its
-        stages: T's source window widened by a ``WINDOW_BLOCK`` on each side,
-        or the whole grid past 1/STEP_WINDOW_SHARE of it or if no u > h."""
-        window = self._window(values <= self.params.h, 0, WINDOW_BLOCK,
-                              STEP_WINDOW_SHARE)
+    def step_window(self, values: np.ndarray, lo: int = 0) -> tuple[int, int]:
+        """The nodes [lo', hi'] where a time step computes its stages from a
+        profile that is ``values`` on the nodes from lo on (by default all)
+        and at most h elsewhere: T's source window widened by a
+        ``WINDOW_BLOCK`` on each side, or the whole grid past
+        1/STEP_WINDOW_SHARE of it or if no u > h."""
+        window = self._window(values <= self.params.h, lo, WINDOW_BLOCK,
+                              STEP_WINDOW_SHARE, (0, self.grid.n))
         return (0, self.grid.n) if window is None else window
 
     def _window(self, outside: np.ndarray, offset: int = 0, pad: int = 0,
-                share: int = 3) -> tuple[int, int] | None:
+                share: int = 3,
+                span: tuple[int, int] | None = None) -> tuple[int, int] | None:
         """Node range [lo, hi] enclosing every node where ``outside``, which
         covers the nodes from ``offset`` on, is False, widened by ``pad``
-        nodes on each side and kept within the covered nodes; None if
-        ``outside`` is True everywhere.
+        nodes on each side and kept within ``span`` (by default the covered
+        nodes); None if ``outside`` is True everywhere.
 
         Whole blocks let nearby windows share a spectrum; past 1/share of the
-        grid a window saves little transform length, so it takes all the
-        covered nodes (on the whole grid, its one spectrum).
+        grid a window saves little transform length, so it takes all of
+        ``span`` (on the whole grid, its one spectrum).
         """
         lo = int(outside.argmin())
         if outside[lo]:
             return None
-        last = offset + len(outside) - 1
-        hi = last - int(outside[::-1].argmin()) + pad
+        first, last = span or (offset, offset + len(outside) - 1)
+        hi = offset + len(outside) - 1 - int(outside[::-1].argmin()) + pad
         lo = offset + lo - pad
-        lo = max(offset, lo - lo % WINDOW_BLOCK)
+        lo = max(first, lo - lo % WINDOW_BLOCK)
         hi = min(last, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK)
         if share * (hi - lo + 1) > self.grid.n + 1:
-            return offset, last
+            return first, last
         return lo, hi
 
     def _convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int = 0,

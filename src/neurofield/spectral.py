@@ -191,20 +191,28 @@ def remainder_exponent_fit(lin: Linearization, direction: Profile,
     for the linearization T'(u) = ``lin`` at its profile u.
 
     The direction must have sup-norm 1 and the amplitudes should span at least
-    two decades; the slope estimates 1 + mu of the remainder bound.
+    two decades; the slope estimates 1 + mu of the remainder bound.  By
+    linearity of K the remainder is K w (f(u + dv - h) - f(u - h) - f'(u - h) dv),
+    one product per amplitude of a source that cancels before the transform.
     """
     amplitudes = np.asarray(sorted(amplitudes), dtype=float)
     if np.any(amplitudes <= 0.0):
         raise ValueError("amplitudes must be positive")
     if amplitudes[-1] / amplitudes[0] < 99.0:
         raise ValueError("amplitudes should span at least two decades")
-    u = lin.u.values
-    base = lin.ctx.apply_T_values(u)
+    ctx, arg = lin.ctx, lin.u.values - lin.ctx.params.h
     norms = np.empty(len(amplitudes))
     for i, delta in enumerate(amplitudes):
         v = delta * direction.values
-        rem = lin.ctx.apply_T_values(u + v) - base - lin.matvec(v)
-        norms[i] = np.max(np.abs(rem))
+        # the source vanishes where both u and u + dv are at most h
+        fires = np.flatnonzero((arg > 0.0) | (arg + v > 0.0))
+        src = np.zeros(len(arg))
+        if fires.size:
+            lo, hi = fires[0], fires[-1] + 1
+            x, dv = arg[lo:hi], v[lo:hi]
+            src[lo:hi] = lin.weights[lo:hi] * (ctx.firing(x + dv) - ctx.firing(x)
+                                               - lin.gains[lo:hi] * dv)
+        norms[i] = np.max(np.abs(ctx.apply_weighted(src)))
     slope = float(np.polyfit(np.log(amplitudes), np.log(norms), 1)[0])
     return slope, norms
 

@@ -2,8 +2,9 @@
 
 The dense ones build the full matrix that the package applies through FFT
 products, so they serve moderate grids only.  The rest are the plain form of
-a step the package computes more cheaply (the whole-grid RK4 step, power
-iteration for the principal eigenpair), or checks
+a step the package computes more cheaply (the whole-grid RK4 step, the
+windowed RK4 step that builds the whole line every step, power iteration for
+the principal eigenpair), or checks
 that no certify stage runs (the clamped iteration, the translation family,
 the Heaviside stationarity of u_minus and u_plus, the two formulations of
 condition (vii), and the comparison of the restricted and whole-line spectra
@@ -145,6 +146,57 @@ def dense_even_jacobian(ctx, v):
     folded = M[:, mid:].copy()
     folded[:, 1:] += M[:, mid - 1::-1]
     return np.eye(mid + 1) - folded
+
+
+def window_rk4_step(ctx, u, dt):
+    """One RK4 step with the stages on ``ctx.step_window(u)`` and the new
+    state off it built by one whole-line convolution, or with every stage on
+    the whole grid if a stage state may exceed h off the window."""
+    lo, hi = ctx.step_window(u)
+    out = _window_rk4_step(ctx, u, dt, lo, hi)
+    return _window_rk4_step(ctx, u, dt, 0, ctx.grid.n) if out is None else out
+
+
+def _window_rk4_step(ctx, u, dt, lo, hi):
+    inside, rest = u[lo:hi + 1], np.concatenate([u[:lo], u[hi + 1:]])
+    top = rest.max() if rest.size else 0.0
+    y, a, c, slopes, a_f, c_f = inside, 1.0, 0.0, 0.0, 1.0, 0.0
+    for offset, weight in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (0.0, 1.0)):
+        Ty, s = ctx.apply_T_window(y, lo)
+        k = Ty - y
+        slopes = slopes + weight * k
+        y = inside + offset * dt * k
+        if rest.size:
+            s = s - c
+            a_f -= dt / 6.0 * weight * a
+            c_f = c_f + dt / 6.0 * weight * s
+            a, c = 1.0 - offset * dt * a, offset * dt * s
+            if offset and not (a * (top if a >= 0.0 else rest.min())
+                               + ctx.weighted_bound(c, lo) <= ctx.params.h):
+                return None
+    new = inside + (dt / 6.0) * slopes
+    if not rest.size:
+        return new
+    out = a_f * u + ctx.apply_weighted(c_f, lo)
+    out[lo:hi + 1] = new
+    return out
+
+
+def window_simulate(ctx, u0, u_ref, cfg, stop_at=None):
+    """``dynamics.simulate`` stepping the whole line by ``window_rk4_step``:
+    (times, sup deviations from u_ref), or the partial pair once a state is
+    not finite."""
+    u, ref = u0.values.copy(), u_ref.values
+    times, devs = [0.0], [float(np.max(np.abs(u - ref)))]
+    for i in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
+        if stop_at is not None and devs[-1] >= stop_at:
+            break
+        u = window_rk4_step(ctx, u, cfg.dt)
+        if not np.all(np.isfinite(u)):
+            break
+        times.append(i * cfg.dt)
+        devs.append(float(np.max(np.abs(u - ref))))
+    return np.asarray(times), np.asarray(devs)
 
 
 def whole_grid_rk4_step(ctx, u, dt):

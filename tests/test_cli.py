@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import neurofield
 import neurofield.dynamics
 from neurofield import cli
-from neurofield.cli import main
+from neurofield.cli import BUMP_TOL_CEILING, main
 from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
                                    WINDOW_BLOCK, OperatorContext)
 from neurofield.model import ExponentialKernel, GaussianKernel
@@ -282,9 +282,11 @@ def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
 def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # the bump feeds T through its supra-threshold window only; every T onto
     # the whole extension grid (extend, principal vector, remainder fit, the
-    # RK4 step's one whole-line convolution and its exactness bound) shares
-    # it, and the RK4 stages add one spectrum onto their step window; the
-    # margin, Newton and the translation check output the [-d, d] nodes only
+    # RK4 stages' exactness bound and the escape run's one whole-line
+    # product) shares it, the RK4 stages add one spectrum onto their step
+    # window and the state's guard bands one onto the window and a window's
+    # width on each side; the margin, Newton and the translation check
+    # output the [-d, d] nodes only
     built, contexts = [], []
     spectrum = OperatorContext._spectrum
 
@@ -308,11 +310,14 @@ def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # [-d, d], never the whole line
     assert any(key[2] == 800 for _, key in built)
     stages = [key for n, key in built if key[2] not in (big_n, 800)]
-    assert len(stages) == 1
+    assert len(stages) == 2
     # the same source window onto the step window, the bump's window widened
-    # by a block on each side, counted from the step window's first node
+    # by a block on each side, counted from the step window's first node,
+    # and onto the step window and its two bands, counted from the first band
     width = hi - lo + 2 * WINDOW_BLOCK
     assert stages[0] == (WINDOW_BLOCK, hi - lo + WINDOW_BLOCK, width)
+    assert stages[1] == (width + 1 + WINDOW_BLOCK, width + 1 + hi - lo + WINDOW_BLOCK,
+                         3 * (width + 1) - 1)
     assert STEP_WINDOW_SHARE * (width + 1) <= big_n + 1
     assert all(len(ctx._spectra) <= SPECTRUM_CACHE_SIZE for ctx in contexts)
 
@@ -485,6 +490,26 @@ def test_certify_without_principal_mode_exit_2(tmp_path, capsys):
     assert report["dynamics"]["escape_time"] is None
     assert report["instability_verified"]["value"] is False
     assert not (out / "trajectory.csv").exists()
+
+
+def test_loose_newton_tol_cannot_verify_an_unmoved_bump(tmp_path):
+    # newton_tol 1e300 accepts Newton's start (0 iterations, residual_sup
+    # about 0.06), which verified the bump at the tolerance 1e301; the check
+    # caps its tolerance at 1e-6, while a tight newton_tol keeps 10 newton_tol
+    cfg = write_cfg(tmp_path, {"firing": {"p": 1e300, "tau": 0.2}, "grid": {"n": 40},
+                               "solver": {"newton_tol": 1e300}})
+    out = tmp_path / "loose"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 2
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["fixedpoint"]["iterations"] == 0
+    assert report["fixedpoint"]["residual_sup"] > 1e-2
+    assert report["stationary_bump_verified"] == {"value": False, "tolerance": 1e-6}
+    assert BUMP_TOL_CEILING == 1e-6
+    cfg = write_cfg(tmp_path, {"grid": {"n": 40}, "dynamics": {"t_end": 1.5}})
+    out = tmp_path / "tight"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["stationary_bump_verified"] == {"value": True, "tolerance": 1e-11}
 
 
 def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neurofield.dynamics import (SimConfig, _rk4_step, instability_experiment,
-                                 simulate, step_values)
+from neurofield.dynamics import (LineState, SimConfig, _rk4_step,
+                                 instability_experiment, simulate, step_values)
 from neurofield.errors import ConfigError, NonFinite
 from neurofield.fixedpoint import OperatorContext, extend_bump
 from neurofield.grids import Grid, Profile
 from neurofield.spectral import Linearization, spectral_radius
-from oracles import whole_grid_rk4_step
+from oracles import whole_grid_rk4_step, window_simulate
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,112 @@ def test_zero_and_nan_states_step_as_on_the_whole_grid(setup):
     nan = np.full(ctx.grid.n_nodes, np.nan)
     assert np.all(np.isnan(step_values(ctx, nan, SimConfig())))
     assert np.all(np.isnan(whole_grid_rk4_step(ctx, nan, 0.01)))
+
+
+@pytest.fixture
+def materializations(monkeypatch):
+    """Calls of ``LineState.values``, which a run makes only to build the
+    whole line."""
+    calls, values = [0], LineState.values
+
+    def counted(self):
+        calls[0] += 1
+        return values(self)
+    monkeypatch.setattr(LineState, "values", counted)
+    return calls
+
+
+def _escape_run(ctx, u, vec, delta=1e-3):
+    u0 = Profile(ctx.grid, u.values + delta * vec.values)
+    return u0, SimConfig(dt=0.01, t_end=5.0), 0.05 * u.sup_norm()
+
+
+def _matches_oracle(ctx, u0, ref, cfg, stop_at=None, rel=0.0):
+    traj = simulate(ctx, u0, ref, cfg, stop_at)
+    times, devs = window_simulate(ctx, u0, ref, cfg, stop_at)
+    assert np.array_equal(traj.times, times)
+    if rel == 0.0:
+        assert np.array_equal(traj.deviation_sup, devs)
+    else:
+        assert np.max(np.abs(traj.deviation_sup - devs) / devs) <= rel
+    return traj
+
+
+def test_escape_run_matches_window_oracle_bit_for_bit(ref_ctx_big, ref_u_tilde,
+                                                      ref_power, setup, materializations):
+    # the state off the window is never built, yet every recorded deviation
+    # is the one the whole-line update of each step gives
+    for ctx, u, vec in ((ref_ctx_big, ref_u_tilde, ref_power[1]),
+                        (setup["ctx"], setup["u"], setup["vec"])):
+        assert ctx.step_window(u.values) != (0, ctx.grid.n)
+        u0, cfg, eps = _escape_run(ctx, u, vec)
+        traj = _matches_oracle(ctx, u0, u, cfg, stop_at=eps)
+        assert traj.deviation_sup[-1] >= eps > traj.deviation_sup[-2]
+    assert materializations[0] == 0
+
+
+def test_escape_run_matches_window_oracle_on_each_family(kernel_setup):
+    lin = kernel_setup["lin_big"]
+    _, vec = spectral_radius(lin, *lin.eigensolve(1))
+    u0, cfg, eps = _escape_run(lin.ctx, lin.u, vec)
+    _matches_oracle(lin.ctx, u0, lin.u, cfg, stop_at=eps)
+
+
+def test_moving_window_matches_window_oracle(setup, materializations):
+    # pushed up along the principal mode the bump widens past its step
+    # window, which the run follows by building the whole line
+    ctx, u = setup["ctx"], setup["u"]
+    u0 = Profile(ctx.grid, u.values + 1e-2 * setup["vec"].values)
+    cfg = SimConfig(dt=0.01, t_end=4.0)
+    traj = _matches_oracle(ctx, u0, u, cfg, rel=1e-12)
+    assert len(traj.times) == 401 and materializations[0] >= 2
+    line = LineState(ctx, u0.values, u.values)
+    lo, hi = line.lo, line.hi
+    for _ in range(400):
+        line = step_values(ctx, line, cfg)
+        # the window is the step window of the whole line at every step, and
+        # the stage check's bounds hold the state off it, up to the rounding
+        # of the guard bands' product
+        values = line.values()
+        assert (line.lo, line.hi) == ctx.step_window(values)
+        rest = np.concatenate([values[:line.lo], values[line.hi + 1:]])
+        assert (line.top is None
+                or line.bottom - 1e-15 <= rest.min() <= rest.max() <= line.top + 1e-15)
+    assert line.lo < lo and line.hi > hi and line.deviation == traj.deviation_sup[-1]
+
+
+@pytest.mark.parametrize("where", [0.5, 2.0], ids=["band", "beyond_bands"])
+def test_deviation_off_the_window_builds_the_line(setup, materializations, where):
+    # a small bump far below h on a guard band, or beyond both, dominates the
+    # deviation and decays there, while the deviation on the window stays
+    # below it: every step's deviation comes from the whole line
+    ctx, u = setup["ctx"], setup["u"]
+    x, (lo, hi) = ctx.nodes, ctx.step_window(u.values)
+    centre = x[hi + int(where * (hi - lo + 1))]
+    u0 = Profile(ctx.grid, u.values + 1e-5 * setup["vec"].values
+                 + 1e-3 * np.exp(-((x - centre) / 0.3) ** 2))
+    traj = _matches_oracle(ctx, u0, u, SimConfig(dt=0.01, t_end=0.5), rel=1e-13)
+    assert materializations[0] == 50
+    assert traj.deviation_sup[-1] == pytest.approx(1e-3 * np.exp(-0.5), rel=0.05)
+
+
+def test_escape_run_builds_the_line_at_most_once(ref_ctx_big, ref_u_tilde, ref_power,
+                                                 monkeypatch, materializations):
+    # a count, not a timing: the escape experiment on the reference config
+    # takes 73 steps and convolves onto the whole line once (the reference's
+    # own source), not once per step
+    whole, convolve = [0], OperatorContext._convolve
+    n = ref_ctx_big.grid.n
+
+    def counted(self, src, lo, hi, out_lo=0, out_hi=None):
+        whole[0] += out_lo == 0 and out_hi in (None, n)
+        return convolve(self, src, lo, hi, out_lo, out_hi)
+    monkeypatch.setattr(OperatorContext, "_convolve", counted)
+    out = instability_experiment(ref_ctx_big, ref_u_tilde, ref_power[1], delta=1e-3,
+                                 epsilon_ball=0.05 * ref_u_tilde.sup_norm(),
+                                 cfg=SimConfig(dt=0.01, t_end=5.0))
+    assert len(out["trajectory"].times) == 74
+    assert whole[0] <= 2 and materializations[0] == 0
 
 
 def test_unperturbed_drift_small(ref_ctx_big, ref_u_tilde):
