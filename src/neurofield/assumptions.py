@@ -85,7 +85,8 @@ def check_assumptions(kernel: Kernel, firing: Firing,
     records: list[ConditionRecord] = []
 
     # (i) integrability: truncated integral of |omega| plus a sampled tail proxy
-    mass = float(np.trapezoid(np.abs(vals), xs)) * 2.0
+    with np.errstate(over="ignore"):  # an overflowing mass is inf: unknown
+        mass = float(np.trapezoid(np.abs(vals), xs)) * 2.0
     tail = float(np.abs(vals[-1])) * horizon
     records.append(ConditionRecord(
         "B_i_integrable", "pass" if np.isfinite(mass) and tail < 0.01 * (mass + 1e-300)
@@ -144,8 +145,8 @@ def check_assumptions(kernel: Kernel, firing: Firing,
             "B_vii_decreasing_dominated", "unknown", note="no d available"))
 
     # smoothness and decay extras: (i) essentially bounded derivative
-    diffs = np.abs(np.diff(vals)) / dx
-    deriv_sup = float(np.max(diffs))
+    with np.errstate(over="ignore"):  # an overflowing quotient is inf: unknown
+        deriv_sup = float(np.max(np.abs(np.diff(vals)) / dx))
     records.append(ConditionRecord(
         "thmB_i_deriv_bounded", "pass" if np.isfinite(deriv_sup) else "unknown",
         witness=deriv_sup,

@@ -42,7 +42,7 @@ from .fixedpoint import (DEGENERACY_THRESHOLD, NEWTON_MAX_ITER, NEWTON_TOL,
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
                     ModelParams, RatioFiring, TabulatedKernel)
-from .spectral import (Linearization, instability_certificate,
+from .spectral import (TOP_K, Linearization, instability_certificate,
                        remainder_exponent_fit, spectra_equivalence_check,
                        spectral_radius, translation_mode_check)
 
@@ -213,7 +213,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
-              precision: int = 17) -> None:
+              precision: int) -> None:
     row_fmt = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
     values = np.column_stack(columns).ravel().tolist()
     body = (row_fmt * len(columns[0])) % tuple(values)
@@ -286,7 +286,12 @@ class Run:
         if "n" in gsec:
             n = int(gsec["n"])
         else:
-            n = int(round(2.0 * report.d * gsec.get("n_per_unit", 256)))
+            cells = 2.0 * report.d * gsec.get("n_per_unit", 256)
+            if not math.isfinite(cells):
+                raise ConfigError(f"grid.n_per_unit: {gsec['n_per_unit']} per unit "
+                                  f"overflows the subinterval count on [-d, d], "
+                                  f"d = {report.d:.9g}")
+            n = int(round(cells))
             if n == 0:
                 raise ConfigError(f"grid.n_per_unit: {gsec['n_per_unit']} per unit "
                                   f"leaves no subinterval on [-d, d], d = {report.d:.9g}")
@@ -312,7 +317,7 @@ class Run:
     def spectrum(self) -> Spectrum:
         # one linearization and one Lanczos solve, at the whole-line bump
         ctx, fp, u_tilde = self.solve
-        top_k = int(self.cfg.get("spectral", {}).get("top_k", 5))
+        top_k = int(self.cfg.get("spectral", {}).get("top_k", TOP_K))
         lin = Linearization(ctx, u_tilde)
         margins = spectra_equivalence_check(lin, fp.u_star)
         if lin.support.size == 0:
@@ -397,7 +402,7 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
     """The escape experiment from the bump and the principal vector of the
     run; a deviation that never leaves the epsilon ball fails it (exit 2)."""
     dsec = run.cfg.get("dynamics", {})
-    sim = SimConfig(dt=dsec.get("dt", 0.01), t_end=dsec.get("t_end", 60.0))
+    sim = SimConfig(**{key: dsec[key] for key in ("dt", "t_end") if key in dsec})
     delta = dsec.get("delta", 1e-3)
     eps_ball = dsec.get("epsilon_ball")
     source = "dynamics.epsilon_ball"

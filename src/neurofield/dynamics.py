@@ -6,9 +6,9 @@ nodes where u > h, widened by a block on each side.  Off that window each
 stage state is a_i u + K c_i, K the kernel convolution and c_i a mix of the
 earlier stage sources, so the new state there is a_f u + K c_f.  Before each
 stage the step checks a_i top + |c_i|_1 max|omega| <= h off the window, top
-an upper bound of u there, which keeps the stage's source zero there, and
-else reruns on the whole grid; either way the supra-threshold sets are the
-whole-grid step's.
+an upper bound of u there and a_i > 0, which keeps the stage's source zero
+there, and else reruns on the whole grid; either way the supra-threshold sets
+are the whole-grid step's.
 
 A run (``LineState``) keeps the state off the window in that form, u = A u0
 + K C, u0 the state when the whole line was last built, A the product of the
@@ -66,11 +66,10 @@ def _off(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 class LineState:
     """A state u on the grid of ``ctx``: exact on the step window [lo, hi]
     and A u0 + K C off it (see the module docstring), with ``deviation`` =
-    sup|u - ref| and ``finite`` whether u is finite, when ``ref`` is given.
-    ``top`` and ``bottom`` bound u off the window; None reads them from u."""
+    sup|u - ref| and ``finite`` whether u is finite.  ``top`` bounds u off
+    the window from above; None reads it from u."""
 
-    def __init__(self, ctx: OperatorContext, values: np.ndarray,
-                 ref: np.ndarray | None = None):
+    def __init__(self, ctx: OperatorContext, values: np.ndarray, ref: np.ndarray):
         self.ctx, self.ref = ctx, ref
         self._ref_terms = self._window_terms = None
         self._restart(np.array(values, dtype=float))
@@ -79,15 +78,13 @@ class LineState:
         """Continue from the whole-line values: u0 = values, A = 1, C = 0."""
         self.u, self.a, self.c = values, 1.0, None
         self.lo, self.hi = self.ctx.step_window(values)
-        self.top = self.bottom = None
+        self.top = None
         self.finite = bool(np.all(np.isfinite(values)))
-        if self.ref is not None:
-            dev = np.abs(values - self.ref)
-            self.deviation = float(np.max(dev))
-            n, width = self.ctx.grid.n, self.hi - self.lo + 1
-            if width <= n:
-                self.bands = max(0, self.lo - width), min(n, self.hi + width)
-                self._d0 = float(np.max(_off(dev, *self.bands), initial=0.0))
+        dev = np.abs(values - self.ref)
+        self.deviation = float(np.max(dev))
+        width = self.hi - self.lo + 1
+        self.bands = max(0, self.lo - width), min(self.ctx.grid.n, self.hi + width)
+        self._d0 = float(np.max(_off(dev, *self.bands), initial=0.0))
 
     def values(self) -> np.ndarray:
         """The whole-line values of u, by one product once a step has run."""
@@ -100,7 +97,7 @@ class LineState:
     def step(self, dt: float) -> LineState:
         """Advance u by one RK4 step, in place."""
         ctx, lo, hi = self.ctx, self.lo, self.hi
-        out = _rk4_step(ctx, self.u, dt, lo, hi, self.top, self.bottom)
+        out = _rk4_step(ctx, self.u, dt, lo, hi, self.top)
         if out is None:
             self._restart(_rk4_step(ctx, self.values(), dt, 0, ctx.grid.n)[0])
             return self
@@ -111,7 +108,7 @@ class LineState:
         self.u[lo:hi + 1] = new
         self.a *= a_f
         self.c = c_f if self.c is None else a_f * self.c + c_f
-        if self.ref is None or not self._settle():
+        if not self._settle():
             self._restart(self.values())
         return self
 
@@ -124,7 +121,7 @@ class LineState:
         terms = self._far_terms()
         if terms is None:
             return False
-        s, reach, ref_lo, ref_hi, r_far = terms
+        s, reach, ref_hi, r_far = terms
         inside = self.u[lo:hi + 1]
         on = float(np.max(np.abs(inside - ref[lo:hi + 1])))
         far = (abs(a) * self._d0 + abs(1.0 - a) * r_far
@@ -139,14 +136,14 @@ class LineState:
         if not (band_dev < on and top <= ctx.params.h
                 and ctx.step_window(inside, lo) == (lo, hi)):
             return False
-        self.top, self.bottom = top, min(float(np.min(bands)), ref_lo - far)
+        self.top = top
         self.deviation, self.finite = on, True
         return True
 
-    def _far_terms(self) -> tuple[np.ndarray, float, float, float, float] | None:
+    def _far_terms(self) -> tuple[np.ndarray, float, float, float] | None:
         """ref's weighted source s on the step window, the largest |omega| at
         the lags from the window past the bands, and beyond the bands the
-        min and max of ref and max|ref - K s|; None if ref's source reaches
+        max of ref and max|ref - K s|; None if ref's source reaches
         off the window.  One product per run gives K s = T ref, and one
         kernel call per window the lags."""
         ctx, ref, lo, hi = self.ctx, self.ref, self.lo, self.hi
@@ -157,12 +154,11 @@ class LineState:
         if fires.size and not lo <= fires[0] <= fires[-1] <= hi:
             return None
         if self._window_terms is None or self._window_terms[0] != (lo, hi):
-            far = _off(ref, *self.bands)
             lags = np.arange(hi - lo + 2, ctx.grid.n + 1) * ctx.grid.dx
             reach = max(float(np.max(np.abs(ctx.kernel(x)), initial=0.0)) for x in (lags, -lags))
             self._window_terms = (lo, hi), (
                 src[lo:hi + 1], reach,
-                float(np.min(far, initial=np.inf)), float(np.max(far, initial=-np.inf)),
+                float(np.max(_off(ref, *self.bands), initial=-np.inf)),
                 float(np.max(_off(residual, *self.bands), initial=0.0)))
         return self._window_terms[1]
 
@@ -172,21 +168,20 @@ def step_values(ctx: OperatorContext, u, cfg: SimConfig):
     place) or the whole-line values (returned as new whole-line values)."""
     if isinstance(u, LineState):
         return u.step(cfg.dt)
-    return LineState(ctx, u).step(cfg.dt).values()
+    return LineState(ctx, u, u).step(cfg.dt).values()
 
 
 def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float, lo: int, hi: int,
-              top: float | None = None, bottom: float | None = None):
+              top: float | None = None):
     """One RK4 step from u with its stages computed on the nodes [lo, hi],
     which hold every node where u > h: the new values there, and a_f and c_f,
     the new state off them being a_f u + K c_f; or None if a stage state may
-    exceed h off them.  u off [lo, hi] lies in [bottom, top], by default its
-    min and max there."""
+    exceed h off them.  u off [lo, hi] is at most top, by default its max
+    there."""
     inside = u[lo:hi + 1]
     outside = hi - lo < ctx.grid.n
     if outside and top is None:
-        rest = _off(u, lo, hi)
-        top, bottom = rest.max(), rest.min()
+        top = _off(u, lo, hi).max()
     y, a, c, slopes, a_f, c_f = inside, 1.0, 0.0, 0.0, 1.0, 0.0
     # (share of dt from the last slope to the next stage, slope weight)
     for offset, weight in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (0.0, 1.0)):
@@ -201,8 +196,9 @@ def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float, lo: int, hi: int,
             a_f -= dt / 6.0 * weight * a
             c_f = c_f + dt / 6.0 * weight * s
             a, c = 1.0 - offset * dt * a, offset * dt * s
-            if offset and not (a * (top if a >= 0.0 else bottom)
-                               + ctx.weighted_bound(c, lo) <= ctx.params.h):
+            # a lies in [0.9, 1) for every dt that SimConfig admits (dt <= 0.1),
+            # so a u <= a top off the window and the bound needs no minimum of u
+            if offset and not a * top + ctx.weighted_bound(c, lo) <= ctx.params.h:
                 return None
     return inside + (dt / 6.0) * slopes, a_f, c_f
 

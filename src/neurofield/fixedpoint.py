@@ -78,8 +78,8 @@ class OperatorContext:
     discrete convolution on the uniform grid.  Its source vanishes wherever
     u <= h, so it is evaluated by one circular FFT convolution of the source
     on the node window [lo, hi] that holds its nonzero values, rounded outward
-    to blocks of ``WINDOW_BLOCK`` nodes (the whole grid once it covers more
-    than a third).  The firing rate is evaluated on that window only.
+    to blocks of ``WINDOW_BLOCK`` nodes.  The firing rate is evaluated on that
+    window only.
     ``apply_T_window`` writes only the m + 1 nodes of an output window, at
     transform length fast_fft_len(m + hi - lo + 1) however large the grid.
 
@@ -101,14 +101,9 @@ class OperatorContext:
         self.params = params
         self.grid = grid
         self.weights = quadrature_weights(grid)
-        self._nodes = grid.nodes()
         self._dense: np.ndarray | None = None
         # (lo, hi, last) -> (transform length, rfft of the lag line, max |line|)
         self._spectra: dict[tuple[int, int, int], tuple[int, np.ndarray, float]] = {}
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
 
     def centred(self, n: int) -> int:
         """First node of the centred window of n subintervals: where the
@@ -125,7 +120,7 @@ class OperatorContext:
             if self.grid.n_nodes > DENSE_NODE_LIMIT:
                 raise MemoryError(
                     f"dense kernel matrix refused for {self.grid.n_nodes} nodes")
-            x = self._nodes
+            x = self.grid.nodes()
             self._dense = np.asarray(self.kernel(x[:, None] - x[None, :]))
         return self._dense
 
@@ -184,33 +179,29 @@ class OperatorContext:
         and at most h elsewhere: T's source window widened by a
         ``WINDOW_BLOCK`` on each side, or the whole grid past
         1/STEP_WINDOW_SHARE of it or if no u > h."""
-        window = self._window(values <= self.params.h, lo, WINDOW_BLOCK,
-                              STEP_WINDOW_SHARE, (0, self.grid.n))
-        return (0, self.grid.n) if window is None else window
+        whole = 0, self.grid.n
+        lo, hi = self._window(values <= self.params.h, lo, WINDOW_BLOCK, whole) or whole
+        # past that share a window saves little transform length, and on the
+        # whole grid every step shares its one spectrum
+        if STEP_WINDOW_SHARE * (hi - lo + 1) > self.grid.n + 1:
+            return whole
+        return lo, hi
 
     def _window(self, outside: np.ndarray, offset: int = 0, pad: int = 0,
-                share: int = 3,
                 span: tuple[int, int] | None = None) -> tuple[int, int] | None:
         """Node range [lo, hi] enclosing every node where ``outside``, which
         covers the nodes from ``offset`` on, is False, widened by ``pad``
-        nodes on each side and kept within ``span`` (by default the covered
-        nodes); None if ``outside`` is True everywhere.
-
-        Whole blocks let nearby windows share a spectrum; past 1/share of the
-        grid a window saves little transform length, so it takes all of
-        ``span`` (on the whole grid, its one spectrum).
-        """
+        nodes on each side and rounded outward to whole blocks, so that nearby
+        windows share a spectrum, within ``span`` (by default the covered
+        nodes); None if ``outside`` is True everywhere."""
         lo = int(outside.argmin())
         if outside[lo]:
             return None
         first, last = span or (offset, offset + len(outside) - 1)
         hi = offset + len(outside) - 1 - int(outside[::-1].argmin()) + pad
         lo = offset + lo - pad
-        lo = max(first, lo - lo % WINDOW_BLOCK)
-        hi = min(last, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK)
-        if share * (hi - lo + 1) > self.grid.n + 1:
-            return first, last
-        return lo, hi
+        return (max(first, lo - lo % WINDOW_BLOCK),
+                min(last, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK))
 
     def _convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int = 0,
                   out_hi: int | None = None) -> np.ndarray:

@@ -79,7 +79,9 @@ class MexicanHatKernel:
 
     def __call__(self, x):
         x2 = np.square(x)
-        return self.K * np.exp(-self.k * x2) - self.M * np.exp(-self.m * x2)
+        # k x^2 overflows to inf only where exp(-k x^2) is 0 anyway
+        with np.errstate(over="ignore"):
+            return self.K * np.exp(-self.k * x2) - self.M * np.exp(-self.m * x2)
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)

@@ -19,6 +19,9 @@ LANCZOS_SEED = 20111212
 #: LANCZOS_TOL times the largest Ritz value
 LANCZOS_TOL = 1e-13
 
+#: eigenvalues a spectrum lists unless the spectral config section sets top_k
+TOP_K = 5
+
 #: certificate threshold of the translation-mode residual
 TRANSLATION_TOL = 5e-3
 
@@ -103,12 +106,12 @@ class Linearization:
         return self.ctx.apply_weighted(self.weights[lo:hi + 1] * self.gains[lo:hi + 1] * v,
                                        lo, lo, hi)
 
-    def eigenvalues(self, k: int = 5) -> np.ndarray:
+    def eigenvalues(self, k: int = TOP_K) -> np.ndarray:
         """The k support eigenvalues of largest magnitude, descending (all of
         them if the support has fewer nodes).  Real by symmetrizability."""
         return self.eigensolve(k)[0]
 
-    def eigensolve(self, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    def eigensolve(self, k: int = TOP_K) -> tuple[np.ndarray, np.ndarray]:
         """``eigenvalues(k)`` and the unit Ritz vector y of the first of them
         for the symmetrized support block s K s, s = sqrt(w g) on the support."""
         idx = self.support

@@ -103,7 +103,7 @@ def dense_eigenvalues(lin):
     idx = lin.support
     if idx.size == 0:
         return np.zeros(0)
-    x = lin.ctx.nodes[idx]
+    x = lin.ctx.grid.nodes()[idx]
     K = np.asarray(lin.ctx.kernel(x[:, None] - x[None, :]))
     s = np.sqrt(lin.weights[idx] * lin.gains[idx])
     return np.linalg.eigvalsh(K * s[None, :] * s[:, None])[::-1]

@@ -984,6 +984,27 @@ def test_grid_the_model_cannot_use_exit_1(tmp_path, capsys, grid, key):
     assert err.startswith("config error: ") and key in err and err.count("\n") == 1
 
 
+_HAT = {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1}
+
+
+@pytest.mark.parametrize("overrides, rc, start", [
+    ({"grid": {"n_per_unit": 1e308}}, 1, "config error: grid.n_per_unit: 1e+308 per unit"),
+    ({"grid": {"n_per_unit": 1.7e308}}, 1, "config error: grid.n_per_unit: 1.7e+308 per unit"),
+    ({"kernel": dict(_HAT, K=1e308)}, 2, "infeasible: assumptions not met: B_i_integrable"),
+    ({"kernel": dict(_HAT, K=1.7e308)}, 2, "infeasible: assumptions not met: B_i_integrable"),
+    ({"kernel": dict(_HAT, k=1e308)}, 2, "infeasible: assumptions not met: B_ii_bounded"),
+], ids=["n_per_unit=1e308", "n_per_unit=1.7e308", "K=1e308", "K=1.7e308", "k=1e308"])
+def test_overflowing_config_prints_one_line(tmp_path, capsys, overrides, rc, start):
+    # a subinterval count past the float range, or kernel samples whose mass,
+    # difference quotients or exponents overflow: one line, no traceback and
+    # no numpy warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**REFERENCE_CFG, "grid": {}, **overrides}))
+    assert run(["bounds", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("number, literal, key", [
     ('"h": 0.1', '"h": NaN', "at h: nan"),
     ('"delta": 0.001', '"delta": 0.001, "epsilon_ball": Infinity', "at epsilon_ball: inf"),

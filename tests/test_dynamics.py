@@ -36,6 +36,28 @@ def test_sim_config_validation():
             SimConfig(dt=dt, t_end=t_end)
 
 
+def test_stage_factors_keep_the_one_sided_guard_sound(setup):
+    # the stage check bounds a u off the window by a top, which holds only
+    # while every checked stage factor a is positive: SimConfig's dt cap
+    # keeps each at 0.9 or above, and the step's factor a_f in (0, 1)
+    with pytest.raises(ValueError):
+        SimConfig(dt=np.nextafter(0.1, 1.0))
+    ctx, u = setup["ctx"], setup["u"].values
+    lo, hi = ctx.step_window(u)
+    factors = []
+
+    class Top(float):
+        def __rmul__(self, a):
+            factors.append(a)
+            return a * float(self)
+    top = Top(np.concatenate([u[:lo], u[hi + 1:]]).max())
+    for dt in (1e-6, 0.01, 0.05, float(np.nextafter(0.1, 0.0)), 0.1):
+        factors.clear()
+        _, a_f, _ = _rk4_step(ctx, u, SimConfig(dt=dt, t_end=dt).dt, lo, hi, top)
+        assert len(factors) == 3 and all(0.9 <= a < 1.0 for a in factors), factors
+        assert 0.0 < a_f < 1.0
+
+
 def test_equilibrium_is_stationary(setup):
     cfg = SimConfig(dt=0.05, t_end=1.0)
     out = step_values(setup["ctx"], setup["u"].values, cfg)
@@ -70,7 +92,7 @@ def test_window_step_matches_whole_grid_step(kernel_setup):
     big = OperatorContext(ctx.kernel, ctx.firing, ctx.params,
                           Grid(-L, L, ctx.grid.n + 2 * extra))
     u = extend_bump(big, fp.u_star).values
-    x = big.nodes
+    x = big.grid.nodes()
     for state in (u, u + 1e-3 * np.cos(3.0 * x) * np.exp(-np.abs(x))):
         for dt in (0.01, 0.1):
             assert _takes_window(big, state, dt)
@@ -84,7 +106,7 @@ def test_window_step_matches_whole_grid_step(kernel_setup):
 def test_window_step_matches_whole_grid_step_property(setup, amplitude, bumps):
     # any direction of Gaussian bumps and any amplitude; large ones may push
     # a stage past h outside the window, which reruns on the whole grid
-    ctx, x = setup["ctx"], setup["ctx"].nodes
+    ctx, x = setup["ctx"], setup["ctx"].grid.nodes()
     direction = sum(w * np.exp(-((x - c) / s) ** 2) for c, s, w in bumps)
     u = setup["u"].values + amplitude * direction
     assert _matches_whole_grid_step(ctx, u, 0.01)
@@ -179,13 +201,12 @@ def test_moving_window_matches_window_oracle(setup, materializations):
     for _ in range(400):
         line = step_values(ctx, line, cfg)
         # the window is the step window of the whole line at every step, and
-        # the stage check's bounds hold the state off it, up to the rounding
+        # the stage check's bound holds the state off it, up to the rounding
         # of the guard bands' product
         values = line.values()
         assert (line.lo, line.hi) == ctx.step_window(values)
         rest = np.concatenate([values[:line.lo], values[line.hi + 1:]])
-        assert (line.top is None
-                or line.bottom - 1e-15 <= rest.min() <= rest.max() <= line.top + 1e-15)
+        assert line.top is None or rest.max() <= line.top + 1e-15
     assert line.lo < lo and line.hi > hi and line.deviation == traj.deviation_sup[-1]
 
 
@@ -195,7 +216,7 @@ def test_deviation_off_the_window_builds_the_line(setup, materializations, where
     # deviation and decays there, while the deviation on the window stays
     # below it: every step's deviation comes from the whole line
     ctx, u = setup["ctx"], setup["u"]
-    x, (lo, hi) = ctx.nodes, ctx.step_window(u.values)
+    x, (lo, hi) = ctx.grid.nodes(), ctx.step_window(u.values)
     centre = x[hi + int(where * (hi - lo + 1))]
     u0 = Profile(ctx.grid, u.values + 1e-5 * setup["vec"].values
                  + 1e-3 * np.exp(-((x - centre) / 0.3) ** 2))

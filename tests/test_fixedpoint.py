@@ -101,7 +101,7 @@ def test_apply_T_values_windows_the_source(ref_ctx_big, ref_u_tilde):
     # firing is evaluated only where u > h; the result equals the convolution
     # of the whole weighted firing vector
     ctx = ref_ctx_big
-    x = ctx.nodes
+    x = ctx.grid.nodes()
     for values in (ref_u_tilde.values,
                    ref_u_tilde.values + 1e-3 * np.cos(x) * np.exp(-np.abs(x))):
         whole = ctx.apply_weighted(ctx.weights * ctx.firing(values - ctx.params.h))
@@ -325,7 +325,7 @@ def test_extension_grid_embeds(ref_model):
                                   make_extension_grid(kernel, grid_d))
             k = ctx.centred(n)
             assert ctx.grid.dx == pytest.approx(grid_d.dx, rel=1e-12)
-            assert (np.max(np.abs(ctx.nodes[k:k + n + 1] - grid_d.nodes()))
+            assert (np.max(np.abs(ctx.grid.nodes()[k:k + n + 1] - grid_d.nodes()))
                     <= 1e-12 * ctx.grid.hi)
             for bad in (n - 1, n + 1, ctx.grid.n + 2, -2):
                 with pytest.raises(ValueError, match="centred window"):

@@ -209,7 +209,7 @@ def test_derivative_profile_odd(ref_ctx_big, ref_u_tilde):
 def test_derivative_profile_matches_full_block(ref_ctx, ref_fp):
     # only the supra-threshold columns of the kernel-derivative block count
     u = ref_fp.u_star.values
-    x = ref_ctx.nodes
+    x = ref_ctx.grid.nodes()
     wv = ref_ctx.weights * ref_ctx.firing(u - ref_ctx.params.h)
     assert 0 < np.count_nonzero(wv) < len(wv)
     full = ref_ctx.kernel.deriv(x[:, None] - x[None, :]) @ wv
