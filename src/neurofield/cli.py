@@ -36,13 +36,13 @@ from .bounds import BISECT_TOL, BumpBounds, build_bounds
 from .dynamics import SimConfig, instability_experiment
 from .errors import (ConfigError, InfeasibleModel, NeurofieldError,
                      PerturbationTooLarge)
-from .fixedpoint import (DEGENERACY_THRESHOLD, NEWTON_MAX_ITER, NEWTON_TOL,
-                         FixedPointResult, OperatorContext, compute_epsilon,
-                         extend_bump, make_extension_grid, solve_third_fixed_point)
+from .fixedpoint import (NEWTON_TOL, FixedPointResult, OperatorContext,
+                         compute_epsilon, extend_bump, make_extension_grid,
+                         solve_third_fixed_point)
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
                     ModelParams, RatioFiring, TabulatedKernel)
-from .spectral import (TOP_K, Linearization, instability_certificate,
+from .spectral import (Linearization, instability_certificate,
                        remainder_exponent_fit, spectra_equivalence_check,
                        spectral_radius, translation_mode_check)
 
@@ -51,12 +51,15 @@ SCHEMA_PATH = Path(__file__).with_name("config_schema.json")
 #: certify's stationary bump needs residual_sup <= min(10 newton_tol, this)
 BUMP_TOL_CEILING = 1e-6
 
+#: subintervals per unit length of [-d, d] when the config sets no grid.n
+N_PER_UNIT = 256
+
 _STAGE_SECTIONS = {
     "check": ("kernel", "firing", "model"),
     "bounds": ("kernel", "firing", "model", "grid"),
     "solve": ("kernel", "firing", "model", "grid", "solver"),
-    "spectrum": ("kernel", "firing", "model", "grid", "solver", "spectral"),
-    "simulate": ("kernel", "firing", "model", "grid", "solver", "spectral", "dynamics"),
+    "spectrum": ("kernel", "firing", "model", "grid", "solver"),
+    "simulate": ("kernel", "firing", "model", "grid", "solver", "dynamics"),
 }
 
 
@@ -119,8 +122,8 @@ def _valid(value, schema: dict) -> bool:
     return all(_valid(v, props[k]) for k, v in value.items() if k in props)
 
 
-def load_config(path: str | Path, grid_n: int | None) -> dict:
-    """The config at path with grid.n set to grid_n (unless None), validated."""
+def load_config(path: str | Path) -> dict:
+    """The config at path, validated."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -131,9 +134,6 @@ def load_config(path: str | Path, grid_n: int | None) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if grid_n is not None and isinstance(cfg, dict) and isinstance(
-            cfg.setdefault("grid", {}), dict):
-        cfg["grid"]["n"] = grid_n
     # _valid decides; jsonschema (a slow import) only words a rejection, with
     # the error jsonschema.validate would raise.  The tests check the shipped
     # schema against its metaschema and _valid against jsonschema's verdict
@@ -212,9 +212,8 @@ def write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
-              precision: int) -> None:
-    row_fmt = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     values = np.column_stack(columns).ravel().tolist()
     body = (row_fmt * len(columns[0])) % tuple(values)
     _atomic_write(path, ",".join(header) + "\n" + body)
@@ -286,30 +285,23 @@ class Run:
         if "n" in gsec:
             n = int(gsec["n"])
         else:
-            cells = 2.0 * report.d * gsec.get("n_per_unit", 256)
-            if not math.isfinite(cells):
-                raise ConfigError(f"grid.n_per_unit: {gsec['n_per_unit']} per unit "
-                                  f"overflows the subinterval count on [-d, d], "
-                                  f"d = {report.d:.9g}")
-            n = int(round(cells))
+            # d <= a <= 20, so the count is finite
+            n = int(round(2.0 * report.d * N_PER_UNIT))
             if n == 0:
-                raise ConfigError(f"grid.n_per_unit: {gsec['n_per_unit']} per unit "
-                                  f"leaves no subinterval on [-d, d], d = {report.d:.9g}")
+                raise ConfigError(f"the default grid of {N_PER_UNIT} subintervals per "
+                                  f"unit leaves none on [-d, d], d = {report.d:.9g}; "
+                                  f"set grid.n")
         return build_bounds(self.model[0], report.sandwich, n + (n % 2))
 
     @cached_property
     def solve(self) -> Solved:
         bb = self.bounds
         kernel, firing, params = self.model
-        ssec = self.cfg.get("solver", {})
         ctx = OperatorContext(kernel, firing, params,
                               make_extension_grid(kernel, bb.grid))
         eps = compute_epsilon(ctx, bb)
         fp = solve_third_fixed_point(
-            ctx, bb,
-            tol=ssec.get("newton_tol", NEWTON_TOL),
-            max_iter=int(ssec.get("max_iter", NEWTON_MAX_ITER)),
-            degeneracy_threshold=ssec.get("degeneracy_threshold", DEGENERACY_THRESHOLD),
+            ctx, bb, tol=self.cfg.get("solver", {}).get("newton_tol", NEWTON_TOL),
             epsilon=eps)
         return Solved(ctx, fp, extend_bump(ctx, fp.u_star))
 
@@ -317,7 +309,6 @@ class Run:
     def spectrum(self) -> Spectrum:
         # one linearization and one Lanczos solve, at the whole-line bump
         ctx, fp, u_tilde = self.solve
-        top_k = int(self.cfg.get("spectral", {}).get("top_k", TOP_K))
         lin = Linearization(ctx, u_tilde)
         margins = spectra_equivalence_check(lin, fp.u_star)
         if lin.support.size == 0:
@@ -325,7 +316,7 @@ class Run:
             cert = instability_certificate(0.0, zero, lin.support, np.inf, 0.0, 0.0,
                                            *margins)
             return Spectrum(0.0, zero, np.zeros(0), cert)
-        eigs, y = lin.eigensolve(top_k)
+        eigs, y = lin.eigensolve()
         lam, v = spectral_radius(lin, eigs, y)
         trans = translation_mode_check(lin, fp.u_star)
         slope, _ = remainder_exponent_fit(lin, v, np.logspace(-4, -2, 9))
@@ -338,7 +329,7 @@ class Run:
 # commands: each writes its own artifacts and returns (exit code, payload)
 # ---------------------------------------------------------------------------
 
-def cmd_check(run: Run, out: Path, precision: int, quiet: bool):
+def cmd_check(run: Run, out: Path, quiet: bool):
     payload = dict(run.check.to_dict(), config_hash=run.config_hash("check"))
     write_json(out / "report.json", payload)
     if not quiet:
@@ -346,11 +337,11 @@ def cmd_check(run: Run, out: Path, precision: int, quiet: bool):
     return (0 if payload["verdict"] == "pass" else 2), payload
 
 
-def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):
+def cmd_bounds(run: Run, out: Path, quiet: bool):
     _, _, params = run.model
     bb = run.bounds
     write_csv(out / "profiles.csv", ["x", "u_minus", "u_plus"],
-              [bb.grid.nodes(), bb.u_minus.values, bb.u_plus.values], precision)
+              [bb.grid.nodes(), bb.u_minus.values, bb.u_plus.values])
     payload = {
         "config_hash": run.config_hash("bounds"),
         "delta_minus": bb.delta_minus, "delta_plus": bb.delta_plus, "d": bb.d,
@@ -364,12 +355,12 @@ def cmd_bounds(run: Run, out: Path, precision: int, quiet: bool):
     return 0, payload
 
 
-def cmd_solve(run: Run, out: Path, precision: int, quiet: bool):
+def cmd_solve(run: Run, out: Path, quiet: bool):
     ctx, fp, u_tilde = run.solve
     write_csv(out / "u_star.csv", ["x", "value"],
-              [fp.u_star.grid.nodes(), fp.u_star.values], precision)
+              [fp.u_star.grid.nodes(), fp.u_star.values])
     write_csv(out / "u_tilde.csv", ["x", "value"],
-              [ctx.grid.nodes(), u_tilde.values], precision)
+              [ctx.grid.nodes(), u_tilde.values])
     payload = fp.to_dict()
     payload.update({
         "config_hash": run.config_hash("solve"),
@@ -383,14 +374,13 @@ def cmd_solve(run: Run, out: Path, precision: int, quiet: bool):
     return 0, payload
 
 
-def cmd_spectrum(run: Run, out: Path, precision: int, quiet: bool):
+def cmd_spectrum(run: Run, out: Path, quiet: bool):
     ctx = run.solve.ctx
     lam, v, eigs, cert = run.spectrum
     write_csv(out / "spectrum.csv", ["index", "eigenvalue_real", "eigenvalue_imag"],
-              [np.arange(len(eigs), dtype=float), eigs, np.zeros(len(eigs))],
-              precision)
+              [np.arange(len(eigs), dtype=float), eigs, np.zeros(len(eigs))])
     write_csv(out / "principal.csv", ["x", "value"],
-              [ctx.grid.nodes(), v.values], precision)
+              [ctx.grid.nodes(), v.values])
     payload = dict(cert, config_hash=run.config_hash("spectrum"))
     write_json(out / "certificate.json", payload)
     if not quiet:
@@ -398,7 +388,7 @@ def cmd_spectrum(run: Run, out: Path, precision: int, quiet: bool):
     return (0 if payload["verdict"] == "pass" else 2), payload
 
 
-def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
+def cmd_simulate(run: Run, out: Path, quiet: bool):
     """The escape experiment from the bump and the principal vector of the
     run; a deviation that never leaves the epsilon ball fails it (exit 2)."""
     dsec = run.cfg.get("dynamics", {})
@@ -418,7 +408,7 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
             raise ConfigError(f"dynamics.delta: {exc}; epsilon_ball is {source}") from exc
         traj = result["trajectory"]
         write_csv(out / "trajectory.csv", ["t", "deviation_sup"],
-                  [traj.times, traj.deviation_sup], precision)
+                  [traj.times, traj.deviation_sup])
     else:
         # f'(u_tilde - h) vanishes on the whole line, so no principal mode
         # exists to perturb along: the experiment fails without a step
@@ -437,12 +427,12 @@ def cmd_simulate(run: Run, out: Path, precision: int, quiet: bool):
     return (2 if result["escape_time"] is None else 0), payload
 
 
-def cmd_certify(run: Run, out: Path, precision: int, quiet: bool):
-    _, report = cmd_check(run, out, precision, True)
-    _, bounds = cmd_bounds(run, out, precision, True)
-    _, fixedpoint = cmd_solve(run, out, precision, True)
-    _, certificate = cmd_spectrum(run, out, precision, True)
-    _, dyn = cmd_simulate(run, out, precision, True)
+def cmd_certify(run: Run, out: Path, quiet: bool):
+    _, report = cmd_check(run, out, True)
+    _, bounds = cmd_bounds(run, out, True)
+    _, fixedpoint = cmd_solve(run, out, True)
+    _, certificate = cmd_spectrum(run, out, True)
+    _, dyn = cmd_simulate(run, out, True)
 
     # cmd_bounds returned, so the check passed
     # a loose newton_tol cannot loosen the stationarity check past its ceiling
@@ -508,8 +498,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None,
                        help="output directory (default: config output.directory)")
-        p.add_argument("--grid-n", type=int, default=None,
-                       help="override the subinterval count on [-d, d]")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -518,12 +506,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.grid_n)
+        cfg = load_config(args.config)
         base = Path(args.config).resolve().parent
         osec = cfg.get("output", {})
         out = Path(args.out) if args.out else base / osec.get("directory", "out")
-        precision = int(osec.get("precision", 17))
-        rc, _ = _COMMANDS[args.command](Run(cfg, base), out, precision, args.quiet)
+        rc, _ = _COMMANDS[args.command](Run(cfg, base), out, args.quiet)
         return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -532,8 +519,9 @@ def main(argv=None) -> int:
         # every command after check stops at Run.bounds, as certify does
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (NeurofieldError, MemoryError) as exc:
-        # numpy's MemoryError names the size it could not allocate
+    except (NeurofieldError, MemoryError, OSError) as exc:
+        # numpy's MemoryError names the size it could not allocate, and an
+        # OSError the output path it could not create or write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,10 +42,10 @@ EPSILON_HALVINGS = 60
 #: Newton starts lam * u_minus + (1 - lam) * u_plus, tried in this order
 NEWTON_MIXES = (0.5, 0.35, 0.65, 0.25, 0.75)
 
-#: defaults of the solver config section: Newton's sup-norm residual target
-#: and step budget, and the separation from each bounding profile, relative
-#: to the gap norm, below which a fixed point counts as collapsed onto it
+#: Newton's sup-norm residual target unless solver.newton_tol sets one
 NEWTON_TOL = 1e-10
+#: Newton's step budget, and the separation from each bounding profile,
+#: relative to the gap norm, below which a fixed point counts as collapsed onto it
 NEWTON_MAX_ITER = 60
 DEGENERACY_THRESHOLD = 1e-2
 
@@ -362,8 +362,7 @@ def newton_step(ctx: OperatorContext, v: np.ndarray, r: np.ndarray) -> np.ndarra
                                                   lo + 2 * mid)[mid:], r)
 
 
-def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
-                 max_iter: int) -> tuple[np.ndarray, int]:
+def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """Damped Newton for u = Tu on the even-symmetric subspace of u0's middle nodes.
 
     Unknowns are the node values at x >= 0; the mirror image fixes the rest and
@@ -378,7 +377,7 @@ def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
     v = u0[mid:].copy()
     r = residual(v)
     rnorm = float(np.max(np.abs(r)))
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if rnorm <= tol:
             return _mirror(v), it - 1
         step = newton_step(ctx, v, r)
@@ -395,30 +394,29 @@ def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float,
                 f"damping exhausted at residual {rnorm:.3e} (iteration {it})")
         v, r, rnorm = v_try, r_try, rnorm_try
     if rnorm <= tol:
-        return _mirror(v), max_iter
-    raise NewtonDivergence(f"no convergence in {max_iter} Newton steps "
+        return _mirror(v), NEWTON_MAX_ITER
+    raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} Newton steps "
                            f"(residual {rnorm:.3e})")
 
 
 def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
-                            tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                            degeneracy_threshold: float = DEGENERACY_THRESHOLD,
+                            tol: float = NEWTON_TOL,
                             epsilon: float | None = None) -> FixedPointResult:
     """Find the interior fixed point on [-d, d] separated from both bounding profiles.
 
     Starts Newton from convex combinations lam*u_minus + (1-lam)*u_plus and
     rejects a limit that leaves the order interval [u_minus, u_plus] at some
-    node or collapses onto either bound (degeneracy threshold is relative to
+    node or collapses onto either bound (DEGENERACY_THRESHOLD is relative to
     the gap norm).
     """
     k = ctx.centred(bb.grid.n)
     gap = bb.gap_norm()
-    sep_min = degeneracy_threshold * gap
+    sep_min = DEGENERACY_THRESHOLD * gap
     last_exc: Exception | None = None
     for lam in NEWTON_MIXES:
         u0 = lam * bb.u_minus.values + (1.0 - lam) * bb.u_plus.values
         try:
-            u, iters = _newton_even(ctx, u0, tol, max_iter)
+            u, iters = _newton_even(ctx, u0, tol)
         except NewtonDivergence as exc:
             last_exc = exc
             continue

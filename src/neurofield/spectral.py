@@ -19,7 +19,7 @@ LANCZOS_SEED = 20111212
 #: LANCZOS_TOL times the largest Ritz value
 LANCZOS_TOL = 1e-13
 
-#: eigenvalues a spectrum lists unless the spectral config section sets top_k
+#: eigenvalues a spectrum lists, the rows of spectrum.csv
 TOP_K = 5
 
 #: certificate threshold of the translation-mode residual

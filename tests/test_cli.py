@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import neurofield
 import neurofield.dynamics
@@ -22,7 +22,6 @@ from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
                                    WINDOW_BLOCK, OperatorContext)
 from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.spectral import Linearization
-from oracles import dense_eigenvalues
 
 BASE_CFG = {
     "kernel": {"type": "exponential"},
@@ -200,15 +199,6 @@ def test_missing_config_exit_1(tmp_path):
     assert run(["check", "--config", tmp_path / "nope.json", "--quiet"]) == 1
 
 
-def test_grid_n_override(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert run(["bounds", "--config", cfg, "--out", out, "--grid-n", "100",
-                "--quiet"]) == 0
-    payload = json.loads((out / "bounds.json").read_text())
-    assert payload["n"] == 100
-
-
 def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
     calls = {}
     for name in ("build_bounds", "compute_epsilon", "solve_third_fixed_point",
@@ -249,7 +239,7 @@ def test_certify_without_grid_section(tmp_path):
     bounds = json.loads((out / "bounds.json").read_text())
     n = round(2.0 * bounds["d"] * 256)
     assert bounds["n"] == n + n % 2 and bounds["n"] % 2 == 0
-    pipeline = cli.Run(cli.load_config(cfg, None), tmp_path)
+    pipeline = cli.Run(cli.load_config(cfg), tmp_path)
     assert pipeline.check.d == pipeline.bounds.d
 
 
@@ -355,13 +345,11 @@ STAGE_FILES = {
 }
 
 
-@pytest.mark.parametrize("precision", [17, 6])
 @pytest.mark.parametrize("name", PREFIX_CFGS)
-def test_every_command_is_a_prefix_of_certify(tmp_path, name, precision):
+def test_every_command_is_a_prefix_of_certify(tmp_path, name):
     # each command, alone in a fresh directory, writes the bytes certify writes
     overrides, certify_rc = PREFIX_CFGS[name]
-    cfg = write_cfg(tmp_path, {**REFERENCE_CFG, **overrides,
-                               "output": {"precision": precision}})
+    cfg = write_cfg(tmp_path, {**REFERENCE_CFG, **overrides})
     certified = tmp_path / "certify"
     assert run(["certify", "--config", cfg, "--out", certified, "--quiet"]) == certify_rc
     for command, files in STAGE_FILES.items():
@@ -415,22 +403,18 @@ def test_usage_error_exit_1(capsys, argv):
     assert "error: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid_n", [0, -4, 1])
-def test_grid_n_flag_validated_as_grid_n(tmp_path, capsys, grid_n):
-    # the flag is merged into the config before validation: one config error
-    flagged = write_cfg(tmp_path)
-    assert run(["bounds", "--config", flagged, "--out", tmp_path / "out",
-                "--grid-n", grid_n]) == 1
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_uncreatable_output_directory_exit_1(tmp_path, capsys, out):
+    # mkdir fails on an existing file or below one: one line, no traceback
+    (tmp_path / "file").write_text("")
+    cfg = write_cfg(tmp_path)
+    assert run(["certify", "--config", cfg, "--out", tmp_path / out, "--quiet"]) == 1
     err = capsys.readouterr().err
-    configured = write_cfg(tmp_path, {"grid": {"n": grid_n}}, name="n.json")
-    assert run(["bounds", "--config", configured, "--out", tmp_path / "out"]) == 1
-    assert err.replace("cfg.json", "n.json") == capsys.readouterr().err
-    assert err.startswith("config error: ") and " at grid/n: " in err
-    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(tmp_path / "file") in err
 
 
-@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 10**20}, {"n_per_unit": 1e300}],
-                         ids=["n", "n=1e20", "n_per_unit=1e300"])
+@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 10**20}], ids=["n", "n=1e20"])
 def test_allocation_failure_exit_1(tmp_path, capsys, grid):
     # sizes past the address space fail at once, without allocating; past
     # numpy's largest array too, where numpy raises a ValueError
@@ -520,27 +504,13 @@ def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(OperatorContext, "kernel_matrix", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 4200}})
     out = tmp_path / "out"
-    assert run(["certify", "--config", cfg, "--out", out, "--grid-n", "4200",
-                "--quiet"]) == 0
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
     report = json.loads((out / "run_report.json").read_text())
     assert report["bounds"]["n"] == 4200
     assert report["stationary_bump_verified"]["value"]
     assert report["instability_verified"]["value"]
-
-
-def test_certify_top_k_above_support_lists_whole_spectrum(tmp_path, coarse_setup):
-    # top_k is capped at the support size: spectrum.csv holds every support
-    # eigenvalue of the one linearization, at the whole-line bump
-    cfg = write_cfg(tmp_path, {"spectral": {"top_k": 10**6}})
-    out = tmp_path / "out"
-    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
-    got = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
-    want = dense_eigenvalues(Linearization(coarse_setup["ctx_big"],
-                                           coarse_setup["u_tilde"]))
-    assert got.shape == want.shape
-    assert np.max(np.abs(np.sort(got) - np.sort(want))) <= 1e-12 * want[0]
 
 
 def test_certify_imports_no_scipy(tmp_path):
@@ -576,7 +546,7 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0 and proc.stderr == ""
         report = json.loads((work / "out" / "report.json").read_text())
-        table = cli.build_kernel(cli.load_config(cfg, None), work)
+        table = cli.build_kernel(cli.load_config(cfg), work)
         assert report["a"] == table.positive_radius() == 6.0
         run_report = json.loads((work / "out" / "run_report.json").read_text())
         assert run_report["stationary_bump_verified"]["value"] is True
@@ -668,7 +638,7 @@ def test_config_schema_is_valid():
     {"kernel": {"type": "cauchy"}},
     {"dynamics": {"dt": -0.01, "scheme": "euler"}},
     {"dynamics": {"dt": 0.5}},
-    {"output": {"precision": 2.5}},
+    {"grid": {"n": 1}},
 ])
 def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, overrides):
     from jsonschema import ValidationError, validate
@@ -715,11 +685,10 @@ FULL_CFG = {
     "kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1, "csv": "kernel.csv"},
     "firing": {"p": 2.0, "tau": 0.2},
     "model": {"h": 0.1},
-    "grid": {"n_per_unit": 256, "n": 800},
-    "solver": {"newton_tol": 1e-12, "max_iter": 60, "degeneracy_threshold": 1e-6},
-    "spectral": {"top_k": 5},
+    "grid": {"n": 800},
+    "solver": {"newton_tol": 1e-12},
     "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3, "epsilon_ball": None},
-    "output": {"directory": "out", "precision": 17},
+    "output": {"directory": "out"},
 }
 #: wrong types, bools, integer-valued floats, zero, bounds and their neighbours
 MUTANT_VALUES = [None, True, False, "rk4", "gaussian", "x", [], [1], {}, {"n": 2},
@@ -768,16 +737,14 @@ def test_valid_agrees_with_jsonschema():
     assert 0.05 * len(verdicts) < sum(verdicts) < 0.95 * len(verdicts)
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("solver", "max_iter", 30), ("spectral", "top_k", 5), ("output", "precision", 6)])
-def test_integer_valued_float_runs_like_the_int(tmp_path, section, key, value):
-    # JSON Schema counts 30.0 as an integer, and the run reads it as 30
+def test_integer_valued_float_runs_like_the_int(tmp_path):
+    # JSON Schema counts 800.0 as an integer, and the run reads it as 800
     outs = []
-    for spelled in (value, float(value)):
-        cfg = write_cfg(tmp_path, {section: {key: spelled}}, name=f"{spelled!r}.json")
+    for spelled in (800, 800.0):
+        cfg = write_cfg(tmp_path, {"grid": {"n": spelled}}, name=f"{spelled!r}.json")
         outs.append(tmp_path / repr(spelled))
         assert run(["certify", "--config", cfg, "--out", outs[-1], "--quiet"]) == 0
-    # config_hash hashes the config as written, where 30.0 is not 30
+    # config_hash hashes the config as written, where 800.0 is not 800
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
@@ -808,7 +775,7 @@ FUZZ_BASES = [
     {"kernel": {"type": "exponential"}, "firing": {"p": 2.0, "tau": 0.2},
      "model": {"h": 0.1}, "grid": {"n": 40}, "dynamics": {"t_end": 1.5}},
     {"kernel": {"type": "gaussian"}, "firing": {"p": 2.0, "tau": 0.2},
-     "model": {"h": 0.1}, "grid": {"n_per_unit": 8},
+     "model": {"h": 0.1}, "grid": {"n": 18},
      "dynamics": {"t_end": 1.5, "delta": 1e-4}},
     {"kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1},
      "firing": {"p": 2.0, "tau": 0.05}, "model": {"h": 0.05}, "grid": {"n": 40},
@@ -819,12 +786,11 @@ FUZZ_BASES = [
 #: log10 ranges of the usual values of each number key of the schema
 FUZZ_LOG10 = {"K": (0.0, 1.0), "k": (0.0, 1.0), "M": (-0.5, 0.5), "m": (-0.5, 0.5),
               "p": (0.05, 0.6), "tau": (-2.0, -0.5), "h": (-2.0, -0.5),
-              "n_per_unit": (-0.3, 1.0),
-              "newton_tol": (-14.0, -6.0), "degeneracy_threshold": (-8.0, -0.5),
+              "newton_tol": (-14.0, -6.0),
               "dt": (-2.3, -1.0), "t_end": (-1.0, 0.3), "delta": (-5.0, -2.0),
               "epsilon_ball": (-3.0, -1.0)}
 #: small ranges of the integer keys, drawn as ints and integer-valued floats
-FUZZ_INTS = {"n": (2, 40), "max_iter": (1, 60), "top_k": (1, 10**6), "precision": (1, 17)}
+FUZZ_INTS = {"n": (2, 40)}
 FUZZ_EDGES = [5e-324, 1e300, 1.0, 2.0, 3.0]
 #: RK4 steps a fuzz case may take before it is cut short
 FUZZ_STEP_BUDGET = 600
@@ -913,8 +879,7 @@ def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
     assert {0, 1, 2} <= codes.keys(), codes
 
 
-@pytest.mark.parametrize("precision", [17, 6])
-def test_write_csv_matches_per_value_formatting(tmp_path, precision):
+def test_write_csv_matches_per_value_formatting(tmp_path):
     rng = np.random.default_rng(5)
     columns = [np.linspace(-12.0, 12.0, 301),
                rng.normal(size=301) * 10.0 ** rng.integers(-300, 300, size=301),
@@ -925,9 +890,8 @@ def test_write_csv_matches_per_value_formatting(tmp_path, precision):
                 np.zeros(541)]
     for header, cols in ((["x", "a", "b", "c"], columns),
                          (["index", "eigenvalue_real", "eigenvalue_imag"], spectrum)):
-        cli.write_csv(tmp_path / "t.csv", header, cols, precision)
-        fmt = f"%.{precision}g"
-        lines = [",".join(header)] + [",".join(fmt % v for v in row) for row in zip(*cols)]
+        cli.write_csv(tmp_path / "t.csv", header, cols)
+        lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in zip(*cols)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
 
@@ -973,31 +937,53 @@ def test_bad_mexican_hat_exit_1(tmp_path, capsys, shape, message):
     assert err.startswith("config error: mexican_hat kernel: " + message)
 
 
-@pytest.mark.parametrize("grid, key", [
-    ({"n_per_unit": 0.001}, "grid.n_per_unit: 0.001"),
-], ids=["n_per_unit"])
-def test_grid_the_model_cannot_use_exit_1(tmp_path, capsys, grid, key):
+#: no grid section, and d = 5.1e-4: the default grid rounds to no subinterval
+TINY_D_CFG = {"kernel": {"type": "exponential"}, "firing": {"p": 2.0, "tau": 5e-9},
+              "model": {"h": 1e-5}}
+
+
+def test_grid_the_model_cannot_use_exit_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(REFERENCE_CFG, grid=grid)))
+    cfg.write_text(json.dumps(TINY_D_CFG))
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"config error: the default grid of {cli.N_PER_UNIT} subintervals per unit "
+        "leaves none on [-d, d], d = 0.000509880846; set grid.n\n")
+
+
+def test_bounds_on_the_default_grid_keeps_the_exit_code_contract(tmp_path, capsys):
+    # without a grid section the bounds take n = round(2 d 256): 0, 1 or 2,
+    # and at most one line on stderr, however small d is
+    cfg = tmp_path / "cfg.json"
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(kernel=st.sampled_from([{"type": "exponential"}, {"type": "gaussian"},
+                                   _HAT]),
+           p=st.sampled_from([1.5, 2.0, 3.0, 50.0]),
+           tau=st.floats(-10.0, 0.0).map(lambda e: 10.0 ** e),
+           h=st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e))
+    @example(kernel={"type": "exponential"}, p=2.0, tau=5e-9, h=1e-5)
+    def contract(kernel, p, tau, h):
+        cfg.write_text(json.dumps({"kernel": kernel, "firing": {"p": p, "tau": tau},
+                                   "model": {"h": h}}))
+        rc = run(["bounds", "--config", cfg, "--out", tmp_path / "out", "--quiet"])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2) and err.count("\n") <= 1, err
+
+    contract()
 
 
 _HAT = {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1}
 
 
 @pytest.mark.parametrize("overrides, rc, start", [
-    ({"grid": {"n_per_unit": 1e308}}, 1, "config error: grid.n_per_unit: 1e+308 per unit"),
-    ({"grid": {"n_per_unit": 1.7e308}}, 1, "config error: grid.n_per_unit: 1.7e+308 per unit"),
     ({"kernel": dict(_HAT, K=1e308)}, 2, "infeasible: assumptions not met: B_i_integrable"),
     ({"kernel": dict(_HAT, K=1.7e308)}, 2, "infeasible: assumptions not met: B_i_integrable"),
     ({"kernel": dict(_HAT, k=1e308)}, 2, "infeasible: assumptions not met: B_ii_bounded"),
-], ids=["n_per_unit=1e308", "n_per_unit=1.7e308", "K=1e308", "K=1.7e308", "k=1e308"])
+], ids=["K=1e308", "K=1.7e308", "k=1e308"])
 def test_overflowing_config_prints_one_line(tmp_path, capsys, overrides, rc, start):
-    # a subinterval count past the float range, or kernel samples whose mass,
-    # difference quotients or exponents overflow: one line, no traceback and
-    # no numpy warning
+    # kernel samples whose mass, difference quotients or exponents overflow:
+    # one line, no traceback and no numpy warning
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**REFERENCE_CFG, "grid": {}, **overrides}))
     assert run(["bounds", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == rc
@@ -1016,3 +1002,35 @@ def test_non_finite_number_exit_1(tmp_path, capsys, number, literal, key):
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
     assert capsys.readouterr().err == f"config error: {cfg}: {key} is not a finite number\n"
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_config_certifies(tmp_path):
+    # the first JSON block after the CLI heading
+    cli_section = README.read_text().split("\n## CLI\n", 1)[1]
+    example = re.search(r"```json\n(.*?)```", cli_section, re.S).group(1)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(example)
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["stationary_bump_verified"]["value"]
+    assert report["instability_verified"]["value"]
+
+
+def test_readme_names_only_schema_keys():
+    # every backticked section.key with a lower-case key is a key of the
+    # schema, or a former key the README says is unknown now
+    text = README.read_text()
+    former = re.search(r"The former keys .*? are unknown keys now\.", text, re.S).group(0)
+    former_keys = set(re.findall(r"`(\w+\.\w+)`", former))
+    schema = cli._schema()["properties"]
+    keys = {f"{s}.{k}" for s, spec in schema.items() for k in spec["properties"]}
+    sections = set(schema) | {key.split(".")[0] for key in former_keys}
+    named = {f"{s}.{k}" for span in re.findall(r"`([^`\n]+)`", text)
+             for s, k in re.findall(r"\b(\w+)\.(\w+)\b", span)
+             if s in sections and k.islower() and k != "json"}
+    assert len(named) > 10
+    assert named <= keys | former_keys, sorted(named - keys - former_keys)

@@ -87,6 +87,16 @@ def test_lanczos_top_k_matches_eigvalsh(kernel_setup):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_top_k_above_support_lists_whole_spectrum(coarse_setup):
+    # k is capped at the support size: every support eigenvalue of the
+    # linearization at the whole-line bump
+    lin = Linearization(coarse_setup["ctx_big"], coarse_setup["u_tilde"])
+    got = lin.eigenvalues(10**6)
+    want = dense_eigenvalues(lin)
+    assert got.shape == want.shape
+    assert np.max(np.abs(np.sort(got) - np.sort(want))) <= 1e-12 * want[0]
+
+
 def test_top_k_includes_odd_translation_eigenvalue(kernel_setup, ref_lin, ref_lin_big):
     # u' is odd, so its eigenvalue 1 is missed by Lanczos from an even start
     # vector: the support and s = sqrt(w g) are mirror-symmetric
