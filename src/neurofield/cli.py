@@ -2,10 +2,10 @@
 
 Every command is a prefix of ``certify``: one ``Run`` per invocation computes
 the stages up to the command's own, each at most once and in memory, and
-stops where ``certify`` stops.  The commands write their results as JSON + CSV
-artifacts stamped with a hash of the config sections they depend on; no
-artifact is read back.  Exit codes: 0 pass, 2 model infeasible or certificate
-failure, 1 usage or internal error.
+stops where ``certify`` stops.  The commands write their results as JSON, CSV
+and ``.npy`` artifacts, each JSON stamped with a hash of the config sections
+it depends on; no artifact is read back.  Exit codes: 0 pass, 2 model
+infeasible or certificate failure, 1 usage or internal error.
 """
 
 from __future__ import annotations
@@ -196,12 +196,16 @@ def build_objects(cfg: dict, base: Path):
 # artifact io
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -217,6 +221,14 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     values = np.column_stack(columns).ravel().tolist()
     body = (row_fmt * len(columns[0])) % tuple(values)
     _atomic_write(path, ",".join(header) + "\n" + body)
+
+
+def write_npy(path: Path, values: np.ndarray) -> None:
+    """values as exact .npy; a whole-line profile's x is np.linspace(-L, L, values.size)."""
+    import io
+    buf = io.BytesIO()
+    np.save(buf, values, allow_pickle=False)
+    _atomic_write(path, buf.getvalue())
 
 
 def read_profile_csv(path: Path) -> Profile:
@@ -359,8 +371,7 @@ def cmd_solve(run: Run, out: Path, quiet: bool):
     ctx, fp, u_tilde = run.solve
     write_csv(out / "u_star.csv", ["x", "value"],
               [fp.u_star.grid.nodes(), fp.u_star.values])
-    write_csv(out / "u_tilde.csv", ["x", "value"],
-              [ctx.grid.nodes(), u_tilde.values])
+    write_npy(out / "u_tilde.npy", u_tilde.values)
     payload = fp.to_dict()
     payload.update({
         "config_hash": run.config_hash("solve"),
@@ -379,9 +390,8 @@ def cmd_spectrum(run: Run, out: Path, quiet: bool):
     lam, v, eigs, cert = run.spectrum
     write_csv(out / "spectrum.csv", ["index", "eigenvalue_real", "eigenvalue_imag"],
               [np.arange(len(eigs), dtype=float), eigs, np.zeros(len(eigs))])
-    write_csv(out / "principal.csv", ["x", "value"],
-              [ctx.grid.nodes(), v.values])
-    payload = dict(cert, config_hash=run.config_hash("spectrum"))
+    write_npy(out / "principal.npy", v.values)
+    payload = dict(cert, config_hash=run.config_hash("spectrum"), L=ctx.grid.hi)
     write_json(out / "certificate.json", payload)
     if not quiet:
         print(f"spectral_radius={lam:.9g} certificate={payload['verdict']}")

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -125,7 +126,7 @@ def test_certify_full_pipeline(tmp_path):
     assert report["instability_verified"]["value"]
     for name in ("report.json", "bounds.json", "fixedpoint.json",
                  "certificate.json", "dynamics.json", "trajectory.csv",
-                 "u_star.csv", "u_tilde.csv", "principal.csv", "spectrum.csv"):
+                 "u_star.csv", "u_tilde.npy", "principal.npy", "spectrum.csv"):
         assert (out / name).exists()
     # the trajectory ends at the first sample outside the epsilon ball
     eps = report["dynamics"]["epsilon_ball"]
@@ -141,7 +142,7 @@ def test_certify_deterministic(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert run(["certify", "--config", cfg, "--out", out1, "--quiet"]) == 0
     assert run(["certify", "--config", cfg, "--out", out2, "--quiet"]) == 0
-    for name in ("u_star.csv", "u_tilde.csv", "trajectory.csv"):
+    for name in ("u_star.csv", "u_tilde.npy", "principal.npy", "trajectory.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -339,8 +340,8 @@ PREFIX_CFGS = {
 STAGE_FILES = {
     "check": ["report.json"],
     "bounds": ["bounds.json", "profiles.csv"],
-    "solve": ["fixedpoint.json", "u_star.csv", "u_tilde.csv"],
-    "spectrum": ["certificate.json", "principal.csv", "spectrum.csv"],
+    "solve": ["fixedpoint.json", "u_star.csv", "u_tilde.npy"],
+    "spectrum": ["certificate.json", "principal.npy", "spectrum.csv"],
     "simulate": ["dynamics.json", "trajectory.csv"],
 }
 
@@ -356,6 +357,49 @@ def test_every_command_is_a_prefix_of_certify(tmp_path, name):
         staged = tmp_path / command
         run([command, "--config", cfg, "--out", staged, "--quiet"])
         assert same_files(staged, certified) == files, command
+
+
+def assert_line_npy(path, L, values, nodes):
+    """Assert that the .npy at path holds values exactly, and that L places it
+    on nodes bit for bit."""
+    got = np.load(path, allow_pickle=False)
+    assert got.dtype == np.float64 and got.ndim == 1
+    assert got.tobytes() == values.tobytes()
+    assert np.linspace(-L, L, got.size).tobytes() == nodes.tobytes()
+
+
+@pytest.mark.parametrize("name", ["reference", "mexican_hat"])
+def test_whole_line_npy_is_exact(tmp_path, name):
+    # certify's u_tilde.npy and principal.npy, placed by fixedpoint.json's L
+    cfg = cli.load_config(write_cfg(tmp_path, {**REFERENCE_CFG, **PREFIX_CFGS[name][0]}))
+    certified, alone = cli.Run(cfg, tmp_path), cli.Run(cfg, tmp_path)
+    assert cli.cmd_certify(certified, tmp_path / "certify", True)[0] == 0
+    nodes = certified.solve.ctx.grid.nodes()
+    L = json.loads((tmp_path / "certify" / "fixedpoint.json").read_text())["L"]
+    for file, values in (("u_tilde.npy", certified.solve.u_tilde.values),
+                         ("principal.npy", certified.spectrum.v.values)):
+        assert_line_npy(tmp_path / "certify" / file, L, values, nodes)
+    # spectrum alone in a fresh directory: certificate.json's L places it
+    assert cli.cmd_spectrum(alone, tmp_path / "spectrum", True)[0] == 0
+    L = json.loads((tmp_path / "spectrum" / "certificate.json").read_text())["L"]
+    assert_line_npy(tmp_path / "spectrum" / "principal.npy", L, alone.spectrum.v.values,
+                    alone.solve.ctx.grid.nodes())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask 022", "umask 077"])
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # as open() would create them, not mkstemp's 0600; a rewrite too
+    cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
+    old = os.umask(umask)
+    try:
+        for _ in range(2):
+            assert run(["solve", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+            names = {p.name: stat.S_IMODE(p.stat().st_mode)
+                     for p in (tmp_path / "out").iterdir()}
+            assert names == dict.fromkeys(STAGE_FILES["solve"], mode)
+    finally:
+        os.umask(old)
 
 
 INFEASIBLE_CFGS = {
@@ -748,7 +792,7 @@ def test_integer_valued_float_runs_like_the_int(tmp_path):
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
-        texts = [re.sub(r'"config_hash": "[0-9a-f]{16}"', "", (out / name).read_text())
+        texts = [re.sub(rb'"config_hash": "[0-9a-f]{16}"', b"", (out / name).read_bytes())
                  for out in outs]
         assert texts[0] == texts[1], name
 
@@ -1034,3 +1078,11 @@ def test_readme_names_only_schema_keys():
              if s in sections and k.islower() and k != "json"}
     assert len(named) > 10
     assert named <= keys | former_keys, sorted(named - keys - former_keys)
+
+
+def test_readme_artifact_table_lists_each_commands_files():
+    # the table's rows are STAGE_FILES, plus certify's own run_report.json
+    text = README.read_text().split("\n### Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([\w.]+)` \|", text, re.M)
+    files = [(command, name) for command, names in STAGE_FILES.items() for name in names]
+    assert rows == files + [("certify", "run_report.json")]
