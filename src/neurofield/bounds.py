@@ -115,12 +115,6 @@ class Sandwich(NamedTuple):
     d: float | None = None
     failure: NeurofieldError | None = None
 
-    def solved(self) -> Sandwich:
-        """This sandwich, or the error of its failed solve raised."""
-        if self.failure is not None:
-            raise self.failure
-        return self
-
 
 def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
     """Solve W(2 delta_minus) = h, W(2 delta_plus) = h + tau and u_plus(d) = h on
@@ -145,16 +139,18 @@ def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
 
 
 def build_bounds(kernel: Kernel, sandwich: Sandwich, n: int) -> BumpBounds:
-    """Sample u_minus and u_plus of a solved sandwich on [-d, d].
+    """Sample u_minus and u_plus of a solved sandwich on [-d, d], or raise
+    the error of a failed one.
 
     The grid has n subintervals (n must be even so 0 and +-d are nodes).
     """
     if n % 2 != 0:
         raise ValueError(f"need an even subinterval count for a symmetric grid, got n={n}")
-    sw = sandwich.solved()
+    if sandwich.failure is not None:
+        raise sandwich.failure
     W = CumulativeKernel(kernel)
-    grid = Grid(-sw.d, sw.d, n)
+    grid = Grid(-sandwich.d, sandwich.d, n)
     xs = grid.nodes()
-    u_minus = Profile(grid, indicator_convolution(W, sw.delta_minus, xs))
-    u_plus = Profile(grid, indicator_convolution(W, sw.delta_plus, xs))
-    return BumpBounds(sw.delta_minus, sw.delta_plus, sw.d, u_minus, u_plus)
+    u_minus = Profile(grid, indicator_convolution(W, sandwich.delta_minus, xs))
+    u_plus = Profile(grid, indicator_convolution(W, sandwich.delta_plus, xs))
+    return BumpBounds(sandwich.delta_minus, sandwich.delta_plus, sandwich.d, u_minus, u_plus)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, PerturbationTooLarge
+from .errors import ConfigError, NonFinite
 from .fixedpoint import OperatorContext
 from .grids import Profile
 
@@ -39,8 +39,12 @@ MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The config's ``dynamics`` section: the RK4 step and horizon, the escape
+    run's perturbation delta and its epsilon ball (None: 0.05 sup|u_tilde|)."""
     dt: float = 0.01
     t_end: float = 60.0
+    delta: float = 1e-3
+    epsilon_ball: float | None = None
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -50,6 +54,10 @@ class SimConfig:
         if not self.t_end / self.dt <= MAX_STEPS:  # inf once it overflows
             raise ConfigError(f"dynamics.dt: t_end / dt = {self.t_end / self.dt:.6g} "
                               f"steps exceed the affordable {MAX_STEPS}")
+
+    def ball(self, u_tilde: Profile) -> float:
+        """The epsilon ball's radius around the bump u_tilde."""
+        return 0.05 * u_tilde.sup_norm() if self.epsilon_ball is None else self.epsilon_ball
 
 
 @dataclass(frozen=True)
@@ -228,23 +236,27 @@ def simulate(ctx: OperatorContext, u0: Profile, u_ref: Profile, cfg: SimConfig,
 
 
 def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
-                           v_principal: Profile, delta: float,
-                           epsilon_ball: float, cfg: SimConfig,
-                           lambda_max: float | None = None) -> dict:
-    """Perturb the bump along the principal mode and time its escape.
+                           v_principal: Profile, cfg: SimConfig,
+                           lambda_max: float) -> dict:
+    """Perturb the bump by ``cfg.delta`` along the principal mode and time
+    its escape from the ball of radius ``cfg.ball(u_tilde)``.
 
     The growth rate is fitted on the window where the deviation lies in
     [2 delta, 10 delta], clear of both the transient and the nonlinear
     saturation regime.  Integration stops at the first sample outside the
     epsilon ball, which gives the escape time; as epsilon_ball > 10 delta,
-    that sample lies above the fit window.  A deviation that stays inside the
-    ball up to t_end gives an escape time of None.
+    that sample lies above the fit window, and a delta that leaves no such
+    window is a ConfigError.  A deviation that stays inside the ball up to
+    t_end gives an escape time of None.
     """
+    delta, epsilon_ball = cfg.delta, cfg.ball(u_tilde)
     if delta >= epsilon_ball / 10.0:
-        raise PerturbationTooLarge(
-            f"delta = {delta:.6g} is not below epsilon_ball / 10 = "
+        source = ("dynamics.epsilon_ball" if cfg.epsilon_ball is not None
+                  else "the default 0.05 * sup|u_tilde|")
+        raise ConfigError(
+            f"dynamics.delta: delta = {delta:.6g} is not below epsilon_ball / 10 = "
             f"{epsilon_ball / 10.0:.6g} (epsilon_ball = {epsilon_ball:.6g}), "
-            "so no linear growth window fits inside the ball")
+            f"so no linear growth window fits inside the ball; epsilon_ball is {source}")
     vmax = float(np.max(np.abs(v_principal.values)))
     if abs(vmax - 1.0) > 1e-8:
         raise ValueError("principal direction must have sup-norm 1")
@@ -260,7 +272,7 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
     escaped = np.nonzero(traj.deviation_sup >= epsilon_ball)[0]
     escape_time = float(traj.times[escaped[0]]) if escaped.size else None
     predicted = None
-    if lambda_max is not None and lambda_max > 1.0:
+    if lambda_max > 1.0:
         predicted = float(np.log(epsilon_ball / delta) / (lambda_max - 1.0))
     return {
         "growth_rate": growth_rate,

@@ -50,10 +50,5 @@ class NonFinite(NeurofieldError):
         self.trajectory = trajectory
 
 
-class PerturbationTooLarge(NeurofieldError, ValueError):
-    """The escape experiment's delta is not below epsilon_ball / 10, leaving no
-    linear growth window inside the epsilon ball."""
-
-
 class ConfigError(NeurofieldError):
     """Run configuration failed to parse or validate."""

@@ -156,6 +156,21 @@ def test_certify_delta_too_large_exit_1(tmp_path, capsys):
     assert "epsilon_ball = 0.05" in err
 
 
+@pytest.mark.parametrize("overrides, rc", [({"model": {"h": 0.45}}, 2),
+                                           ({"dynamics": {"delta": 0.01}}, 1)],
+                         ids=["infeasible", "delta too large"])
+def test_rerun_that_stops_early_leaves_no_earlier_verdict(tmp_path, capsys, overrides, rc):
+    # a passing certify, then one into the same directory that stops before
+    # its verdicts: the first run's run_report.json does not survive it
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_cfg(tmp_path), "--out", out, "--quiet"]) == 0
+    assert (out / "run_report.json").exists()
+    cfg = write_cfg(tmp_path, overrides, name="rerun.json")
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == rc
+    assert not (out / "run_report.json").exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def child_env():
     """The environment with this neurofield first on PYTHONPATH."""
     src = str(Path(neurofield.__file__).resolve().parents[1])

@@ -237,9 +237,10 @@ def test_escape_run_builds_the_line_at_most_once(ref_ctx_big, ref_u_tilde, ref_p
         whole[0] += out_lo == 0 and out_hi in (None, n)
         return convolve(self, src, lo, hi, out_lo, out_hi)
     monkeypatch.setattr(OperatorContext, "_convolve", counted)
-    out = instability_experiment(ref_ctx_big, ref_u_tilde, ref_power[1], delta=1e-3,
-                                 epsilon_ball=0.05 * ref_u_tilde.sup_norm(),
-                                 cfg=SimConfig(dt=0.01, t_end=5.0))
+    out = instability_experiment(ref_ctx_big, ref_u_tilde, ref_power[1],
+                                 SimConfig(dt=0.01, t_end=5.0, delta=1e-3,
+                                           epsilon_ball=0.05 * ref_u_tilde.sup_norm()),
+                                 ref_power[0])
     assert len(out["trajectory"].times) == 74
     assert whole[0] <= 2 and materializations[0] == 0
 
@@ -272,8 +273,7 @@ def test_perturbations_grow_both_ways(setup):
 
 def test_growth_rate_matches_spectrum(setup):
     out = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                 delta=1e-3, epsilon_ball=0.05,
-                                 cfg=SimConfig(dt=0.01, t_end=5.0),
+                                 SimConfig(dt=0.01, t_end=5.0, delta=1e-3, epsilon_ball=0.05),
                                  lambda_max=setup["lam"])
     expected = setup["lam"] - 1.0
     assert out["growth_rate"] == pytest.approx(expected, rel=0.1)
@@ -283,10 +283,9 @@ def test_growth_rate_matches_spectrum(setup):
 
 def test_experiment_stops_at_escape(setup):
     ctx, u, vec = setup["ctx"], setup["u"], setup["vec"]
-    cfg = SimConfig(dt=0.01, t_end=5.0)
     delta, eps = 1e-3, 0.05
-    out = instability_experiment(ctx, u, vec, delta=delta, epsilon_ball=eps,
-                                 cfg=cfg, lambda_max=setup["lam"])
+    cfg = SimConfig(dt=0.01, t_end=5.0, delta=delta, epsilon_ball=eps)
+    out = instability_experiment(ctx, u, vec, cfg, lambda_max=setup["lam"])
     traj = out["trajectory"]
     assert traj.deviation_sup[-1] >= eps
     assert np.all(traj.deviation_sup[:-1] < eps)
@@ -303,12 +302,11 @@ def test_experiment_stops_at_escape(setup):
 
 
 def test_escape_time_shifts_with_delta(setup):
-    cfg = SimConfig(dt=0.01, t_end=5.0)
-    kwargs = dict(epsilon_ball=0.05, cfg=cfg, lambda_max=setup["lam"])
-    t1 = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                delta=1e-3, **kwargs)["escape_time"]
-    t2 = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                delta=1e-4, **kwargs)["escape_time"]
+    t1, t2 = (instability_experiment(setup["ctx"], setup["u"], setup["vec"],
+                                     SimConfig(dt=0.01, t_end=5.0, delta=delta,
+                                               epsilon_ball=0.05),
+                                     lambda_max=setup["lam"])["escape_time"]
+              for delta in (1e-3, 1e-4))
     shift = np.log(10.0) / (setup["lam"] - 1.0)
     assert t2 - t1 == pytest.approx(shift, rel=0.2)
 
@@ -317,8 +315,7 @@ def test_no_escape_raised(setup):
     # a deviation still inside the ball at t_end raises nothing: the
     # experiment reports a null escape time over the whole trajectory
     out = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                 delta=1e-6, epsilon_ball=0.05,
-                                 cfg=SimConfig(dt=0.01, t_end=0.1),
+                                 SimConfig(dt=0.01, t_end=0.1, delta=1e-6, epsilon_ball=0.05),
                                  lambda_max=setup["lam"])
     traj = out["trajectory"]
     assert setup["lam"] > 1.0 + 1e-6
@@ -328,14 +325,37 @@ def test_no_escape_raised(setup):
 
 
 def test_experiment_input_validation(setup):
-    cfg = SimConfig(dt=0.01, t_end=1.0)
-    with pytest.raises(ValueError):
-        instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                               delta=0.04, epsilon_ball=0.05, cfg=cfg)
+    cfg = SimConfig(dt=0.01, t_end=1.0, delta=0.04, epsilon_ball=0.05)
+    with pytest.raises(ConfigError) as exc:
+        instability_experiment(setup["ctx"], setup["u"], setup["vec"], cfg, setup["lam"])
+    assert str(exc.value) == (
+        "dynamics.delta: delta = 0.04 is not below epsilon_ball / 10 = 0.005 "
+        "(epsilon_ball = 0.05), so no linear growth window fits inside the ball; "
+        "epsilon_ball is dynamics.epsilon_ball")
     bad_dir = Profile(setup["ctx"].grid, 0.5 * setup["vec"].values)
     with pytest.raises(ValueError):
         instability_experiment(setup["ctx"], setup["u"], bad_dir,
-                               delta=1e-3, epsilon_ball=0.05, cfg=cfg)
+                               SimConfig(dt=0.01, t_end=1.0, epsilon_ball=0.05),
+                               setup["lam"])
+
+
+@pytest.mark.parametrize("epsilon_ball, source", [
+    (0.05, "dynamics.epsilon_ball"), (None, "the default 0.05 * sup|u_tilde|")])
+def test_delta_error_names_the_ball_source(setup, monkeypatch, epsilon_ball, source):
+    # the ball is the configured one, or 0.05 sup|u_tilde| without one; the
+    # check refuses delta before any step runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr("neurofield.dynamics.step_values", refuse)
+    cfg = SimConfig(dt=0.01, t_end=1.0, delta=0.01, epsilon_ball=epsilon_ball)
+    ball = 0.05 * setup["u"].sup_norm() if epsilon_ball is None else epsilon_ball
+    assert cfg.ball(setup["u"]) == ball and ball / 10.0 <= 0.01
+    with pytest.raises(ConfigError) as exc:
+        instability_experiment(setup["ctx"], setup["u"], setup["vec"], cfg, setup["lam"])
+    assert str(exc.value) == (
+        f"dynamics.delta: delta = 0.01 is not below epsilon_ball / 10 = {ball / 10.0:.6g} "
+        f"(epsilon_ball = {ball:.6g}), so no linear growth window fits inside the ball; "
+        f"epsilon_ball is {source}")
 
 
 class _ExpFiring:
