@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import DEFAULT_HORIZON, Sandwich, solve_sandwich
 from .grids import Grid
-from .model import Firing, Kernel, ModelParams
+from .model import Firing, Kernel
 from .quadrature import CumulativeKernel
 
 DEFAULT_PROBE = Grid(0.0, DEFAULT_HORIZON, 10_000)
@@ -75,10 +75,10 @@ def _vii_violation(kernel: Kernel, xs: np.ndarray, vals: np.ndarray, d: float) -
     return max(incr, excess)
 
 
-def check_assumptions(kernel: Kernel, firing: Firing,
-                      params: ModelParams) -> AssumptionReport:
-    """Run the full hypothesis battery and return a per-condition report that
-    keeps the sandwich it solved; a failed condition is a fail verdict."""
+def check_assumptions(kernel: Kernel, firing: Firing, h: float) -> AssumptionReport:
+    """Run the full hypothesis battery at the threshold h and the firing
+    rate's tau, and return a per-condition report that keeps the sandwich it
+    solved; a failed condition, h <= 0 included, is a fail verdict."""
     xs = DEFAULT_PROBE.nodes()
     vals = kernel(xs)
     horizon, dx = DEFAULT_HORIZON, DEFAULT_PROBE.dx
@@ -110,7 +110,7 @@ def check_assumptions(kernel: Kernel, firing: Firing,
         witness=sym_dev, margin=1e-12 - sym_dev))
 
     # (iv) the sandwich's positivity radius a; margin: least sampled omega on [0, 2a]
-    sw = solve_sandwich(kernel, params)
+    sw = solve_sandwich(kernel, h, firing.tau)
     a = sw.a
     min_on_range = float(np.min(vals[xs <= 2.0 * a]))
     records.append(ConditionRecord(
@@ -119,7 +119,7 @@ def check_assumptions(kernel: Kernel, firing: Firing,
 
     # (v) kernel mass exceeds h + tau
     mass_2a = float(CumulativeKernel(kernel)(2.0 * a))
-    margin_v = mass_2a - (params.h + params.tau)
+    margin_v = mass_2a - (h + firing.tau)
     records.append(ConditionRecord(
         "B_v_mass_exceeds_h_plus_tau", "pass" if margin_v > 0.0 else "fail",
         witness=mass_2a, margin=margin_v))
@@ -170,4 +170,4 @@ def check_assumptions(kernel: Kernel, firing: Firing,
             note="ratio family needs p > 1 for a continuous derivative"))
 
     return AssumptionReport(tuple(records), sw, horizon=horizon,
-                            extras={"h": params.h, "tau": params.tau})
+                            extras={"h": h, "tau": firing.tau})

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BracketFailure, NeurofieldError, NoConvergence, NoSuchD
 from .grids import Grid, Profile
-from .model import Kernel, ModelParams
+from .model import Kernel
 from .quadrature import CumulativeKernel, indicator_convolution
 
 #: probe horizon: the positivity radius a is capped at DEFAULT_HORIZON / 2
@@ -116,7 +116,7 @@ class Sandwich(NamedTuple):
     failure: NeurofieldError | None = None
 
 
-def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
+def solve_sandwich(kernel: Kernel, h: float, tau: float) -> Sandwich:
     """Solve W(2 delta_minus) = h, W(2 delta_plus) = h + tau and u_plus(d) = h on
     [0, a], a the kernel's positive radius capped at DEFAULT_HORIZON / 2; a failed
     solve (no level below W(2a), no such d, or constants not ordered
@@ -124,9 +124,9 @@ def solve_sandwich(kernel: Kernel, params: ModelParams) -> Sandwich:
     W = CumulativeKernel(kernel)
     a = min(kernel.positive_radius(), DEFAULT_HORIZON / 2.0)
     try:
-        delta_minus = solve_delta(W, params.h, a)
-        delta_plus = solve_delta(W, params.h + params.tau, a)
-        d = find_d(W, delta_plus, params.h, a)
+        delta_minus = solve_delta(W, h, a)
+        delta_plus = solve_delta(W, h + tau, a)
+        d = find_d(W, delta_plus, h, a)
     except (BracketFailure, NoSuchD) as exc:
         # without its traceback, whose frames would keep the callers' arrays alive
         return Sandwich(a, failure=exc.with_traceback(None))

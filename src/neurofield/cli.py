@@ -40,7 +40,7 @@ from .fixedpoint import (NEWTON_TOL, FixedPointResult, OperatorContext,
                          solve_third_fixed_point)
 from .grids import Grid, Profile
 from .model import (ExponentialKernel, GaussianKernel, MexicanHatKernel,
-                    ModelParams, RatioFiring, TabulatedKernel)
+                    RatioFiring, TabulatedKernel)
 from .spectral import (Linearization, instability_certificate,
                        remainder_exponent_fit, spectra_equivalence_check,
                        spectral_radius, translation_mode_check)
@@ -79,7 +79,6 @@ def _finite_object(pairs: list) -> dict:
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "string": lambda v: isinstance(v, str),
-    "null": lambda v: v is None,
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
@@ -185,10 +184,9 @@ def build_kernel(cfg: dict, base: Path):
 
 
 def build_objects(cfg: dict, base: Path):
+    """The kernel, the firing rate (which owns tau) and the threshold h."""
     kernel = build_kernel(cfg, base)
-    firing = RatioFiring(cfg["firing"]["p"], cfg["firing"]["tau"])
-    params = ModelParams(cfg["model"]["h"], cfg["firing"]["tau"])
-    return kernel, firing, params
+    return kernel, RatioFiring(cfg["firing"]["p"], cfg["firing"]["tau"]), cfg["model"]["h"]
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +305,8 @@ class Run:
     @cached_property
     def solve(self) -> Solved:
         bb = self.bounds
-        kernel, firing, params = self.model
-        ctx = OperatorContext(kernel, firing, params,
-                              make_extension_grid(kernel, bb.grid))
+        kernel, firing, h = self.model
+        ctx = OperatorContext(kernel, firing, h, make_extension_grid(kernel, bb.grid))
         eps = compute_epsilon(ctx, bb)
         fp = solve_third_fixed_point(
             ctx, bb, tol=self.cfg.get("solver", {}).get("newton_tol", NEWTON_TOL),
@@ -349,14 +346,14 @@ def cmd_check(run: Run, out: Path, quiet: bool):
 
 
 def cmd_bounds(run: Run, out: Path, quiet: bool):
-    _, _, params = run.model
+    _, firing, h = run.model
     bb = run.bounds
     write_csv(out / "profiles.csv", ["x", "u_minus", "u_plus"],
               [bb.grid.nodes(), bb.u_minus.values, bb.u_plus.values])
     payload = {
         "config_hash": run.config_hash("bounds"),
         "delta_minus": bb.delta_minus, "delta_plus": bb.delta_plus, "d": bb.d,
-        "h": params.h, "tau": params.tau, "n": bb.grid.n,
+        "h": h, "tau": firing.tau, "n": bb.grid.n,
         "tolerance": BISECT_TOL,
     }
     write_json(out / "bounds.json", payload)
@@ -372,11 +369,7 @@ def cmd_solve(run: Run, out: Path, quiet: bool):
               [fp.u_star.grid.nodes(), fp.u_star.values])
     write_npy(out / "u_tilde.npy", u_tilde.values)
     payload = fp.to_dict()
-    payload.update({
-        "config_hash": run.config_hash("solve"),
-        "L": ctx.grid.hi,
-        "newton_tol": run.cfg.get("solver", {}).get("newton_tol", NEWTON_TOL),
-    })
+    payload.update({"config_hash": run.config_hash("solve"), "L": ctx.grid.hi})
     write_json(out / "fixedpoint.json", payload)
     if not quiet:
         print(f"residual_sup={fp.residual_sup:.3e} separations="

@@ -39,12 +39,11 @@ MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """The config's ``dynamics`` section: the RK4 step and horizon, the escape
-    run's perturbation delta and its epsilon ball (None: 0.05 sup|u_tilde|)."""
+    """The config's ``dynamics`` section: the RK4 step and horizon, and the
+    escape run's perturbation delta."""
     dt: float = 0.01
     t_end: float = 60.0
     delta: float = 1e-3
-    epsilon_ball: float | None = None
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -56,8 +55,8 @@ class SimConfig:
                               f"steps exceed the affordable {MAX_STEPS}")
 
     def ball(self, u_tilde: Profile) -> float:
-        """The epsilon ball's radius around the bump u_tilde."""
-        return 0.05 * u_tilde.sup_norm() if self.epsilon_ball is None else self.epsilon_ball
+        """The epsilon ball's radius around the bump u_tilde: 0.05 sup|u_tilde|."""
+        return 0.05 * u_tilde.sup_norm()
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ class LineState:
         bands = _off(near, lo - b_lo, hi - b_lo)
         band_dev = np.max(np.abs(bands - _off(ref[b_lo:b_hi + 1], lo - b_lo, hi - b_lo)))
         top = max(float(np.max(bands)), ref_hi + far)
-        if not (band_dev < on and top <= ctx.params.h
+        if not (band_dev < on and top <= ctx.h
                 and ctx.step_window(inside, lo) == (lo, hi)):
             return False
         self.top = top
@@ -171,12 +170,9 @@ class LineState:
         return self._window_terms[1]
 
 
-def step_values(ctx: OperatorContext, u, cfg: SimConfig):
-    """One RK4 step of u_t = -u + Tu from u, a ``LineState`` (advanced in
-    place) or the whole-line values (returned as new whole-line values)."""
-    if isinstance(u, LineState):
-        return u.step(cfg.dt)
-    return LineState(ctx, u, u).step(cfg.dt).values()
+def step_values(ctx: OperatorContext, u: LineState, cfg: SimConfig) -> LineState:
+    """One RK4 step of u_t = -u + Tu, advancing u (on ctx's grid) in place."""
+    return u.step(cfg.dt)
 
 
 def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float, lo: int, hi: int,
@@ -206,7 +202,7 @@ def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float, lo: int, hi: int,
             a, c = 1.0 - offset * dt * a, offset * dt * s
             # a lies in [0.9, 1) for every dt that SimConfig admits (dt <= 0.1),
             # so a u <= a top off the window and the bound needs no minimum of u
-            if offset and not a * top + ctx.weighted_bound(c, lo) <= ctx.params.h:
+            if offset and not a * top + ctx.weighted_bound(c, lo) <= ctx.h:
                 return None
     return inside + (dt / 6.0) * slopes, a_f, c_f
 
@@ -251,12 +247,11 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
     """
     delta, epsilon_ball = cfg.delta, cfg.ball(u_tilde)
     if delta >= epsilon_ball / 10.0:
-        source = ("dynamics.epsilon_ball" if cfg.epsilon_ball is not None
-                  else "the default 0.05 * sup|u_tilde|")
         raise ConfigError(
             f"dynamics.delta: delta = {delta:.6g} is not below epsilon_ball / 10 = "
             f"{epsilon_ball / 10.0:.6g} (epsilon_ball = {epsilon_ball:.6g}), "
-            f"so no linear growth window fits inside the ball; epsilon_ball is {source}")
+            "so no linear growth window fits inside the ball; epsilon_ball is "
+            "the default 0.05 * sup|u_tilde|")
     vmax = float(np.max(np.abs(v_principal.values)))
     if abs(vmax - 1.0) > 1e-8:
         raise ValueError("principal direction must have sup-norm 1")

@@ -12,7 +12,7 @@ import numpy as np
 from .bounds import BumpBounds
 from .errors import DegenerateFixedPoint, EpsilonNotFound, NewtonDivergence
 from .grids import Grid, Profile, quadrature_weights
-from .model import Firing, Kernel, ModelParams, TabulatedKernel
+from .model import Firing, Kernel, TabulatedKernel
 
 #: largest grid for which ``OperatorContext.kernel_matrix``, a test oracle that
 #: no pipeline stage calls, builds its dense block
@@ -72,7 +72,7 @@ def fast_fft_len(m: int) -> int:
 
 
 class OperatorContext:
-    """Kernel, firing rate, parameters, and a symmetric grid carrying T.
+    """Kernel, firing rate, threshold h > 0, and a symmetric grid carrying T.
 
     The Nystrom sum (Tu)(x_i) = sum_j w_j omega(x_i - x_j) f(u(x_j) - h) is a
     discrete convolution on the uniform grid.  Its source vanishes wherever
@@ -90,15 +90,16 @@ class OperatorContext:
     only as a test oracle.
     """
 
-    def __init__(self, kernel: Kernel, firing: Firing, params: ModelParams,
-                 grid: Grid):
+    def __init__(self, kernel: Kernel, firing: Firing, h: float, grid: Grid):
+        if not h > 0.0:
+            raise ValueError(f"need h > 0, got h={h}")
         if not grid.symmetric:
             raise ValueError("operator grid must be symmetric about 0")
         if grid.n % 2 != 0:
             raise ValueError("operator grid needs an even subinterval count")
         self.kernel = kernel
         self.firing = firing
-        self.params = params
+        self.h = h
         self.grid = grid
         self.weights = quadrature_weights(grid)
         self._dense: np.ndarray | None = None
@@ -165,12 +166,12 @@ class OperatorContext:
         # every firing rate vanishes at arguments <= 0, so the source is zero
         # outside the window where u > h; a NaN node is not <= h, so it stays in
         s = np.zeros(len(values))
-        window = self._window(values <= self.params.h, lo)
+        window = self._window(values <= self.h, lo)
         if window is None:
             return np.zeros(len(values)), s
         w_lo, w_hi = window
         src = s[w_lo - lo:w_hi - lo + 1] = self.weights[w_lo:w_hi + 1] * self.firing(
-            values[w_lo - lo:w_hi - lo + 1] - self.params.h)
+            values[w_lo - lo:w_hi - lo + 1] - self.h)
         return self._convolve(src, w_lo, w_hi, lo, lo + len(values) - 1), s
 
     def step_window(self, values: np.ndarray, lo: int = 0) -> tuple[int, int]:
@@ -180,7 +181,7 @@ class OperatorContext:
         ``WINDOW_BLOCK`` on each side, or the whole grid past
         1/STEP_WINDOW_SHARE of it or if no u > h."""
         whole = 0, self.grid.n
-        lo, hi = self._window(values <= self.params.h, lo, WINDOW_BLOCK, whole) or whole
+        lo, hi = self._window(values <= self.h, lo, WINDOW_BLOCK, whole) or whole
         # past that share a window saves little transform length, and on the
         # whole grid every step shares its one spectrum
         if STEP_WINDOW_SHARE * (hi - lo + 1) > self.grid.n + 1:
@@ -279,6 +280,7 @@ class FixedPointResult:
     iterations: int
     dist_to_u_minus: float
     dist_to_u_plus: float
+    newton_tol: float
     epsilon_used: float | None = None
 
     def to_dict(self) -> dict:
@@ -287,6 +289,7 @@ class FixedPointResult:
             "iterations": self.iterations,
             "dist_to_u_minus": self.dist_to_u_minus,
             "dist_to_u_plus": self.dist_to_u_plus,
+            "newton_tol": self.newton_tol,
             "epsilon_used": self.epsilon_used,
         }
 
@@ -357,7 +360,7 @@ def newton_step(ctx: OperatorContext, v: np.ndarray, r: np.ndarray) -> np.ndarra
     on the matrix-free product J s = s - K(w f'(mirror v - h) mirror s)[x >= 0]."""
     mid = len(v) - 1
     lo = ctx.centred(2 * mid)
-    gain = ctx.firing.deriv(_mirror(v) - ctx.params.h) * ctx.weights[lo:lo + 2 * mid + 1]
+    gain = ctx.firing.deriv(_mirror(v) - ctx.h) * ctx.weights[lo:lo + 2 * mid + 1]
     return gmres(lambda s: s - ctx.apply_weighted(gain * _mirror(s), lo, lo,
                                                   lo + 2 * mid)[mid:], r)
 
@@ -434,7 +437,7 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
             continue
         resid = float(np.max(np.abs(u - ctx.apply_T_window(u, k)[0])))
         return FixedPointResult(Profile(bb.grid, u), resid, iters,
-                                d_lo, d_hi, epsilon_used=epsilon)
+                                d_lo, d_hi, tol, epsilon_used=epsilon)
     # a coarse grid is the usual cause, so the message names it
     raise type(last_exc)(f"{last_exc} on the [-d, d] grid of n = {bb.grid.n}, "
                          f"dx = {bb.grid.dx:.6g}")
@@ -493,5 +496,5 @@ def extend_bump(ctx: OperatorContext, u_star: Profile) -> Profile:
     """Whole-line bump: T on ctx's grid applied to a source that is
     f(u_star - h) on the [-d, d] window and zero elsewhere."""
     k = ctx.centred(u_star.grid.n)
-    src = ctx.weights[k:k + u_star.grid.n_nodes] * ctx.firing(u_star.values - ctx.params.h)
+    src = ctx.weights[k:k + u_star.grid.n_nodes] * ctx.firing(u_star.values - ctx.h)
     return Profile(ctx.grid, ctx.apply_weighted(src, k))

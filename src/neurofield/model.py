@@ -1,4 +1,4 @@
-"""Coupling kernels, firing-rate functions, and model parameters.
+"""Coupling kernels and firing-rate functions.
 
 Kernels are even functions of distance; firing rates are nondecreasing maps
 into [0, 1] that vanish for arguments <= 0 and saturate at 1 beyond the
@@ -248,17 +248,3 @@ class RatioFiring:
 
 
 Firing = RatioFiring
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Firing threshold h and saturation width tau (both strictly positive)."""
-
-    h: float
-    tau: float
-
-    def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError(f"need h > 0, got h={self.h}")
-        if self.tau <= 0.0:
-            raise ValueError(f"need tau > 0, got tau={self.tau}")

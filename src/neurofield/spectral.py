@@ -99,7 +99,7 @@ class Linearization:
         self.u = u
         self.grid = ctx.grid
         self.weights = ctx.weights
-        self.gains = np.asarray(ctx.firing.deriv(u.values - ctx.params.h), dtype=float)
+        self.gains = np.asarray(ctx.firing.deriv(u.values - ctx.h), dtype=float)
         self.support = np.nonzero(self.gains > 0.0)[0]
 
     def matvec(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -167,7 +167,7 @@ def derivative_profile(ctx: OperatorContext, u: Profile) -> Profile:
     integration-by-parts identity that makes u' a translation eigenfunction.
     """
     k = ctx.centred(u.grid.n)
-    wv = ctx.weights[k:k + u.grid.n_nodes] * ctx.firing(u.values - ctx.params.h)
+    wv = ctx.weights[k:k + u.grid.n_nodes] * ctx.firing(u.values - ctx.h)
     return Profile(u.grid, ctx.block_operator(k, k + u.grid.n, ctx.kernel.deriv)(wv))
 
 
@@ -188,7 +188,7 @@ def spectra_equivalence_check(lin: Linearization, u_star: Profile) -> tuple[floa
     idx = lin.support
     support_margin = (float(min(idx[0] - k, k + u_star.grid.n - idx[-1]))
                       if idx.size else np.inf)
-    return support_margin, float(lin.ctx.params.h - max(u_star.values[0], u_star.values[-1]))
+    return support_margin, float(lin.ctx.h - max(u_star.values[0], u_star.values[-1]))
 
 
 def remainder_exponent_fit(lin: Linearization, direction: Profile) -> tuple[float, np.ndarray]:
@@ -201,7 +201,7 @@ def remainder_exponent_fit(lin: Linearization, direction: Profile) -> tuple[floa
     K w (f(u + dv - h) - f(u - h) - f'(u - h) dv), one product per amplitude
     of a source that cancels before the transform.
     """
-    ctx, arg = lin.ctx, lin.u.values - lin.ctx.params.h
+    ctx, arg = lin.ctx, lin.u.values - lin.ctx.h
     norms = np.empty(len(REMAINDER_AMPLITUDES))
     for i, delta in enumerate(REMAINDER_AMPLITUDES):
         v = delta * direction.values

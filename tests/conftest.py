@@ -15,7 +15,7 @@ from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    extend_bump, make_extension_grid,
                                    solve_third_fixed_point)
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring)
+                              MexicanHatKernel, RatioFiring)
 from neurofield.spectral import Linearization, spectral_radius
 
 H = 0.1
@@ -37,19 +37,18 @@ def W_exp(b):
 
 @pytest.fixture(scope="session")
 def ref_model():
-    return ExponentialKernel(), RatioFiring(P, TAU), ModelParams(H, TAU)
+    return ExponentialKernel(), RatioFiring(P, TAU), H
 
 
 @pytest.fixture(scope="session")
 def ref_bounds(ref_model):
-    kernel, _, params = ref_model
-    return build_bounds(kernel, solve_sandwich(kernel, params), 800)
+    kernel, _, _ = ref_model
+    return build_bounds(kernel, solve_sandwich(kernel, H, TAU), 800)
 
 
 @pytest.fixture(scope="session")
 def ref_ctx(ref_model, ref_bounds):
-    kernel, firing, params = ref_model
-    return OperatorContext(kernel, firing, params, ref_bounds.grid)
+    return OperatorContext(*ref_model, ref_bounds.grid)
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +70,7 @@ def ref_big_grid(ref_model, ref_bounds):
 
 @pytest.fixture(scope="session")
 def ref_ctx_big(ref_model, ref_big_grid):
-    kernel, firing, params = ref_model
-    return OperatorContext(kernel, firing, params, ref_big_grid)
+    return OperatorContext(*ref_model, ref_big_grid)
 
 
 @pytest.fixture(scope="session")
@@ -98,12 +96,11 @@ def ref_power(ref_lin_big):
 # coarser twin of the reference setup for the time-stepping tests
 @pytest.fixture(scope="session")
 def coarse_setup(ref_model):
-    kernel, firing, params = ref_model
-    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
-    ctx = OperatorContext(kernel, firing, params, bb.grid)
+    kernel, firing, h = ref_model
+    bb = build_bounds(kernel, solve_sandwich(kernel, h, firing.tau), 200)
+    ctx = OperatorContext(kernel, firing, h, bb.grid)
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
-    ctx_big = OperatorContext(kernel, firing, params,
-                              make_extension_grid(kernel, bb.grid))
+    ctx_big = OperatorContext(kernel, firing, h, make_extension_grid(kernel, bb.grid))
     u_tilde = extend_bump(ctx_big, fp.u_star)
     return {"bb": bb, "ctx": ctx, "fp": fp, "ctx_big": ctx_big,
             "u_tilde": u_tilde}
@@ -117,12 +114,11 @@ def coarse_setup(ref_model):
 ], ids=["exponential", "gaussian", "mexican_hat"])
 def kernel_setup(request):
     kernel, h, tau = request.param
-    firing, params = RatioFiring(P, tau), ModelParams(h, tau)
-    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
-    ctx = OperatorContext(kernel, firing, params, bb.grid)
+    firing = RatioFiring(P, tau)
+    bb = build_bounds(kernel, solve_sandwich(kernel, h, tau), 200)
+    ctx = OperatorContext(kernel, firing, h, bb.grid)
     fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
-    ctx_big = OperatorContext(kernel, firing, params,
-                              make_extension_grid(kernel, bb.grid))
+    ctx_big = OperatorContext(kernel, firing, h, make_extension_grid(kernel, bb.grid))
     u_tilde = extend_bump(ctx_big, fp.u_star)
     return {"bb": bb, "ctx": ctx, "fp": fp,
             "lin": Linearization(ctx, fp.u_star),

@@ -141,7 +141,7 @@ def dense_even_jacobian(ctx, v):
     n = ctx.grid.n
     mid = n // 2
     full = np.concatenate([v[:0:-1], v])
-    gain = ctx.firing.deriv(full - ctx.params.h) * ctx.weights
+    gain = ctx.firing.deriv(full - ctx.h) * ctx.weights
     M = ctx.kernel_matrix()[mid:, :] * gain[None, :]
     folded = M[:, mid:].copy()
     folded[:, 1:] += M[:, mid - 1::-1]
@@ -172,7 +172,7 @@ def _window_rk4_step(ctx, u, dt, lo, hi):
             c_f = c_f + dt / 6.0 * weight * s
             a, c = 1.0 - offset * dt * a, offset * dt * s
             if offset and not (a * (top if a >= 0.0 else rest.min())
-                               + ctx.weighted_bound(c, lo) <= ctx.params.h):
+                               + ctx.weighted_bound(c, lo) <= ctx.h):
                 return None
     new = inside + (dt / 6.0) * slopes
     if not rest.size:
@@ -274,7 +274,7 @@ def verify_translation_family(ctx_big, u_tilde: Profile, c: float) -> float:
     if abs(c - k * dx) > 1e-9 * max(1.0, abs(c)):
         raise ShiftOutOfRange(f"shift {c} is not a multiple of the spacing {dx}")
     vals = u_tilde.values
-    supra = np.nonzero(vals > ctx_big.params.h)[0]
+    supra = np.nonzero(vals > ctx_big.h)[0]
     if supra.size:
         margin_cells = min(supra[0], len(vals) - 1 - supra[-1])
         if abs(k) >= margin_cells:

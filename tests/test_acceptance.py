@@ -21,7 +21,7 @@ from neurofield.fixedpoint import (OperatorContext, compute_epsilon,
                                    solve_third_fixed_point)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring)
+                              MexicanHatKernel, RatioFiring)
 from neurofield.quadrature import CumulativeKernel
 from neurofield.spectral import (Linearization, remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius)
@@ -39,7 +39,7 @@ def report(name, ok, detail=""):
 def test_criterion_01_bound_constants():
     t0 = time.perf_counter()
     kernel = ExponentialKernel()
-    W, a = CumulativeKernel(kernel), solve_sandwich(kernel, ModelParams(H, TAU)).a
+    W, a = CumulativeKernel(kernel), solve_sandwich(kernel, H, TAU).a
     dm = solve_delta(W, H, a)
     dp = solve_delta(W, H + TAU, a)
     d = find_d(W, dp, H, a)
@@ -87,14 +87,12 @@ def test_criterion_03_monotone_protocol(ref_ctx, ref_bounds, ref_epsilon):
 def test_criterion_04_translation_eigenvalue(ref_lin_big):
     kernel = ExponentialKernel()
     firing = RatioFiring(P, TAU)
-    params = ModelParams(H, TAU)
 
     def nearest_one(n):
-        bb = build_bounds(kernel, solve_sandwich(kernel, params), n)
-        ctx = OperatorContext(kernel, firing, params, bb.grid)
+        bb = build_bounds(kernel, solve_sandwich(kernel, H, TAU), n)
+        ctx = OperatorContext(kernel, firing, H, bb.grid)
         fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
-        ctx_big = OperatorContext(kernel, firing, params,
-                                  make_extension_grid(kernel, bb.grid))
+        ctx_big = OperatorContext(kernel, firing, H, make_extension_grid(kernel, bb.grid))
         lin = Linearization(ctx_big, extend_bump(ctx_big, fp.u_star))
         ev = lin.eigenvalues()
         return float(ev[np.argmin(np.abs(ev - 1.0))])
@@ -153,11 +151,8 @@ def test_criterion_07_remainder_exponent(ref_ctx_big, ref_lin_big, ref_power):
 def test_criterion_08_dynamics_instability(ref_ctx_big, ref_u_tilde, ref_power):
     t0 = time.perf_counter()
     lam, vec = ref_power
-    delta = 1e-3
-    eps_ball = 0.05 * ref_u_tilde.sup_norm()
     out = instability_experiment(ref_ctx_big, ref_u_tilde, vec,
-                                 SimConfig(dt=0.01, t_end=3.0, delta=delta,
-                                           epsilon_ball=eps_ball),
+                                 SimConfig(dt=0.01, t_end=3.0, delta=1e-3),
                                  lambda_max=lam)
     growth_ok = (out["growth_rate"] is not None
                  and abs(out["growth_rate"] - (lam - 1.0)) <= 0.1 * (lam - 1.0))
@@ -175,13 +170,13 @@ def test_criterion_08_dynamics_instability(ref_ctx_big, ref_u_tilde, ref_power):
 
 def test_criterion_09_comparison_profile_battery():
     cases = [
-        (ExponentialKernel(), ModelParams(0.1, 0.2)),
-        (GaussianKernel(), ModelParams(0.1, 0.2)),
-        (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+        (ExponentialKernel(), 0.1, 0.2),
+        (GaussianKernel(), 0.1, 0.2),
+        (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), 0.05, 0.05),
     ]
     all_ok = True
-    for kernel, params in cases:
-        bb = build_bounds(kernel, solve_sandwich(kernel, params), 400)
+    for kernel, h, tau in cases:
+        bb = build_bounds(kernel, solve_sandwich(kernel, h, tau), 400)
         probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 8000)
         rep = verify_heaviside_stationarity(kernel, bb, probe)
         all_ok = all_ok and rep["ok"]

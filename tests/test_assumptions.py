@@ -7,32 +7,32 @@ from neurofield.bounds import build_bounds, solve_sandwich
 from neurofield.errors import NoSuchD
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring,
+                              MexicanHatKernel, RatioFiring,
                               TabulatedKernel)
 from neurofield.quadrature import CumulativeKernel
 from oracles import check_lemma1_equivalence
 
 
 FEASIBLE = [
-    (ExponentialKernel(), ModelParams(0.1, 0.2)),
-    (GaussianKernel(), ModelParams(0.1, 0.2)),
-    (GaussianKernel(), ModelParams(0.3, 0.4)),
-    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
-    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.08, 0.08)),
+    (ExponentialKernel(), (0.1, 0.2)),
+    (GaussianKernel(), (0.1, 0.2)),
+    (GaussianKernel(), (0.3, 0.4)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), (0.05, 0.05)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), (0.08, 0.08)),
 ]
 
 
-@pytest.mark.parametrize("kernel,params", FEASIBLE)
+@pytest.mark.parametrize("kernel, params", FEASIBLE)
 def test_feasible_models_pass(kernel, params):
-    rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+    h, tau = params
+    rep = check_assumptions(kernel, RatioFiring(2.0, tau), h)
     assert rep.verdict == "pass"
     assert rep.d is not None and 0.0 < rep.d < rep.a
     assert rep.condition("B_v_mass_exceeds_h_plus_tau").margin > 0.0
 
 
 def test_reference_report_contents():
-    rep = check_assumptions(ExponentialKernel(), RatioFiring(2.0, 0.2),
-                            ModelParams(0.1, 0.2))
+    rep = check_assumptions(ExponentialKernel(), RatioFiring(2.0, 0.2), 0.1)
     assert rep.condition("B_iii_symmetric").status == "pass"
     assert rep.condition("B_vii_decreasing_dominated").status == "pass"
     # d for the exponential reference setup
@@ -40,22 +40,33 @@ def test_reference_report_contents():
     data = rep.to_dict()
     assert data["verdict"] == "pass"
     assert data["h"] == 0.1
+    assert data["tau"] == 0.2
     assert len(data["conditions"]) == 10
 
 
-@pytest.mark.parametrize("kernel,params", [
-    (ExponentialKernel(), ModelParams(0.3, 0.3)),
-    (GaussianKernel(), ModelParams(0.5, 0.4)),
+@pytest.mark.parametrize("kernel, params", [
+    (ExponentialKernel(), (0.3, 0.3)),
+    (GaussianKernel(), (0.5, 0.4)),
 ])
 def test_infeasible_mass_fails_the_check(kernel, params):
-    rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+    h, tau = params
+    rep = check_assumptions(kernel, RatioFiring(2.0, tau), h)
     assert rep.condition("B_v_mass_exceeds_h_plus_tau").status == "fail"
     assert rep.verdict == "fail"
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_nonpositive_threshold_fails_the_check(h):
+    # the sandwich's solve refuses the level h <= 0; nothing is raised
+    rep = check_assumptions(ExponentialKernel(), RatioFiring(2.0, 0.2), h)
+    assert rep.verdict == "fail"
+    vi = rep.condition("B_vi_d_exists")
+    assert vi.status == "fail" and vi.note == f"need level > 0, got {h}"
+    assert rep.d is None
+
+
 def test_nonsmooth_firing_flagged():
-    rep = check_assumptions(ExponentialKernel(), RatioFiring(1.0, 0.2),
-                            ModelParams(0.1, 0.2))
+    rep = check_assumptions(ExponentialKernel(), RatioFiring(1.0, 0.2), 0.1)
     assert rep.condition("thmB_iii_firing_smooth").status == "fail"
     assert rep.verdict == "fail"
 
@@ -95,7 +106,7 @@ def test_tabulated_kernel_probed_past_its_table():
     # definition, so decay and tail pass there, and a stops at the table edge
     g = Grid(-12.0, 12.0, 2400)
     kernel = TabulatedKernel(g, ExponentialKernel()(g.nodes()))
-    rep = check_assumptions(kernel, RatioFiring(2.0, 0.2), ModelParams(0.1, 0.2))
+    rep = check_assumptions(kernel, RatioFiring(2.0, 0.2), 0.1)
     assert rep.verdict == "pass"
     assert rep.condition("thmB_ii_vanishes_at_infinity").witness == 0.0
     assert rep.condition("B_i_integrable").status == "pass"
@@ -118,10 +129,10 @@ SANDWICH_KERNELS = [ExponentialKernel(), GaussianKernel(), _HAT,
 def test_check_and_bounds_share_one_sandwich(which, level, split):
     # feasible draws: h + tau is a share `level` of the kernel mass W(2a)
     kernel = SANDWICH_KERNELS[which]
-    a = solve_sandwich(kernel, ModelParams(0.1, 0.1)).a
+    a = solve_sandwich(kernel, 0.1, 0.1).a
     h_plus_tau = level * CumulativeKernel(kernel)(2.0 * a)
-    params = ModelParams(split * h_plus_tau, (1.0 - split) * h_plus_tau)
-    rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+    h, tau = split * h_plus_tau, (1.0 - split) * h_plus_tau
+    rep = check_assumptions(kernel, RatioFiring(2.0, tau), h)
     assert rep.a == a
     if rep.d is None:
         assert rep.condition("B_vi_d_exists").status == "fail"

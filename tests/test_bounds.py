@@ -12,7 +12,7 @@ from neurofield.bounds import (BISECT_TOL, BumpBounds, _bisect, build_bounds,
 from neurofield.errors import BracketFailure, NeurofieldError, NoSuchD
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring,
+                              MexicanHatKernel, RatioFiring,
                               TabulatedKernel)
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
 from oracles import verify_heaviside_stationarity
@@ -20,7 +20,7 @@ from oracles import verify_heaviside_stationarity
 
 def _W_and_a(kernel):
     """The cumulative integral and the positivity radius that build_bounds uses."""
-    return CumulativeKernel(kernel), solve_sandwich(kernel, ModelParams(H, TAU)).a
+    return CumulativeKernel(kernel), solve_sandwich(kernel, H, TAU).a
 
 
 def test_solve_delta_closed_forms():
@@ -52,21 +52,22 @@ def test_solve_delta_bracket_failure():
 
 
 @pytest.mark.parametrize("kernel, params", [
-    (ExponentialKernel(), ModelParams(0.1, 0.2)),
-    (GaussianKernel(), ModelParams(0.1, 0.2)),
-    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+    (ExponentialKernel(), (0.1, 0.2)),
+    (GaussianKernel(), (0.1, 0.2)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), (0.05, 0.05)),
 ])
 def test_bisection_bit_equal_to_scipy(kernel, params):
+    h, tau = params
     from scipy.optimize import bisect
     W, a = _W_and_a(kernel)
     xtol = BISECT_TOL / 4.0
-    for level in (params.h, params.h + params.tau):
+    for level in (h, h + tau):
         expected = bisect(lambda s: W(2.0 * s) - level, 0.0, a, xtol=xtol, maxiter=200)
         assert solve_delta(W, level, a) == expected
-    delta_plus = solve_delta(W, params.h + params.tau, a)
-    expected = bisect(lambda x: indicator_convolution(W, delta_plus, x) - params.h,
+    delta_plus = solve_delta(W, h + tau, a)
+    expected = bisect(lambda x: indicator_convolution(W, delta_plus, x) - h,
                       delta_plus, a, xtol=xtol, maxiter=200)
-    assert find_d(W, delta_plus, params.h, a) == expected
+    assert find_d(W, delta_plus, h, a) == expected
 
 
 def test_bisection_rejects_non_bracketing_interval():
@@ -105,7 +106,7 @@ def test_find_d_no_such_d():
 def test_degenerate_sandwich_is_a_failed_solve(tau):
     # h + tau rounds to h, so delta_minus = delta_plus: no order interval
     kernel = ExponentialKernel()
-    sw = solve_sandwich(kernel, ModelParams(H, tau))
+    sw = solve_sandwich(kernel, H, tau)
     assert sw.delta_minus is sw.delta_plus is sw.d is None
     assert str(sw.failure).startswith("degenerate sandwich: ")
     with pytest.raises(NeurofieldError, match="degenerate sandwich"):
@@ -114,7 +115,7 @@ def test_degenerate_sandwich_is_a_failed_solve(tau):
 
 def test_build_bounds_reference():
     kernel = ExponentialKernel()
-    bb = build_bounds(kernel, solve_sandwich(kernel, ModelParams(H, TAU)), 800)
+    bb = build_bounds(kernel, solve_sandwich(kernel, H, TAU), 800)
     assert bb.delta_minus == pytest.approx(DELTA_MINUS_EXACT, abs=1e-10)
     assert bb.delta_plus == pytest.approx(DELTA_PLUS_EXACT, abs=1e-10)
     assert bb.d == pytest.approx(D_EXACT, abs=1e-10)
@@ -134,23 +135,24 @@ def test_tabulated_table_edge_is_not_overrun():
     # check's probe, out to 40, samples the kernel past its edge, where it is 0)
     table = Grid(-12.0, 12.0, 2400)
     kernel = TabulatedKernel(table, GaussianKernel()(table.nodes()))
-    params = ModelParams(0.1, 0.2)
-    rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
-    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
+    h, tau = 0.1, 0.2
+    rep = check_assumptions(kernel, RatioFiring(2.0, tau), h)
+    bb = build_bounds(kernel, solve_sandwich(kernel, h, tau), 200)
     assert rep.verdict == "pass" and 2.0 * rep.a == 12.0
     assert bb.d == rep.d
 
 
 @pytest.mark.parametrize("kernel, params", [
-    (ExponentialKernel(), ModelParams(0.1, 0.2)),
-    (GaussianKernel(), ModelParams(0.1, 0.2)),
-    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+    (ExponentialKernel(), (0.1, 0.2)),
+    (GaussianKernel(), (0.1, 0.2)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), (0.05, 0.05)),
 ])
 def test_check_and_bounds_allocate_under_a_megabyte(kernel, params):
+    h, tau = params
     # W is a closed form: no table of the cumulative integral is allocated
     tracemalloc.start()
     try:
-        rep = check_assumptions(kernel, RatioFiring(2.0, params.tau), params)
+        rep = check_assumptions(kernel, RatioFiring(2.0, tau), h)
         build_bounds(kernel, rep.sandwich, 800)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -161,7 +163,7 @@ def test_check_and_bounds_allocate_under_a_megabyte(kernel, params):
 def test_build_bounds_rejects_odd_n():
     with pytest.raises(ValueError):
         kernel = ExponentialKernel()
-        build_bounds(kernel, solve_sandwich(kernel, ModelParams(H, TAU)), 801)
+        build_bounds(kernel, solve_sandwich(kernel, H, TAU), 801)
 
 
 def test_bump_bounds_validation():
@@ -176,18 +178,19 @@ def test_bump_bounds_validation():
     assert bb.gap_norm() == pytest.approx(0.1)
 
 
-@pytest.mark.parametrize("kernel,params", [
-    (ExponentialKernel(), ModelParams(0.1, 0.2)),
-    (GaussianKernel(), ModelParams(0.1, 0.2)),
-    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)),
+@pytest.mark.parametrize("kernel, params", [
+    (ExponentialKernel(), (0.1, 0.2)),
+    (GaussianKernel(), (0.1, 0.2)),
+    (MexicanHatKernel(3.0, 2.0, 1.0, 1.0), (0.05, 0.05)),
 ])
 def test_heaviside_stationarity_battery(kernel, params):
-    bb = build_bounds(kernel, solve_sandwich(kernel, params), 400)
+    h, tau = params
+    bb = build_bounds(kernel, solve_sandwich(kernel, h, tau), 400)
     probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 8000)
     report = verify_heaviside_stationarity(kernel, bb, probe)
     assert report["ok"], report["checks"]
-    assert report["h"] == pytest.approx(params.h, abs=1e-10)
-    assert report["h_plus_tau"] == pytest.approx(params.h + params.tau, abs=1e-10)
+    assert report["h"] == pytest.approx(h, abs=1e-10)
+    assert report["h_plus_tau"] == pytest.approx(h + tau, abs=1e-10)
 
 
 def test_heaviside_battery_random_feasible_params():
@@ -198,7 +201,7 @@ def test_heaviside_battery_random_feasible_params():
         tau = rng.uniform(0.05, 0.5)
         if h + tau >= 0.45:  # keep below the half-line kernel mass W(inf) = 0.5
             continue
-        bb = build_bounds(k, solve_sandwich(k, ModelParams(h, tau)), 200)
+        bb = build_bounds(k, solve_sandwich(k, h, tau), 200)
         probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 4000)
         assert verify_heaviside_stationarity(k, bb, probe)["ok"]
 
@@ -206,7 +209,7 @@ def test_heaviside_battery_random_feasible_params():
 def test_heaviside_battery_negative_control():
     # perturbing the claimed delta_minus must break the battery
     k = ExponentialKernel()
-    bb = build_bounds(k, solve_sandwich(k, ModelParams(H, TAU)), 400)
+    bb = build_bounds(k, solve_sandwich(k, H, TAU), 400)
     probe = Grid(-4.0 * bb.d, 4.0 * bb.d, 8000)
     for factor in (0.9, 1.1):
         fake = BumpBounds(bb.delta_minus * factor, bb.delta_plus, bb.d,

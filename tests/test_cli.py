@@ -147,13 +147,13 @@ def test_certify_deterministic(tmp_path):
 
 
 def test_certify_delta_too_large_exit_1(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"dynamics": {"delta": 0.01, "epsilon_ball": 0.05}})
+    cfg = write_cfg(tmp_path, {"dynamics": {"delta": 0.01}})
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out",
                 "--quiet"]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert "dynamics.delta" in err
-    assert "epsilon_ball = 0.05" in err
+    assert err.startswith("config error: dynamics.delta: delta = 0.01 is not below ")
+    assert err.endswith("epsilon_ball is the default 0.05 * sup|u_tilde|")
 
 
 @pytest.mark.parametrize("overrides, rc", [({"model": {"h": 0.45}}, 2),
@@ -592,7 +592,7 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
     # there and the extension grid's lag lines reach past it, where the table
     # is 0 by definition.  Neither certify process warns, and both pass.
     x = np.linspace(-12.0, 12.0, 2401)
-    for kernel, dynamics in ((GaussianKernel(), {"epsilon_ball": 0.05}),
+    for kernel, dynamics in ((GaussianKernel(), {"delta": 1e-4}),
                              (ExponentialKernel(), {})):
         work = tmp_path / type(kernel).__name__
         work.mkdir()
@@ -618,7 +618,7 @@ def test_simulate_rejects_edited_kernel_csv(tmp_path):
     table = np.column_stack([x, GaussianKernel()(x)])
     np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
     cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
-                               "dynamics": {"epsilon_ball": 0.05}})
+                               "dynamics": {"delta": 1e-4}})
     out = tmp_path / "out"
     for command in ("solve", "spectrum", "simulate"):
         assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -698,6 +698,7 @@ def test_config_schema_is_valid():
     {"dynamics": {"dt": -0.01, "scheme": "euler"}},
     {"dynamics": {"dt": 0.5}},
     {"grid": {"n": 1}},
+    {"dynamics": {"epsilon_ball": 0.05}},
 ])
 def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, overrides):
     from jsonschema import ValidationError, validate
@@ -746,7 +747,7 @@ FULL_CFG = {
     "model": {"h": 0.1},
     "grid": {"n": 800},
     "solver": {"newton_tol": 1e-12},
-    "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3, "epsilon_ball": None},
+    "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3},
     "output": {"directory": "out"},
 }
 #: wrong types, bools, integer-valued floats, zero, bounds and their neighbours
@@ -846,8 +847,7 @@ FUZZ_BASES = [
 FUZZ_LOG10 = {"K": (0.0, 1.0), "k": (0.0, 1.0), "M": (-0.5, 0.5), "m": (-0.5, 0.5),
               "p": (0.05, 0.6), "tau": (-2.0, -0.5), "h": (-2.0, -0.5),
               "newton_tol": (-14.0, -6.0),
-              "dt": (-2.3, -1.0), "t_end": (-1.0, 0.3), "delta": (-5.0, -2.0),
-              "epsilon_ball": (-3.0, -1.0)}
+              "dt": (-2.3, -1.0), "t_end": (-1.0, 0.3), "delta": (-5.0, -2.0)}
 #: small ranges of the integer keys, drawn as ints and integer-valued floats
 FUZZ_INTS = {"n": (2, 40)}
 FUZZ_EDGES = [5e-324, 1e300, 1.0, 2.0, 3.0]
@@ -868,8 +868,7 @@ def fuzz_value(key: str, spec: dict):
         usual = ints | ints.map(float)
     else:
         usual = st.floats(*FUZZ_LOG10[key]).map(lambda e: 10.0 ** e)
-    values = st.integers(0, 3).flatmap(lambda i: usual if i else st.sampled_from(FUZZ_EDGES))
-    return values | st.none() if "null" in spec["type"] else values
+    return st.integers(0, 3).flatmap(lambda i: usual if i else st.sampled_from(FUZZ_EDGES))
 
 
 @st.composite
@@ -1052,7 +1051,7 @@ def test_overflowing_config_prints_one_line(tmp_path, capsys, overrides, rc, sta
 
 @pytest.mark.parametrize("number, literal, key", [
     ('"h": 0.1', '"h": NaN', "at h: nan"),
-    ('"delta": 0.001', '"delta": 0.001, "epsilon_ball": Infinity', "at epsilon_ball: inf"),
+    ('"t_end": 5.0', '"t_end": Infinity', "at t_end: inf"),
     ('"delta": 0.001', '"delta": 1e999', "at delta: inf"),
 ], ids=["NaN", "Infinity", "overflow"])
 def test_non_finite_number_exit_1(tmp_path, capsys, number, literal, key):

@@ -20,6 +20,12 @@ def setup(coarse_setup):
     return {"ctx": ctx_big, "u": u_tilde, "lam": lam, "vec": vec}
 
 
+def _step(ctx, u, dt=0.01):
+    """One RK4 step of a run started from the whole-line values u, as
+    whole-line values."""
+    return LineState(ctx, u, u).step(dt).values()
+
+
 def test_sim_config_validation():
     SimConfig(dt=0.05, t_end=10.0)
     with pytest.raises(ValueError):
@@ -59,8 +65,7 @@ def test_stage_factors_keep_the_one_sided_guard_sound(setup):
 
 
 def test_equilibrium_is_stationary(setup):
-    cfg = SimConfig(dt=0.05, t_end=1.0)
-    out = step_values(setup["ctx"], setup["u"].values, cfg)
+    out = _step(setup["ctx"], setup["u"].values, 0.05)
     assert np.max(np.abs(out - setup["u"].values)) < 1e-12
 
 
@@ -72,7 +77,7 @@ def test_zero_stays_zero(setup):
 
 
 def _matches_whole_grid_step(ctx, u, dt):
-    out = step_values(ctx, u, SimConfig(dt=dt))
+    out = _step(ctx, u, dt)
     ref = whole_grid_rk4_step(ctx, u, dt)
     return np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(u))
 
@@ -89,7 +94,7 @@ def test_window_step_matches_whole_grid_step(kernel_setup):
     ctx, fp = kernel_setup["ctx"], kernel_setup["fp"]
     extra = 15 * ctx.grid.n // 2
     L = ctx.grid.hi + extra * ctx.grid.dx
-    big = OperatorContext(ctx.kernel, ctx.firing, ctx.params,
+    big = OperatorContext(ctx.kernel, ctx.firing, ctx.h,
                           Grid(-L, L, ctx.grid.n + 2 * extra))
     u = extend_bump(big, fp.u_star).values
     x = big.grid.nodes()
@@ -115,7 +120,7 @@ def test_window_step_matches_whole_grid_step_property(setup, amplitude, bumps):
 def test_stage_crossing_outside_window_reruns_on_whole_grid(setup):
     # a saturated plateau, and just outside its step window a stretch that
     # sits 1e-9 below h while T there exceeds h: the second stage fires there
-    ctx, h, dt = setup["ctx"], setup["ctx"].params.h, 0.1
+    ctx, h, dt = setup["ctx"], setup["ctx"].h, 0.1
     n = ctx.grid.n
     u = np.zeros(n + 1)
     u[n // 2 - 50:n // 2 + 50] = 1.0
@@ -131,11 +136,11 @@ def test_stage_crossing_outside_window_reruns_on_whole_grid(setup):
 def test_zero_and_nan_states_step_as_on_the_whole_grid(setup):
     ctx = setup["ctx"]
     zero = np.zeros(ctx.grid.n_nodes)
-    out = step_values(ctx, zero, SimConfig())
+    out = _step(ctx, zero)
     assert np.array_equal(out, zero)
     assert np.array_equal(out, whole_grid_rk4_step(ctx, zero, 0.01))
     nan = np.full(ctx.grid.n_nodes, np.nan)
-    assert np.all(np.isnan(step_values(ctx, nan, SimConfig())))
+    assert np.all(np.isnan(_step(ctx, nan)))
     assert np.all(np.isnan(whole_grid_rk4_step(ctx, nan, 0.01)))
 
 
@@ -238,8 +243,7 @@ def test_escape_run_builds_the_line_at_most_once(ref_ctx_big, ref_u_tilde, ref_p
         return convolve(self, src, lo, hi, out_lo, out_hi)
     monkeypatch.setattr(OperatorContext, "_convolve", counted)
     out = instability_experiment(ref_ctx_big, ref_u_tilde, ref_power[1],
-                                 SimConfig(dt=0.01, t_end=5.0, delta=1e-3,
-                                           epsilon_ball=0.05 * ref_u_tilde.sup_norm()),
+                                 SimConfig(dt=0.01, t_end=5.0, delta=1e-3),
                                  ref_power[0])
     assert len(out["trajectory"].times) == 74
     assert whole[0] <= 2 and materializations[0] == 0
@@ -273,7 +277,7 @@ def test_perturbations_grow_both_ways(setup):
 
 def test_growth_rate_matches_spectrum(setup):
     out = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                 SimConfig(dt=0.01, t_end=5.0, delta=1e-3, epsilon_ball=0.05),
+                                 SimConfig(dt=0.01, t_end=5.0, delta=1e-3),
                                  lambda_max=setup["lam"])
     expected = setup["lam"] - 1.0
     assert out["growth_rate"] == pytest.approx(expected, rel=0.1)
@@ -283,8 +287,9 @@ def test_growth_rate_matches_spectrum(setup):
 
 def test_experiment_stops_at_escape(setup):
     ctx, u, vec = setup["ctx"], setup["u"], setup["vec"]
-    delta, eps = 1e-3, 0.05
-    cfg = SimConfig(dt=0.01, t_end=5.0, delta=delta, epsilon_ball=eps)
+    delta = 1e-3
+    cfg = SimConfig(dt=0.01, t_end=5.0, delta=delta)
+    eps = cfg.ball(u)
     out = instability_experiment(ctx, u, vec, cfg, lambda_max=setup["lam"])
     traj = out["trajectory"]
     assert traj.deviation_sup[-1] >= eps
@@ -303,8 +308,7 @@ def test_experiment_stops_at_escape(setup):
 
 def test_escape_time_shifts_with_delta(setup):
     t1, t2 = (instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                     SimConfig(dt=0.01, t_end=5.0, delta=delta,
-                                               epsilon_ball=0.05),
+                                     SimConfig(dt=0.01, t_end=5.0, delta=delta),
                                      lambda_max=setup["lam"])["escape_time"]
               for delta in (1e-3, 1e-4))
     shift = np.log(10.0) / (setup["lam"] - 1.0)
@@ -315,47 +319,40 @@ def test_no_escape_raised(setup):
     # a deviation still inside the ball at t_end raises nothing: the
     # experiment reports a null escape time over the whole trajectory
     out = instability_experiment(setup["ctx"], setup["u"], setup["vec"],
-                                 SimConfig(dt=0.01, t_end=0.1, delta=1e-6, epsilon_ball=0.05),
+                                 SimConfig(dt=0.01, t_end=0.1, delta=1e-6),
                                  lambda_max=setup["lam"])
     traj = out["trajectory"]
     assert setup["lam"] > 1.0 + 1e-6
     assert out["escape_time"] is None
     assert len(traj.times) == 11 and traj.times[-1] == pytest.approx(0.1)
-    assert np.max(traj.deviation_sup) < 0.05
+    assert np.max(traj.deviation_sup) < 0.05 * setup["u"].sup_norm()
 
 
 def test_experiment_input_validation(setup):
-    cfg = SimConfig(dt=0.01, t_end=1.0, delta=0.04, epsilon_ball=0.05)
-    with pytest.raises(ConfigError) as exc:
+    cfg = SimConfig(dt=0.01, t_end=1.0, delta=0.04)
+    with pytest.raises(ConfigError, match=r"^dynamics\.delta: delta = 0\.04 "):
         instability_experiment(setup["ctx"], setup["u"], setup["vec"], cfg, setup["lam"])
-    assert str(exc.value) == (
-        "dynamics.delta: delta = 0.04 is not below epsilon_ball / 10 = 0.005 "
-        "(epsilon_ball = 0.05), so no linear growth window fits inside the ball; "
-        "epsilon_ball is dynamics.epsilon_ball")
     bad_dir = Profile(setup["ctx"].grid, 0.5 * setup["vec"].values)
     with pytest.raises(ValueError):
         instability_experiment(setup["ctx"], setup["u"], bad_dir,
-                               SimConfig(dt=0.01, t_end=1.0, epsilon_ball=0.05),
-                               setup["lam"])
+                               SimConfig(dt=0.01, t_end=1.0), setup["lam"])
 
 
-@pytest.mark.parametrize("epsilon_ball, source", [
-    (0.05, "dynamics.epsilon_ball"), (None, "the default 0.05 * sup|u_tilde|")])
-def test_delta_error_names_the_ball_source(setup, monkeypatch, epsilon_ball, source):
-    # the ball is the configured one, or 0.05 sup|u_tilde| without one; the
-    # check refuses delta before any step runs
+def test_delta_error_names_the_ball_source(setup, monkeypatch):
+    # the ball is 0.05 sup|u_tilde|, and the error says so; the check refuses
+    # delta before any step runs
     def refuse(*args, **kwargs):
         raise AssertionError("a step ran")
     monkeypatch.setattr("neurofield.dynamics.step_values", refuse)
-    cfg = SimConfig(dt=0.01, t_end=1.0, delta=0.01, epsilon_ball=epsilon_ball)
-    ball = 0.05 * setup["u"].sup_norm() if epsilon_ball is None else epsilon_ball
+    cfg = SimConfig(dt=0.01, t_end=1.0, delta=0.01)
+    ball = 0.05 * setup["u"].sup_norm()
     assert cfg.ball(setup["u"]) == ball and ball / 10.0 <= 0.01
     with pytest.raises(ConfigError) as exc:
         instability_experiment(setup["ctx"], setup["u"], setup["vec"], cfg, setup["lam"])
     assert str(exc.value) == (
         f"dynamics.delta: delta = 0.01 is not below epsilon_ball / 10 = {ball / 10.0:.6g} "
         f"(epsilon_ball = {ball:.6g}), so no linear growth window fits inside the ball; "
-        f"epsilon_ball is {source}")
+        "epsilon_ball is the default 0.05 * sup|u_tilde|")
 
 
 class _ExpFiring:
@@ -367,7 +364,7 @@ class _ExpFiring:
 
 def test_overflow_raises_non_finite_with_partial_trajectory(setup):
     ctx = setup["ctx"]
-    blowup = OperatorContext(ctx.kernel, _ExpFiring(), ctx.params, ctx.grid)
+    blowup = OperatorContext(ctx.kernel, _ExpFiring(), ctx.h, ctx.grid)
     g = ctx.grid
     zero = Profile(g, np.zeros(g.n_nodes))
     u0 = Profile(g, np.full(g.n_nodes, 3.0))
@@ -395,9 +392,9 @@ def test_nan_state_raises_non_finite(setup):
     # stays in T's source and spreads over the whole next state
     u0 = u.values.copy()
     u0[0] = np.nan
-    assert np.all(np.isnan(step_values(ctx, u0, SimConfig())))
+    assert np.all(np.isnan(_step(ctx, u0)))
     # a firing rate yielding NaN stops the simulation after its first step
-    poisoned = OperatorContext(ctx.kernel, _NanFiring(), ctx.params, ctx.grid)
+    poisoned = OperatorContext(ctx.kernel, _NanFiring(), ctx.h, ctx.grid)
     with pytest.raises(NonFinite) as info:
         simulate(poisoned, u, u, SimConfig(dt=0.01, t_end=1.0))
     assert len(info.value.trajectory.times) == 1

@@ -1,17 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds, solve_sandwich
-from neurofield.fixedpoint import (DENSE_NODE_LIMIT, TAIL_TOL, OperatorContext,
-                                   compute_epsilon, extend_bump, fast_fft_len,
-                                   gmres, make_extension_grid, newton_step,
-                                   solve_third_fixed_point, tail_extension)
+from neurofield.fixedpoint import (DENSE_NODE_LIMIT, NEWTON_TOL, TAIL_TOL,
+                                   OperatorContext, compute_epsilon, extend_bump,
+                                   fast_fft_len, gmres, make_extension_grid,
+                                   newton_step, solve_third_fixed_point,
+                                   tail_extension)
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring,
+                              MexicanHatKernel, RatioFiring,
                               TabulatedKernel)
 from neurofield.spectral import Linearization, spectral_radius
 from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
@@ -45,18 +47,25 @@ def test_apply_T_grid_mismatch(ref_ctx):
 
 
 def test_operator_context_validation(ref_model):
-    kernel, firing, params = ref_model
+    kernel, firing, h = ref_model
     with pytest.raises(ValueError):
-        OperatorContext(kernel, firing, params, Grid(0.0, 1.0, 10))
+        OperatorContext(kernel, firing, h, Grid(0.0, 1.0, 10))
     with pytest.raises(ValueError):
-        OperatorContext(kernel, firing, params, Grid(-1.0, 1.0, 11))
+        OperatorContext(kernel, firing, h, Grid(-1.0, 1.0, 11))
+    # the one place h > 0 is checked; the assumption check reports it as a
+    # failed sandwich instead
+    grid = Grid(-1.0, 1.0, 10)
+    assert OperatorContext(kernel, firing, h, grid).h == h
+    for bad in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"need h > 0, got h={bad}")):
+            OperatorContext(kernel, firing, bad, grid)
 
 
 def test_fft_path_matches_dense(ref_model, coarse_setup):
     # apply_weighted is one circular FFT convolution over the source's nonzero
     # window on every grid; its oracles are a chunked direct sum everywhere and
     # the dense kernel matrix on grids small enough to hold it
-    _, firing, params = ref_model
+    _, firing, h = ref_model
     table = Grid(-64.0, 64.0, 6400)
     kernels = (ExponentialKernel(), GaussianKernel(),
                MexicanHatKernel(3.0, 2.0, 1.0, 1.0),
@@ -80,7 +89,7 @@ def test_fft_path_matches_dense(ref_model, coarse_setup):
             sources[support, col] = rng.normal(size=sources[support, col].shape)
         x = g.nodes()
         for kernel in kernels:
-            ctx = OperatorContext(kernel, firing, params, g)
+            ctx = OperatorContext(kernel, firing, h, g)
             fft = np.column_stack([ctx.apply_weighted(s) for s in sources.T])
             # a second call reuses the cached kernel spectra
             assert np.array_equal(ctx.apply_weighted(sources[:, 1]), fft[:, 1])
@@ -104,7 +113,7 @@ def test_apply_T_values_windows_the_source(ref_ctx_big, ref_u_tilde):
     x = ctx.grid.nodes()
     for values in (ref_u_tilde.values,
                    ref_u_tilde.values + 1e-3 * np.cos(x) * np.exp(-np.abs(x))):
-        whole = ctx.apply_weighted(ctx.weights * ctx.firing(values - ctx.params.h))
+        whole = ctx.apply_weighted(ctx.weights * ctx.firing(values - ctx.h))
         assert np.max(np.abs(ctx.apply_T_values(values) - whole)) < 1e-12
     assert np.array_equal(ctx.apply_T_values(np.zeros(ctx.grid.n_nodes)),
                           np.zeros(ctx.grid.n_nodes))
@@ -124,9 +133,9 @@ def test_epsilon_positive_and_stable(ref_epsilon, ref_model, ref_bounds):
     assert ref_epsilon > 0.0
     assert ref_epsilon < ref_bounds.gap_norm()
     # refining the grid moves epsilon by less than 10 percent
-    kernel, firing, params = ref_model
-    bb2 = build_bounds(kernel, solve_sandwich(kernel, params), 1600)
-    ctx2 = OperatorContext(kernel, firing, params, bb2.grid)
+    kernel, firing, h = ref_model
+    bb2 = build_bounds(kernel, solve_sandwich(kernel, h, firing.tau), 1600)
+    ctx2 = OperatorContext(kernel, firing, h, bb2.grid)
     eps2 = compute_epsilon(ctx2, bb2)
     assert abs(eps2 - ref_epsilon) <= 0.1 * ref_epsilon
 
@@ -184,15 +193,20 @@ def test_third_fixed_point_reference(ref_fp, ref_bounds):
     assert u[i0] == pytest.approx(0.2130, abs=5e-4)
 
 
+def test_fixed_point_records_its_newton_tol(ref_ctx, ref_bounds, ref_fp):
+    # fixedpoint.json takes the tolerance from the result Newton returned
+    assert ref_fp.newton_tol == ref_fp.to_dict()["newton_tol"] == 1e-12
+    assert solve_third_fixed_point(ref_ctx, ref_bounds).newton_tol == NEWTON_TOL
+
+
 def test_third_fixed_point_refinement_order(ref_fp):
     # midpoint value converges at second order in the spacing
     vals = {}
     kernel = ExponentialKernel()
     firing = RatioFiring(P, TAU)
-    params = ModelParams(H, TAU)
     for n in (200, 400):
-        bb = build_bounds(kernel, solve_sandwich(kernel, params), n)
-        ctx = OperatorContext(kernel, firing, params, bb.grid)
+        bb = build_bounds(kernel, solve_sandwich(kernel, H, TAU), n)
+        ctx = OperatorContext(kernel, firing, H, bb.grid)
         fp = solve_third_fixed_point(ctx, bb, tol=1e-12)
         vals[n] = fp.u_star.values[n // 2]
     ref = ref_fp.u_star.values[400]
@@ -204,9 +218,9 @@ def test_third_fixed_point_refinement_order(ref_fp):
 def test_newton_limit_outside_the_order_interval_is_rejected():
     # at p = 300 the starts 0.5 and 0.35 diverge and 0.65 converges to the
     # trivial fixed point u = 0, below u_minus; the start 0.25 finds the bump
-    kernel, params = ExponentialKernel(), ModelParams(H, TAU)
-    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
-    ctx = OperatorContext(kernel, RatioFiring(300.0, TAU), params, bb.grid)
+    kernel = ExponentialKernel()
+    bb = build_bounds(kernel, solve_sandwich(kernel, H, TAU), 200)
+    ctx = OperatorContext(kernel, RatioFiring(300.0, TAU), H, bb.grid)
     fp = solve_third_fixed_point(ctx, bb)
     u = fp.u_star.values
     assert np.all(bb.u_minus.values <= u) and np.all(u <= bb.u_plus.values)
@@ -280,9 +294,9 @@ def test_tail_extension_bounds_the_kernel_magnitude():
 def test_mexican_hat_line_reaches_its_decayed_tail():
     # the whole-line bump and principal vector of a mexican hat have decayed
     # at both ends of the line, past the kernel's inhibitory lobe
-    kernel, params = MexicanHatKernel(3.0, 2.0, 1.0, 1.0), ModelParams(0.05, 0.05)
-    bb = build_bounds(kernel, solve_sandwich(kernel, params), 200)
-    ctx = OperatorContext(kernel, RatioFiring(P, 0.05), params,
+    kernel = MexicanHatKernel(3.0, 2.0, 1.0, 1.0)
+    bb = build_bounds(kernel, solve_sandwich(kernel, 0.05, 0.05), 200)
+    ctx = OperatorContext(kernel, RatioFiring(P, 0.05), 0.05,
                           make_extension_grid(kernel, bb.grid))
     lin = Linearization(ctx, extend_bump(ctx, solve_third_fixed_point(ctx, bb).u_star))
     v = spectral_radius(lin, *lin.eigensolve(1))[1].values
@@ -313,7 +327,7 @@ def test_extension_grid_embeds(ref_model):
     # the [-d, d] nodes are the centred window of the line built around them,
     # for every kernel family and several (d, n); a window whose subinterval
     # count differs from the line's in parity, or does not fit, has none
-    _, firing, params = ref_model
+    _, firing, h = ref_model
     table = Grid(-12.0, 12.0, 2400)
     kernels = (ExponentialKernel(), GaussianKernel(),
                MexicanHatKernel(3.0, 2.0, 1.0, 1.0),
@@ -321,8 +335,7 @@ def test_extension_grid_embeds(ref_model):
     for kernel in kernels:
         for d, n in ((0.3, 2), (1.5567, 200), (1.5567, 800), (4.0, 1000)):
             grid_d = Grid(-d, d, n)
-            ctx = OperatorContext(kernel, firing, params,
-                                  make_extension_grid(kernel, grid_d))
+            ctx = OperatorContext(kernel, firing, h, make_extension_grid(kernel, grid_d))
             k = ctx.centred(n)
             assert ctx.grid.dx == pytest.approx(grid_d.dx, rel=1e-12)
             assert (np.max(np.abs(ctx.grid.nodes()[k:k + n + 1] - grid_d.nodes()))
@@ -354,7 +367,7 @@ def test_extend_bump_matches_direct_sum(ref_ctx, ref_fp, ref_ctx_big, ref_u_tild
     assert c["ctx_big"].grid.n_nodes <= DENSE_NODE_LIMIT < ref_ctx_big.grid.n_nodes
     for ctx, fp, ctx_big, u_tilde in ((ref_ctx, ref_fp, ref_ctx_big, ref_u_tilde),
                                       (c["ctx"], c["fp"], c["ctx_big"], c["u_tilde"])):
-        gain = Profile(ctx.grid, ctx.firing(fp.u_star.values - ctx.params.h))
+        gain = Profile(ctx.grid, ctx.firing(fp.u_star.values - ctx.h))
         direct = apply_integral_operator(ctx.kernel, gain, ctx_big.grid)
         assert np.max(np.abs(u_tilde.values - direct.values)) < 1e-12
 

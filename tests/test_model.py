@@ -7,7 +7,7 @@ import pytest
 from neurofield.errors import NotDifferentiable
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, RatioFiring,
+                              MexicanHatKernel, RatioFiring,
                               TabulatedKernel)
 
 
@@ -262,11 +262,3 @@ def test_ratio_firing_rejects_bad_params():
         RatioFiring(0.0, 0.2)
     with pytest.raises(ValueError):
         RatioFiring(2.0, -1.0)
-
-
-def test_model_params_validation():
-    ModelParams(0.1, 0.2)
-    with pytest.raises(ValueError):
-        ModelParams(0.0, 0.2)
-    with pytest.raises(ValueError):
-        ModelParams(0.1, 0.0)

@@ -11,7 +11,7 @@ from conftest import DELTA_PLUS_EXACT, D_EXACT, W_exp
 from neurofield.bounds import solve_sandwich
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
-                              MexicanHatKernel, ModelParams, TabulatedKernel)
+                              MexicanHatKernel, TabulatedKernel)
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
 from oracles import apply_integral_operator, sample
 
@@ -31,7 +31,7 @@ _ODD_TABULATED = TabulatedKernel(_ODD_TABLE, ExponentialKernel()(_ODD_TABLE.node
 
 def _two_a(kernel) -> float:
     """2a of the sandwich, which does not depend on the model parameters."""
-    return 2.0 * solve_sandwich(kernel, ModelParams(0.1, 0.1)).a
+    return 2.0 * solve_sandwich(kernel, 0.1, 0.1).a
 
 
 def _bits(x) -> bytes:

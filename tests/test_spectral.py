@@ -8,7 +8,6 @@ from neurofield.bounds import build_bounds
 from neurofield.errors import NoConvergence
 from neurofield.fixedpoint import OperatorContext, solve_third_fixed_point
 from neurofield.grids import Grid, Profile
-from neurofield.model import ExponentialKernel, ModelParams, RatioFiring
 from neurofield.spectral import (Linearization, derivative_profile,
                                  instability_certificate, lanczos,
                                  remainder_exponent_fit,
@@ -64,9 +63,9 @@ def test_rank_one_oracle(ref_model):
         def positive_radius(self):
             return math.inf
 
-    _, firing, params = ref_model
+    _, firing, h = ref_model
     g = Grid(-1.0, 1.0, 100)
-    ctx = OperatorContext(FlatKernel(), firing, params, g)
+    ctx = OperatorContext(FlatKernel(), firing, h, g)
     u = Profile(g, np.full(g.n_nodes, H + TAU / 2.0))  # gain p/tau = 10
     lin = Linearization(ctx, u)
     # rank one: single nonzero eigenvalue 0.25 * 10 * 2; Lanczos breaks down
@@ -220,7 +219,7 @@ def test_derivative_profile_matches_full_block(ref_ctx, ref_fp):
     # only the supra-threshold columns of the kernel-derivative block count
     u = ref_fp.u_star.values
     x = ref_ctx.grid.nodes()
-    wv = ref_ctx.weights * ref_ctx.firing(u - ref_ctx.params.h)
+    wv = ref_ctx.weights * ref_ctx.firing(u - ref_ctx.h)
     assert 0 < np.count_nonzero(wv) < len(wv)
     full = ref_ctx.kernel.deriv(x[:, None] - x[None, :]) @ wv
     up = derivative_profile(ref_ctx, ref_fp.u_star).values
