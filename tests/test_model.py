@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neurofield.errors import NotDifferentiable
+from neurofield.fixedpoint import OperatorContext
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, RatioFiring,
@@ -262,3 +263,14 @@ def test_ratio_firing_rejects_bad_params():
         RatioFiring(0.0, 0.2)
     with pytest.raises(ValueError):
         RatioFiring(2.0, -1.0)
+
+
+def test_model_params_validation():
+    # each model setting is validated by its one owner: tau by RatioFiring,
+    # h by OperatorContext
+    kernel, grid = ExponentialKernel(), Grid(-1.0, 1.0, 10)
+    OperatorContext(kernel, RatioFiring(2.0, 0.2), 0.1, grid)
+    with pytest.raises(ValueError):
+        OperatorContext(kernel, RatioFiring(2.0, 0.2), 0.0, grid)
+    with pytest.raises(ValueError):
+        RatioFiring(2.0, 0.0)
