@@ -19,14 +19,21 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import hashlib
+import io
 import json
 import math
 import sys
-import tempfile
 from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto for it
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -152,7 +159,8 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def build_kernel(cfg: dict, base: Path):
+def build_kernel(cfg: dict, base: Path, csv: bytes):
+    """The kernel of cfg; a tabulated one is parsed from csv, its table's bytes."""
     spec = cfg["kernel"]
     ktype = spec["type"]
     if ktype == "exponential":
@@ -166,9 +174,8 @@ def build_kernel(cfg: dict, base: Path):
             raise ConfigError(f"mexican_hat kernel: {exc}") from exc
     path = base / spec["csv"]
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read kernel.csv: {exc}") from exc
+        # universal newlines, as loadtxt reads a file opened by path
+        data = np.loadtxt(io.StringIO(csv.decode(), newline=None), delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"kernel.csv {path} is not a numeric table: {exc}") from exc
     if data.shape[0] < 2 or data.shape[1] < 2:
@@ -183,26 +190,19 @@ def build_kernel(cfg: dict, base: Path):
         raise ConfigError(f"kernel.csv {path}: {exc}") from exc
 
 
-def build_objects(cfg: dict, base: Path):
-    """The kernel, the firing rate (which owns tau) and the threshold h."""
-    kernel = build_kernel(cfg, base)
-    return kernel, RatioFiring(cfg["firing"]["p"], cfg["firing"]["tau"]), cfg["model"]["h"]
-
-
 # ---------------------------------------------------------------------------
 # artifact io
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # a fresh name, created with the mode open() gives: the OS applies the
+    # umask, which this process never changes
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
-        # mkstemp makes the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -222,7 +222,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
 def write_npy(path: Path, values: np.ndarray) -> None:
     """values as exact .npy; a whole-line profile's x is np.linspace(-L, L, values.size)."""
-    import io
     buf = io.BytesIO()
     np.save(buf, values, allow_pickle=False)
     _atomic_write(path, buf.getvalue())
@@ -270,14 +269,26 @@ class Run:
         """Hash of the config sections ``stage`` depends on; a tabulated
         kernel contributes the bytes of its CSV, not just its path."""
         payload = {s: self.cfg.get(s, {}) for s in _STAGE_SECTIONS[stage]}
-        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
-        if self.cfg["kernel"]["type"] == "tabulated":
-            digest.update((self.base / self.cfg["kernel"]["csv"]).read_bytes())
-        return digest.hexdigest()[:16]
+        return sha256(json.dumps(payload, sort_keys=True).encode()
+                      + self.kernel_csv).hexdigest()[:16]
+
+    @cached_property
+    def kernel_csv(self) -> bytes:
+        """A tabulated kernel's CSV (b"" for an analytic one), read once: the
+        kernel is parsed from these bytes and each stamp hashes them."""
+        if self.cfg["kernel"]["type"] != "tabulated":
+            return b""
+        try:
+            return (self.base / self.cfg["kernel"]["csv"]).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read kernel.csv: {exc}") from exc
 
     @cached_property
     def model(self):
-        return build_objects(self.cfg, self.base)
+        """The kernel, the firing rate (which owns tau) and the threshold h."""
+        cfg = self.cfg
+        return (build_kernel(cfg, self.base, self.kernel_csv),
+                RatioFiring(cfg["firing"]["p"], cfg["firing"]["tau"]), cfg["model"]["h"])
 
     @cached_property
     def check(self) -> AssumptionReport:

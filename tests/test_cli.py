@@ -417,6 +417,15 @@ def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
         os.umask(old)
 
 
+def test_certify_never_changes_the_umask(tmp_path, monkeypatch):
+    # another thread of the process may be creating files meanwhile
+    def umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", umask)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+
+
 INFEASIBLE_CFGS = {
     "h=0.4": {"model": {"h": 0.4}},
     "p=0.5": {"firing": {"p": 0.5, "tau": 0.2}},
@@ -573,17 +582,22 @@ def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
 
 
 def test_certify_imports_no_scipy(tmp_path):
-    # nor jsonschema: load_config validates a valid config without it
+    # the footprint of a certify in a fresh interpreter: no jsonschema, since
+    # load_config validates a valid config without it, and no _hashlib, whose
+    # OpenSSL the config hash does without where CPython has its own SHA-256
     cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
     script = ("import sys\n"
               "from neurofield.cli import main\n"
               f"rc = main(['certify', '--config', {str(cfg)!r}, '--out', "
               f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
-              "print(rc, sorted(m for m in sys.modules "
-              "if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
+              "print(rc, *sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'jsonschema', '_hashlib')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env(), check=True)
-    assert proc.stdout.split() == ["0", "[]"]
+    rc, *loaded = proc.stdout.split()
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        loaded = [m for m in loaded if m != "_hashlib"]
+    assert (rc, loaded) == ("0", [])
 
 
 def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
@@ -605,7 +619,7 @@ def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0 and proc.stderr == ""
         report = json.loads((work / "out" / "report.json").read_text())
-        table = cli.build_kernel(cli.load_config(cfg), work)
+        table = cli.Run(cli.load_config(cfg), work).model[0]
         assert report["a"] == table.positive_radius() == 6.0
         run_report = json.loads((work / "out" / "run_report.json").read_text())
         assert run_report["stationary_bump_verified"]["value"] is True
@@ -640,6 +654,49 @@ def test_config_hash_of_analytic_kernels_covers_sections_only(tmp_path):
     sections = {s: BASE_CFG[s] for s in ("kernel", "firing", "model")}
     expected = hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()[:16]
     assert json.loads((out / "report.json").read_text())["config_hash"] == expected
+
+
+def test_config_hash_of_a_tabulated_kernel_covers_its_csv_bytes(tmp_path):
+    x = np.linspace(-12.0, 12.0, 241)
+    np.savetxt(tmp_path / "kernel.csv", np.column_stack([x, ExponentialKernel()(x)]),
+               delimiter=",", fmt="%.17g")
+    kernel = {"type": "tabulated", "csv": "kernel.csv"}
+    cfg = write_cfg(tmp_path, {"kernel": kernel})
+    out = tmp_path / "out"
+    assert run(["check", "--config", cfg, "--out", out, "--quiet"]) == 0
+    sections = dict(kernel=kernel, firing=BASE_CFG["firing"], model=BASE_CFG["model"])
+    digest = hashlib.sha256(json.dumps(sections, sort_keys=True).encode())
+    digest.update((tmp_path / "kernel.csv").read_bytes())
+    assert (json.loads((out / "report.json").read_text())["config_hash"]
+            == digest.hexdigest()[:16])
+
+
+def test_tabulated_kernel_csv_is_read_once_per_run(tmp_path):
+    # the kernel is built from the bytes every stamp hashes, even if the file
+    # changes during the run
+    x = np.linspace(-12.0, 12.0, 2401)
+    table = np.column_stack([x, GaussianKernel()(x)])
+    np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
+                               "dynamics": {"delta": 1e-4}})
+    original = (tmp_path / "kernel.csv").read_bytes()
+    config = cli.load_config(cfg)
+    expected = {stage: hashlib.sha256(json.dumps(
+        {s: config.get(s, {}) for s in sections}, sort_keys=True).encode()
+        + original).hexdigest()[:16] for stage, sections in cli._STAGE_SECTIONS.items()}
+    pipeline = cli.Run(config, tmp_path)
+    pipeline.model  # builds the table from the CSV as it is now
+    table[:, 1] *= 1.2
+    np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
+    out = tmp_path / "out"
+    assert cli.cmd_certify(pipeline, out, True)[0] == 0
+    stamps = {p.name: json.loads(p.read_text())["config_hash"] for p in out.glob("*.json")}
+    assert stamps == {"report.json": expected["check"], "bounds.json": expected["bounds"],
+                      "fixedpoint.json": expected["solve"],
+                      "certificate.json": expected["spectrum"],
+                      "dynamics.json": expected["simulate"],
+                      "run_report.json": expected["simulate"]}
+    assert cli.Run(cli.load_config(cfg), tmp_path).config_hash("check") != expected["check"]
 
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -889,7 +946,8 @@ class StepBudgetSpent(Exception):
 def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
     # every config exits 0, 1 or 2 with no escaping exception; 0 with both
     # verdicts passed, 2 with run_report.json or one line naming why, and 1
-    # with one line; a case's cost is bounded by counting its RK4 steps
+    # with one line; a case's cost is bounded by counting its RK4 steps.  Each
+    # exit path is reached by some config
     step_values, steps = neurofield.dynamics.step_values, [0]
 
     def counted(*args):
@@ -902,7 +960,7 @@ def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
     (tmp_path / "kernel.csv").write_text(
         "".join(f"{x!r},{0.5 * math.exp(-abs(x))!r}\n" for x in xs))
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
-    codes = collections.Counter()
+    paths = collections.Counter()
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(fuzz_configs())
@@ -913,10 +971,9 @@ def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
         try:
             rc = run(["certify", "--config", cfg_path, "--out", out, "--quiet"])
         except StepBudgetSpent:
-            codes["cut"] += 1
+            paths["cut"] += 1
             capsys.readouterr()
             return
-        codes[rc] += 1
         stdout, err = capsys.readouterr()
         lines = err.splitlines()
         report = out / "run_report.json"
@@ -926,15 +983,22 @@ def test_certify_exit_code_contract(tmp_path, monkeypatch, capsys):
             assert err == ""
             assert verdicts["stationary_bump_verified"]["value"]
             assert verdicts["instability_verified"]["value"]
+            paths["0"] += 1
+        elif rc == 2 and err == "":
+            assert report.exists()
+            paths["2 run_report.json"] += 1
         elif rc == 2:
-            assert (err == "" and report.exists()
-                    or len(lines) == 1 and lines[0].startswith("infeasible: ")), err
+            assert len(lines) == 1 and lines[0].startswith("infeasible: "), err
+            paths["2 infeasible"] += 1
         else:
             assert rc == 1 and len(lines) == 1, err
             assert lines[0].startswith(("config error: ", "error: ")), err
+            delta = lines[0].startswith("config error: dynamics.delta")
+            paths["1 dynamics.delta" if delta else "1 other"] += 1
 
     contract()
-    assert {0, 1, 2} <= codes.keys(), codes
+    assert all(paths[p] for p in ("0", "2 run_report.json", "2 infeasible",
+                                  "1 dynamics.delta", "1 other")), paths
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
