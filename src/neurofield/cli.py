@@ -3,8 +3,8 @@
 Every command is a prefix of ``certify``: one ``Run`` per invocation computes
 the stages up to the command's own, each at most once and in memory, and
 stops where ``certify`` stops.  The commands write their results as JSON, CSV
-and ``.npy`` artifacts, each JSON stamped with a hash of the config sections
-it depends on; no artifact is read back.  Exit codes: 0 pass, 2 model
+and ``.npy`` artifacts, each JSON stamped with the run's one hash of its
+config; no artifact is read back.  Exit codes: 0 pass, 2 model
 infeasible or certificate failure, 1 usage or internal error.
 """
 
@@ -60,14 +60,6 @@ BUMP_TOL_CEILING = 1e-6
 #: subintervals per unit length of [-d, d] when the config sets no grid.n
 N_PER_UNIT = 256
 
-_STAGE_SECTIONS = {
-    "check": ("kernel", "firing", "model"),
-    "bounds": ("kernel", "firing", "model", "grid"),
-    "solve": ("kernel", "firing", "model", "grid", "solver"),
-    "spectrum": ("kernel", "firing", "model", "grid", "solver"),
-    "simulate": ("kernel", "firing", "model", "grid", "solver", "dynamics"),
-}
-
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -80,6 +72,13 @@ def _finite_object(pairs: list) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"at {key}: {value} is not a finite number")
     return dict(pairs)
+
+
+def _parse_int(literal: str) -> int | float:
+    """A JSON integer, or an infinity past the float range, as json reads 1e999;
+    float() reads any number of digits, so int() never sees more than 309."""
+    value = float(literal)
+    return int(literal) if math.isfinite(value) else value
 
 
 #: JSON Schema 2020-12 types by name: a bool is no number, and 2.0 is an integer
@@ -103,12 +102,9 @@ def _schema() -> dict:
 
 def _valid(value, schema: dict) -> bool:
     """Whether value meets schema, read as JSON Schema 2020-12 with only the
-    _KEYWORDS, in the forms config_schema.json writes them: an enum of
-    strings and ``additionalProperties: false``."""
-    types = schema.get("type")
-    if isinstance(types, str):
-        types = [types]
-    if types is not None and not any(_TYPES[t](value) for t in types):
+    _KEYWORDS, in the forms config_schema.json writes them: a ``type`` of one
+    name, an enum of strings and ``additionalProperties: false``."""
+    if "type" in schema and not _TYPES[schema["type"]](value):
         return False
     if "enum" in schema and value not in schema["enum"]:
         return False
@@ -134,7 +130,7 @@ def load_config(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text, object_pairs_hook=_finite_object)
+        cfg = json.loads(text, object_pairs_hook=_finite_object, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ConfigError as exc:
@@ -209,8 +205,17 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
+def _strict(value):
+    """value with each non-finite float as None: JSON has no Infinity or NaN."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(_strict(payload), indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -240,10 +245,11 @@ def read_profile_csv(path: Path) -> Profile:
 # ---------------------------------------------------------------------------
 
 class Solved(NamedTuple):
-    """The run's one context, on the whole line; u* on its [-d, d] window."""
+    """The run's one whole-line context, u* on its [-d, d] window, and epsilon."""
     ctx: OperatorContext
     fp: FixedPointResult
     u_tilde: Profile
+    epsilon: float
 
 
 class Spectrum(NamedTuple):
@@ -265,17 +271,18 @@ class Run:
         self.cfg = cfg
         self.base = base
 
-    def config_hash(self, stage: str) -> str:
-        """Hash of the config sections ``stage`` depends on; a tabulated
+    @cached_property
+    def config_hash(self) -> str:
+        """The run's one stamp: a hash of every config section; a tabulated
         kernel contributes the bytes of its CSV, not just its path."""
-        payload = {s: self.cfg.get(s, {}) for s in _STAGE_SECTIONS[stage]}
+        payload = {s: self.cfg.get(s, {}) for s in _schema()["properties"]}
         return sha256(json.dumps(payload, sort_keys=True).encode()
                       + self.kernel_csv).hexdigest()[:16]
 
     @cached_property
     def kernel_csv(self) -> bytes:
         """A tabulated kernel's CSV (b"" for an analytic one), read once: the
-        kernel is parsed from these bytes and each stamp hashes them."""
+        kernel is parsed from these bytes and the stamp hashes them."""
         if self.cfg["kernel"]["type"] != "tabulated":
             return b""
         try:
@@ -320,14 +327,13 @@ class Run:
         ctx = OperatorContext(kernel, firing, h, make_extension_grid(kernel, bb.grid))
         eps = compute_epsilon(ctx, bb)
         fp = solve_third_fixed_point(
-            ctx, bb, tol=self.cfg.get("solver", {}).get("newton_tol", NEWTON_TOL),
-            epsilon=eps)
-        return Solved(ctx, fp, extend_bump(ctx, fp.u_star))
+            ctx, bb, tol=self.cfg.get("solver", {}).get("newton_tol", NEWTON_TOL))
+        return Solved(ctx, fp, extend_bump(ctx, fp.u_star), eps)
 
     @cached_property
     def spectrum(self) -> Spectrum:
         # one linearization and one Lanczos solve, at the whole-line bump
-        ctx, fp, u_tilde = self.solve
+        ctx, fp, u_tilde, _ = self.solve
         lin = Linearization(ctx, u_tilde)
         margins = spectra_equivalence_check(lin, fp.u_star)
         if lin.support.size == 0:
@@ -349,7 +355,7 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def cmd_check(run: Run, out: Path, quiet: bool):
-    payload = dict(run.check.to_dict(), config_hash=run.config_hash("check"))
+    payload = dict(run.check.to_dict(), config_hash=run.config_hash)
     write_json(out / "report.json", payload)
     if not quiet:
         print(f"assumptions: {payload['verdict']}")
@@ -362,7 +368,7 @@ def cmd_bounds(run: Run, out: Path, quiet: bool):
     write_csv(out / "profiles.csv", ["x", "u_minus", "u_plus"],
               [bb.grid.nodes(), bb.u_minus.values, bb.u_plus.values])
     payload = {
-        "config_hash": run.config_hash("bounds"),
+        "config_hash": run.config_hash,
         "delta_minus": bb.delta_minus, "delta_plus": bb.delta_plus, "d": bb.d,
         "h": h, "tau": firing.tau, "n": bb.grid.n,
         "tolerance": BISECT_TOL,
@@ -375,12 +381,12 @@ def cmd_bounds(run: Run, out: Path, quiet: bool):
 
 
 def cmd_solve(run: Run, out: Path, quiet: bool):
-    ctx, fp, u_tilde = run.solve
+    ctx, fp, u_tilde, eps = run.solve
     write_csv(out / "u_star.csv", ["x", "value"],
               [fp.u_star.grid.nodes(), fp.u_star.values])
     write_npy(out / "u_tilde.npy", u_tilde.values)
-    payload = fp.to_dict()
-    payload.update({"config_hash": run.config_hash("solve"), "L": ctx.grid.hi})
+    payload = dict(fp.to_dict(), config_hash=run.config_hash, epsilon_used=eps,
+                   L=ctx.grid.hi)
     write_json(out / "fixedpoint.json", payload)
     if not quiet:
         print(f"residual_sup={fp.residual_sup:.3e} separations="
@@ -394,7 +400,7 @@ def cmd_spectrum(run: Run, out: Path, quiet: bool):
     write_csv(out / "spectrum.csv", ["index", "eigenvalue_real", "eigenvalue_imag"],
               [np.arange(len(eigs), dtype=float), eigs, np.zeros(len(eigs))])
     write_npy(out / "principal.npy", v.values)
-    payload = dict(cert, config_hash=run.config_hash("spectrum"), L=ctx.grid.hi)
+    payload = dict(cert, config_hash=run.config_hash, L=ctx.grid.hi)
     write_json(out / "certificate.json", payload)
     if not quiet:
         print(f"spectral_radius={lam:.9g} certificate={payload['verdict']}")
@@ -417,7 +423,7 @@ def cmd_simulate(run: Run, out: Path, quiet: bool):
         # exists to perturb along: the experiment fails without a step
         result = dict.fromkeys(("growth_rate", "escape_time", "predicted_escape"))
     payload = {
-        "config_hash": run.config_hash("simulate"),
+        "config_hash": run.config_hash,
         "growth_rate": result["growth_rate"],
         "escape_time": result["escape_time"],
         "predicted_escape": result["predicted_escape"],
@@ -437,19 +443,17 @@ def cmd_certify(run: Run, out: Path, quiet: bool):
     _, certificate = cmd_spectrum(run, out, True)
     _, dyn = cmd_simulate(run, out, True)
 
-    # cmd_bounds returned, so the check passed
+    # cmd_solve returned, so the check passed and the sandwich margin exists
     # a loose newton_tol cannot loosen the stationarity check past its ceiling
     bump_tol = min(10.0 * fixedpoint["newton_tol"], BUMP_TOL_CEILING)
-    bump_ok = (fixedpoint["residual_sup"] <= bump_tol
-               and fixedpoint["epsilon_used"] is not None
-               and fixedpoint["epsilon_used"] > 0.0)
+    bump_ok = fixedpoint["residual_sup"] <= bump_tol
     lam = certificate["spectral_radius"]
     growth_ok = (dyn["growth_rate"] is not None and lam > 1.0
                  and abs(dyn["growth_rate"] - (lam - 1.0)) <= 0.1 * (lam - 1.0))
     instability_ok = (certificate["verdict"] == "pass"
                  and dyn["escape_time"] is not None and growth_ok)
     run_report = {
-        "config_hash": run.config_hash("simulate"),
+        "config_hash": run.config_hash,
         "assumptions": report,
         "bounds": bounds,
         "fixedpoint": fixedpoint,
@@ -497,8 +501,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None,
-                        help="output directory (default: config output.directory)")
+    parser.add_argument("--out", help="output directory (default: out beside the config)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -509,8 +512,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         base = Path(args.config).resolve().parent
-        osec = cfg.get("output", {})
-        out = Path(args.out) if args.out else base / osec.get("directory", "out")
+        out = Path(args.out) if args.out else base / "out"
         # a run that stops early leaves no verdict of an earlier run behind
         (out / "run_report.json").unlink(missing_ok=True)
         rc, _ = _COMMANDS[args.command](Run(cfg, base), out, args.quiet)

@@ -264,8 +264,8 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
         growth_rate = float(np.polyfit(traj.times[window],
                                        np.log(traj.deviation_sup[window]), 1)[0])
 
-    escaped = np.nonzero(traj.deviation_sup >= epsilon_ball)[0]
-    escape_time = float(traj.times[escaped[0]]) if escaped.size else None
+    escaped = traj.deviation_sup[-1] >= epsilon_ball
+    escape_time = float(traj.times[-1]) if escaped else None
     predicted = None
     if lambda_max > 1.0:
         predicted = float(np.log(epsilon_ball / delta) / (lambda_max - 1.0))

@@ -281,7 +281,6 @@ class FixedPointResult:
     dist_to_u_minus: float
     dist_to_u_plus: float
     newton_tol: float
-    epsilon_used: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -290,7 +289,6 @@ class FixedPointResult:
             "dist_to_u_minus": self.dist_to_u_minus,
             "dist_to_u_plus": self.dist_to_u_plus,
             "newton_tol": self.newton_tol,
-            "epsilon_used": self.epsilon_used,
         }
 
 
@@ -403,8 +401,7 @@ def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float) -> tuple[np.n
 
 
 def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
-                            tol: float = NEWTON_TOL,
-                            epsilon: float | None = None) -> FixedPointResult:
+                            tol: float = NEWTON_TOL) -> FixedPointResult:
     """Find the interior fixed point on [-d, d] separated from both bounding profiles.
 
     Starts Newton from convex combinations lam*u_minus + (1-lam)*u_plus and
@@ -437,7 +434,7 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
             continue
         resid = float(np.max(np.abs(u - ctx.apply_T_window(u, k)[0])))
         return FixedPointResult(Profile(bb.grid, u), resid, iters,
-                                d_lo, d_hi, tol, epsilon_used=epsilon)
+                                d_lo, d_hi, tol)
     # a coarse grid is the usual cause, so the message names it
     raise type(last_exc)(f"{last_exc} on the [-d, d] grid of n = {bb.grid.n}, "
                          f"dx = {bb.grid.dx:.6g}")

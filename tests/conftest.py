@@ -57,9 +57,8 @@ def ref_epsilon(ref_ctx, ref_bounds):
 
 
 @pytest.fixture(scope="session")
-def ref_fp(ref_ctx, ref_bounds, ref_epsilon):
-    return solve_third_fixed_point(ref_ctx, ref_bounds, tol=1e-12,
-                                   epsilon=ref_epsilon)
+def ref_fp(ref_ctx, ref_bounds):
+    return solve_third_fixed_point(ref_ctx, ref_bounds, tol=1e-12)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ import neurofield.dynamics
 from neurofield import cli
 from neurofield.cli import BUMP_TOL_CEILING, main
 from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
-                                   WINDOW_BLOCK, OperatorContext)
+                                   WINDOW_BLOCK, OperatorContext, compute_epsilon)
 from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.spectral import Linearization
 
@@ -60,6 +60,15 @@ def test_check_pass(tmp_path):
     assert report["verdict"] == "pass"
 
 
+def test_out_defaults_to_out_beside_the_config(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert run(["check", "--config", cfg, "--quiet"]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+    assert not (tmp_path / "cwd" / "out").exists()
+
+
 def test_check_infeasible_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, {"model": {"h": 0.3}, "firing": {"p": 2.0, "tau": 0.3}})
     out = tmp_path / "out"
@@ -87,6 +96,13 @@ def test_solve_and_spectrum(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
     assert cert["spectral_radius"] == pytest.approx(4.237, abs=0.01)
+
+
+def test_fixedpoint_json_records_the_runs_sandwich_margin(tmp_path):
+    pipeline = cli.Run(cli.load_config(write_cfg(tmp_path)), tmp_path)
+    assert cli.cmd_solve(pipeline, tmp_path / "out", True)[0] == 0
+    fp = json.loads((tmp_path / "out" / "fixedpoint.json").read_text())
+    assert fp["epsilon_used"] == compute_epsilon(pipeline.solve.ctx, pipeline.bounds) > 0.0
 
 
 def same_files(staged, certified):
@@ -544,6 +560,25 @@ def test_certify_without_principal_mode_exit_2(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def strict_json(path: Path):
+    """The JSON document at path, refusing NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_certificate_without_principal_mode_writes_null_margins(tmp_path):
+    # its support margin and translation residual are infinite in memory
+    cfg = write_cfg(tmp_path, {"firing": {"p": 1e300, "tau": 0.2}, "grid": {"n": 40},
+                               "solver": {"newton_tol": 1e300}})
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 2
+    docs = {p.name: strict_json(p) for p in out.glob("*.json")}
+    assert len(docs) == 6
+    for cert in (docs["certificate.json"], docs["run_report.json"]["certificate"]):
+        assert cert["support_margin"] is None and cert["translation_residual"] is None
+
+
 def test_loose_newton_tol_cannot_verify_an_unmoved_bump(tmp_path):
     # newton_tol 1e300 accepts Newton's start (0 iterations, residual_sup
     # about 0.06), which verified the bump at the tolerance 1e301; the check
@@ -647,28 +682,56 @@ def test_simulate_rejects_edited_kernel_csv(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
-def test_config_hash_of_analytic_kernels_covers_sections_only(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert run(["check", "--config", cfg, "--out", out, "--quiet"]) == 0
-    sections = {s: BASE_CFG[s] for s in ("kernel", "firing", "model")}
-    expected = hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()[:16]
-    assert json.loads((out / "report.json").read_text())["config_hash"] == expected
+#: the config sections config_hash covers: every section of the schema
+HASHED_SECTIONS = ("kernel", "firing", "model", "grid", "solver", "dynamics")
 
 
-def test_config_hash_of_a_tabulated_kernel_covers_its_csv_bytes(tmp_path):
-    x = np.linspace(-12.0, 12.0, 241)
-    np.savetxt(tmp_path / "kernel.csv", np.column_stack([x, ExponentialKernel()(x)]),
-               delimiter=",", fmt="%.17g")
-    kernel = {"type": "tabulated", "csv": "kernel.csv"}
-    cfg = write_cfg(tmp_path, {"kernel": kernel})
+def expected_hash(cfg: dict, csv: bytes = b"") -> str:
+    """SHA-256 over the six sections as sorted-key JSON, then a table's bytes."""
+    sections = {s: cfg.get(s, {}) for s in HASHED_SECTIONS}
+    return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()
+                          + csv).hexdigest()[:16]
+
+
+def stamps(out: Path) -> dict:
+    """The config_hash of each JSON in out, and of each stage's copy nested
+    in run_report.json."""
+    found = {p.name: json.loads(p.read_text())["config_hash"] for p in out.glob("*.json")}
+    report = json.loads((out / "run_report.json").read_text())
+    found.update({f"run_report.json/{key}": value["config_hash"]
+                  for key, value in report.items() if isinstance(value, dict)
+                  and "config_hash" in value})
+    return found
+
+
+@pytest.mark.parametrize("kernel", ["exponential", "tabulated"])
+def test_every_json_of_a_certify_carries_the_one_config_hash(tmp_path, kernel):
+    spec, csv = {"type": kernel}, b""
+    if kernel == "tabulated":
+        x = np.linspace(-12.0, 12.0, 481)
+        np.savetxt(tmp_path / "kernel.csv", np.column_stack([x, ExponentialKernel()(x)]),
+                   delimiter=",", fmt="%.17g")
+        spec["csv"], csv = "kernel.csv", (tmp_path / "kernel.csv").read_bytes()
+    cfg = write_cfg(tmp_path, {"kernel": spec, "grid": {"n": 40},
+                               "dynamics": {"t_end": 1.5}})
     out = tmp_path / "out"
-    assert run(["check", "--config", cfg, "--out", out, "--quiet"]) == 0
-    sections = dict(kernel=kernel, firing=BASE_CFG["firing"], model=BASE_CFG["model"])
-    digest = hashlib.sha256(json.dumps(sections, sort_keys=True).encode())
-    digest.update((tmp_path / "kernel.csv").read_bytes())
-    assert (json.loads((out / "report.json").read_text())["config_hash"]
-            == digest.hexdigest()[:16])
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    found = stamps(out)
+    assert len(found) == 11
+    assert set(found.values()) == {expected_hash(json.loads(cfg.read_text()), csv)}
+    assert tuple(cli._schema()["properties"]) == HASHED_SECTIONS
+
+
+def test_a_dynamics_setting_changes_the_check_stamp(tmp_path):
+    # the check reads no dynamics setting, yet the run's one stamp covers it
+    out = tmp_path / "out"
+    hashes = []
+    for dt in (0.01, 0.02):
+        cfg = write_cfg(tmp_path, {"dynamics": {"dt": dt}})
+        assert run(["check", "--config", cfg, "--out", out, "--quiet"]) == 0
+        hashes.append(json.loads((out / "report.json").read_text())["config_hash"])
+        assert hashes[-1] == expected_hash(json.loads(cfg.read_text()))
+    assert hashes[0] != hashes[1]
 
 
 def test_tabulated_kernel_csv_is_read_once_per_run(tmp_path):
@@ -681,22 +744,16 @@ def test_tabulated_kernel_csv_is_read_once_per_run(tmp_path):
                                "dynamics": {"delta": 1e-4}})
     original = (tmp_path / "kernel.csv").read_bytes()
     config = cli.load_config(cfg)
-    expected = {stage: hashlib.sha256(json.dumps(
-        {s: config.get(s, {}) for s in sections}, sort_keys=True).encode()
-        + original).hexdigest()[:16] for stage, sections in cli._STAGE_SECTIONS.items()}
+    expected = expected_hash(config, original)
     pipeline = cli.Run(config, tmp_path)
     pipeline.model  # builds the table from the CSV as it is now
     table[:, 1] *= 1.2
     np.savetxt(tmp_path / "kernel.csv", table, delimiter=",", fmt="%.17g")
     out = tmp_path / "out"
     assert cli.cmd_certify(pipeline, out, True)[0] == 0
-    stamps = {p.name: json.loads(p.read_text())["config_hash"] for p in out.glob("*.json")}
-    assert stamps == {"report.json": expected["check"], "bounds.json": expected["bounds"],
-                      "fixedpoint.json": expected["solve"],
-                      "certificate.json": expected["spectrum"],
-                      "dynamics.json": expected["simulate"],
-                      "run_report.json": expected["simulate"]}
-    assert cli.Run(cli.load_config(cfg), tmp_path).config_hash("check") != expected["check"]
+    found = stamps(out)
+    assert len(found) == 11 and set(found.values()) == {expected}
+    assert cli.Run(cli.load_config(cfg), tmp_path).config_hash != expected
 
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -756,6 +813,7 @@ def test_config_schema_is_valid():
     {"dynamics": {"dt": 0.5}},
     {"grid": {"n": 1}},
     {"dynamics": {"epsilon_ball": 0.05}},
+    {"output": {"directory": "out"}},
 ])
 def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, overrides):
     from jsonschema import ValidationError, validate
@@ -775,9 +833,9 @@ def unhandled_keywords(schema: dict, where: str = "<root>") -> list[str]:
     """Where schema uses a keyword, type or form that cli._valid does not decide."""
     found = [f"{where}: {key}" for key in sorted(schema.keys() - cli._KEYWORDS
                                                  - {"$schema", "title", "description"})]
-    types = schema.get("type", [])
-    found += [f"{where}: type {t}" for t in ([types] if isinstance(types, str) else types)
-              if t not in cli._TYPES]
+    types = schema.get("type")
+    if types is not None and not (isinstance(types, str) and types in cli._TYPES):
+        found.append(f"{where}: type {types}")
     if schema.get("additionalProperties", False) is not False:
         found.append(f"{where}: additionalProperties other than false")
     if not all(isinstance(e, str) for e in schema.get("enum", [])):
@@ -792,9 +850,10 @@ def test_schema_uses_only_keywords_valid_decides():
     # and the walk sees what it must refuse
     assert unhandled_keywords({"properties": {"a": {
         "type": ["boolean", "number"], "pattern": "x", "enum": [1],
-        "additionalProperties": {"type": "number"}}}}) == [
-        "<root>/a: pattern", "<root>/a: type boolean",
-        "<root>/a: additionalProperties other than false", "<root>/a: enum of non-strings"]
+        "additionalProperties": {"type": "number"}}, "b": {"type": "boolean"}}}) == [
+        "<root>/a: pattern", "<root>/a: type ['boolean', 'number']",
+        "<root>/a: additionalProperties other than false", "<root>/a: enum of non-strings",
+        "<root>/b: type boolean"]
 
 
 #: a config that sets every key of the schema
@@ -805,7 +864,6 @@ FULL_CFG = {
     "grid": {"n": 800},
     "solver": {"newton_tol": 1e-12},
     "dynamics": {"dt": 0.01, "t_end": 5.0, "delta": 1e-3},
-    "output": {"directory": "out"},
 }
 #: wrong types, bools, integer-valued floats, zero, bounds and their neighbours
 MUTANT_VALUES = [None, True, False, "rk4", "gaussian", "x", [], [1], {}, {"n": 2},
@@ -918,8 +976,6 @@ def fuzz_value(key: str, spec: dict):
         return st.sampled_from(spec["enum"])
     if key == "csv":
         return st.sampled_from(["kernel.csv", "missing.csv"])
-    if key == "directory":
-        return st.just("unused")
     if key in FUZZ_INTS:
         ints = st.integers(*FUZZ_INTS[key])
         usual = ints | ints.map(float)
@@ -1113,11 +1169,32 @@ def test_overflowing_config_prints_one_line(tmp_path, capsys, overrides, rc, sta
     assert err.startswith(start) and err.count("\n") == 1, err
 
 
+_INF_B_I = {"B_i_integrable": ("margin", "witness"), "B_ii_bounded_continuous": ("margin",)}
+
+
+@pytest.mark.parametrize("K, nulls", [
+    (1e308, _INF_B_I),
+    (1.7e308, dict(_INF_B_I, B_v_mass_exceeds_h_plus_tau=("margin", "witness"),
+                   thmB_i_deriv_bounded=("witness",))),
+], ids=["K=1e308", "K=1.7e308"])
+def test_report_writes_infinite_values_as_null(tmp_path, capsys, K, nulls):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**REFERENCE_CFG, "grid": {}, "kernel": dict(_HAT, K=K)}))
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: ")
+    assert [p.name for p in out.glob("*.json")] == ["report.json"]
+    conditions = {c["name"]: c for c in strict_json(out / "report.json")["conditions"]}
+    assert all(conditions[name][key] is None for name, keys in nulls.items() for key in keys)
+
+
 @pytest.mark.parametrize("number, literal, key", [
     ('"h": 0.1', '"h": NaN', "at h: nan"),
     ('"t_end": 5.0', '"t_end": Infinity', "at t_end: inf"),
     ('"delta": 0.001', '"delta": 1e999', "at delta: inf"),
-], ids=["NaN", "Infinity", "overflow"])
+    ('"h": 0.1', '"h": 1' + "0" * 399, "at h: inf"),
+    ('"t_end": 5.0', '"t_end": -1' + "0" * 4999, "at t_end: -inf"),
+], ids=["NaN", "Infinity", "overflow", "400-digit int", "5000-digit int"])
 def test_non_finite_number_exit_1(tmp_path, capsys, number, literal, key):
     cfg = write_cfg(tmp_path)
     cfg.write_text(cfg.read_text().replace(number, literal))
