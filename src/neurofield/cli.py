@@ -126,25 +126,26 @@ def _valid(value, schema: dict) -> bool:
 def load_config(path: str | Path) -> dict:
     """The config at path, validated."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")  # as RFC 8259 has it
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text, object_pairs_hook=_finite_object, parse_int=_parse_int)
+        # _valid decides; jsonschema (a slow import) only words a rejection, as
+        # jsonschema.validate would.  The tests check the shipped schema against
+        # its metaschema and _valid against jsonschema's verdict
+        if not _valid(cfg, _schema()):
+            from jsonschema import Draft202012Validator
+            from jsonschema.exceptions import best_match
+
+            error = best_match(Draft202012Validator(_schema()).iter_errors(cfg))
+            where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ConfigError(f"at {where}: {error.message}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ConfigError as exc:
+    except (ConfigError, RecursionError) as exc:
+        # json, and the repr in a schema message, recurse once per nesting level
         raise ConfigError(f"{path}: {exc}") from exc
-    # _valid decides; jsonschema (a slow import) only words a rejection, with
-    # the error jsonschema.validate would raise.  The tests check the shipped
-    # schema against its metaschema and _valid against jsonschema's verdict
-    if not _valid(cfg, _schema()):
-        from jsonschema import Draft202012Validator
-        from jsonschema.exceptions import best_match
-
-        error = best_match(Draft202012Validator(_schema()).iter_errors(cfg))
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {error.message}")
     ktype = cfg["kernel"]["type"]
     if ktype == "mexican_hat":
         missing = [p for p in ("K", "k", "M", "m") if p not in cfg["kernel"]]
@@ -409,27 +410,22 @@ def cmd_spectrum(run: Run, out: Path, quiet: bool):
 
 def cmd_simulate(run: Run, out: Path, quiet: bool):
     """The escape experiment from the bump and the principal vector of the
-    run; a deviation that never leaves the epsilon ball fails it (exit 2)."""
+    run: its trajectory.csv, and its numbers with delta in dynamics.json; a
+    deviation that never leaves the epsilon ball fails it (exit 2)."""
     sim = SimConfig(**run.cfg.get("dynamics", {}))
     u_tilde = run.solve.u_tilde
     if run.spectrum.cert["applicable"]:
         result = instability_experiment(run.solve.ctx, u_tilde, run.spectrum.v, sim,
                                         run.spectrum.lam)
-        traj = result["trajectory"]
+        traj = result.pop("trajectory")
         write_csv(out / "trajectory.csv", ["t", "deviation_sup"],
                   [traj.times, traj.deviation_sup])
     else:
         # f'(u_tilde - h) vanishes on the whole line, so no principal mode
         # exists to perturb along: the experiment fails without a step
-        result = dict.fromkeys(("growth_rate", "escape_time", "predicted_escape"))
-    payload = {
-        "config_hash": run.config_hash,
-        "growth_rate": result["growth_rate"],
-        "escape_time": result["escape_time"],
-        "predicted_escape": result["predicted_escape"],
-        "epsilon_ball": sim.ball(u_tilde),
-        "delta": sim.delta,
-    }
+        result = dict(dict.fromkeys(("growth_rate", "escape_time", "predicted_escape")),
+                      epsilon_ball=sim.ball(u_tilde))
+    payload = dict(result, config_hash=run.config_hash, delta=sim.delta)
     write_json(out / "dynamics.json", payload)
     if not quiet:
         print(f"growth_rate={result['growth_rate']} escape_time={result['escape_time']}")
@@ -448,7 +444,8 @@ def cmd_certify(run: Run, out: Path, quiet: bool):
     bump_tol = min(10.0 * fixedpoint["newton_tol"], BUMP_TOL_CEILING)
     bump_ok = fixedpoint["residual_sup"] <= bump_tol
     lam = certificate["spectral_radius"]
-    growth_ok = (dyn["growth_rate"] is not None and lam > 1.0
+    # a passing certificate has lam > 1 (spectral_radius_above_one)
+    growth_ok = (dyn["growth_rate"] is not None
                  and abs(dyn["growth_rate"] - (lam - 1.0)) <= 0.1 * (lam - 1.0))
     instability_ok = (certificate["verdict"] == "pass"
                  and dyn["escape_time"] is not None and growth_ok)

@@ -5,22 +5,22 @@ An RK4 step computes its stages on ``OperatorContext.step_window`` only: the
 nodes where u > h, widened by a block on each side.  Off that window each
 stage state is a_i u + K c_i, K the kernel convolution and c_i a mix of the
 earlier stage sources, so the new state there is a_f u + K c_f.  Before each
-stage the step checks a_i top + |c_i|_1 max|omega| <= h off the window, top
-an upper bound of u there and a_i > 0, which keeps the stage's source zero
-there, and else reruns on the whole grid; either way the supra-threshold sets
-are the whole-grid step's.
+stage the step checks a_i top + |c_i|_1 E[0] <= h off the window, top an
+upper bound of u there, a_i > 0 and E ``OperatorContext.envelope``, which
+keeps the stage's source zero there, and else reruns on the whole grid;
+either way the supra-threshold sets are the whole-grid step's.
 
 A run (``LineState``) keeps the state off the window in that form, u = A u0
 + K C, u0 the state when the whole line was last built, A the product of the
 steps' a_f and C <- a_f C + c_f a source on the window, so a step costs
 O(window).  After each step one product gives the state on two guard bands
 beside the window, each as wide as it, and beyond them
-|u - ref| <= |A| max|u0 - ref| + |C - (1 - A) s|_1 max|omega| + |1 - A| max|ref - K s|,
-s ref's source on the window and omega taken at the lags that reach past the
-bands.  While the bands and that bound lie below the deviation on the window,
-the deviation is that on-window maximum, exactly; the whole line is built
-(one product) only where they do not, where the step window would move, or
-where the state is not finite.
+|u - ref| <= |A| max|u0 - ref| + |C - (1 - A) s|_1 E[w + 2] + |1 - A| max|ref - K s|,
+s ref's source on the window and w + 1 its width, so E[w + 2] is the largest
+|omega| at the lags past the bands.  While the bands and that bound lie below
+the deviation on the window, the deviation is that on-window maximum,
+exactly; the whole line is built (one product) only where they do not, where
+the step window would move, or where the state is not finite.
 """
 
 from __future__ import annotations
@@ -78,14 +78,14 @@ class LineState:
 
     def __init__(self, ctx: OperatorContext, values: np.ndarray, ref: np.ndarray):
         self.ctx, self.ref = ctx, ref
-        self._ref_terms = self._window_terms = None
+        self._ref_terms = None
         self._restart(np.array(values, dtype=float))
 
     def _restart(self, values: np.ndarray) -> None:
         """Continue from the whole-line values: u0 = values, A = 1, C = 0."""
         self.u, self.a, self.c = values, 1.0, None
         self.lo, self.hi = self.ctx.step_window(values)
-        self.top = None
+        self.top = self._window_terms = None
         self.finite = bool(np.all(np.isfinite(values)))
         dev = np.abs(values - self.ref)
         self.deviation = float(np.max(dev))
@@ -148,11 +148,10 @@ class LineState:
         return True
 
     def _far_terms(self) -> tuple[np.ndarray, float, float, float] | None:
-        """ref's weighted source s on the step window, the largest |omega| at
-        the lags from the window past the bands, and beyond the bands the
-        max of ref and max|ref - K s|; None if ref's source reaches
-        off the window.  One product per run gives K s = T ref, and one
-        kernel call per window the lags."""
+        """ref's weighted source s on the step window, the envelope E at the
+        lags from the window past the bands, and beyond the bands the max of
+        ref and max|ref - K s|; None if ref's source reaches off the window.
+        One product per run gives K s = T ref."""
         ctx, ref, lo, hi = self.ctx, self.ref, self.lo, self.hi
         if self._ref_terms is None:
             t_ref, src = ctx.apply_T_window(ref, 0)
@@ -160,14 +159,12 @@ class LineState:
         src, fires, residual = self._ref_terms
         if fires.size and not lo <= fires[0] <= fires[-1] <= hi:
             return None
-        if self._window_terms is None or self._window_terms[0] != (lo, hi):
-            lags = np.arange(hi - lo + 2, ctx.grid.n + 1) * ctx.grid.dx
-            reach = max(float(np.max(np.abs(ctx.kernel(x)), initial=0.0)) for x in (lags, -lags))
-            self._window_terms = (lo, hi), (
-                src[lo:hi + 1], reach,
+        if self._window_terms is None:
+            self._window_terms = (
+                src[lo:hi + 1], float(ctx.envelope[hi - lo + 2]),
                 float(np.max(_off(ref, *self.bands), initial=-np.inf)),
                 float(np.max(_off(residual, *self.bands), initial=0.0)))
-        return self._window_terms[1]
+        return self._window_terms
 
 
 def step_values(ctx: OperatorContext, u: LineState, cfg: SimConfig) -> LineState:
@@ -202,7 +199,8 @@ def _rk4_step(ctx: OperatorContext, u: np.ndarray, dt: float, lo: int, hi: int,
             a, c = 1.0 - offset * dt * a, offset * dt * s
             # a lies in [0.9, 1) for every dt that SimConfig admits (dt <= 0.1),
             # so a u <= a top off the window and the bound needs no minimum of u
-            if offset and not a * top + ctx.weighted_bound(c, lo) <= ctx.h:
+            if offset and not (a * top + float(np.sum(np.abs(c))) * ctx.envelope[0]
+                               <= ctx.h):
                 return None
     return inside + (dt / 6.0) * slopes, a_f, c_f
 
@@ -243,7 +241,7 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
     epsilon ball, which gives the escape time; as epsilon_ball > 10 delta,
     that sample lies above the fit window, and a delta that leaves no such
     window is a ConfigError.  A deviation that stays inside the ball up to
-    t_end gives an escape time of None.
+    t_end gives an escape time of None; ``epsilon_ball`` is the ball's radius.
     """
     delta, epsilon_ball = cfg.delta, cfg.ball(u_tilde)
     if delta >= epsilon_ball / 10.0:
@@ -273,5 +271,6 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
         "growth_rate": growth_rate,
         "escape_time": escape_time,
         "predicted_escape": predicted,
+        "epsilon_ball": epsilon_ball,
         "trajectory": traj,
     }

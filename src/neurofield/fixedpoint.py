@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,9 +86,8 @@ class OperatorContext:
 
     Each kernel spectrum is cached under the key (lo, hi, last) of
     ``_line_spectrum``, the source window and the last output node counted
-    from the first output node, with the largest |omega| on its lag line;
-    at most ``SPECTRUM_CACHE_SIZE`` of them.  The dense kernel matrix serves
-    only as a test oracle.
+    from the first output node; at most ``SPECTRUM_CACHE_SIZE`` of them.
+    The dense kernel matrix serves only as a test oracle.
     """
 
     def __init__(self, kernel: Kernel, firing: Firing, h: float, grid: Grid):
@@ -103,8 +103,8 @@ class OperatorContext:
         self.grid = grid
         self.weights = quadrature_weights(grid)
         self._dense: np.ndarray | None = None
-        # (lo, hi, last) -> (transform length, rfft of the lag line, max |line|)
-        self._spectra: dict[tuple[int, int, int], tuple[int, np.ndarray, float]] = {}
+        # (lo, hi, last) -> (transform length, rfft of the lag line)
+        self._spectra: dict[tuple[int, int, int], tuple[int, np.ndarray]] = {}
 
     def centred(self, n: int) -> int:
         """First node of the centred window of n subintervals: where the
@@ -137,14 +137,14 @@ class OperatorContext:
         w_lo, w_hi = window
         return self._convolve(s[w_lo - lo:w_hi - lo + 1], w_lo, w_hi, out_lo, out_hi)
 
-    def weighted_bound(self, s: np.ndarray, lo: int = 0) -> float:
-        """A bound on |apply_weighted(s, lo)| at every node, NaN for a NaN s:
-        |s|_1 times the largest |omega| on the lag line apply_weighted(s, lo)
-        transforms, read from its cached spectrum without a kernel call."""
-        window = self._window(s == 0.0, lo)
-        if window is None:
-            return 0.0
-        return float(np.sum(np.abs(s))) * self._spectrum((*window, self.grid.n))[2]
+    @cached_property
+    def envelope(self) -> np.ndarray:
+        """E[l], the largest |omega| at lags of l or more nodes, either sign,
+        for l = 0..n, and E[n + 1] = 0: |s|_1 E[l] bounds sum_j s_j
+        omega(x_i - x_j) at every node i at least l nodes from the s_j != 0."""
+        lags = np.arange(self.grid.n + 1) * self.grid.dx
+        line = np.maximum(np.abs(self.kernel(lags)), np.abs(self.kernel(-lags)))
+        return np.append(np.maximum.accumulate(line[::-1])[::-1], 0.0)
 
     def block_operator(self, lo: int, hi: int, line=None):
         """The product x -> sum_j x_j line(x_i - x_j) over the nodes i, j in
@@ -152,7 +152,7 @@ class OperatorContext:
         fast_fft_len(2 (hi - lo) + 1) however large the grid; the returned
         function holds its spectrum, which the context does not cache."""
         m = hi - lo
-        length, spectrum, _ = self._line_spectrum(line or self.kernel, 0, m, m)
+        length, spectrum = self._line_spectrum(line or self.kernel, 0, m, m)
         return lambda x: _circular(x, length, spectrum, m + 1)
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
@@ -211,10 +211,10 @@ class OperatorContext:
         [lo, hi] among them and zero elsewhere."""
         out_hi = self.grid.n if out_hi is None else out_hi
         key = (lo - out_lo, hi - out_lo, out_hi - out_lo)
-        length, spectrum, _ = self._spectrum(key)
+        length, spectrum = self._spectrum(key)
         return _circular(src, length, spectrum, key[2] + 1)
 
-    def _spectrum(self, key: tuple[int, int, int]) -> tuple[int, np.ndarray, float]:
+    def _spectrum(self, key: tuple[int, int, int]) -> tuple[int, np.ndarray]:
         """The kernel's ``_line_spectrum`` for key = (lo, hi, last), cached."""
         cached = self._spectra.get(key)
         if cached is None:
@@ -223,10 +223,9 @@ class OperatorContext:
             cached = self._spectra[key] = self._line_spectrum(self.kernel, *key)
         return cached
 
-    def _line_spectrum(self, line, lo: int, hi: int,
-                       n: int) -> tuple[int, np.ndarray, float]:
-        """Transform length, rfft and largest magnitude of the lag line of
-        ``line`` for the source window [lo, hi] and the outputs at nodes 0..n.
+    def _line_spectrum(self, line, lo: int, hi: int, n: int) -> tuple[int, np.ndarray]:
+        """Transform length and rfft of the lag line of ``line`` for the
+        source window [lo, hi] and the outputs at nodes 0..n.
 
         The circular convolution of the source, placed at slot 0, with a line
         holding lag l in slot (l + lo) mod length for the lags -hi..n-lo that
@@ -239,7 +238,7 @@ class OperatorContext:
         lags = np.arange(-hi, n - lo + 1)
         values = np.zeros(length)
         values[lags + lo] = line(lags * self.grid.dx)
-        return length, np.fft.rfft(values), float(np.max(np.abs(values)))
+        return length, np.fft.rfft(values)
 
 
 def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,

@@ -8,11 +8,13 @@ the principal eigenpair), or checks
 that no certify stage runs (the clamped iteration, the translation family,
 the Heaviside stationarity of u_minus and u_plus, the two formulations of
 condition (vii), and the comparison of the restricted and whole-line spectra
-whose premises certify checks instead).
+whose premises certify checks instead).  ``continuous_bump_peak`` is exact
+truth for the continuous equation, which no discrete result enters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +174,7 @@ def _window_rk4_step(ctx, u, dt, lo, hi):
             c_f = c_f + dt / 6.0 * weight * s
             a, c = 1.0 - offset * dt * a, offset * dt * s
             if offset and not (a * (top if a >= 0.0 else rest.min())
-                               + ctx.weighted_bound(c, lo) <= ctx.h):
+                               + float(np.sum(np.abs(c))) * ctx.envelope[0] <= ctx.h):
                 return None
     new = inside + (dt / 6.0) * slopes
     if not rest.size:
@@ -371,3 +373,46 @@ def check_lemma1_equivalence(kernel, d: float, probe: Grid | None = None,
         "agree": (vii_violation <= tol) == (eq_violation <= tol),
         "worst_violation": float(max(vii_violation, eq_violation)),
     }
+
+
+#: points of the scan that finds the one sign change of U^2 - 2 Phi(U)
+PEAK_SCAN = 400
+
+
+def continuous_bump_peak(p: float, tau: float, h: float) -> float:
+    """U_c, the peak of the continuous bump for the exponential kernel
+    omega(x) = exp(-|x|) / 2 and the ratio firing rate f of (p, tau).
+
+    omega is the Green's function of 1 - d^2/dx^2, so the even bump solves
+    u - u'' = f(u - h) with u -> 0 at infinity, whose first integral
+    u'^2 = u^2 - 2 Phi(u), Phi(U) = int_h^U f(s - h) ds, vanishes at the peak:
+    U_c^2 = 2 Phi(U_c) (Laing, Troy, Gutkin & Ermentrout 2002).  The root is
+    the one between u_-(0) = 1 - e^-delta_- and u_+(0) = 1 - e^-delta_+, the
+    sandwich's peaks, W(2 delta) = (1 - e^(-2 delta)) / 2 being h and h + tau:
+    a PEAK_SCAN-point scan in floats must find exactly one sign change there,
+    and mpmath refines that cell's root at 30 digits.
+    """
+    import mpmath as mp
+    from scipy.integrate import quad
+
+    def gap(U, p, tau, h, integral):
+        """U^2 - 2 Phi(U), f being 1 past tau."""
+        top = min(U, h + tau)
+        inner = 0 if top <= h else integral(
+            lambda s: (s - h) ** p / ((s - h) ** p + (h + tau - s) ** p), h, top)
+        return U ** 2 - 2 * (inner + max(U - h - tau, 0))
+
+    lo, hi = 1 - math.sqrt(1 - 2 * h), 1 - math.sqrt(1 - 2 * (h + tau))
+    xs = np.linspace(lo, hi, PEAK_SCAN)
+    signs = np.sign([gap(x, p, tau, h, lambda fn, a, b: quad(fn, a, b, epsabs=1e-15)[0])
+                     for x in xs])
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    if cells.size != 1 or not np.all(signs):
+        raise NoConvergence(f"{cells.size} sign changes of U^2 - 2 Phi(U) in "
+                            f"({lo}, {hi})")
+    with mp.workdps(30):
+        exact = [mp.mpf(v) for v in (p, tau, h)]
+        root = mp.findroot(lambda U: gap(U, *exact, lambda fn, a, b: mp.quad(fn, [a, b])),
+                           (mp.mpf(xs[cells[0]]), mp.mpf(xs[cells[0] + 1])),
+                           solver="anderson")
+    return float(root)

@@ -231,6 +231,78 @@ def test_missing_config_exit_1(tmp_path):
     assert run(["check", "--config", tmp_path / "nope.json", "--quiet"]) == 1
 
 
+def test_config_that_is_not_utf8_exit_1(tmp_path, capsys):
+    # JSON text is UTF-8 (RFC 8259): a 0xff byte in a string cannot be read
+    cfg = write_cfg(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"exponential", b"expo\xffnential"))
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {cfg}: 'utf-8' codec ")
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def nested(depth: int, form: str) -> str:
+    return ("[" * depth + "]" * depth if form == "arrays"
+            else '{"a": ' * depth + "1" + "}" * depth)
+
+
+@pytest.mark.parametrize("where, depth, form", [
+    ("x", 100_000, "arrays"), ("x", 100_000, "objects"),
+    ("kernel.type", 980, "arrays")], ids=["arrays", "objects", "kernel.type"])
+def test_deeply_nested_config_exit_1(tmp_path, capsys, where, depth, form):
+    # json's decoder recurses once per level and gives up about 1,000 deep
+    cfg = write_cfg(tmp_path)
+    text = cfg.read_text()
+    if where == "x":
+        cfg.write_text(text[:-1] + f', "x": {nested(depth, form)}}}')
+    else:
+        cfg.write_text(text.replace('"exponential"', nested(depth, form)))
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and err.count("\n") == 1, err[-300:]
+
+
+@pytest.mark.parametrize("form", ["arrays", "objects"])
+def test_config_nested_near_the_decoders_limit_exit_1(tmp_path, capsys, form):
+    # just inside json's depth limit the config parses, and the schema's
+    # message for kernel.type holds the repr of the value, which may recurse
+    # past the limit in turn; every depth around it gives one line
+    limit = 0
+    for step in (1 << k for k in range(14, -1, -1)):
+        try:
+            json.loads(nested(limit + step, form))
+            limit += step
+        except RecursionError:
+            pass
+    cfg = write_cfg(tmp_path)
+    text = cfg.read_text()
+    for depth in range(max(limit - 40, 1), limit + 3):
+        cfg.write_text(text.replace('"exponential"', nested(depth, form)))
+        assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and err.count("\n") == 1, depth
+
+
+@pytest.mark.parametrize("overrides", [{}, {"firing": {"p": 1e300, "tau": 0.2},
+                                            "grid": {"n": 40},
+                                            "solver": {"newton_tol": 1e300}}],
+                         ids=["escape run", "no principal mode"])
+def test_simulate_sizes_the_epsilon_ball_once(tmp_path, monkeypatch, overrides):
+    # dynamics.json takes the ball that the escape experiment ran with
+    calls, ball = [], neurofield.dynamics.SimConfig.ball
+
+    def counted(self, u_tilde):
+        calls.append(ball(self, u_tilde))
+        return calls[-1]
+    monkeypatch.setattr(neurofield.dynamics.SimConfig, "ball", counted)
+    cfg = write_cfg(tmp_path, overrides)
+    out = tmp_path / "out"
+    run(["certify", "--config", cfg, "--out", out, "--quiet"])
+    u_tilde = np.load(out / "u_tilde.npy")
+    assert calls == [0.05 * np.max(np.abs(u_tilde))]
+    assert json.loads((out / "dynamics.json").read_text())["epsilon_ball"] == calls[0]
+
+
 def test_certify_computes_each_stage_once(tmp_path, monkeypatch):
     calls = {}
     for name in ("build_bounds", "compute_epsilon", "solve_third_fixed_point",
@@ -303,9 +375,9 @@ def test_certify_runs_each_dense_eigensolve_once(tmp_path, monkeypatch, grid_n):
 
 def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # the bump feeds T through its supra-threshold window only; every T onto
-    # the whole extension grid (extend, principal vector, remainder fit, the
-    # RK4 stages' exactness bound and the escape run's one whole-line
-    # product) shares it, the RK4 stages add one spectrum onto their step
+    # the whole extension grid (extend, principal vector, remainder fit and
+    # the escape run's one whole-line product) shares it, the RK4 stages add
+    # one spectrum onto their step
     # window and the state's guard bands one onto the window and a window's
     # width on each side; the margin, Newton and the translation check
     # output the [-d, d] nodes only

@@ -144,6 +144,21 @@ def test_zero_and_nan_states_step_as_on_the_whole_grid(setup):
     assert np.all(np.isnan(whole_grid_rk4_step(ctx, nan, 0.01)))
 
 
+def test_whole_grid_run_never_builds_the_envelope(coarse_setup):
+    # on the [-d, d] grid alone the bump's window covers more than a sixth of
+    # it, so every step takes the whole grid and neither the stage check nor
+    # the far bound reads the envelope; on the extension line both do
+    bb, fp, big = coarse_setup["bb"], coarse_setup["fp"], coarse_setup["ctx_big"]
+    whole = OperatorContext(big.kernel, big.firing, big.h, bb.grid)
+    line = OperatorContext(big.kernel, big.firing, big.h, big.grid)
+    for ctx, u in ((whole, fp.u_star), (line, extend_bump(line, fp.u_star))):
+        x = ctx.grid.nodes()
+        u0 = Profile(ctx.grid, u.values + 1e-3 * np.exp(-x ** 2))
+        simulate(ctx, u0, u, SimConfig(dt=0.01, t_end=0.5))
+    assert whole.step_window(fp.u_star.values) == (0, bb.grid.n)
+    assert "envelope" not in vars(whole) and "envelope" in vars(line)
+
+
 @pytest.fixture
 def materializations(monkeypatch):
     """Calls of ``LineState.values``, which a run makes only to build the
@@ -292,6 +307,7 @@ def test_experiment_stops_at_escape(setup):
     eps = cfg.ball(u)
     out = instability_experiment(ctx, u, vec, cfg, lambda_max=setup["lam"])
     traj = out["trajectory"]
+    assert out["epsilon_ball"] == eps
     assert traj.deviation_sup[-1] >= eps
     assert np.all(traj.deviation_sup[:-1] < eps)
     # the run to t_end agrees up to the escape sample and yields the same fit

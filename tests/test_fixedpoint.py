@@ -7,7 +7,8 @@ import pytest
 from conftest import H, TAU, P
 from neurofield.bounds import build_bounds, solve_sandwich
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, NEWTON_TOL, TAIL_TOL,
-                                   OperatorContext, compute_epsilon, extend_bump,
+                                   WINDOW_BLOCK, OperatorContext, compute_epsilon,
+                                   extend_bump,
                                    fast_fft_len, gmres, make_extension_grid,
                                    newton_step, solve_third_fixed_point,
                                    tail_extension)
@@ -17,7 +18,7 @@ from neurofield.model import (ExponentialKernel, GaussianKernel,
                               TabulatedKernel)
 from neurofield.spectral import Linearization, spectral_radius
 from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
-                     dense_even_jacobian, monotone_iterate,
+                     continuous_bump_peak, dense_even_jacobian, monotone_iterate,
                      stationary_residual, verify_translation_family)
 
 
@@ -123,6 +124,25 @@ def test_apply_T_values_windows_the_source(ref_ctx_big, ref_u_tilde):
     assert np.all(np.isnan(ctx.apply_T_values(poisoned)))
 
 
+def test_envelope_reads_each_former_kernel_maximum(kernel_setup):
+    # E[l] = max |omega| at lags of l or more nodes, either sign: E[0] is the
+    # largest |omega| on the lag line of a whole-line product from any window,
+    # and E[w + 2] the largest |omega| beyond a window of w + 1 nodes and its
+    # two bands, bit for bit as the kernel computes them there
+    ctx = kernel_setup["lin_big"].ctx
+    n, dx, E = ctx.grid.n, ctx.grid.dx, ctx.envelope
+    assert len(E) == n + 2 and E[n + 1] == 0.0 and np.all(np.diff(E) <= 0.0)
+    assert ctx.envelope is E
+    lo, hi = ctx.step_window(kernel_setup["lin_big"].u.values)
+    for w_lo, w_hi in ((lo, hi), (0, WINDOW_BLOCK - 1), (n - WINDOW_BLOCK + 1, n)):
+        lags = np.arange(-w_hi, n - w_lo + 1)
+        assert E[0] == np.max(np.abs(ctx.kernel(lags * dx)))
+    for w in (0, 1, WINDOW_BLOCK - 1, min(hi - lo, n - 1), n // 6, n // 2, n - 1):
+        lags = np.arange(w + 2, n + 1) * dx
+        far = max(float(np.max(np.abs(ctx.kernel(x)), initial=0.0)) for x in (lags, -lags))
+        assert E[w + 2] == far, w
+
+
 def test_fast_fft_len_matches_scipy():
     from scipy.fft import next_fast_len
     for m in list(range(1, 3000)) + [38587, 154327, 1_000_001]:
@@ -213,6 +233,26 @@ def test_third_fixed_point_refinement_order(ref_fp):
     e200 = abs(vals[200] - ref)
     e400 = abs(vals[400] - ref)
     assert e400 < e200 / 3.0
+
+
+@pytest.mark.parametrize("tau, U_c, C", [(TAU, 0.21300944813, 0.02),
+                                         (0.02, 0.116784034468, 0.05)],
+                         ids=["reference", "tau=0.02"])
+def test_bump_peak_converges_to_the_continuous_peak(tau, U_c, C):
+    # exact truth for the exponential kernel: the discrete peak u*(0) lies
+    # within C dx^2 of the continuous bump's U_c at every n (the error over
+    # dx^2 is about 0.0127 at the reference and 0.0347 at tau = 0.02), and
+    # U_c lies strictly inside the sandwich u_-(0) < U_c < u_+(0)
+    peak = continuous_bump_peak(P, tau, H)
+    assert peak == pytest.approx(U_c, abs=1e-11)
+    kernel, firing = ExponentialKernel(), RatioFiring(P, tau)
+    for n in (200, 400, 800, 1600, 3200):
+        bb = build_bounds(kernel, solve_sandwich(kernel, H, tau), n)
+        fp = solve_third_fixed_point(OperatorContext(kernel, firing, H, bb.grid), bb,
+                                     tol=1e-12)
+        mid = n // 2
+        assert bb.u_minus.values[mid] < peak < bb.u_plus.values[mid]
+        assert abs(fp.u_star.values[mid] - peak) <= C * bb.grid.dx ** 2, n
 
 
 def test_newton_limit_outside_the_order_interval_is_rejected():
