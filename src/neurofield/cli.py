@@ -56,6 +56,11 @@ SCHEMA_PATH = Path(__file__).with_name("config_schema.json")
 
 #: certify's stationary bump needs residual_sup <= min(10 newton_tol, this)
 BUMP_TOL_CEILING = 1e-6
+#: and its escape run a growth rate within this share of lam - 1
+GROWTH_REL_TOL = 0.1
+
+#: length past which a config error's message, which may echo a value whole, is cut
+CONFIG_MESSAGE_CAP = 300
 
 #: subintervals per unit length of [-d, d] when the config sets no grid.n
 N_PER_UNIT = 256
@@ -145,7 +150,10 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ConfigError, RecursionError) as exc:
         # json, and the repr in a schema message, recurse once per nesting level
-        raise ConfigError(f"{path}: {exc}") from exc
+        message = str(exc)
+        if len(message) > CONFIG_MESSAGE_CAP:
+            message = message[:CONFIG_MESSAGE_CAP] + "..."
+        raise ConfigError(f"{path}: {message}") from exc
     ktype = cfg["kernel"]["type"]
     if ktype == "mexican_hat":
         missing = [p for p in ("K", "k", "M", "m") if p not in cfg["kernel"]]
@@ -446,7 +454,7 @@ def cmd_certify(run: Run, out: Path, quiet: bool):
     lam = certificate["spectral_radius"]
     # a passing certificate has lam > 1 (spectral_radius_above_one)
     growth_ok = (dyn["growth_rate"] is not None
-                 and abs(dyn["growth_rate"] - (lam - 1.0)) <= 0.1 * (lam - 1.0))
+                 and abs(dyn["growth_rate"] - (lam - 1.0)) <= GROWTH_REL_TOL * (lam - 1.0))
     instability_ok = (certificate["verdict"] == "pass"
                  and dyn["escape_time"] is not None and growth_ok)
     run_report = {
@@ -459,7 +467,7 @@ def cmd_certify(run: Run, out: Path, quiet: bool):
         "stationary_bump_verified": {"value": bool(bump_ok),
                                      "tolerance": bump_tol},
         "instability_verified": {"value": bool(instability_ok),
-                                 "growth_rate_rel_tolerance": 0.1},
+                                 "growth_rate_rel_tolerance": GROWTH_REL_TOL},
     }
     write_json(out / "run_report.json", run_report)
     ok = bump_ok and instability_ok

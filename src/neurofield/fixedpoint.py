@@ -5,15 +5,15 @@ product, weighing +-d by dx, not dx / 2 (equal while u <= h at +-d)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BumpBounds
 from .errors import DegenerateFixedPoint, EpsilonNotFound, NewtonDivergence
 from .grids import Grid, Profile, quadrature_weights
-from .model import Firing, Kernel, TabulatedKernel
+from .model import Firing, Kernel
 
 #: largest grid for which ``OperatorContext.kernel_matrix``, a test oracle that
 #: no pipeline stage calls, builds its dense block
@@ -204,12 +204,11 @@ class OperatorContext:
         return (max(first, lo - lo % WINDOW_BLOCK),
                 min(last, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK))
 
-    def _convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int = 0,
-                  out_hi: int | None = None) -> np.ndarray:
+    def _convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int,
+                  out_hi: int) -> np.ndarray:
         """sum_j src_j omega(x_i - x_j) at the nodes i in [out_lo, out_hi]
-        (by default every node) for the source that is ``src`` on the nodes
-        [lo, hi] among them and zero elsewhere."""
-        out_hi = self.grid.n if out_hi is None else out_hi
+        for the source that is ``src`` on the nodes [lo, hi] among them and
+        zero elsewhere."""
         key = (lo - out_lo, hi - out_lo, out_hi - out_lo)
         length, spectrum = self._spectrum(key)
         return _circular(src, length, spectrum, key[2] + 1)
@@ -272,9 +271,8 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
         f"n = {bb.grid.n}, dx = {bb.grid.dx:.6g}")
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    u_star: Profile = field(repr=False)
+class FixedPointResult(NamedTuple):
+    u_star: Profile
     residual_sup: float
     iterations: int
     dist_to_u_minus: float
@@ -282,13 +280,10 @@ class FixedPointResult:
     newton_tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "residual_sup": self.residual_sup,
-            "iterations": self.iterations,
-            "dist_to_u_minus": self.dist_to_u_minus,
-            "dist_to_u_plus": self.dist_to_u_plus,
-            "newton_tol": self.newton_tol,
-        }
+        """Every field but the profile."""
+        fields = self._asdict()
+        del fields["u_star"]
+        return fields
 
 
 def orthogonalize(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -447,28 +442,24 @@ def tail_extension(kernel: Kernel, d: float) -> float:
     search doubles x from d up to TAIL_SEARCH_LIMIT and bisects from the last
     doubling point where |omega| exceeds the target towards the next one, so
     a kernel that changes sign is followed past its zero to the end of its
-    inhibitory lobe.  A tabulated kernel is 0 past its table, so the search
-    ends at the table's edge and never evaluates beyond it.
+    inhibitory lobe.
     """
     target = TAIL_TOL / (2.0 * d)
-    edge = kernel.grid.hi if isinstance(kernel, TabulatedKernel) else math.inf
 
     def above(x):
         return abs(float(kernel(x))) > target
 
     x, last = d, None
     while True:
-        if above(min(x, edge)):
-            if x >= edge:
-                return edge
+        if above(x):
             last = x
-        if x >= edge or 2.0 * x > TAIL_SEARCH_LIMIT:
+        if 2.0 * x > TAIL_SEARCH_LIMIT:
             break
         x *= 2.0
     if last == x:
         raise ValueError("kernel tail does not decay below the truncation target")
     lo = d / 2.0 if last is None else last
-    hi = min(2.0 * lo, edge)
+    hi = 2.0 * lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if above(mid):

@@ -8,14 +8,16 @@ the principal eigenpair), or checks
 that no certify stage runs (the clamped iteration, the translation family,
 the Heaviside stationarity of u_minus and u_plus, the two formulations of
 condition (vii), and the comparison of the restricted and whole-line spectra
-whose premises certify checks instead).  ``continuous_bump_peak`` is exact
-truth for the continuous equation, which no discrete result enters.
+whose premises certify checks instead).  ``continuous_bump_peak`` and
+``continuous_principal_eigenvalue`` are exact truth for the continuous
+equation, which no discrete result enters beyond bracketing a root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -379,6 +381,7 @@ def check_lemma1_equivalence(kernel, d: float, probe: Grid | None = None,
 PEAK_SCAN = 400
 
 
+@cache
 def continuous_bump_peak(p: float, tau: float, h: float) -> float:
     """U_c, the peak of the continuous bump for the exponential kernel
     omega(x) = exp(-|x|) / 2 and the ratio firing rate f of (p, tau).
@@ -416,3 +419,53 @@ def continuous_bump_peak(p: float, tau: float, h: float) -> float:
                            (mp.mpf(xs[cells[0]]), mp.mpf(xs[cells[0] + 1])),
                            solver="anderson")
     return float(root)
+
+
+#: the shooting run stops at the support edge x_h, or fails past this x
+EDGE_SEARCH_LIMIT = 50.0
+
+
+def continuous_principal_eigenvalue(p: float, tau: float, h: float,
+                                    bracket: tuple[float, float]) -> tuple[float, float]:
+    """(lambda_c, x_h): the principal eigenvalue of the continuous bump's
+    linearization for the exponential kernel and the ratio firing rate f of
+    (p, tau), and the bump's support edge, where u(x_h) = h.
+
+    As omega is the Green's function of 1 - d^2/dx^2, the eigenproblem
+    lambda v = omega * (f'(u - h) v) reads lambda (v - v'') = f'(u - h) v.
+    DOP853 integrates u'' = u - f(u - h) and v'' = v - f'(u - h) v / lambda
+    from the peak, u = U_c (``continuous_bump_peak``), u' = 0, v = 1, v' = 0,
+    up to the event u = h.  Past x_h, f' vanishes and the even mode decays as
+    e^-|x|, so lambda_c solves v'(x_h) + v(x_h) = 0, which brentq finds
+    within ``bracket`` (Laing, Troy, Gutkin & Ermentrout 2002).
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    def rate(u):
+        """f(u - h) and f'(u - h); f is 0 below the layer and 1 above it."""
+        r = u - h
+        if not 0.0 < r < tau:
+            return float(r >= tau), 0.0
+        a, b = r ** p, (tau - r) ** p
+        return a / (a + b), p * tau * (r * (tau - r)) ** (p - 1) / (a + b) ** 2
+
+    def edge(x, y):
+        return y[0] - h
+    edge.terminal, edge.direction = True, -1
+
+    def shoot(lam):
+        def rhs(x, y):
+            f, df = rate(y[0])
+            return [y[1], y[0] - f, y[3], y[2] - df * y[2] / lam]
+        sol = solve_ivp(rhs, (0.0, EDGE_SEARCH_LIMIT),
+                        [continuous_bump_peak(p, tau, h), 0.0, 1.0, 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-15, events=edge)
+        if not sol.t_events[0].size:
+            raise NoConvergence(f"the bump does not fall to h = {h} before "
+                                f"x = {EDGE_SEARCH_LIMIT}")
+        _, _, v, dv = sol.y_events[0][0]
+        return v + dv, float(sol.t_events[0][0])
+
+    lam = brentq(lambda lam: shoot(lam)[0], *bracket)
+    return lam, shoot(lam)[1]

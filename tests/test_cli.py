@@ -18,9 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 import neurofield
 import neurofield.dynamics
 from neurofield import cli
-from neurofield.cli import BUMP_TOL_CEILING, main
+from neurofield.cli import BUMP_TOL_CEILING, CONFIG_MESSAGE_CAP, main
 from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
-                                   WINDOW_BLOCK, OperatorContext, compute_epsilon)
+                                   WINDOW_BLOCK, FixedPointResult, OperatorContext,
+                                   compute_epsilon)
 from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.spectral import Linearization
 
@@ -103,6 +104,17 @@ def test_fixedpoint_json_records_the_runs_sandwich_margin(tmp_path):
     assert cli.cmd_solve(pipeline, tmp_path / "out", True)[0] == 0
     fp = json.loads((tmp_path / "out" / "fixedpoint.json").read_text())
     assert fp["epsilon_used"] == compute_epsilon(pipeline.solve.ctx, pipeline.bounds) > 0.0
+
+
+def test_fixedpoint_json_lists_the_records_fields(tmp_path):
+    # FixedPointResult.to_dict names no field, so the record and the JSON
+    # cannot drift apart: every field but the profile, and the run's stamp,
+    # margin and line length
+    cfg = write_cfg(tmp_path)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    fp = json.loads((tmp_path / "out" / "fixedpoint.json").read_text())
+    assert fp.keys() == (set(FixedPointResult._fields) - {"u_star"}
+                         | {"config_hash", "epsilon_used", "L"})
 
 
 def same_files(staged, certified):
@@ -281,6 +293,29 @@ def test_config_nested_near_the_decoders_limit_exit_1(tmp_path, capsys, form):
         assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}: ") and err.count("\n") == 1, depth
+
+
+LONG = "x" * 20_000
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"exponential"', f'"{LONG}"'),
+    ('"kernel"', f'"{LONG}": 1, "kernel"'),
+    ('"kernel"', f'"{LONG}": NaN, "kernel"'),
+    ('"h": 0.1', f'"h": "{LONG}"'),
+    ('"exponential"', nested(980, "arrays")),
+], ids=["kernel.type", "unknown key", "NaN under a long key", "string as h", "nested"])
+def test_config_error_shortens_a_long_echoed_value(tmp_path, capsys, old, new):
+    # the schema's and the finite-number check's messages hold the rejected
+    # key or value whole (20,000 characters, or a repr of 2,000 for the nested
+    # one); the one line keeps the first CONFIG_MESSAGE_CAP characters
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    prefix = f"config error: {cfg}: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err[-300:]
+    assert len(err) <= len(prefix) + CONFIG_MESSAGE_CAP + len("...\n")
 
 
 @pytest.mark.parametrize("overrides", [{}, {"firing": {"p": 1e300, "tau": 0.2},

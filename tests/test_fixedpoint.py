@@ -1,10 +1,12 @@
 import math
 import re
+from functools import cache
 
 import numpy as np
 import pytest
 
 from conftest import H, TAU, P
+from neurofield import fixedpoint
 from neurofield.bounds import build_bounds, solve_sandwich
 from neurofield.fixedpoint import (DENSE_NODE_LIMIT, NEWTON_TOL, TAIL_TOL,
                                    WINDOW_BLOCK, OperatorContext, compute_epsilon,
@@ -18,7 +20,8 @@ from neurofield.model import (ExponentialKernel, GaussianKernel,
                               TabulatedKernel)
 from neurofield.spectral import Linearization, spectral_radius
 from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
-                     continuous_bump_peak, dense_even_jacobian, monotone_iterate,
+                     continuous_bump_peak, continuous_principal_eigenvalue,
+                     dense_even_jacobian, monotone_iterate,
                      stationary_residual, verify_translation_family)
 
 
@@ -235,6 +238,21 @@ def test_third_fixed_point_refinement_order(ref_fp):
     assert e400 < e200 / 3.0
 
 
+@cache
+def exponential_ladder(tau: float) -> dict:
+    """n -> (bounds, u*, lambda_n) of the exponential kernel at tau for
+    n = 200 ... 3200; lambda_n is the top eigenvalue of the linearization at
+    u* on [-d, d], which holds the whole support."""
+    kernel, firing = ExponentialKernel(), RatioFiring(P, tau)
+    ladder = {}
+    for n in (200, 400, 800, 1600, 3200):
+        bb = build_bounds(kernel, solve_sandwich(kernel, H, tau), n)
+        ctx = OperatorContext(kernel, firing, H, bb.grid)
+        u_star = solve_third_fixed_point(ctx, bb, tol=1e-12).u_star
+        ladder[n] = bb, u_star, Linearization(ctx, u_star).eigensolve(1)[0][0]
+    return ladder
+
+
 @pytest.mark.parametrize("tau, U_c, C", [(TAU, 0.21300944813, 0.02),
                                          (0.02, 0.116784034468, 0.05)],
                          ids=["reference", "tau=0.02"])
@@ -245,14 +263,29 @@ def test_bump_peak_converges_to_the_continuous_peak(tau, U_c, C):
     # U_c lies strictly inside the sandwich u_-(0) < U_c < u_+(0)
     peak = continuous_bump_peak(P, tau, H)
     assert peak == pytest.approx(U_c, abs=1e-11)
-    kernel, firing = ExponentialKernel(), RatioFiring(P, tau)
-    for n in (200, 400, 800, 1600, 3200):
-        bb = build_bounds(kernel, solve_sandwich(kernel, H, tau), n)
-        fp = solve_third_fixed_point(OperatorContext(kernel, firing, H, bb.grid), bb,
-                                     tol=1e-12)
+    for n, (bb, u_star, _) in exponential_ladder(tau).items():
         mid = n // 2
         assert bb.u_minus.values[mid] < peak < bb.u_plus.values[mid]
-        assert abs(fp.u_star.values[mid] - peak) <= C * bb.grid.dx ** 2, n
+        assert abs(u_star.values[mid] - peak) <= C * bb.grid.dx ** 2, n
+
+
+@pytest.mark.parametrize("tau, lam_c, x_h, C", [(TAU, 4.2369126176, 1.0538193223, 0.7),
+                                              (0.02, 10.5718557970, 0.2288569489, 120.0)],
+                         ids=["reference", "tau=0.02"])
+def test_principal_eigenvalue_converges_to_the_continuous_one(tau, lam_c, x_h, C):
+    # exact truth for the exponential kernel: lambda_n lies within C dx^2 of
+    # the continuous principal eigenvalue lambda_c at every n (the error over
+    # dx^2 is 0.47-0.56 at the reference and 48-88 at tau = 0.02, not
+    # monotone in n), and the last node x >= 0 with u* > h lies less than one
+    # node below the continuous bump's support edge x_h (0.09-0.97 dx below)
+    ladder = exponential_ladder(tau)
+    lam_n = ladder[3200][2]
+    lam, edge = continuous_principal_eigenvalue(P, tau, H, (lam_n - 1e-3, lam_n + 1e-3))
+    assert (lam, edge) == pytest.approx((lam_c, x_h), abs=1e-9)
+    for n, (bb, u_star, lam_n) in ladder.items():
+        dx, x = bb.grid.dx, bb.grid.nodes()
+        assert abs(lam_n - lam) <= C * dx ** 2, n
+        assert edge - dx < np.max(x[(x >= 0.0) & (u_star.values > H)]) <= edge, n
 
 
 def test_newton_limit_outside_the_order_interval_is_rejected():
@@ -307,12 +340,19 @@ def test_tail_extension_oracle():
     assert x_tail == pytest.approx(math.log(d / 1e-10), rel=1e-6)
 
 
-def test_tail_extension_stops_at_table_edge():
-    # past its table a tabulated kernel is 0: a table still above the target
-    # at its edge ends the tail there, one below it is bisected inside it
+def test_tail_extension_stops_at_table_edge(monkeypatch):
+    # past its table a tabulated kernel is 0: the bisection takes a table
+    # still above the target at its edge onto the edge from above, and the
+    # line is the one a tail of exactly the edge gives; a table below the
+    # target at its edge is bisected inside it
     d, table = 1.5567, Grid(-12.0, 12.0, 2400)
     x = table.nodes()
-    assert tail_extension(TabulatedKernel(table, ExponentialKernel()(x)), d) == 12.0
+    exponential = TabulatedKernel(table, ExponentialKernel()(x))
+    assert 12.0 < tail_extension(exponential, d) <= math.nextafter(12.0, 13.0)
+    grids = [Grid(-d, d, n) for n in (200, 800, 3200)]
+    lines = [make_extension_grid(exponential, g) for g in grids]
+    monkeypatch.setattr(fixedpoint, "tail_extension", lambda kernel, d: 12.0)
+    assert lines == [make_extension_grid(exponential, g) for g in grids]
     gaussian = tail_extension(TabulatedKernel(table, GaussianKernel()(x)), d)
     assert gaussian == pytest.approx(tail_extension(GaussianKernel(), d), rel=1e-3)
 
