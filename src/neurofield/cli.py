@@ -22,6 +22,7 @@ import argparse
 import io
 import json
 import math
+import operator
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -94,9 +95,10 @@ _TYPES = {
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }
-#: the keywords _valid decides by; it skips annotations ($schema, title, ...)
-_KEYWORDS = frozenset({"type", "enum", "required", "additionalProperties",
-                       "properties", "exclusiveMinimum", "minimum", "maximum"})
+#: each bound keyword: the test a number fails it by, and jsonschema's words
+_BOUNDS = {"exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "minimum": (operator.lt, "less than the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of")}
 
 
 @cache
@@ -105,27 +107,31 @@ def _schema() -> dict:
     return json.loads(SCHEMA_PATH.read_text())
 
 
-def _valid(value, schema: dict) -> bool:
-    """Whether value meets schema, read as JSON Schema 2020-12 with only the
-    _KEYWORDS, in the forms config_schema.json writes them: a ``type`` of one
-    name, an enum of strings and ``additionalProperties: false``."""
-    if "type" in schema and not _TYPES[schema["type"]](value):
-        return False
-    if "enum" in schema and value not in schema["enum"]:
-        return False
-    if _TYPES["number"](value) and (
-            value <= schema.get("exclusiveMinimum", -math.inf)
-            or value < schema.get("minimum", -math.inf)
-            or value > schema.get("maximum", math.inf)):
-        return False
-    if not isinstance(value, dict):
-        return True
-    props = schema.get("properties", {})
-    if not all(key in value for key in schema.get("required", ())):
-        return False
-    if schema.get("additionalProperties") is False and not value.keys() <= props.keys():
-        return False
-    return all(_valid(v, props[k]) for k, v in value.items() if k in props)
+def _errors(value, schema: dict, path: tuple = ()):
+    """Each (path, message) where value fails schema, in jsonschema's words and
+    order: JSON Schema 2020-12 read for the eight keywords below only, in the forms
+    config_schema.json writes them (a ``type`` of one name, an enum of strings and
+    ``additionalProperties: false``); annotations such as ``title`` are skipped."""
+    for keyword, arg in schema.items():
+        if keyword == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in _BOUNDS and _TYPES["number"](value) and _BOUNDS[keyword][0](value, arg):
+            yield path, f"{value!r} is {_BOUNDS[keyword][1]} {arg!r}"
+        elif not isinstance(value, dict):
+            continue
+        elif keyword == "required":
+            yield from ((path, f"{key!r} is a required property")
+                        for key in arg if key not in value)
+        elif keyword == "additionalProperties" and (
+                extras := sorted(value.keys() - schema.get("properties", {}).keys())):
+            yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        elif keyword == "properties":
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _errors(value[key], sub, path + (key,))
 
 
 def load_config(path: str | Path) -> dict:
@@ -136,16 +142,10 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text, object_pairs_hook=_finite_object, parse_int=_parse_int)
-        # _valid decides; jsonschema (a slow import) only words a rejection, as
-        # jsonschema.validate would.  The tests check the shipped schema against
-        # its metaschema and _valid against jsonschema's verdict
-        if not _valid(cfg, _schema()):
-            from jsonschema import Draft202012Validator
-            from jsonschema.exceptions import best_match
-
-            error = best_match(Draft202012Validator(_schema()).iter_errors(cfg))
-            where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ConfigError(f"at {where}: {error.message}")
+        # jsonschema's best_match: the shallowest, then largest path, then the first
+        error = max(_errors(cfg, _schema()), key=lambda e: (-len(e[0]), e[0]), default=None)
+        if error is not None:
+            raise ConfigError(f"at {'/'.join(error[0]) or '<root>'}: {error[1]}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ConfigError, RecursionError) as exc:

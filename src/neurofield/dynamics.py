@@ -33,7 +33,7 @@ from .errors import ConfigError, NonFinite
 from .fixedpoint import OperatorContext
 from .grids import Profile
 
-#: the most steps a run may ask for (about 0.75 ms each on the reference grid)
+#: the most steps a run may ask for (about 0.35 ms each on the reference grid)
 MAX_STEPS = 1_000_000
 
 

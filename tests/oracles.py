@@ -8,9 +8,10 @@ the principal eigenpair), or checks
 that no certify stage runs (the clamped iteration, the translation family,
 the Heaviside stationarity of u_minus and u_plus, the two formulations of
 condition (vii), and the comparison of the restricted and whole-line spectra
-whose premises certify checks instead).  ``continuous_bump_peak`` and
-``continuous_principal_eigenvalue`` are exact truth for the continuous
-equation, which no discrete result enters beyond bracketing a root.
+whose premises certify checks instead).  ``continuous_bump_peak``,
+``continuous_bump_profile`` and ``continuous_principal_eigenvalue`` are exact
+truth for the continuous equation, which no discrete result enters beyond
+bracketing a root.
 """
 
 from __future__ import annotations
@@ -425,6 +426,52 @@ def continuous_bump_peak(p: float, tau: float, h: float) -> float:
 EDGE_SEARCH_LIMIT = 50.0
 
 
+def _ratio_rate(r: float, p: float, tau: float) -> tuple[float, float]:
+    """f(r) and f'(r) of the ratio firing rate of (p, tau): 0 below its layer
+    (0, tau) and 1 above it."""
+    if not 0.0 < r < tau:
+        return float(r >= tau), 0.0
+    a, b = r ** p, (tau - r) ** p
+    return a / (a + b), p * tau * (r * (tau - r)) ** (p - 1) / (a + b) ** 2
+
+
+def _integrate_to_edge(h: float, rhs, y0: list, **options):
+    """DOP853's solution of y' = rhs(x, y) from the bump's peak x = 0 up to its
+    support edge x_h, the event y[0] = u = h."""
+    from scipy.integrate import solve_ivp
+
+    def edge(x, y):
+        return y[0] - h
+    edge.terminal, edge.direction = True, -1
+    sol = solve_ivp(rhs, (0.0, EDGE_SEARCH_LIMIT), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-15, events=edge, **options)
+    if not sol.t_events[0].size:
+        raise NoConvergence(f"the bump does not fall to h = {h} before "
+                            f"x = {EDGE_SEARCH_LIMIT}")
+    return sol
+
+
+def continuous_bump_profile(p: float, tau: float, h: float):
+    """u_c, the continuous bump for the exponential kernel and the ratio firing
+    rate f of (p, tau), as a function of x.
+
+    DOP853's dense output of u'' = u - f(u - h) from the peak, u = U_c
+    (``continuous_bump_peak``), u' = 0, up to the support edge x_h where u = h,
+    the run ``continuous_principal_eigenvalue`` shoots along.  Past x_h, f
+    vanishes and u'' = u, so u = h e^-(|x| - x_h), the solution that decays.
+    """
+    def rhs(x, y):
+        return [y[1], y[0] - _ratio_rate(y[0] - h, p, tau)[0]]
+    sol = _integrate_to_edge(h, rhs, [continuous_bump_peak(p, tau, h), 0.0],
+                             dense_output=True)
+    x_h = float(sol.t_events[0][0])
+
+    def u_c(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        return np.where(x <= x_h, sol.sol(np.minimum(x, x_h))[0], h * np.exp(x_h - x))
+    return u_c
+
+
 def continuous_principal_eigenvalue(p: float, tau: float, h: float,
                                     bracket: tuple[float, float]) -> tuple[float, float]:
     """(lambda_c, x_h): the principal eigenvalue of the continuous bump's
@@ -439,31 +486,13 @@ def continuous_principal_eigenvalue(p: float, tau: float, h: float,
     e^-|x|, so lambda_c solves v'(x_h) + v(x_h) = 0, which brentq finds
     within ``bracket`` (Laing, Troy, Gutkin & Ermentrout 2002).
     """
-    from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
-
-    def rate(u):
-        """f(u - h) and f'(u - h); f is 0 below the layer and 1 above it."""
-        r = u - h
-        if not 0.0 < r < tau:
-            return float(r >= tau), 0.0
-        a, b = r ** p, (tau - r) ** p
-        return a / (a + b), p * tau * (r * (tau - r)) ** (p - 1) / (a + b) ** 2
-
-    def edge(x, y):
-        return y[0] - h
-    edge.terminal, edge.direction = True, -1
 
     def shoot(lam):
         def rhs(x, y):
-            f, df = rate(y[0])
+            f, df = _ratio_rate(y[0] - h, p, tau)
             return [y[1], y[0] - f, y[3], y[2] - df * y[2] / lam]
-        sol = solve_ivp(rhs, (0.0, EDGE_SEARCH_LIMIT),
-                        [continuous_bump_peak(p, tau, h), 0.0, 1.0, 0.0],
-                        method="DOP853", rtol=1e-13, atol=1e-15, events=edge)
-        if not sol.t_events[0].size:
-            raise NoConvergence(f"the bump does not fall to h = {h} before "
-                                f"x = {EDGE_SEARCH_LIMIT}")
+        sol = _integrate_to_edge(h, rhs, [continuous_bump_peak(p, tau, h), 0.0, 1.0, 0.0])
         _, _, v, dv = sol.y_events[0][0]
         return v + dv, float(sol.t_events[0][0])
 

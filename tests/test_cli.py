@@ -207,7 +207,8 @@ def child_env():
 
 
 def test_cli_import_loads_no_scipy():
-    # jsonschema is imported only to word a rejected config's error
+    # scipy is a test oracle and jsonschema the tests' referee on config
+    # errors; the command line words its own rejections without either
     code = ("import sys, neurofield.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
@@ -724,22 +725,27 @@ def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
 
 
 def test_certify_imports_no_scipy(tmp_path):
-    # the footprint of a certify in a fresh interpreter: no jsonschema, since
-    # load_config validates a valid config without it, and no _hashlib, whose
-    # OpenSSL the config hash does without where CPython has its own SHA-256
+    # the footprint of a certify, and of a check the schema rejects, in a
+    # fresh interpreter: no jsonschema, since load_config words a rejection
+    # itself, and no _hashlib, whose OpenSSL the config hash does without
+    # where CPython has its own SHA-256
     cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
+    bad = write_cfg(tmp_path, {"firing": {"p": "two"}}, name="bad.json")
     script = ("import sys\n"
               "from neurofield.cli import main\n"
-              f"rc = main(['certify', '--config', {str(cfg)!r}, '--out', "
-              f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
-              "print(rc, *sorted(m for m in sys.modules "
+              f"rcs = [main([command, '--config', cfg, '--out', {str(tmp_path / 'out')!r}, "
+              f"'--quiet']) for command, cfg in (('certify', {str(cfg)!r}), "
+              f"('check', {str(bad)!r}))]\n"
+              "print(*rcs, *sorted(m for m in sys.modules "
               "if m.split('.')[0] in ('scipy', 'jsonschema', '_hashlib')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env(), check=True)
-    rc, *loaded = proc.stdout.split()
+    rc, rc_bad, *loaded = proc.stdout.split()
     if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         loaded = [m for m in loaded if m != "_hashlib"]
-    assert (rc, loaded) == ("0", [])
+    assert (rc, rc_bad, loaded) == ("0", "1", [])
+    assert proc.stderr.splitlines() == [
+        f"config error: {bad}: at firing/p: 'two' is not of type 'number'"]
 
 
 def test_certify_tabulated_kernel_stays_in_its_table(tmp_path):
@@ -921,8 +927,12 @@ def test_config_schema_is_valid():
     {"grid": {"n": 1}},
     {"dynamics": {"epsilon_ball": 0.05}},
     {"output": {"directory": "out"}},
+    {"grid": {"spacing": 0.1, "n": 1.5, "cells": 3}},
 ])
-def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, overrides):
+def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, monkeypatch,
+                                                            overrides):
+    # jsonschema words the expected line; the command line words its own
+    # without it
     from jsonschema import ValidationError, validate
     cfg = write_cfg(tmp_path, overrides)
     try:
@@ -932,13 +942,18 @@ def test_invalid_config_message_matches_jsonschema_validate(tmp_path, capsys, ov
         expected = f"config error: {cfg}: at {where}: {exc.message}"
     else:
         pytest.fail("config unexpectedly valid")
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
     assert run(["check", "--config", cfg, "--quiet"]) == 1
     assert capsys.readouterr().err.splitlines() == [expected]
 
 
+#: the keywords cli._errors reads, in jsonschema's words
+KEYWORDS = {"type", "enum", "required", "additionalProperties", "properties", *cli._BOUNDS}
+
+
 def unhandled_keywords(schema: dict, where: str = "<root>") -> list[str]:
-    """Where schema uses a keyword, type or form that cli._valid does not decide."""
-    found = [f"{where}: {key}" for key in sorted(schema.keys() - cli._KEYWORDS
+    """Where schema uses a keyword, type or form that cli._errors does not read."""
+    found = [f"{where}: {key}" for key in sorted(schema.keys() - KEYWORDS
                                                  - {"$schema", "title", "description"})]
     types = schema.get("type")
     if types is not None and not (isinstance(types, str) and types in cli._TYPES):
@@ -1001,8 +1016,16 @@ def mutated_configs(draw):
     return draw(st.sampled_from([cfg, cfg, cfg, [cfg], None]))
 
 
+def pick(cfg, schema: dict):
+    """The (where, message) load_config words for cfg, or None where it is valid."""
+    error = max(cli._errors(cfg, schema), key=lambda e: (-len(e[0]), e[0]), default=None)
+    return error and ("/".join(error[0]) or "<root>", error[1])
+
+
 def test_valid_agrees_with_jsonschema():
+    # the verdict and the words of each mutant are best_match's
     from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
     schema = cli._schema()
     validator = Draft202012Validator(schema)
     verdicts = []
@@ -1010,11 +1033,13 @@ def test_valid_agrees_with_jsonschema():
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(mutated_configs())
     def agree(cfg):
-        verdicts.append(validator.is_valid(cfg))
-        assert cli._valid(cfg, schema) == verdicts[-1]
+        error = best_match(validator.iter_errors(cfg))
+        verdicts.append(error is None)
+        assert pick(cfg, schema) == (error and (
+            "/".join(map(str, error.absolute_path)) or "<root>", error.message))
 
     agree()
-    assert cli._valid(FULL_CFG, schema)
+    assert pick(FULL_CFG, schema) is None
     # both verdicts are common among the mutants
     assert 0.05 * len(verdicts) < sum(verdicts) < 0.95 * len(verdicts)
 

@@ -20,7 +20,8 @@ from neurofield.model import (ExponentialKernel, GaussianKernel,
                               TabulatedKernel)
 from neurofield.spectral import Linearization, spectral_radius
 from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
-                     continuous_bump_peak, continuous_principal_eigenvalue,
+                     continuous_bump_peak, continuous_bump_profile,
+                     continuous_principal_eigenvalue,
                      dense_even_jacobian, monotone_iterate,
                      stationary_residual, verify_translation_family)
 
@@ -238,19 +239,25 @@ def test_third_fixed_point_refinement_order(ref_fp):
     assert e400 < e200 / 3.0
 
 
+#: the subinterval counts of the exponential ladder
+LADDER = (200, 400, 800, 1600, 3200)
+
+
 @cache
-def exponential_ladder(tau: float) -> dict:
-    """n -> (bounds, u*, lambda_n) of the exponential kernel at tau for
-    n = 200 ... 3200; lambda_n is the top eigenvalue of the linearization at
-    u* on [-d, d], which holds the whole support."""
-    kernel, firing = ExponentialKernel(), RatioFiring(P, tau)
-    ladder = {}
-    for n in (200, 400, 800, 1600, 3200):
-        bb = build_bounds(kernel, solve_sandwich(kernel, H, tau), n)
-        ctx = OperatorContext(kernel, firing, H, bb.grid)
-        u_star = solve_third_fixed_point(ctx, bb, tol=1e-12).u_star
-        ladder[n] = bb, u_star, Linearization(ctx, u_star).eigensolve(1)[0][0]
-    return ladder
+def ladder_rung(tau: float, n: int) -> tuple:
+    """(bounds, u*, lambda_n) of the exponential kernel at tau on n
+    subintervals; lambda_n is the top eigenvalue of the linearization at u* on
+    [-d, d], which holds the whole support."""
+    kernel = ExponentialKernel()
+    bb = build_bounds(kernel, solve_sandwich(kernel, H, tau), n)
+    ctx = OperatorContext(kernel, RatioFiring(P, tau), H, bb.grid)
+    u_star = solve_third_fixed_point(ctx, bb, tol=1e-12).u_star
+    return bb, u_star, Linearization(ctx, u_star).eigensolve(1)[0][0]
+
+
+def exponential_ladder(tau: float, ns=LADDER) -> dict:
+    """n -> ladder_rung(tau, n) for each n of ns, each solved once per session."""
+    return {n: ladder_rung(tau, n) for n in ns}
 
 
 @pytest.mark.parametrize("tau, U_c, C", [(TAU, 0.21300944813, 0.02),
@@ -286,6 +293,20 @@ def test_principal_eigenvalue_converges_to_the_continuous_one(tau, lam_c, x_h, C
         dx, x = bb.grid.dx, bb.grid.nodes()
         assert abs(lam_n - lam) <= C * dx ** 2, n
         assert edge - dx < np.max(x[(x >= 0.0) & (u_star.values > H)]) <= edge, n
+
+
+@pytest.mark.parametrize("tau, ns", [(TAU, LADDER), (0.02, LADDER), (0.002, (800, 3200))],
+                         ids=["reference", "tau=0.02", "tau=0.002"])
+def test_continuous_bump_lies_in_the_sandwich(tau, ns):
+    # exact truth for the exponential kernel on the whole window: the
+    # paper's sandwich holds the continuous bump strictly, u_- < u_c < u_+ at
+    # every node of [-d, d], its ends included (by 1.1e-3 at least), and u*
+    # lies within 0.1 dx^2 of u_c (the error over dx^2 is 0.04-0.06)
+    u_c = continuous_bump_profile(P, tau, H)
+    for n, (bb, u_star, _) in exponential_ladder(tau, ns).items():
+        exact = u_c(bb.grid.nodes())
+        assert np.all(bb.u_minus.values < exact) and np.all(exact < bb.u_plus.values), n
+        assert np.max(np.abs(u_star.values - exact)) <= 0.1 * bb.grid.dx ** 2, n
 
 
 def test_newton_limit_outside_the_order_interval_is_rejected():
