@@ -7,7 +7,7 @@ and unknown rather than claiming a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .quadrature import CumulativeKernel
 DEFAULT_PROBE = Grid(0.0, DEFAULT_HORIZON, 10_000)
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "unknown"
     witness: float | None = None
@@ -28,12 +27,11 @@ class ConditionRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     conditions: tuple[ConditionRecord, ...]
     sandwich: Sandwich
     horizon: float
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     @property
     def a(self) -> float:
@@ -59,7 +57,7 @@ class AssumptionReport:
             "a": self.a,
             "d": self.d,
             "horizon": self.horizon,
-            "conditions": [dict(vars(c)) for c in self.conditions],
+            "conditions": [c._asdict() for c in self.conditions],
             **self.extras,
         }
 
@@ -169,5 +167,4 @@ def check_assumptions(kernel: Kernel, firing: Firing, h: float) -> AssumptionRep
             "thmB_iii_firing_smooth", "fail", witness=firing.p,
             note="ratio family needs p > 1 for a continuous derivative"))
 
-    return AssumptionReport(tuple(records), sw, horizon=horizon,
-                            extras={"h": h, "tau": firing.tau})
+    return AssumptionReport(tuple(records), sw, horizon, {"h": h, "tau": firing.tau})

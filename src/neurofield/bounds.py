@@ -7,7 +7,6 @@ they bracket the bump constructed by the fixed-point module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,23 +23,17 @@ DEFAULT_HORIZON = 40.0
 BISECT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class BumpBounds:
-    delta_minus: float
-    delta_plus: float
-    d: float
-    u_minus: Profile = field(repr=False)
-    u_plus: Profile = field(repr=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.delta_minus < self.delta_plus < self.d:
-            raise ValueError(
-                f"need 0 < delta_minus < delta_plus < d, got "
-                f"{self.delta_minus}, {self.delta_plus}, {self.d}"
-            )
-        gap = self.u_plus.values[1:-1] - self.u_minus.values[1:-1]
+    def __init__(self, delta_minus: float, delta_plus: float, d: float,
+                 u_minus: Profile, u_plus: Profile):
+        if not 0.0 < delta_minus < delta_plus < d:
+            raise ValueError(f"need 0 < delta_minus < delta_plus < d, got "
+                             f"{delta_minus}, {delta_plus}, {d}")
+        gap = u_plus.values[1:-1] - u_minus.values[1:-1]
         if np.min(gap) <= 0.0:
             raise ValueError("u_minus must lie strictly below u_plus at interior nodes")
+        self.delta_minus, self.delta_plus, self.d = delta_minus, delta_plus, d
+        self.u_minus, self.u_plus = u_minus, u_plus
 
     @property
     def grid(self) -> Grid:

@@ -25,7 +25,7 @@ the step window would move, or where the state is not finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,32 +37,28 @@ from .grids import Profile
 MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """The config's ``dynamics`` section: the RK4 step and horizon, and the
     escape run's perturbation delta."""
-    dt: float = 0.01
-    t_end: float = 60.0
-    delta: float = 1e-3
 
-    def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
+    def __init__(self, dt: float = 0.01, t_end: float = 60.0, delta: float = 1e-3):
+        if dt <= 0.0 or t_end <= 0.0:
             raise ValueError("need dt > 0 and t_end > 0")
-        if self.dt > 0.1:
+        if dt > 0.1:
             raise ValueError("rk4 default accuracy budget requires dt <= 0.1")
-        if not self.t_end / self.dt <= MAX_STEPS:  # inf once it overflows
-            raise ConfigError(f"dynamics.dt: t_end / dt = {self.t_end / self.dt:.6g} "
+        if not t_end / dt <= MAX_STEPS:  # inf once it overflows
+            raise ConfigError(f"dynamics.dt: t_end / dt = {t_end / dt:.6g} "
                               f"steps exceed the affordable {MAX_STEPS}")
+        self.dt, self.t_end, self.delta = dt, t_end, delta
 
     def ball(self, u_tilde: Profile) -> float:
         """The epsilon ball's radius around the bump u_tilde: 0.05 sup|u_tilde|."""
         return 0.05 * u_tilde.sup_norm()
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray = field(repr=False)
-    deviation_sup: np.ndarray = field(repr=False)
+class Trajectory(NamedTuple):
+    times: np.ndarray
+    deviation_sup: np.ndarray
 
 
 def _off(x: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -2,27 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass(frozen=True)
 class Grid:
-    """Uniform partition of [lo, hi] into n subintervals (n + 1 nodes)."""
+    """Uniform partition of [lo, hi] into n subintervals (n + 1 nodes); grids
+    built apart with equal (lo, hi, n) are equal and hash alike."""
 
-    lo: float
-    hi: float
-    n: int
+    __slots__ = ("lo", "hi", "n")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n < 1:
-            raise ValueError(f"need at least one subinterval, got n={self.n}")
-        if self.n + 1 > np.iinfo(np.intp).max // 8:
+    def __init__(self, lo: float, hi: float, n: int):
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        if n < 1:
+            raise ValueError(f"need at least one subinterval, got n={n}")
+        if n + 1 > np.iinfo(np.intp).max // 8:
             # past the address space numpy refuses the nodes with a ValueError
-            raise MemoryError(f"Unable to allocate {self.n + 1} grid nodes")
+            raise MemoryError(f"Unable to allocate {n + 1} grid nodes")
+        self.lo, self.hi, self.n = lo, hi, n
+
+    def __eq__(self, other):
+        return type(other) is Grid and (self.lo, self.hi, self.n) == (other.lo, other.hi, other.n)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.n))
 
     @property
     def dx(self) -> float:
@@ -41,22 +44,19 @@ class Grid:
         return abs(self.lo + self.hi) <= 1e-12 * max(abs(self.lo), abs(self.hi))
 
 
-@dataclass(frozen=True)
 class Profile:
     """Real-valued samples of a function on a grid."""
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n + 1,):
-            raise ValueError(
-                f"profile has {vals.shape} values for a grid with {self.grid.n + 1} nodes"
-            )
-        if not np.all(np.isfinite(vals)):
+    def __init__(self, grid: Grid, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n + 1,):
+            raise ValueError(f"profile has {values.shape} values for a grid with "
+                             f"{grid.n + 1} nodes")
+        if not np.all(np.isfinite(values)):
             raise ValueError("profile contains non-finite values")
+        self.grid, self.values = grid, values
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

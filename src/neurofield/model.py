@@ -8,7 +8,6 @@ width tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .grids import Grid
 # kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ExponentialKernel:
     """omega(x) = exp(-|x|) / 2.  Positive everywhere, kink at the origin."""
 
@@ -42,7 +40,6 @@ class ExponentialKernel:
         return math.inf
 
 
-@dataclass(frozen=True)
 class GaussianKernel:
     """omega(x) = exp(-x^2)."""
 
@@ -62,20 +59,15 @@ class GaussianKernel:
         return math.inf
 
 
-@dataclass(frozen=True)
 class MexicanHatKernel:
     """omega(x) = K exp(-k x^2) - M exp(-m x^2), locally excitatory, laterally inhibitory."""
 
-    K: float
-    k: float
-    M: float
-    m: float
-
-    def __post_init__(self):
-        if not (self.K > self.M > 0.0):
-            raise ValueError(f"need K > M > 0, got K={self.K}, M={self.M}")
-        if not (self.k > self.m > 0.0):
-            raise ValueError(f"need k > m > 0, got k={self.k}, m={self.m}")
+    def __init__(self, K: float, k: float, M: float, m: float):
+        if not (K > M > 0.0):
+            raise ValueError(f"need K > M > 0, got K={K}, M={M}")
+        if not (k > m > 0.0):
+            raise ValueError(f"need k > m > 0, got k={k}, m={m}")
+        self.K, self.k, self.M, self.m = K, k, M, m
 
     def __call__(self, x):
         x2 = np.square(x)
@@ -104,33 +96,29 @@ class MexicanHatKernel:
         return self.first_zero() / 2.0
 
 
-@dataclass(frozen=True)
 class TabulatedKernel:
     """Samples on a grid, linearly interpolated, and 0 past the table by definition."""
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n + 1,):
+    def __init__(self, grid: Grid, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n + 1,):
             raise ValueError("tabulated kernel: value count does not match grid")
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("tabulated kernel samples must be finite")
-        if not self.grid.symmetric:
+        if not grid.symmetric:
             raise ValueError("tabulated kernel grid must be symmetric about 0")
-        if np.max(np.abs(vals - vals[::-1])) > 1e-12:
+        if np.max(np.abs(values - values[::-1])) > 1e-12:
             raise ValueError("tabulated kernel samples are not symmetric about 0")
-        nodes = self.grid.nodes()
-        object.__setattr__(self, "_nodes", nodes)
+        self.grid, self.values = grid, values
+        self._nodes = nodes = grid.nodes()
         # the interpolant on [0, hi]: its value at 0 (a node, or mid-cell on
         # an odd grid), the nodes past 0, and the exact integral up to each
         pos = nodes > 0.0
         xs = np.concatenate([[0.0], nodes[pos]])
-        vs = np.concatenate([[np.interp(0.0, nodes, vals)], vals[pos]])
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(xs) * (vs[:-1] + vs[1:]))])
-        object.__setattr__(self, "_half", (xs.tolist(), vs.tolist(), cum.tolist()))
+        vs = np.concatenate([[np.interp(0.0, nodes, values)], values[pos]])
+        with np.errstate(over="ignore"):  # an overflowing mass is inf
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(xs) * (vs[:-1] + vs[1:]))])
+        self._half = (xs.tolist(), vs.tolist(), cum.tolist())
 
     def __call__(self, x):
         out = np.interp(x, self._nodes, self.values, left=0.0, right=0.0)
@@ -177,28 +165,25 @@ Kernel = ExponentialKernel | GaussianKernel | MexicanHatKernel | TabulatedKernel
 # firing rates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RatioFiring:
     """f(u) = u^p / (u^p + (tau - u)^p) on (0, tau), 0 below, 1 above."""
 
-    p: float
-    tau: float
-
-    def __post_init__(self):
-        if self.p <= 0.0:
-            raise ValueError(f"need p > 0, got p={self.p}")
-        if self.tau <= 0.0:
-            raise ValueError(f"need tau > 0, got tau={self.tau}")
+    def __init__(self, p: float, tau: float):
+        if p <= 0.0:
+            raise ValueError(f"need p > 0, got p={p}")
+        if tau <= 0.0:
+            raise ValueError(f"need tau > 0, got tau={tau}")
+        self.p, self.tau = p, tau
         # The plain quotients of __call__ and deriv hold while (tau/2)^p and
         # its square are normal and tau^p and its square finite (tested with a
         # margin): a + b >= (tau/2)^p and (a + b)^2 then lose no bits, and on
         # the clipped argument a / (a + b) is exactly 0 at u <= 0 and 1 at
         # u >= tau.  Otherwise f and f' come from r = ((tau - u)/u)^p.
-        tau, p = float(self.tau), float(self.p)
+        tau, p = float(tau), float(p)
         with np.errstate(over="ignore", under="ignore"):
             low, high = np.power(0.25 * tau, p), 2.0 * np.power(tau, p)
             plain = low * low >= np.finfo(float).tiny and np.isfinite(p * high * high)
-        object.__setattr__(self, "_plain", bool(plain))
+        self._plain = bool(plain)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)

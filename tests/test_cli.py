@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import stat
 import subprocess
@@ -606,15 +607,44 @@ def test_uncreatable_output_directory_exit_1(tmp_path, capsys, out):
     assert str(tmp_path / "file") in err
 
 
-@pytest.mark.parametrize("grid", [{"n": 10**15}, {"n": 10**20}], ids=["n", "n=1e20"])
-def test_allocation_failure_exit_1(tmp_path, capsys, grid):
-    # sizes past the address space fail at once, without allocating; past
-    # numpy's largest array too, where numpy raises a ValueError
+@pytest.mark.parametrize("grid, start", [
+    ({"n": 10**15}, "config error: grid.n: 1000000000000000 subintervals of [-d, d] make "
+                    "a line of 16075214881594651 nodes, above the affordable 8388608"),
+    ({"n": 10**20}, "error: Unable to allocate "),
+], ids=["n", "n=1e20"])
+def test_allocation_failure_exit_1(tmp_path, capsys, grid, start):
+    # a line past MAX_LINE_NODES is refused before anything is allocated; a
+    # grid past numpy's largest array fails at once too, where numpy would
+    # raise a ValueError
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(BASE_CFG, grid=grid)))
     assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert err.startswith(start) and err.count("\n") == 1
+
+
+def test_grid_past_the_memory_exit_1(tmp_path):
+    # grid.n = 1e9 asks for a line of 5.6e9 nodes: the child, held to 2 GB of
+    # address space, refuses it before any allocation fails
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "gaussian"}, "grid": {"n": 1e9}})
+    proc = subprocess.run([sys.executable, "-m", "neurofield.cli", "bounds", "--config",
+                           str(cfg), "--out", str(tmp_path / "out")], preexec_fn=limit,
+                          env=dict(child_env(), NEUROFIELD_THREADS="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("config error: grid.n: 1000000000 subintervals of [-d, d] make "
+                           f"a line of 5567211265 nodes, above the affordable "
+                           f"{cli.MAX_LINE_NODES}\n")
+
+
+@pytest.mark.parametrize("tau, n", [(0.2, 32_000), (0.002, 3200)])
+def test_largest_documented_lines_are_affordable(tmp_path, tau, n):
+    # the README's reference run at grid.n = 32,000 (514,409 line nodes) and
+    # tau = 0.002 at grid.n = 3200 (505,501) stay below MAX_LINE_NODES
+    cfg = write_cfg(tmp_path, {"firing": {"p": 2.0, "tau": tau}, "grid": {"n": n}})
+    assert run(["bounds", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("dynamics", [{"dt": 5e-324}, {"dt": 1e-17, "t_end": 1.0}],
@@ -727,8 +757,8 @@ def test_certify_large_grid_without_dense_blocks(tmp_path, monkeypatch):
 def test_certify_imports_no_scipy(tmp_path):
     # the footprint of a certify, and of a check the schema rejects, in a
     # fresh interpreter: no jsonschema, since load_config words a rejection
-    # itself, and no _hashlib, whose OpenSSL the config hash does without
-    # where CPython has its own SHA-256
+    # itself, no dataclasses, which no record is built with, and no _hashlib,
+    # whose OpenSSL the config hash does without where CPython has its own SHA-256
     cfg = write_cfg(tmp_path, {"grid": {"n": 100}})
     bad = write_cfg(tmp_path, {"firing": {"p": "two"}}, name="bad.json")
     script = ("import sys\n"
@@ -737,7 +767,7 @@ def test_certify_imports_no_scipy(tmp_path):
               f"'--quiet']) for command, cfg in (('certify', {str(cfg)!r}), "
               f"('check', {str(bad)!r}))]\n"
               "print(*rcs, *sorted(m for m in sys.modules "
-              "if m.split('.')[0] in ('scipy', 'jsonschema', '_hashlib')))\n")
+              "if m.split('.')[0] in ('scipy', 'jsonschema', 'dataclasses', '_hashlib')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env(), check=True)
     rc, rc_bad, *loaded = proc.stdout.split()
@@ -1219,7 +1249,7 @@ def test_parser_built_once_answers_like_a_fresh_one(capsys):
 
 
 @pytest.mark.parametrize("content", [
-    None, "x,value\n0.0,abc\n", "0.0,1.0\n",
+    None, "", "\n\n\n", "x,value\n0.0,abc\n", "0.0,1.0\n",
     # tables the model rejects: x decreasing, samples asymmetric or not finite
     "1.0,0.5\n0.0,1.0\n-1.0,0.5\n", "-1.0,0.5\n0.0,1.0\n1.0,0.6\n",
     "-1.0,nan\n0.0,1.0\n1.0,nan\n",
@@ -1299,6 +1329,16 @@ def test_overflowing_config_prints_one_line(tmp_path, capsys, overrides, rc, sta
     assert run(["bounds", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == rc
     err = capsys.readouterr().err
     assert err.startswith(start) and err.count("\n") == 1, err
+
+
+def test_overflowing_table_prints_one_line(tmp_path, capsys):
+    # a finite table whose neighbouring samples sum past the float maximum:
+    # its mass is inf, as the check's own, and no numpy warning is printed
+    (tmp_path / "kernel.csv").write_text("-1,1e308\n0,1.7e308\n1,1e308\n")
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: assumptions not met: ") and err.count("\n") == 1, err
 
 
 _INF_B_I = {"B_i_integrable": ("margin", "witness"), "B_ii_bounded_continuous": ("margin",)}

@@ -22,6 +22,15 @@ def test_grid_validation():
         Grid(0.0, 1.0, 0)
 
 
+def test_grid_equality_is_by_value():
+    # Linearization's grid guard compares grids built apart
+    a, b = Grid(-1.5, 1.5, 8), Grid(-3.0 / 2.0, 1.5, 4 * 2)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Grid(-1.5, 1.5, 10) and a != Grid(-1.5, 2.0, 8)
+    assert a != (-1.5, 1.5, 8) and (-1.5, 1.5, 8) != a
+
+
 def test_profile_validation():
     g = Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
