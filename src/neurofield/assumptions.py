@@ -101,11 +101,12 @@ def check_assumptions(kernel: Kernel, firing: Firing, h: float) -> AssumptionRep
         witness=sup, margin=100.0 * sup * dx + 1e-8 - jump,
         note="sampled boundedness and modulus of continuity"))
 
-    # (iii) symmetry
+    # (iii) symmetry, up to rounding relative to max|omega|
     sym_dev = float(np.max(np.abs(kernel(-xs) - vals)))
+    sym_tol = 1e-12 * max(1.0, sup)
     records.append(ConditionRecord(
-        "B_iii_symmetric", "pass" if sym_dev <= 1e-12 else "fail",
-        witness=sym_dev, margin=1e-12 - sym_dev))
+        "B_iii_symmetric", "pass" if sym_dev <= sym_tol else "fail",
+        witness=sym_dev, margin=sym_tol - sym_dev))
 
     # (iv) the sandwich's positivity radius a; margin: least sampled omega on [0, 2a]
     sw = solve_sandwich(kernel, h, firing.tau)

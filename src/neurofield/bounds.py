@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketFailure, NeurofieldError, NoConvergence, NoSuchD
+from .errors import BracketFailure, NeurofieldError, NoConvergence
 from .grids import Grid, Profile
 from .model import Kernel
 from .quadrature import CumulativeKernel, indicator_convolution
@@ -90,7 +90,7 @@ def find_d(W: CumulativeKernel, delta_plus: float, h: float, a: float) -> float:
     beyond delta_plus, so the bracket is monotone.
     """
     if indicator_convolution(W, delta_plus, a) > h:
-        raise NoSuchD(
+        raise BracketFailure(
             f"u_plus never falls to h={h} on ({delta_plus:.6g}, {a:.6g}]"
         )
     return _bisect(lambda x: indicator_convolution(W, delta_plus, x) - h,
@@ -120,7 +120,7 @@ def solve_sandwich(kernel: Kernel, h: float, tau: float) -> Sandwich:
         delta_minus = solve_delta(W, h, a)
         delta_plus = solve_delta(W, h + tau, a)
         d = find_d(W, delta_plus, h, a)
-    except (BracketFailure, NoSuchD) as exc:
+    except BracketFailure as exc:
         # without its traceback, whose frames would keep the callers' arrays alive
         return Sandwich(a, failure=exc.with_traceback(None))
     if not 0.0 < delta_minus < delta_plus < d:

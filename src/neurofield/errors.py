@@ -1,12 +1,8 @@
-"""Exception types used across the toolkit."""
+"""Exception types: one per failure that a caller tells apart or that carries data."""
 
 
 class NeurofieldError(Exception):
     """Base class for all toolkit errors."""
-
-
-class NotDifferentiable(NeurofieldError):
-    """Derivative requested from a firing rate that does not have one."""
 
 
 class InfeasibleModel(NeurofieldError):
@@ -15,28 +11,13 @@ class InfeasibleModel(NeurofieldError):
 
 
 class BracketFailure(NeurofieldError):
-    """Bisection target level lies outside the reachable range of the cumulative integral."""
-
-
-class NoSuchD(NeurofieldError):
-    """The upper bounding profile never falls back to the threshold h."""
-
-
-class EpsilonNotFound(NeurofieldError):
-    """No strictly positive margin survived the halving ladder."""
+    """A bisection has no bracket: its target level lies outside the reachable
+    range, or the upper bounding profile never falls back to the threshold h."""
 
 
 class NoConvergence(NeurofieldError):
-    """An iteration or an eigenpair did not meet its tolerance."""
-
-
-class NewtonDivergence(NeurofieldError):
-    """Damped Newton could not reduce the residual any further."""
-
-
-class DegenerateFixedPoint(NeurofieldError):
-    """Newton converged onto one of the bounding profiles or outside the order
-    interval between them instead of an interior point."""
+    """An iteration or an eigenpair did not meet its tolerance, or no sandwich
+    margin or interior Newton limit was found."""
 
 
 class NonFinite(NeurofieldError):

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BumpBounds
-from .errors import DegenerateFixedPoint, EpsilonNotFound, NewtonDivergence
+from .errors import NoConvergence
 from .grids import Grid, Profile, quadrature_weights
 from .model import Firing, Kernel
 
@@ -265,7 +265,7 @@ def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
         if ok:
             return eps
         eps /= 2.0
-    raise EpsilonNotFound(
+    raise NoConvergence(
         "no strictly positive sandwich margin found; the discretization may be "
         "too coarse or the hypotheses marginal on the [-d, d] grid of "
         f"n = {bb.grid.n}, dx = {bb.grid.dx:.6g}")
@@ -385,13 +385,13 @@ def _newton_even(ctx: OperatorContext, u0: np.ndarray, tol: float) -> tuple[np.n
                 break
             lam /= 2.0
         else:
-            raise NewtonDivergence(
+            raise NoConvergence(
                 f"damping exhausted at residual {rnorm:.3e} (iteration {it})")
         v, r, rnorm = v_try, r_try, rnorm_try
     if rnorm <= tol:
         return _mirror(v), NEWTON_MAX_ITER
-    raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} Newton steps "
-                           f"(residual {rnorm:.3e})")
+    raise NoConvergence(f"no convergence in {NEWTON_MAX_ITER} Newton steps "
+                        f"(residual {rnorm:.3e})")
 
 
 def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
@@ -406,23 +406,23 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
     k = ctx.centred(bb.grid.n)
     gap = bb.gap_norm()
     sep_min = DEGENERACY_THRESHOLD * gap
-    last_exc: Exception | None = None
+    last_exc: NoConvergence | None = None
     for lam in NEWTON_MIXES:
         u0 = lam * bb.u_minus.values + (1.0 - lam) * bb.u_plus.values
         try:
             u, iters = _newton_even(ctx, u0, tol)
-        except NewtonDivergence as exc:
+        except NoConvergence as exc:
             last_exc = exc
             continue
         d_lo = float(np.max(np.abs(u - bb.u_minus.values)))
         d_hi = float(np.max(np.abs(u - bb.u_plus.values)))
         if not np.all((bb.u_minus.values <= u) & (u <= bb.u_plus.values)):
-            last_exc = DegenerateFixedPoint(
+            last_exc = NoConvergence(
                 f"Newton from mix {lam} left the order interval [u_minus, u_plus] "
                 f"(separations {d_lo:.3e}, {d_hi:.3e})")
             continue
         if min(d_lo, d_hi) < sep_min:
-            last_exc = DegenerateFixedPoint(
+            last_exc = NoConvergence(
                 f"Newton from mix {lam} collapsed onto a bounding profile "
                 f"(separations {d_lo:.3e}, {d_hi:.3e})")
             continue
@@ -430,8 +430,8 @@ def solve_third_fixed_point(ctx: OperatorContext, bb: BumpBounds,
         return FixedPointResult(Profile(bb.grid, u), resid, iters,
                                 d_lo, d_hi, tol)
     # a coarse grid is the usual cause, so the message names it
-    raise type(last_exc)(f"{last_exc} on the [-d, d] grid of n = {bb.grid.n}, "
-                         f"dx = {bb.grid.dx:.6g}")
+    raise NoConvergence(f"{last_exc} on the [-d, d] grid of n = {bb.grid.n}, "
+                        f"dx = {bb.grid.dx:.6g}")
 
 
 def tail_extension(kernel: Kernel, d: float) -> float:

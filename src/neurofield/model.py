@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NotDifferentiable
+from .errors import NeurofieldError
 from .grids import Grid
 
 
@@ -107,7 +107,8 @@ class TabulatedKernel:
             raise ValueError("tabulated kernel samples must be finite")
         if not grid.symmetric:
             raise ValueError("tabulated kernel grid must be symmetric about 0")
-        if np.max(np.abs(values - values[::-1])) > 1e-12:
+        # rounding relative to max|omega|, as in condition B_iii
+        if np.max(np.abs(values - values[::-1])) > 1e-12 * max(1.0, np.max(np.abs(values))):
             raise ValueError("tabulated kernel samples are not symmetric about 0")
         self.grid, self.values = grid, values
         self._nodes = nodes = grid.nodes()
@@ -205,7 +206,7 @@ class RatioFiring:
         Requires p > 1 so that f' is continuous (vanishing at 0 and tau).
         """
         if self.p <= 1.0:
-            raise NotDifferentiable(f"ratio firing rate with p={self.p} <= 1 is not C^1")
+            raise NeurofieldError(f"ratio firing rate with p={self.p} <= 1 is not C^1")
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, self.tau)
         if self._plain:
@@ -228,7 +229,7 @@ class RatioFiring:
     def holder_exponent(self) -> float:
         """Holder exponent of f' for p > 1: mu = min(1, p - 1)."""
         if self.p <= 1.0:
-            raise NotDifferentiable(f"ratio firing rate with p={self.p} <= 1 is not C^1")
+            raise NeurofieldError(f"ratio firing rate with p={self.p} <= 1 is not C^1")
         return min(1.0, self.p - 1.0)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurofield.assumptions import check_assumptions
 from neurofield.bounds import build_bounds, solve_sandwich
-from neurofield.errors import NoSuchD
+from neurofield.errors import BracketFailure
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, RatioFiring,
@@ -136,7 +136,7 @@ def test_check_and_bounds_share_one_sandwich(which, level, split):
     assert rep.a == a
     if rep.d is None:
         assert rep.condition("B_vi_d_exists").status == "fail"
-        with pytest.raises(NoSuchD):
+        with pytest.raises(BracketFailure, match="never falls to h"):
             build_bounds(kernel, rep.sandwich, 200)
     else:
         assert rep.d == build_bounds(kernel, rep.sandwich, 200).d

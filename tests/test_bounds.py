@@ -9,7 +9,7 @@ from conftest import (DELTA_MINUS_EXACT, DELTA_PLUS_EXACT, D_EXACT, H, TAU,
 from neurofield.assumptions import check_assumptions
 from neurofield.bounds import (BISECT_TOL, BumpBounds, _bisect, build_bounds,
                                find_d, solve_delta, solve_sandwich)
-from neurofield.errors import BracketFailure, NeurofieldError, NoSuchD
+from neurofield.errors import BracketFailure, NeurofieldError
 from neurofield.grids import Grid, Profile
 from neurofield.model import (ExponentialKernel, GaussianKernel,
                               MexicanHatKernel, RatioFiring,
@@ -98,7 +98,7 @@ def test_find_d_gaussian_cross_check():
 def test_find_d_no_such_d():
     # restrict a so u_plus stays above h on the admitted range
     W = CumulativeKernel(ExponentialKernel())
-    with pytest.raises(NoSuchD):
+    with pytest.raises(BracketFailure, match="never falls to h"):
         find_d(W, DELTA_PLUS_EXACT, H, a=0.6)
 
 

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 import neurofield
 import neurofield.dynamics
 from neurofield import cli
-from neurofield.cli import BUMP_TOL_CEILING, CONFIG_MESSAGE_CAP, main
+from neurofield.cli import BUMP_TOL_CEILING, CONFIG_MESSAGE_CAP, Run, load_config, main
+from neurofield.errors import NoConvergence
 from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
                                    WINDOW_BLOCK, FixedPointResult, OperatorContext,
                                    compute_epsilon)
@@ -1105,6 +1106,10 @@ def test_solver_failure_names_the_grid(tmp_path, capsys, n, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert err.endswith(f" on the [-d, d] grid of n = {n}, dx = {2.0 * d / n:.6g}\n")
+    # in process the same failure is a NoConvergence, whatever the solver step
+    with pytest.raises(NoConvergence) as info:
+        Run(load_config(cfg), tmp_path).solve
+    assert f"error: {info.value}\n" == err
 
 
 #: one config per kernel family that certifies on a coarse grid, in 1.5 time units

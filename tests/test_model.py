@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from neurofield.errors import NotDifferentiable
+from neurofield.errors import NeurofieldError
 from neurofield.fixedpoint import OperatorContext
 from neurofield.grids import Grid
 from neurofield.model import (ExponentialKernel, GaussianKernel,
@@ -247,14 +247,14 @@ def test_ratio_firing_symmetry_about_midpoint():
 def test_ratio_firing_holder_exponent():
     assert RatioFiring(2.0, 0.2).holder_exponent == 1.0
     assert RatioFiring(1.5, 0.2).holder_exponent == pytest.approx(0.5)
-    with pytest.raises(NotDifferentiable):
+    with pytest.raises(NeurofieldError, match=r"is not C\^1"):
         RatioFiring(1.0, 0.2).holder_exponent
 
 
 def test_ratio_firing_p_le_one_not_differentiable():
     f = RatioFiring(0.5, 0.2)
     assert f(0.1) == pytest.approx(0.5)
-    with pytest.raises(NotDifferentiable):
+    with pytest.raises(NeurofieldError, match=r"is not C\^1"):
         f.deriv(0.1)
 
 
