@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BumpBounds
-from .errors import NoConvergence
+from .errors import ConfigError, NoConvergence
 from .grids import Grid, Profile, quadrature_weights
 from .model import Firing, Kernel
 
@@ -146,13 +146,12 @@ class OperatorContext:
         line = np.maximum(np.abs(self.kernel(lags)), np.abs(self.kernel(-lags)))
         return np.append(np.maximum.accumulate(line[::-1])[::-1], 0.0)
 
-    def block_operator(self, lo: int, hi: int, line=None):
-        """The product x -> sum_j x_j line(x_i - x_j) over the nodes i, j in
-        [lo, hi], with the kernel as the default line, by FFT at length
-        fast_fft_len(2 (hi - lo) + 1) however large the grid; the returned
-        function holds its spectrum, which the context does not cache."""
+    def block_operator(self, lo: int, hi: int):
+        """x -> sum_j x_j omega(x_i - x_j) over the nodes i, j in [lo, hi] by
+        FFT at length fast_fft_len(2 (hi - lo) + 1) however large the grid;
+        the function holds its spectrum, which the context does not cache."""
         m = hi - lo
-        length, spectrum = self._line_spectrum(line or self.kernel, 0, m, m)
+        length, spectrum = self._line_spectrum(0, m, m)
         return lambda x: _circular(x, length, spectrum, m + 1)
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
@@ -219,11 +218,11 @@ class OperatorContext:
         if cached is None:
             if len(self._spectra) >= SPECTRUM_CACHE_SIZE:
                 del self._spectra[next(iter(self._spectra))]
-            cached = self._spectra[key] = self._line_spectrum(self.kernel, *key)
+            cached = self._spectra[key] = self._line_spectrum(*key)
         return cached
 
-    def _line_spectrum(self, line, lo: int, hi: int, n: int) -> tuple[int, np.ndarray]:
-        """Transform length and rfft of the lag line of ``line`` for the
+    def _line_spectrum(self, lo: int, hi: int, n: int) -> tuple[int, np.ndarray]:
+        """Transform length and rfft of the kernel's lag line for the
         source window [lo, hi] and the outputs at nodes 0..n.
 
         The circular convolution of the source, placed at slot 0, with a line
@@ -236,7 +235,7 @@ class OperatorContext:
         length = fast_fft_len(n + hi - lo + 1)
         lags = np.arange(-hi, n - lo + 1)
         values = np.zeros(length)
-        values[lags + lo] = line(lags * self.grid.dx)
+        values[lags + lo] = self.kernel(lags * self.grid.dx)
         return length, np.fft.rfft(values)
 
 
@@ -439,10 +438,10 @@ def tail_extension(kernel: Kernel, d: float) -> float:
 
     For a kernel whose |omega| decreases in |x| beyond its core the supremum
     sits at y = d, so x_tail solves |omega(x_tail)| * 2d = TAIL_TOL.  The
-    search doubles x from d up to TAIL_SEARCH_LIMIT and bisects from the last
-    doubling point where |omega| exceeds the target towards the next one, so
-    a kernel that changes sign is followed past its zero to the end of its
-    inhibitory lobe.
+    search doubles x from d up to TAIL_SEARCH_LIMIT (a ConfigError if |omega|
+    still exceeds the target there) and bisects from the last doubling point
+    where it does towards the next one, so a kernel that changes sign is
+    followed past its zero to the end of its inhibitory lobe.
     """
     target = TAIL_TOL / (2.0 * d)
 
@@ -457,7 +456,8 @@ def tail_extension(kernel: Kernel, d: float) -> float:
             break
         x *= 2.0
     if last == x:
-        raise ValueError("kernel tail does not decay below the truncation target")
+        raise ConfigError(f"kernel: |omega| * 2d stays above {TAIL_TOL:g} out to "
+                          f"x = {TAIL_SEARCH_LIMIT:g}, so the working line has no end")
     lo = d / 2.0 if last is None else last
     hi = 2.0 * lo
     for _ in range(200):

@@ -4,11 +4,12 @@ The dense ones build the full matrix that the package applies through FFT
 products, so they serve moderate grids only.  The rest are the plain form of
 a step the package computes more cheaply (the whole-grid RK4 step, the
 windowed RK4 step that builds the whole line every step, power iteration for
-the principal eigenpair), or checks
-that no certify stage runs (the clamped iteration, the translation family,
-the Heaviside stationarity of u_minus and u_plus, the two formulations of
-condition (vii), and the comparison of the restricted and whole-line spectra
-whose premises certify checks instead).  ``continuous_bump_peak``,
+the principal eigenpair), the exact form of one it approximates (the bump
+derivative through omega'), or checks that no certify stage runs (the
+clamped iteration, the translation family, the Heaviside stationarity of
+u_minus and u_plus, the two formulations of condition (vii), and the
+comparison of the restricted and whole-line spectra whose premises certify
+checks instead).  ``continuous_bump_peak``,
 ``continuous_bump_profile`` and ``continuous_principal_eigenvalue`` are exact
 truth for the continuous equation, which no discrete result enters beyond
 bracketing a root.
@@ -67,6 +68,15 @@ def apply_integral_operator(kernel, weight: Profile, targets: Grid) -> Profile:
 
 #: power iteration gives up after this many products
 POWER_MAX_ITER = 100_000
+
+
+def kernel_derivative_profile(ctx, u: Profile) -> Profile:
+    """u'(x) of the bump K w f(u - h) through the kernel derivative: the
+    integral of omega'(x - y) f(u(y) - h) over u's grid, at its nodes.  The
+    exact counterpart of the central difference that the translation check
+    takes of the whole-line bump."""
+    return apply_integral_operator(ctx.kernel.deriv,
+                                   Profile(u.grid, ctx.firing(u.values - ctx.h)), u.grid)
 
 
 def power_iteration(lin, tol: float = 1e-13) -> tuple[float, Profile]:

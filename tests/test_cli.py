@@ -21,9 +21,9 @@ import neurofield.dynamics
 from neurofield import cli
 from neurofield.cli import BUMP_TOL_CEILING, CONFIG_MESSAGE_CAP, Run, load_config, main
 from neurofield.errors import NoConvergence
-from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
-                                   WINDOW_BLOCK, FixedPointResult, OperatorContext,
-                                   compute_epsilon)
+from neurofield.fixedpoint import (DEGENERACY_THRESHOLD, SPECTRUM_CACHE_SIZE,
+                                   STEP_WINDOW_SHARE, WINDOW_BLOCK, FixedPointResult,
+                                   OperatorContext, compute_epsilon)
 from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.spectral import Linearization
 
@@ -1091,14 +1091,20 @@ def test_integer_valued_float_runs_like_the_int(tmp_path):
         assert texts[0] == texts[1], name
 
 
-@pytest.mark.parametrize("n, overrides, message", [
-    (10, {"firing": {"p": 8.0, "tau": 0.3}}, "error: Newton from mix "),
-    (20, {"solver": {"newton_tol": 5e-324}}, "error: damping exhausted "),
-    (2, {"firing": {"p": 2.0, "tau": 0.01}}, "error: no strictly positive sandwich margin "),
-], ids=["order interval", "damping", "epsilon"])
-def test_solver_failure_names_the_grid(tmp_path, capsys, n, overrides, message):
+@pytest.mark.parametrize("n, overrides, threshold, message", [
+    (10, {"firing": {"p": 8.0, "tau": 0.3}}, DEGENERACY_THRESHOLD, "error: Newton from mix "),
+    (20, {"solver": {"newton_tol": 5e-324}}, DEGENERACY_THRESHOLD, "error: damping exhausted "),
+    (2, {"firing": {"p": 2.0, "tau": 0.01}}, DEGENERACY_THRESHOLD,
+     "error: no strictly positive sandwich margin "),
+    # every Newton limit is the interior bump, nearer a bound than 0.9 gap norms
+    (800, {}, 0.9, "error: Newton from mix 0.75 collapsed onto a bounding profile "
+     "(separations 1.136e-01, 1.545e-01)"),
+], ids=["order interval", "damping", "epsilon", "collapsed"])
+def test_solver_failure_names_the_grid(tmp_path, capsys, monkeypatch, n, overrides,
+                                       threshold, message):
     # the check passes, and the sandwich margin or Newton fails on n
     # subintervals of [-d, d]
+    monkeypatch.setattr("neurofield.fixedpoint.DEGENERACY_THRESHOLD", threshold)
     cfg = write_cfg(tmp_path, {**overrides, "grid": {"n": n}})
     out = tmp_path / "out"
     assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 1
@@ -1267,6 +1273,22 @@ def test_unreadable_kernel_csv_exit_1(tmp_path, capsys, content):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and str(tmp_path / "kernel.csv") in err
+
+
+def test_kernel_tail_without_end_exit_1(tmp_path, capsys):
+    # a table that passes the check but whose |omega| stays above the
+    # truncation target out to the tail search limit: one config error line
+    x = np.linspace(-1.2e4, 1.2e4, 24001)
+    w = np.exp(-(x / 5.0) ** 2) + 1e-7
+    np.savetxt(tmp_path / "kernel.csv", np.column_stack([x, 0.5 * (w + w[::-1])]),
+               fmt="%.17g", delimiter=",")
+    cfg = write_cfg(tmp_path, {"kernel": {"type": "tabulated", "csv": "kernel.csv"},
+                               "firing": {"p": 2.0, "tau": 0.1}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: kernel: |omega| * 2d stays above 1e-10 out to x = 10000, "
+        "so the working line has no end\n")
 
 
 @pytest.mark.parametrize("shape, message", [

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import H, TAU, P
-from neurofield.bounds import build_bounds
+from neurofield.bounds import build_bounds, solve_sandwich
 from neurofield.errors import NoConvergence
-from neurofield.fixedpoint import OperatorContext, solve_third_fixed_point
+from neurofield.fixedpoint import (OperatorContext, extend_bump, make_extension_grid,
+                                   solve_third_fixed_point)
 from neurofield.grids import Grid, Profile
-from neurofield.spectral import (Linearization, derivative_profile,
-                                 instability_certificate, lanczos,
+from neurofield.model import ExponentialKernel, GaussianKernel, MexicanHatKernel, RatioFiring
+from neurofield.spectral import (Linearization, instability_certificate, lanczos,
                                  remainder_exponent_fit,
                                  spectra_equivalence_check, spectral_radius,
                                  translation_mode_check)
-from oracles import (dense_eigenvalues, dense_linearization, power_iteration,
-                     spectra_deviation)
+from oracles import (dense_eigenvalues, dense_linearization,
+                     kernel_derivative_profile, power_iteration, spectra_deviation)
 
 
 def test_linearization_zero_profile(ref_ctx):
@@ -208,22 +209,33 @@ def test_translation_mode(ref_ctx_big, ref_u_tilde, ref_lin_big, ref_fp, ref_lin
     assert abs(window - translation_mode_check(ref_lin, ref_fp.u_star)) <= 1e-13
 
 
-def test_derivative_profile_odd(ref_ctx_big, ref_u_tilde):
-    up = derivative_profile(ref_ctx_big, ref_u_tilde).values
-    assert np.max(np.abs(up + up[::-1])) < 1e-10
-    # peak slope is away from the center, sign change at 0
-    assert abs(up[len(up) // 2]) < 1e-10
+@pytest.mark.parametrize("kernel", [ExponentialKernel(), GaussianKernel(),
+                                    MexicanHatKernel(3.0, 2.0, 1.0, 1.0)],
+                         ids=["exponential", "gaussian", "mexican_hat"])
+def test_translation_mode_derivative(kernel):
+    # the u' that the check sends through the linearization is odd, and the
+    # central difference of the whole-line bump is within dx^2 / 2 of the
+    # exact omega' * w f(u - h) on the interior nodes of [-d, d]
+    firing, h = RatioFiring(P, 0.1), 0.1
+    sandwich = solve_sandwich(kernel, h, firing.tau)
+    for n in (200, 800, 3200):
+        bb = build_bounds(kernel, sandwich, n)
+        ctx = OperatorContext(kernel, firing, h, make_extension_grid(kernel, bb.grid))
+        u_star = solve_third_fixed_point(ctx, bb, tol=1e-12).u_star
+        lin = Linearization(ctx, extend_bump(ctx, u_star))
+        sources = []
 
-
-def test_derivative_profile_matches_full_block(ref_ctx, ref_fp):
-    # only the supra-threshold columns of the kernel-derivative block count
-    u = ref_fp.u_star.values
-    x = ref_ctx.grid.nodes()
-    wv = ref_ctx.weights * ref_ctx.firing(u - ref_ctx.h)
-    assert 0 < np.count_nonzero(wv) < len(wv)
-    full = ref_ctx.kernel.deriv(x[:, None] - x[None, :]) @ wv
-    up = derivative_profile(ref_ctx, ref_fp.u_star).values
-    assert np.max(np.abs(up - full)) < 1e-15
+        def spy(v, lo):
+            sources.append(v)
+            return Linearization.matvec(lin, v, lo)
+        lin.matvec = spy
+        assert translation_mode_check(lin, u_star) <= 5e-3
+        (source,) = sources
+        up = source[1:-1]
+        assert source[0] == source[-1] == 0.0 and len(up) == n - 1
+        assert np.max(np.abs(up + up[::-1])) <= 1e-12
+        exact = kernel_derivative_profile(ctx, u_star).values[1:-1]
+        assert np.max(np.abs(up - exact)) <= 0.5 * bb.grid.dx ** 2
 
 
 def test_spectra_equivalence(ref_lin, ref_lin_big):
