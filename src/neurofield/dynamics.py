@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .fixedpoint import OperatorContext
-from .grids import Profile
+from .grids import Profile, slope
 
 #: the most steps a run may ask for (about 0.35 ms each on the reference grid)
 MAX_STEPS = 1_000_000
@@ -255,8 +255,7 @@ def instability_experiment(ctx: OperatorContext, u_tilde: Profile,
     window = (traj.deviation_sup >= 2.0 * delta) & (traj.deviation_sup <= 10.0 * delta)
     growth_rate = None
     if np.sum(window) >= 2:
-        growth_rate = float(np.polyfit(traj.times[window],
-                                       np.log(traj.deviation_sup[window]), 1)[0])
+        growth_rate = slope(traj.times[window], np.log(traj.deviation_sup[window]))
 
     escaped = traj.deviation_sup[-1] >= epsilon_ball
     escape_time = float(traj.times[-1]) if escaped else None

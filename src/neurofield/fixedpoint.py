@@ -135,7 +135,7 @@ class OperatorContext:
         if window is None:
             return np.zeros(out_hi - out_lo + 1)
         w_lo, w_hi = window
-        return self._convolve(s[w_lo - lo:w_hi - lo + 1], w_lo, w_hi, out_lo, out_hi)
+        return self.convolve(s[w_lo - lo:w_hi - lo + 1], w_lo, w_hi, out_lo, out_hi)
 
     @cached_property
     def envelope(self) -> np.ndarray:
@@ -145,14 +145,6 @@ class OperatorContext:
         lags = np.arange(self.grid.n + 1) * self.grid.dx
         line = np.maximum(np.abs(self.kernel(lags)), np.abs(self.kernel(-lags)))
         return np.append(np.maximum.accumulate(line[::-1])[::-1], 0.0)
-
-    def block_operator(self, lo: int, hi: int):
-        """x -> sum_j x_j omega(x_i - x_j) over the nodes i, j in [lo, hi] by
-        FFT at length fast_fft_len(2 (hi - lo) + 1) however large the grid;
-        the function holds its spectrum, which the context does not cache."""
-        m = hi - lo
-        length, spectrum = self._line_spectrum(0, m, m)
-        return lambda x: _circular(x, length, spectrum, m + 1)
 
     def apply_T_values(self, values: np.ndarray) -> np.ndarray:
         return self.apply_T_window(values, 0)[0]
@@ -171,7 +163,7 @@ class OperatorContext:
         w_lo, w_hi = window
         src = s[w_lo - lo:w_hi - lo + 1] = self.weights[w_lo:w_hi + 1] * self.firing(
             values[w_lo - lo:w_hi - lo + 1] - self.h)
-        return self._convolve(src, w_lo, w_hi, lo, lo + len(values) - 1), s
+        return self.convolve(src, w_lo, w_hi, lo, lo + len(values) - 1), s
 
     def step_window(self, values: np.ndarray, lo: int = 0) -> tuple[int, int]:
         """The nodes [lo', hi'] where a time step computes its stages from a
@@ -203,14 +195,14 @@ class OperatorContext:
         return (max(first, lo - lo % WINDOW_BLOCK),
                 min(last, hi + WINDOW_BLOCK - 1 - hi % WINDOW_BLOCK))
 
-    def _convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int,
-                  out_hi: int) -> np.ndarray:
+    def convolve(self, src: np.ndarray, lo: int, hi: int, out_lo: int,
+                 out_hi: int) -> np.ndarray:
         """sum_j src_j omega(x_i - x_j) at the nodes i in [out_lo, out_hi]
-        for the source that is ``src`` on the nodes [lo, hi] among them and
-        zero elsewhere."""
+        for the source that is ``src`` on the nodes [lo, hi] and zero
+        elsewhere, by one circular FFT convolution with a cached spectrum."""
         key = (lo - out_lo, hi - out_lo, out_hi - out_lo)
         length, spectrum = self._spectrum(key)
-        return _circular(src, length, spectrum, key[2] + 1)
+        return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:key[2] + 1]
 
     def _spectrum(self, key: tuple[int, int, int]) -> tuple[int, np.ndarray]:
         """The kernel's ``_line_spectrum`` for key = (lo, hi, last), cached."""
@@ -237,13 +229,6 @@ class OperatorContext:
         values = np.zeros(length)
         values[lags + lo] = self.kernel(lags * self.grid.dx)
         return length, np.fft.rfft(values)
-
-
-def _circular(src: np.ndarray, length: int, spectrum: np.ndarray,
-              count: int) -> np.ndarray:
-    """The first ``count`` values of the circular convolution, at ``length``,
-    of ``src`` with the line whose rfft is ``spectrum``."""
-    return np.fft.irfft(np.fft.rfft(src, length) * spectrum, length)[:count]
 
 
 def compute_epsilon(ctx: OperatorContext, bb: BumpBounds) -> float:
@@ -462,10 +447,13 @@ def tail_extension(kernel: Kernel, d: float) -> float:
     hi = 2.0 * lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        edge = mid in (lo, hi)  # the bracket shrinks no more: stop after this update
         if above(mid):
             lo = mid
         else:
             hi = mid
+        if edge:
+            break
     return hi
 
 

@@ -1,4 +1,4 @@
-"""Uniform grids, sampled profiles, and the composite trapezoid rule."""
+"""Uniform grids, sampled profiles, the trapezoid rule and a line fit's slope."""
 
 from __future__ import annotations
 
@@ -67,3 +67,9 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     w = np.full(grid.n + 1, grid.dx)
     w[0] = w[-1] = grid.dx / 2.0
     return w
+
+
+def slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of the straight line fitted to the points (x, y)."""
+    dx = x - np.mean(x)
+    return float(dx @ (y - np.mean(y)) / (dx @ dx))

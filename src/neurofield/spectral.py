@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .fixedpoint import OperatorContext, orthogonalize
-from .grids import Profile
+from .grids import Profile, slope
 
 #: seed of the Lanczos start vectors
 LANCZOS_SEED = 20111212
@@ -122,13 +122,13 @@ class Linearization:
             return np.zeros(0), np.zeros(0)
         s = np.sqrt(self.weights[idx] * self.gains[idx])
         # the support block couples only the nodes idx[0]..idx[-1]
-        block = self.ctx.block_operator(int(idx[0]), int(idx[-1]))
-        pos = idx - idx[0]
-        src = np.zeros(pos[-1] + 1)
+        lo, hi = int(idx[0]), int(idx[-1])
+        pos = idx - lo
+        src = np.zeros(hi - lo + 1)
 
         def sym(x):
             src[pos] = s * x
-            return s * block(src)[pos]
+            return s * self.ctx.convolve(src, lo, hi, lo, hi)[pos]
         return lanczos(sym, idx.size, k)
 
 
@@ -206,8 +206,7 @@ def remainder_exponent_fit(lin: Linearization, direction: Profile) -> tuple[floa
             src[lo:hi] = lin.weights[lo:hi] * (ctx.firing(x + dv) - ctx.firing(x)
                                                - lin.gains[lo:hi] * dv)
         norms[i] = np.max(np.abs(ctx.apply_weighted(src)))
-    slope = float(np.polyfit(np.log(REMAINDER_AMPLITUDES), np.log(norms), 1)[0])
-    return slope, norms
+    return slope(np.log(REMAINDER_AMPLITUDES), np.log(norms)), norms
 
 
 def instability_certificate(spectral_radius_value: float, principal_vector: Profile,

@@ -4,7 +4,7 @@ The dense ones build the full matrix that the package applies through FFT
 products, so they serve moderate grids only.  The rest are the plain form of
 a step the package computes more cheaply (the whole-grid RK4 step, the
 windowed RK4 step that builds the whole line every step, power iteration for
-the principal eigenpair), the exact form of one it approximates (the bump
+the principal eigenpair, the tail search's bisection of a fixed 200 steps), the exact form of one it approximates (the bump
 derivative through omega'), or checks that no certify stage runs (the
 clamped iteration, the translation family, the Heaviside stationarity of
 u_minus and u_plus, the two formulations of condition (vii), and the
@@ -25,6 +25,7 @@ import numpy as np
 
 from neurofield.assumptions import DEFAULT_PROBE, _vii_violation
 from neurofield.errors import NeurofieldError, NoConvergence
+from neurofield.fixedpoint import TAIL_SEARCH_LIMIT, TAIL_TOL
 from neurofield.grids import Grid, Profile, quadrature_weights
 from neurofield.quadrature import CumulativeKernel, indicator_convolution
 
@@ -223,6 +224,32 @@ def whole_grid_rk4_step(ctx, u, dt):
     k3 = rhs(u + 0.5 * dt * k2)
     k4 = rhs(u + dt * k3)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def full_bisection_tail(kernel, d: float) -> float:
+    """``fixedpoint.tail_extension`` bisecting its bracket a fixed 200 times,
+    on past the step after which the bracket can shrink no more."""
+    target = TAIL_TOL / (2.0 * d)
+
+    def above(x):
+        return abs(float(kernel(x))) > target
+
+    x, last = d, None
+    while True:
+        if above(x):
+            last = x
+        if 2.0 * x > TAIL_SEARCH_LIMIT:
+            break
+        x *= 2.0
+    lo = d / 2.0 if last is None else last
+    hi = 2.0 * lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def apply_T(ctx, u: Profile) -> Profile:

@@ -18,11 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import neurofield
 import neurofield.dynamics
+import neurofield.spectral
 from neurofield import cli
 from neurofield.cli import BUMP_TOL_CEILING, CONFIG_MESSAGE_CAP, Run, load_config, main
 from neurofield.errors import NoConvergence
-from neurofield.fixedpoint import (DEGENERACY_THRESHOLD, SPECTRUM_CACHE_SIZE,
-                                   STEP_WINDOW_SHARE, WINDOW_BLOCK, FixedPointResult,
+from neurofield.fixedpoint import (SPECTRUM_CACHE_SIZE, STEP_WINDOW_SHARE,
+                                   WINDOW_BLOCK, FixedPointResult,
                                    OperatorContext, compute_epsilon)
 from neurofield.model import ExponentialKernel, GaussianKernel
 from neurofield.spectral import Linearization
@@ -418,7 +419,8 @@ def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # one spectrum onto their step
     # window and the state's guard bands one onto the window and a window's
     # width on each side; the margin, Newton and the translation check
-    # output the [-d, d] nodes only
+    # output the [-d, d] nodes only, and Lanczos builds one for the support
+    # block of f'(u~ - h)
     built, contexts = [], []
     spectrum = OperatorContext._spectrum
 
@@ -441,7 +443,13 @@ def test_certify_builds_one_big_grid_spectrum(tmp_path, monkeypatch):
     # every Newton and epsilon spectrum outputs the n + 1 = 801 nodes of
     # [-d, d], never the whole line
     assert any(key[2] == 800 for _, key in built)
-    stages = [key for n, key in built if key[2] not in (big_n, 800)]
+    # the block counted from the support's first node, onto itself
+    u_tilde = np.load(tmp_path / "out" / "u_tilde.npy")
+    support = np.flatnonzero(u_tilde > BASE_CFG["model"]["h"])
+    m = int(support[-1] - support[0])
+    block = (0, m, m)
+    assert [key for _, key in built].count(block) == 1
+    stages = [key for n, key in built if key[2] not in (big_n, 800) and key != block]
     assert len(stages) == 2
     # the same source window onto the step window, the bump's window widened
     # by a block on each side, counted from the step window's first node,
@@ -1091,20 +1099,25 @@ def test_integer_valued_float_runs_like_the_int(tmp_path):
         assert texts[0] == texts[1], name
 
 
-@pytest.mark.parametrize("n, overrides, threshold, message", [
-    (10, {"firing": {"p": 8.0, "tau": 0.3}}, DEGENERACY_THRESHOLD, "error: Newton from mix "),
-    (20, {"solver": {"newton_tol": 5e-324}}, DEGENERACY_THRESHOLD, "error: damping exhausted "),
-    (2, {"firing": {"p": 2.0, "tau": 0.01}}, DEGENERACY_THRESHOLD,
+@pytest.mark.parametrize("n, overrides, constants, message", [
+    (10, {"firing": {"p": 8.0, "tau": 0.3}}, {}, "error: Newton from mix "),
+    (20, {"solver": {"newton_tol": 5e-324}}, {}, "error: damping exhausted "),
+    (2, {"firing": {"p": 2.0, "tau": 0.01}}, {},
      "error: no strictly positive sandwich margin "),
     # every Newton limit is the interior bump, nearer a bound than 0.9 gap norms
-    (800, {}, 0.9, "error: Newton from mix 0.75 collapsed onto a bounding profile "
+    (800, {}, {"DEGENERACY_THRESHOLD": 0.9},
+     "error: Newton from mix 0.75 collapsed onto a bounding profile "
      "(separations 1.136e-01, 1.545e-01)"),
-], ids=["order interval", "damping", "epsilon", "collapsed"])
+    # the reference needs four Newton steps; the last start's residual is named
+    (800, {}, {"NEWTON_MAX_ITER": 1},
+     "error: no convergence in 1 Newton steps (residual 1.358e-02)"),
+], ids=["order interval", "damping", "epsilon", "collapsed", "step budget"])
 def test_solver_failure_names_the_grid(tmp_path, capsys, monkeypatch, n, overrides,
-                                       threshold, message):
+                                       constants, message):
     # the check passes, and the sandwich margin or Newton fails on n
     # subintervals of [-d, d]
-    monkeypatch.setattr("neurofield.fixedpoint.DEGENERACY_THRESHOLD", threshold)
+    for name, value in constants.items():
+        monkeypatch.setattr(f"neurofield.fixedpoint.{name}", value)
     cfg = write_cfg(tmp_path, {**overrides, "grid": {"n": n}})
     out = tmp_path / "out"
     assert run(["certify", "--config", cfg, "--out", out, "--quiet"]) == 1
@@ -1116,6 +1129,53 @@ def test_solver_failure_names_the_grid(tmp_path, capsys, monkeypatch, n, overrid
     with pytest.raises(NoConvergence) as info:
         Run(load_config(cfg), tmp_path).solve
     assert f"error: {info.value}\n" == err
+
+
+def test_newton_step_budget_of_the_reference(tmp_path, monkeypatch):
+    # the reference converges in its fourth Newton step, so a budget of four
+    # steps solves it
+    monkeypatch.setattr("neurofield.fixedpoint.NEWTON_MAX_ITER", 4)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 800}})
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert json.loads((tmp_path / "out" / "fixedpoint.json").read_text())["iterations"] == 4
+
+
+#: a Gaussian and a mexican-hat draw of the benchmark sweep, rounded
+SWEEP_DRAWS = [
+    {"kernel": {"type": "gaussian"}, "firing": {"p": 2.44, "tau": 0.303},
+     "model": {"h": 0.0971}, "dynamics": {"t_end": 10.0}},
+    {"kernel": {"type": "mexican_hat", "K": 3, "k": 2, "M": 1, "m": 1},
+     "firing": {"p": 1.68, "tau": 0.122}, "model": {"h": 0.229},
+     "dynamics": {"t_end": 10.0}},
+]
+
+
+@pytest.mark.parametrize("overrides", [{"grid": {"n": 800}}, *SWEEP_DRAWS],
+                         ids=["reference", "gaussian", "mexican_hat"])
+def test_fitted_slopes_match_polyfit(tmp_path, monkeypatch, overrides):
+    # the growth rate and the remainder exponent are closed-form
+    # least-squares slopes, numpy's straight-line fit up to rounding
+    fits = []
+    for module in (neurofield.dynamics, neurofield.spectral):
+        def recorded(x, y, fit=module.slope):
+            fits.append((x, y, fit(x, y)))
+            return fits[-1][2]
+        monkeypatch.setattr(module, "slope", recorded)
+    cfg = write_cfg(tmp_path, overrides)
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+    assert len(fits) == 2
+    for x, y, got in fits:
+        assert got == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-13, abs=0.0)
+
+
+def test_certify_needs_no_least_squares_solver(tmp_path, monkeypatch):
+    # neither fit reaches numpy's SVD least-squares solver
+    def refuse(*args, **kwargs):
+        raise AssertionError("least-squares solver called")
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 800}})
+    assert run(["certify", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
 
 
 #: one config per kernel family that certifies on a coarse grid, in 1.5 time units

@@ -6,7 +6,7 @@ from neurofield.dynamics import (LineState, SimConfig, _rk4_step,
                                  instability_experiment, simulate, step_values)
 from neurofield.errors import ConfigError, NonFinite
 from neurofield.fixedpoint import OperatorContext, extend_bump
-from neurofield.grids import Grid, Profile
+from neurofield.grids import Grid, Profile, slope
 from neurofield.spectral import Linearization, spectral_radius
 from oracles import whole_grid_rk4_step, window_simulate
 
@@ -245,18 +245,36 @@ def test_deviation_off_the_window_builds_the_line(setup, materializations, where
     assert traj.deviation_sup[-1] == pytest.approx(1e-3 * np.exp(-0.5), rel=0.05)
 
 
+def test_reference_source_off_the_window_builds_the_line(ref_ctx_big, ref_u_tilde,
+                                                         monkeypatch, materializations):
+    # started 0.05 below the bump, the state's step window is narrower than
+    # the reference's source, so the far bound cannot be formed: each such
+    # step builds the whole line, and the run is still the oracle's
+    far_terms, missing = LineState._far_terms, [0]
+
+    def counted(self):
+        terms = far_terms(self)
+        missing[0] += terms is None
+        return terms
+    monkeypatch.setattr(LineState, "_far_terms", counted)
+    u0 = Profile(ref_ctx_big.grid, ref_u_tilde.values - 0.05)
+    traj = _matches_oracle(ref_ctx_big, u0, ref_u_tilde, SimConfig(dt=0.01, t_end=0.2))
+    assert len(traj.times) == 21
+    assert missing[0] == 17 and materializations[0] == 18
+
+
 def test_escape_run_builds_the_line_at_most_once(ref_ctx_big, ref_u_tilde, ref_power,
                                                  monkeypatch, materializations):
     # a count, not a timing: the escape experiment on the reference config
     # takes 73 steps and convolves onto the whole line once (the reference's
     # own source), not once per step
-    whole, convolve = [0], OperatorContext._convolve
+    whole, convolve = [0], OperatorContext.convolve
     n = ref_ctx_big.grid.n
 
     def counted(self, src, lo, hi, out_lo, out_hi):
         whole[0] += out_lo == 0 and out_hi == n
         return convolve(self, src, lo, hi, out_lo, out_hi)
-    monkeypatch.setattr(OperatorContext, "_convolve", counted)
+    monkeypatch.setattr(OperatorContext, "convolve", counted)
     out = instability_experiment(ref_ctx_big, ref_u_tilde, ref_power[1],
                                  SimConfig(dt=0.01, t_end=5.0, delta=1e-3),
                                  ref_power[0])
@@ -316,9 +334,9 @@ def test_experiment_stops_at_escape(setup):
     assert np.array_equal(full.times[:len(traj.times)], traj.times)
     assert np.array_equal(full.deviation_sup[:len(traj.times)], traj.deviation_sup)
     window = (full.deviation_sup >= 2.0 * delta) & (full.deviation_sup <= 10.0 * delta)
-    growth = float(np.polyfit(full.times[window],
-                              np.log(full.deviation_sup[window]), 1)[0])
-    assert out["growth_rate"] == growth
+    x, y = full.times[window], np.log(full.deviation_sup[window])
+    assert out["growth_rate"] == slope(x, y)
+    assert out["growth_rate"] == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-13, abs=0.0)
     assert out["escape_time"] == full.times[np.argmax(full.deviation_sup >= eps)]
 
 

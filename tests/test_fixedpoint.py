@@ -22,7 +22,7 @@ from neurofield.spectral import Linearization, spectral_radius
 from oracles import (ShiftOutOfRange, apply_T, apply_integral_operator,
                      continuous_bump_peak, continuous_bump_profile,
                      continuous_principal_eigenvalue,
-                     dense_even_jacobian, monotone_iterate,
+                     dense_even_jacobian, full_bisection_tail, monotone_iterate,
                      stationary_residual, verify_translation_family)
 
 
@@ -376,6 +376,25 @@ def test_tail_extension_stops_at_table_edge(monkeypatch):
     assert lines == [make_extension_grid(exponential, g) for g in grids]
     gaussian = tail_extension(TabulatedKernel(table, GaussianKernel()(x)), d)
     assert gaussian == pytest.approx(tail_extension(GaussianKernel(), d), rel=1e-3)
+
+
+def test_tail_search_stops_once_its_bracket_does():
+    # the bisection ends the step after its midpoint meets an end of the
+    # bracket, on the end that 200 steps give: at most 70 kernel values,
+    # the doubling's included, where 200 steps alone take 200
+    table = Grid(-12.0, 12.0, 2400)
+    kernels = (ExponentialKernel(), GaussianKernel(),
+               MexicanHatKernel(3.0, 2.0, 1.0, 1.0),
+               TabulatedKernel(table, MexicanHatKernel(3.0, 2.0, 1.0, 1.0)(table.nodes())))
+    for kernel in kernels:
+        for d in (0.3, 1.0, 1.5567, 3.0, 5.0):
+            calls = []
+
+            def counted(x, kernel=kernel):
+                calls.append(x)
+                return kernel(x)
+            assert tail_extension(counted, d) == full_bisection_tail(kernel, d)
+            assert len(calls) <= 70
 
 
 def test_tail_extension_bounds_the_kernel_magnitude():
